@@ -516,8 +516,8 @@ class SpeculativeEvaluator:
     def remove_loss_pair(self, u: int, v: int) -> tuple[int, int]:
         """(Weighted/model-valued) distance losses of both endpoints when
         edge ``uv`` is removed (a matrix read for bridges — each side
-        charged by its demand mass toward the far side — one batched BFS
-        on the cached CSR otherwise; no mutation)."""
+        charged by its demand mass toward the far side — one BFS per
+        endpoint otherwise; no mutation)."""
         if self._weights is None and self._ops is None:
             return self.engine.remove_loss_pair(u, v)
         row_u, row_v = self.engine.rows_after_remove(u, v)

@@ -117,7 +117,9 @@ def _edge(u: int, v: int) -> tuple[int, int]:
 def component_bridges(adj, roots: Iterable[int]) -> set[tuple[int, int]]:
     """Bridges of the components containing ``roots``, by chain decomposition.
 
-    ``adj`` is a node -> neighbors mapping (e.g. ``networkx.Graph.adj``).
+    ``adj`` is a node -> neighbors mapping; the engine passes the plain
+    dict-of-dicts ``networkx.Graph._adj``, which skips the view object
+    ``Graph.adj`` builds for every visited node.
     One iterative DFS per unvisited root records DFS numbers, parents and
     back edges keyed by their ancestor endpoint; walking each back edge's
     fundamental cycle upwards marks the chain-covered tree edges, and the

@@ -15,11 +15,15 @@ The identities behind the engine:
   so the whole matrix updates with one vectorised outer minimum, no search;
 * removing edge ``uv``: only pairs whose *every* shortest path crossed ``uv``
   can change, and any such pair has an endpoint whose distance to ``u`` or
-  ``v`` changed.  The repair therefore re-runs BFS from the **affected rows**
-  only (found with two probe BFS runs from ``u`` and ``v``); on small graphs
-  the probes and the repair run as pure-Python BFS (the C-level call carries
-  ~100us of fixed overhead), larger repairs batch into a single C-level
-  call.  When ``uv`` is a **bridge** — on *any* graph, forests being the
+  ``v`` changed.  Two probe BFS runs from ``u`` and ``v`` in ``G - uv``
+  therefore find the **affected rows**, and only those are re-run; every
+  other row is copied from the cached matrix.  The in-place repair
+  (``apply_remove``) and the speculative row queries
+  (``rows_after_remove_from``) share this probe -> mask -> BFS sequence.
+  Small batches run as pure-Python BFS over the graph's adjacency dicts
+  (a C-level call carries ~170us of fixed overhead, see
+  :data:`_PY_BFS_CELLS`); larger ones batch into a single C-level call.
+  When ``uv`` is a **bridge** — on *any* graph, forests being the
   special case where every edge qualifies — the BFS-repair path is never
   entered: the component splits into the two sides of the bridge cut,
   read off the cached matrix (``d(x, u)`` vs ``d(x, v)``), every cross
@@ -315,26 +319,17 @@ def _rows_from_csr(
     return _backend.active().bfs_rows(adjacency, sources, unreachable)
 
 
-#: Below this node count the engine answers removal probes with pure-Python
-#: BFS over the networkx adjacency instead of scipy calls: the C-level path
-#: carries ~200us of fixed overhead per call (sparse arithmetic + dijkstra
-#: setup), which dwarfs an actual BFS on a small graph.  Exactness is
-#: identical; this is purely a constant-factor dispatch, re-measured by
-#: ``benchmarks/bench_small_n_dispatch.py`` (record in
-#: ``benchmarks/baselines/BENCH_small_n_dispatch.json``, refreshed
-#: 2026-08: the Python arm wins 1-2 row probes by >= 1.6x through
-#: n = 160 and still ~1.2x at 288, while the full apply+undo cycle
-#: flips to the C arm near n = 72 — 160 stays the compromise between
-#: the probe-heavy and repair-heavy workloads; both arms' bit-exact
-#: agreement around the threshold is guarded by
-#: ``tests/test_cross_validation.py``).
-_SMALL_N = 160
-
-#: Batched row repairs stay in Python only while ``rows * n`` is below
-#: ``_SMALL_N * _REPAIR_BATCH_FACTOR`` cells; beyond that one batched
-#: C-level call wins (measured break-even: a fixed call costs about as
-#: much as 3-4 Python BFS rows at n = 160).
-_REPAIR_BATCH_FACTOR = 4
+#: A batch of BFS rows runs in pure Python while ``rows * n`` is at most
+#: this many cells, and as one C-level call on a CSR beyond.  The C-level
+#: call carries a fixed cost (masking the edge out of the CSR, scipy's
+#: validation and dijkstra setup) of ~170us, about five Python rows at
+#: n = 120.  Sweeping 640, 1200, 2400 cells and Python-only on the n = 120
+#: BGE round (``perfbench`` ``dyn-bge-n120``, 2-core x86) put 1200 (ten
+#: rows there) at the fastest, within noise of Python-only; every
+#: workload at n <= 24 (exact PoA, serve) stays in Python for any batch.
+#: Exactness is identical on both arms; ``tests/test_cross_validation.py``
+#: forces each one.
+_PY_BFS_CELLS = 1200
 
 
 def _bfs_row_py(
@@ -345,19 +340,18 @@ def _bfs_row_py(
     skip_a: int = -1,
     skip_b: int = -1,
 ) -> np.ndarray:
-    """One BFS distance row computed in pure Python (small graphs only).
+    """One BFS distance row computed in pure Python.
 
-    ``skip_a``/``skip_b`` mask one edge out of the traversal, so pure
-    removal *queries* can run on the live adjacency without ever
-    mutating the graph.
+    ``adj`` is the graph's plain adjacency dict-of-dicts
+    (``graph._adj``): walking it directly avoids the view object that
+    ``graph.adj`` builds for every visited node.  ``skip_a``/``skip_b``
+    mask one edge out of the traversal, so pure removal *queries* can run
+    on the live adjacency without ever mutating the graph.
     """
     dist = [-1] * n
     dist[source] = 0
     queue = [source]
-    head = 0
-    while head < len(queue):
-        node = queue[head]
-        head += 1
+    for node in queue:  # appending while iterating makes it a FIFO queue
         step = dist[node] + 1
         for neighbor in adj[node]:
             if dist[neighbor] < 0:
@@ -495,9 +489,9 @@ class DistanceMatrix:
       above (one full row-sum at first query, shifts afterwards).
 
     Speculative *queries* that never touch the matrix are also provided:
-    ``row_after_add`` (from the matrix alone) and ``rows_after_remove``
-    (BFS on a temporary CSR with the edge masked out; the cached CSR is
-    reused, not rebuilt from the graph).
+    ``row_after_add`` (from the matrix alone) and
+    ``rows_after_remove_from`` (the bridge split, or BFS with the edge
+    masked out of the traversal for the affected sources only).
 
     ``unreachable`` must be at least ``n`` (so it exceeds every real
     distance) and satisfy ``fits_int64`` (headroom for ``2M + 1`` in the
@@ -527,7 +521,7 @@ class DistanceMatrix:
         # the exact bridge set powers the search-free split removal path on
         # any graph; built once here (chain decomposition), then maintained
         # in O(affected) through apply_* / undo — see repro.graphs.bridges
-        self._bridges = BridgeSet(graph.adj, range(self.n))
+        self._bridges = BridgeSet(graph._adj, range(self.n))
         self.matrix = apsp_matrix(graph, self.unreachable)
 
     # -- plain queries ------------------------------------------------------
@@ -846,9 +840,10 @@ class DistanceMatrix:
         Bridges are search-free: each source keeps its side of the cut
         and loses the far side to the sentinel, all read off the cached
         matrix (sources in other components are unaffected).  Non-bridges
-        BFS — in Python on small graphs (edge masked out of the
-        traversal), in one batched C-level call on a temporary CSR
-        otherwise.  Neither the matrix nor the graph is touched.
+        BFS only the affected sources (:meth:`_removal_rows`) and copy
+        every other row from the cached matrix; a request for ``u`` and
+        ``v`` alone is answered by BFS from them directly, one or two
+        rows.  Neither the matrix nor the graph is touched.
         """
         if not self._graph.has_edge(u, v):
             raise ValueError(f"edge {u}-{v} not in graph")
@@ -870,8 +865,24 @@ class DistanceMatrix:
                 else:  # another component: removal cannot affect it
                     rows[position] = matrix[source]
             return rows
-        if self.n <= _SMALL_N:
-            adj = self._graph.adj
+        if all(source == u or source == v for source in sources):
+            return self._bfs_without(u, v, sources)
+        affected, repaired = self._removal_rows(u, v, sources)
+        rows = matrix[sources]  # fancy index: a copy
+        slot = np.full(self.n, -1)
+        slot[affected] = np.arange(affected.size)
+        picks = slot[sources]
+        hit = picks >= 0
+        rows[hit] = repaired[picks[hit]]
+        return rows
+
+    def _bfs_without(self, u: int, v: int, sources) -> np.ndarray:
+        """BFS rows of ``sources`` in ``G - uv``, the edge masked out of
+        the traversal (the graph is untouched): pure Python over the
+        adjacency dicts up to :data:`_PY_BFS_CELLS` cells, one C-level
+        call on a masked copy of the CSR beyond."""
+        if len(sources) * self.n <= _PY_BFS_CELLS:
+            adj = self._graph._adj
             return np.stack(
                 [
                     _bfs_row_py(adj, source, self.n, self.unreachable, u, v)
@@ -882,9 +893,44 @@ class DistanceMatrix:
             self._csr_without(u, v), sources, self.unreachable
         )
 
+    def _removal_rows(
+        self, u: int, v: int, sources=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Probe -> mask -> BFS for the removal of non-bridge ``uv``.
+
+        Two probe BFS runs from ``u`` and ``v`` in ``G - uv`` mark the
+        affected nodes: those whose distance to ``u`` or ``v`` grows.
+        Only their rows can change.  If every shortest ``s``-``y`` path
+        crossed ``uv``, say ``u`` first, then so did every shortest
+        ``s``-``v`` path (one avoiding ``uv``, followed by the ``v``-``y``
+        tail, would be a shortest ``s``-``y`` path avoiding it), so
+        ``d(s, v)`` grows.  The affected nodes among ``sources`` (every
+        node by default) are BFS-ed, except ``u`` and ``v``, whose rows
+        are the probes.
+
+        Returns ``(affected, rows)``: those sources in increasing order
+        and their rows in ``G - uv``.  Neither the graph nor the matrix
+        is touched.
+        """
+        matrix = self.matrix
+        probe_u, probe_v = self._bfs_without(u, v, (u, v))
+        changed = (probe_u != matrix[u]) | (probe_v != matrix[v])
+        if sources is not None:
+            requested = np.zeros(self.n, dtype=bool)
+            requested[sources] = True
+            changed &= requested
+        affected = np.flatnonzero(changed)
+        rest = (affected != u) & (affected != v)
+        rows = np.empty((affected.size, self.n), dtype=np.int64)
+        if rest.any():
+            rows[rest] = self._bfs_without(u, v, affected[rest].tolist())
+        rows[affected == u] = probe_u
+        rows[affected == v] = probe_v
+        return affected, rows
+
     def rows_after_remove(self, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows of ``u`` and ``v`` in ``G - uv`` (bridge read or one BFS
-        batch; see :meth:`rows_after_remove_from`)."""
+        from each endpoint; see :meth:`rows_after_remove_from`)."""
         rows = self.rows_after_remove_from(u, v, (u, v))
         return rows[0], rows[1]
 
@@ -918,8 +964,8 @@ class DistanceMatrix:
     def remove_loss_pair(self, u: int, v: int) -> tuple[int, int]:
         """Distance-cost increases of both endpoints when ``uv`` is removed.
 
-        One temporary CSR, one batched BFS — the shared evaluation behind
-        the RE checker and the removal move generator.
+        A bridge read or one BFS per endpoint — the shared evaluation
+        behind the RE checker and the removal move generator.
         """
         row_u, row_v = self.rows_after_remove(u, v)
         return (
@@ -1006,17 +1052,16 @@ class DistanceMatrix:
         ``{x : d(x, v) < d(x, u)}`` (every path between the sides crossed
         ``uv``, so ties cannot occur) and every cross pair becomes
         ``unreachable`` — both sides are read off the cached matrix, no
-        search.  Otherwise two probe BFS runs from ``u`` and ``v``
-        identify the affected rows (every changed pair has an endpoint
-        among them) and a batched repair recomputes exactly those rows
-        (spy-counted by :data:`REMOVE_BFS_REPAIRS`).  Returns an undo
-        token.
+        search.  Otherwise :meth:`_removal_rows` recomputes exactly the
+        affected rows: two probe BFS runs from ``u`` and ``v``, then BFS
+        from the other affected nodes (spy-counted by
+        :data:`REMOVE_BFS_REPAIRS`).  Returns an undo token.
         """
         if not self._graph.has_edge(u, v):
             raise ValueError(f"edge {u}-{v} not in graph")
         matrix = self.matrix
-        csr_before = self._csr
         if self._bridges.is_bridge(u, v):
+            csr_before = self._csr
             side_u, side_v = self._bridge_sides(u, v)
             # every changed entry is a cross pair, so the smaller side's
             # rows (restored as rows *and* columns) cover all of them
@@ -1030,67 +1075,27 @@ class DistanceMatrix:
             self._shift_totals(small_rows, patches[0].old)
             self._graph.remove_edge(u, v)
             self._csr = None
-            bridge_delta = self._bridges.note_remove(u, v, self._graph.adj)
+            bridge_delta = self._bridges.note_remove(u, v, self._graph._adj)
             return self._finish(
                 patches, (("add", u, v),), csr_before, (bridge_delta,)
             )
         _REMOVE_BFS_REPAIRS.inc()
-        if self.n <= _SMALL_N:
-            self._graph.remove_edge(u, v)
-            self._csr = None
-            adj = self._graph.adj
-            probes = (
-                _bfs_row_py(adj, u, self.n, self.unreachable),
-                _bfs_row_py(adj, v, self.n, self.unreachable),
-            )
-            masked = None
-        else:
-            masked = self._csr_without(u, v)
-            self._graph.remove_edge(u, v)
-            self._csr = masked
-            probes = _rows_from_csr(masked, [u, v], self.unreachable)
+        affected, rows = self._removal_rows(u, v)
+        _BFS_REPAIR_ROWS.inc(int(affected.size))
+        # read after the repair, which may have cached the CSR of the
+        # pre-removal graph: exactly the graph undo restores
+        csr_before = self._csr
+        # u and v are always affected (their mutual distance grew), and
+        # every changed entry has an endpoint among the affected rows
+        patches = (_RowPatch(rows=affected, old=matrix[affected].copy()),)
+        matrix[affected, :] = rows
+        matrix[:, affected] = rows.T
+        self._shift_totals(affected, patches[0].old)
+        self._graph.remove_edge(u, v)
+        self._csr = None
         # a non-bridge removal can only promote edges of this component to
         # bridges; one local sweep re-derives them (post-removal adjacency)
-        bridge_delta = self._bridges.note_remove(u, v, self._graph.adj)
-        affected = np.flatnonzero(
-            (probes[0] != matrix[u]) | (probes[1] != matrix[v])
-        )
-        _BFS_REPAIR_ROWS.inc(int(affected.size))
-        patches = ()
-        if affected.size:
-            patches = (
-                _RowPatch(rows=affected, old=matrix[affected].copy()),
-            )
-            # u and v are always affected (their mutual distance grew) and
-            # their repaired rows are the probes — BFS only the rest
-            rest = affected[(affected != u) & (affected != v)]
-            if rest.size:
-                if (
-                    masked is None
-                    and rest.size * self.n <= _SMALL_N * _REPAIR_BATCH_FACTOR
-                ):
-                    # small repair batch: python BFS beats scipy's call
-                    # overhead; large batches fall through to one batched
-                    # C-level call on a rebuilt CSR
-                    adj = self._graph.adj
-                    repaired = np.stack(
-                        [
-                            _bfs_row_py(adj, int(node), self.n, self.unreachable)
-                            for node in rest
-                        ]
-                    )
-                else:
-                    repaired = _rows_from_csr(
-                        self.csr if masked is None else masked,
-                        rest,
-                        self.unreachable,
-                    )
-                matrix[rest, :] = repaired
-                matrix[:, rest] = repaired.T
-            for node, probe in ((u, probes[0]), (v, probes[1])):
-                matrix[node, :] = probe
-                matrix[:, node] = probe
-            self._shift_totals(affected, patches[0].old)
+        bridge_delta = self._bridges.note_remove(u, v, self._graph._adj)
         return self._finish(
             patches, (("add", u, v),), csr_before, (bridge_delta,)
         )

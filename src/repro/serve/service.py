@@ -88,6 +88,21 @@ class ServeError(Exception):
         self.message = message
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass, but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_param(
+    payload: Mapping[str, Any], name: str, default: int, minimum=None
+) -> int:
+    value = payload.get(name, default)
+    if not _is_int(value) or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ServeError(400, f"'{name}' must be an int{bound}, got {value!r}")
+    return value
+
+
 def _concept_of(value: Any) -> Concept:
     if isinstance(value, Concept):
         return value
@@ -122,14 +137,14 @@ class _Instance:
             if (
                 not isinstance(edge, (list, tuple))
                 or len(edge) != 2
-                or not all(isinstance(x, int) and x >= 0 for x in edge)
+                or not all(_is_int(x) and x >= 0 for x in edge)
                 or edge[0] == edge[1]
             ):
                 raise ServeError(400, f"bad edge {edge!r}")
             pairs.append((int(edge[0]), int(edge[1])))
         top = max((max(u, v) for u, v in pairs), default=-1)
         n = payload.get("n", top + 1)
-        if not isinstance(n, int) or n < 1 or top >= n:
+        if not _is_int(n) or n < 1 or top >= n:
             raise ServeError(400, f"bad node count n={n!r} for the edge list")
         self.n = n
         self.graph = nx.empty_graph(n)
@@ -143,6 +158,8 @@ class _Instance:
             self.alpha = as_alpha(payload["alpha"])
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise ServeError(400, f"bad alpha: {exc}") from None
+        if self.alpha <= 0:
+            raise ServeError(400, f"bad alpha: must be positive, got {self.alpha}")
 
         try:
             self.traffic = traffic_from_spec(payload.get("traffic"), n)
@@ -429,9 +446,9 @@ class ServeApp:
         if cached is not None:
             return cached
         inst = _Instance(payload)
-        max_coalition = int(payload.get("max_coalition_size", 3))
-        seed = int(payload.get("seed", 0))
-        probe_samples = int(payload.get("probe_samples", 2000))
+        max_coalition = _int_param(payload, "max_coalition_size", 3, minimum=1)
+        seed = _int_param(payload, "seed", 0)
+        probe_samples = _int_param(payload, "probe_samples", 2000, minimum=0)
         key = self._response_key(
             "classify", inst,
             {
@@ -489,7 +506,7 @@ class ServeApp:
         if "agent" not in payload:
             raise ServeError(400, "'agent' is required")
         agent = payload["agent"]
-        if not isinstance(agent, int) or not (0 <= agent < inst.n):
+        if not _is_int(agent) or not (0 <= agent < inst.n):
             raise ServeError(400, f"agent must be an int in [0, {inst.n})")
         concept = _concept_of(payload.get("concept", "BGE"))
         if concept not in BEST_RESPONSE_CONCEPTS:

@@ -10,6 +10,12 @@ import pytest
 from repro.core.state import GameState
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: long-running test (deselect with -m 'not slow')"
+    )
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20230711)  # PODC 2023 week

@@ -29,8 +29,9 @@ plus spy-counter proofs that the maintenance really is incremental: one
 chain-decomposition build per engine materialisation and zero rebuilds
 along trajectories, bridge removals never entering the BFS-repair path
 (even on cyclic graphs), and the rows-only batch sweep never mutating the
-engine.  The ``_SMALL_N`` dispatch arms and the reservoir-sampling random
-scheduler are cross-validated here too.
+engine.  The affected-source filter of non-bridge removal queries (rows
+bit-exact, BFS only for the rows that change), both BFS dispatch arms and
+the reservoir-sampling random scheduler are cross-validated here too.
 """
 
 from __future__ import annotations
@@ -738,23 +739,121 @@ class TestBatchSweepCrossValidation:
         return pool[:25]
 
 
-# -- _SMALL_N dispatch arms -------------------------------------------------
+# -- affected-source filter for non-bridge removals ---------------------------
+
+
+@pytest.fixture
+def bfs_sources(monkeypatch):
+    """Every source either BFS primitive is asked for, in call order."""
+    seen: list[int] = []
+    row_py = distances_mod._bfs_row_py
+    rows_csr = distances_mod._rows_from_csr
+
+    def count_row(adj, source, *args):
+        seen.append(int(source))
+        return row_py(adj, source, *args)
+
+    def count_rows(adjacency, sources, unreachable):
+        seen.extend(int(source) for source in sources)
+        return rows_csr(adjacency, sources, unreachable)
+
+    monkeypatch.setattr(distances_mod, "_bfs_row_py", count_row)
+    monkeypatch.setattr(distances_mod, "_rows_from_csr", count_rows)
+    return seen
+
+
+def _filter_graphs():
+    """Seeded graphs of every ``start_graph`` family plus G(n, p) samples
+    on both sides of the Python/C-level BFS budget (a two-row probe batch
+    flips arms at n = _PY_BFS_CELLS / 2), disconnected ones included."""
+    for index, family in enumerate(FAMILIES):
+        for seed in range(8):
+            yield start_graph(family, random.Random(170_000 + 100 * index + seed))
+    half = distances_mod._PY_BFS_CELLS // 2
+    for seed, n in enumerate((30, 60, half - 2, half + 2)):
+        rng = random.Random(171_000 + seed)
+        yield random_connected_gnp(n, 3.0 / n, rng)
+        yield nx.gnp_random_graph(n, 1.5 / n, seed=rng.randrange(10**6))
+
+
+class TestAffectedSourceFilter:
+    """``rows_after_remove_from`` on a non-bridge BFS-es the two probes
+    plus exactly the requested sources whose rows change, and still
+    equals a fresh APSP of ``G - uv`` bit for bit."""
+
+    def test_rows_match_fresh_apsp_and_bfs_only_affected(self, bfs_sources):
+        checked = 0
+        for graph in _filter_graphs():
+            n = graph.number_of_nodes()
+            dm = DistanceMatrix(graph, UNREACHABLE)
+            rng = random.Random(n)
+            edges = [edge for edge in graph.edges if not dm.is_bridge(*edge)]
+            if n > 100:
+                edges = rng.sample(edges, min(3, len(edges)))
+            for u, v in edges:
+                reference = graph.copy()
+                reference.remove_edge(u, v)
+                fresh = apsp_matrix(reference, UNREACHABLE)
+                changed = set(
+                    np.flatnonzero((fresh != dm.matrix).any(axis=1)).tolist()
+                )
+                unchanged = sorted(set(range(n)) - changed)
+                elsewhere = [x for x in unchanged if dm.dist(u, x) == UNREACHABLE]
+                sources = [u, v, u]
+                for pool in (sorted(changed), unchanged, elsewhere):
+                    sources += rng.sample(pool, min(3, len(pool)))
+                sources += rng.sample(sources, 2)  # repeats
+                rng.shuffle(sources)
+                bfs_sources.clear()
+                rows = dm.rows_after_remove_from(u, v, sources)
+                assert rows.dtype == np.int64
+                assert (rows == fresh[sources]).all()
+                assert sorted(bfs_sources) == sorted(
+                    {u, v} | (changed & set(sources))
+                )
+                # endpoint-only requests stay one or two plain BFS
+                bfs_sources.clear()
+                assert (dm.row_after_remove(u, v) == fresh[u]).all()
+                assert bfs_sources == [u]
+                checked += 1
+        assert checked >= 100
+
+    def test_apply_remove_repairs_exactly_the_affected_rows(self, bfs_sources):
+        for graph in _filter_graphs():
+            dm = DistanceMatrix(graph, UNREACHABLE)
+            edges = [edge for edge in graph.edges if not dm.is_bridge(*edge)]
+            if not edges or graph.number_of_nodes() > 100:
+                continue
+            u, v = edges[0]
+            before = dm.matrix.copy()
+            bfs_sources.clear()
+            token = dm.apply_remove(u, v)
+            fresh = apsp_matrix(graph, UNREACHABLE)
+            assert (dm.matrix == fresh).all()
+            changed = set(np.flatnonzero((fresh != before).any(axis=1)).tolist())
+            assert sorted(bfs_sources) == sorted(changed)
+            dm.undo(token)
+            assert (dm.matrix == before).all()
+
+
+# -- BFS dispatch arms --------------------------------------------------------
 
 
 class TestDispatchArmsAgree:
-    """Both removal-repair dispatch arms are bit-exact around the
-    threshold: purely a constant-factor choice (the satellite guard for
-    re-measuring ``_SMALL_N`` on new hardware)."""
+    """Both BFS dispatch arms are bit-exact around the ``_PY_BFS_CELLS``
+    budget: purely a constant-factor choice."""
 
     @pytest.mark.parametrize("n_offset", (-2, 2))
     def test_python_and_scipy_arms_bit_exact(self, monkeypatch, n_offset):
-        n = distances_mod._SMALL_N + n_offset
+        # a two-row probe batch flips arms at n = _PY_BFS_CELLS / 2
+        budget = distances_mod._PY_BFS_CELLS
+        n = budget // 2 + n_offset
         rng = random.Random(42 + n_offset)
         graph = random_connected_gnp(n, 3.0 / n, rng)
         step_seeds = [random.Random(7).randint(0, 10**6) + i for i in range(6)]
         results = {}
-        for arm, forced_small_n in (("python", 10**9), ("scipy", 0)):
-            monkeypatch.setattr(distances_mod, "_SMALL_N", forced_small_n)
+        for arm, cells in (("python", 10**9), ("scipy", 0), ("default", budget)):
+            monkeypatch.setattr(distances_mod, "_PY_BFS_CELLS", cells)
             work = graph.copy()
             dm = DistanceMatrix(work, UNREACHABLE)
             trace = []
@@ -762,13 +861,15 @@ class TestDispatchArmsAgree:
                 random_step(dm, work, random.Random(step_seed))
                 trace.append(dm.matrix.copy())
             # speculative queries exercise both query arms too
-            edge = next(iter(work.edges))
+            edge = next(e for e in work.edges if not dm.is_bridge(*e))
             trace.append(np.stack(dm.rows_after_remove(*edge)))
+            trace.append(dm.rows_after_remove_from(*edge, range(n)))
             results[arm] = trace
-        for step, (left, right) in enumerate(
-            zip(results["python"], results["scipy"])
-        ):
-            assert (left == right).all(), f"dispatch arms disagree at {step}"
+        for arm in ("scipy", "default"):
+            for step, (left, right) in enumerate(
+                zip(results["python"], results[arm])
+            ):
+                assert (left == right).all(), f"{arm} arm disagrees at {step}"
 
 
 # -- reservoir-sampling random scheduler ------------------------------------

@@ -200,10 +200,31 @@ class TestClassify:
             ({"edges": PATH_5}, "alpha"),
             ({"edges": PATH_5, "alpha": "nope"}, "alpha"),
             ({"edges": PATH_5, "n": 2, "alpha": 2}, "node count"),
+            ({"edges": PATH_5, "alpha": -3}, "alpha"),
+            ({"edges": PATH_5, "alpha": 0}, "alpha"),
+            ({"edges": [[0, True]], "alpha": 2}, "bad edge"),
+            ({"edges": [], "n": True, "alpha": 2}, "node count"),
+            (
+                {"edges": PATH_5, "alpha": 2, "max_coalition_size": "abc"},
+                "max_coalition_size",
+            ),
+            (
+                {"edges": PATH_5, "alpha": 2, "max_coalition_size": 0},
+                "max_coalition_size",
+            ),
+            ({"edges": PATH_5, "alpha": 2, "seed": [1]}, "seed"),
+            ({"edges": PATH_5, "alpha": 2, "seed": True}, "seed"),
+            ({"edges": PATH_5, "alpha": 2, "probe_samples": 1.5}, "probe_samples"),
         ]:
             status, body = app.handle("classify", payload)
             assert status == 400, payload
             assert fragment in body["error"]
+        for agent in (True, "1", -1, 5):
+            status, body = app.handle(
+                "best_response", {"edges": PATH_5, "alpha": 2, "agent": agent}
+            )
+            assert status == 400, agent
+            assert "agent" in body["error"]
 
     def test_unknown_endpoint_is_404(self):
         app = ServeApp()
