@@ -40,9 +40,6 @@ TRACKED = {
     # workloads (LinearCost dispatch, f-table sweeps/trajectories, the
     # max aggregate's max-with-counts maintenance)
     "BENCH_costmodel_overhead": ("workloads", "speedup"),
-    # canonical-key layer dedup vs pairwise nx.is_isomorphic on the
-    # same extension streams (trees + connected graphs)
-    "BENCH_enumeration": ("workloads", "speedup"),
     # serve warm-engine cache vs cold rebuilds on a replayed request
     # trace (speedup = cold/warm seconds at the ServeApp.handle layer)
     "BENCH_serve_qps": ("workloads", "speedup"),

@@ -112,8 +112,7 @@ def empirical_poa(
     """Exact PoA over *all* connected graphs on ``n`` nodes.
 
     Atlas-backed to ``n = 7``; the canonical-key layered enumerator
-    carries the sweep to ``n = 8`` in seconds and ``n = 9`` in minutes
-    (the checker cost, not the enumeration, dominates there).
+    carries the sweep to ``n = 8`` in seconds and ``n = 9`` in minutes.
     """
     price = as_alpha(alpha)
     return _scan(all_connected_graphs(n), price, concept, k, n)

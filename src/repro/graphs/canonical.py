@@ -44,6 +44,7 @@ words.  :func:`decode_key` inverts both forms exactly.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Iterator, Sequence
 
 import networkx as nx
@@ -105,11 +106,35 @@ def masks_of_graph(graph: nx.Graph) -> list[int]:
     return masks
 
 
+def _exact_int(value) -> int | None:
+    """``value`` as an exact int, or ``None`` when it is not integral."""
+    if isinstance(value, Integral):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return None
+
+
 def _weights_tuple(weights) -> tuple[tuple[int, ...], ...]:
+    """The demands as nested int tuples.  Each must be a non-negative
+    integer that :func:`decode_key` can hand back as ``int64``: a
+    truncated float or an out-of-range entry would let two different
+    matrices share a key, or fail to serialise or decode.  Integral
+    floats are taken exactly."""
     array = np.asarray(weights)
     if array.ndim != 2 or array.shape[0] != array.shape[1]:
         raise ValueError("a weight matrix must be square")
-    return tuple(tuple(int(w) for w in row) for row in array)
+    rows = array.tolist()
+    for u, row in enumerate(rows):
+        for v, w in enumerate(row):
+            exact = w if type(w) is int else _exact_int(w)
+            if exact is None or not 0 <= exact < 1 << 63:
+                raise ValueError(
+                    f"demand W[{u}, {v}] = {w!r} is not an integer "
+                    "in [0, 2**63)"
+                )
+            row[v] = exact
+    return tuple(map(tuple, rows))
 
 
 # -- refinement --------------------------------------------------------------

@@ -23,6 +23,8 @@ The identities behind the engine:
   Small batches run as pure-Python BFS over the graph's adjacency dicts
   (a C-level call carries ~170us of fixed overhead, see
   :data:`_PY_BFS_CELLS`); larger ones batch into a single C-level call.
+  The same cell budget picks the arm of a full :func:`apsp_matrix`
+  build, so the engines of small graphs never call scipy.
   When ``uv`` is a **bridge** — on *any* graph, forests being the
   special case where every edge qualifies — the BFS-repair path is never
   entered: the component splits into the two sides of the bridge cut,
@@ -290,8 +292,10 @@ def adjacency_csr(graph: nx.Graph) -> csr_matrix:
 def apsp_matrix(graph: nx.Graph, unreachable: int) -> np.ndarray:
     """Dense all-pairs shortest path matrix with ``unreachable`` for no path.
 
-    Runs one BFS per node in C via scipy; ``O(n * m)`` total.  Increments
-    the module's :data:`APSP_BUILDS` spy counter.
+    Runs one BFS per node, ``O(n * m)`` total: in pure Python over the
+    adjacency dicts while the ``n * n`` matrix is within
+    :data:`_PY_BFS_CELLS`, in C via scipy beyond.  Increments the
+    module's :data:`APSP_BUILDS` spy counter.
     """
     _APSP_BUILDS.inc()
     n = _require_canonical(graph)
@@ -300,6 +304,14 @@ def apsp_matrix(graph: nx.Graph, unreachable: int) -> np.ndarray:
             dist = np.full((n, n), unreachable, dtype=np.int64)
             np.fill_diagonal(dist, 0)
             return dist
+        if n * n <= _PY_BFS_CELLS:
+            adj = graph._adj
+            return np.stack(
+                [
+                    _bfs_row_py(adj, source, n, unreachable)
+                    for source in range(n)
+                ]
+            )
         raw = shortest_path(
             adjacency_csr(graph), method="D", unweighted=True
         )
@@ -327,8 +339,12 @@ def _rows_from_csr(
 #: BGE round (``perfbench`` ``dyn-bge-n120``, 2-core x86) put 1200 (ten
 #: rows there) at the fastest, within noise of Python-only; every
 #: workload at n <= 24 (exact PoA, serve) stays in Python for any batch.
-#: Exactness is identical on both arms; ``tests/test_cross_validation.py``
-#: forces each one.
+#: The budget also covers full ``n x n`` builds in :func:`apsp_matrix`
+#: (Python up to n = 34): on G(n, p) at average degree 3 to 12 (same
+#: host) Python builds an n = 8 matrix in 40-65us against scipy's
+#: 320-540us, neither arm wins at every density from n = 34 to n = 40,
+#: and scipy does from n = 44.  Exactness is identical on both arms;
+#: ``tests/test_cross_validation.py`` forces each one.
 _PY_BFS_CELLS = 1200
 
 

@@ -12,6 +12,7 @@ from repro.graphs.canonical import (
     canonical_cache_info,
     canonical_graph,
     canonical_key,
+    canonical_labelling,
     decode_key,
     key_of_masks,
     masks_of_graph,
@@ -144,6 +145,39 @@ class TestJointWeightedKeys:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             canonical_key(nx.path_graph(3), np.zeros((4, 4), dtype=np.int64))
+
+    def test_bad_demands_rejected_naming_the_entry(self):
+        # a truncated 1.5 would share the key of the matrix holding 1, and
+        # negative or oversized entries cannot round-trip through the key
+        path = nx.path_graph(3)
+        ones = np.ones((3, 3), dtype=np.int64)
+        for bad in (1.5, -1, 2**63, 2**64, float("nan")):
+            weights = ones.astype(object)
+            weights[0, 2] = bad
+            for keying in (canonical_key, canonical_labelling):
+                with pytest.raises(ValueError, match=r"W\[0, 2\]"):
+                    keying(path, weights)
+        floats = ones.astype(float)
+        floats[1, 2] = 1.5
+        with pytest.raises(ValueError, match=r"W\[1, 2\] = 1\.5"):
+            canonical_key(path, floats)
+
+    def test_integral_floats_and_the_int64_edge_accepted(self):
+        path = nx.path_graph(3)
+        ones = np.ones((3, 3), dtype=np.int64)
+        assert canonical_key(path, ones.astype(float)) == canonical_key(
+            path, ones
+        )
+        numpy_scalars = np.empty((3, 3), dtype=object)
+        for index in np.ndindex(3, 3):
+            numpy_scalars[index] = np.int64(1)
+        assert canonical_key(path, numpy_scalars) == canonical_key(path, ones)
+        widest = ones.astype(object)
+        widest[0, 2] = 2**63 - 1
+        key = canonical_key(path, widest)
+        decoded, weights = decode_key(key)
+        assert canonical_key(decoded, weights) == key
+        assert int(weights.max()) == 2**63 - 1
 
 
 class TestRoundTrips:

@@ -6,7 +6,8 @@ and dense G(n, p) — including disconnected starts — and paper
 constructions), asserting **bit-exact agreement at every step** between
 
 * the in-place :class:`~repro.graphs.distances.DistanceMatrix` and a fresh
-  scipy APSP of the mutated graph,
+  APSP of the mutated graph (whose Python arm is itself pinned to scipy
+  below),
 * the incrementally maintained ``totals()`` and a fresh row sum,
 * the incrementally maintained weighted ``wtotals()`` (uniform and
   random demand matrices) and a fresh weighted row sum, plus weighted
@@ -36,13 +37,16 @@ the reservoir-sampling random scheduler are cross-validated here too.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import networkx as nx
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
+from repro._backend import exact_int_fill
 from repro.constructions.basic import clique, complete_binary_tree, cycle, star
 from repro.core.concepts import Concept
 from repro.core.moves import AddEdge, RemoveEdge, Swap
@@ -629,15 +633,17 @@ class TestBridgeSpies:
         graph = clique(4)
         graph.add_edges_from([(3, 4), (4, 5)])
         dm = DistanceMatrix(graph, UNREACHABLE)
+        # the reference is built first: small APSP builds run the same
+        # Python BFS the stubs below forbid
+        reference = graph.copy()
+        reference.remove_edge(3, 4)
+        fresh = apsp_matrix(reference, UNREACHABLE)
 
         def boom(*args, **kwargs):  # pragma: no cover - guard only
             raise AssertionError("BFS invoked for a bridge removal query")
 
         monkeypatch.setattr(distances_mod, "_bfs_row_py", boom)
         monkeypatch.setattr(distances_mod, "_rows_from_csr", boom)
-        reference = graph.copy()
-        reference.remove_edge(3, 4)
-        fresh = apsp_matrix(reference, UNREACHABLE)
         row_u, row_v = dm.rows_after_remove(3, 4)
         assert (row_u == fresh[3]).all() and (row_v == fresh[4]).all()
         assert dm.remove_loss_pair(3, 4) == (
@@ -828,10 +834,12 @@ class TestAffectedSourceFilter:
             before = dm.matrix.copy()
             bfs_sources.clear()
             token = dm.apply_remove(u, v)
+            # snapshot before the reference build, which may BFS too
+            repaired = sorted(bfs_sources)
             fresh = apsp_matrix(graph, UNREACHABLE)
             assert (dm.matrix == fresh).all()
             changed = set(np.flatnonzero((fresh != before).any(axis=1)).tolist())
-            assert sorted(bfs_sources) == sorted(changed)
+            assert repaired == sorted(changed)
             dm.undo(token)
             assert (dm.matrix == before).all()
 
@@ -870,6 +878,38 @@ class TestDispatchArmsAgree:
                 zip(results["python"], results[arm])
             ):
                 assert (left == right).all(), f"{arm} arm disagrees at {step}"
+
+    @pytest.mark.parametrize("n_offset", (0, 1))
+    @pytest.mark.parametrize(
+        "shape", ("connected", "disconnected", "edgeless")
+    )
+    def test_apsp_matrix_matches_scipy(self, bfs_sources, n_offset, shape):
+        # a full n x n build flips arms at n = isqrt(_PY_BFS_CELLS)
+        budget = distances_mod._PY_BFS_CELLS
+        n = math.isqrt(budget) + n_offset
+        rng = random.Random(43 + n_offset)
+        if shape == "connected":
+            graph = random_connected_gnp(n, 3.0 / n, rng)
+        elif shape == "disconnected":  # two components: sentinel rows
+            half = n // 2
+            graph = nx.disjoint_union(
+                random_connected_gnp(half, 3.0 / half, rng),
+                random_connected_gnp(n - half, 3.0 / half, rng),
+            )
+        else:
+            graph = nx.empty_graph(n)
+        expected = exact_int_fill(
+            shortest_path(
+                distances_mod.adjacency_csr(graph), method="D", unweighted=True
+            ),
+            UNREACHABLE,
+        )
+        bfs_sources.clear()
+        dist = apsp_matrix(graph, UNREACHABLE)
+        assert dist.dtype == np.int64
+        assert (dist == expected).all()
+        in_python = n * n <= budget and graph.number_of_edges() > 0
+        assert bfs_sources == (list(range(n)) if in_python else [])
 
 
 # -- reservoir-sampling random scheduler ------------------------------------

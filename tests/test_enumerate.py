@@ -1,11 +1,14 @@
 """Layered enumeration: exact counts, atlas cross-validation, stability."""
 
+import hashlib
+import random
+
 import networkx as nx
 import pytest
 
 from repro.core.concepts import Concept
 from repro.core.traffic import TrafficMatrix
-from repro.graphs.canonical import canonical_key
+from repro.graphs.canonical import canonical_key, masks_of_graph
 from repro.graphs import enumerate as enum_mod
 from repro.graphs.enumerate import (
     connected_graph_layer,
@@ -19,6 +22,9 @@ from repro.graphs.enumerate import (
 # A000055 (trees) and A001349 (connected graphs), both from n = 1
 TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
+N8_LAYERS_SHA256 = (
+    "e3379574b57cedb772cf61ce7ffc23e2e0932a3befc7cb26edfac4dad617d505"
+)
 
 
 class TestCounts:
@@ -107,6 +113,56 @@ class TestBitStability:
             assert canonical_key(graph) == canonical_key(graph.copy())
             assert set(graph.nodes) == set(range(7))
             assert nx.is_tree(graph)
+
+
+class TestCanonicalAugmentation:
+    """Only children whose new edge is a top cycle edge are keyed; the
+    layers stay exactly what keying every child produced."""
+
+    def test_n8_layers_match_the_pinned_digest(self):
+        # SHA-256 over every key of every n = 8 layer, m = 7..28 in order,
+        # as the enumerator produced them when it keyed every child
+        digest = hashlib.sha256()
+        count = 0
+        for m in range(7, max_edge_count(8) + 1):
+            for key in connected_graph_layer(8, m):
+                digest.update(key)
+                count += 1
+        assert count == 11117
+        assert digest.hexdigest() == N8_LAYERS_SHA256
+
+    def test_cold_n7_sweep_keys_few_children(self, monkeypatch):
+        keyed = []
+        key_of_masks = enum_mod.key_of_masks
+
+        def counting(n, masks):
+            keyed.append(n)
+            return key_of_masks(n, masks)
+
+        monkeypatch.setattr(enum_mod, "key_of_masks", counting)
+        monkeypatch.setattr(enum_mod, "_TREE_LAYERS", {})
+        monkeypatch.setattr(enum_mod, "_GRAPH_LAYERS", {})
+        total = sum(
+            len(connected_graph_layer(7, m))
+            for m in range(6, max_edge_count(7) + 1)
+        )
+        assert total == CONNECTED_COUNTS[6]
+        # keying every child of every parent took 8427 keys
+        assert len(keyed) < 8427 / 4
+
+    def test_on_cycle_matches_networkx_bridges(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            n = rng.randint(2, 10)
+            graph = nx.gnp_random_graph(
+                n, rng.random(), seed=rng.randrange(10**6)
+            )
+            masks = masks_of_graph(graph)
+            bridges = {frozenset(edge) for edge in nx.bridges(graph)}
+            for x, y in graph.edges:
+                assert enum_mod._on_cycle(masks, x, y) == (
+                    frozenset((x, y)) not in bridges
+                )
 
 
 class TestLabelledTrees:
