@@ -16,10 +16,11 @@ one-edge moves through three matrix-level kernels instead:
   straight off the cached matrix), non-bridge removals grouped by edge
   so both directions share one probe-BFS batch;
 * :func:`batch_swap_deltas` — swaps grouped by their removed edge: one
-  ``rows_after_remove_from`` batch per *distinct* edge (search-free for
-  bridges, one batched BFS otherwise) amortised across every partner,
-  then the add identity ``min(row_a, 1 + row_n)`` and the value
-  reduction vectorised across the group.
+  ``rows_after_remove_from`` batch per *distinct* edge (search-free: the
+  bridge split, or the changed block repaired from the cached matrix)
+  amortised across every partner, then the add identity
+  ``min(row_a, 1 + row_n)`` and the value reduction vectorised across
+  the group.
 
 The inner loops (outer-min sweep, BFS rows, weighted row dots) dispatch
 through :mod:`repro._backend`, so a numba arm accelerates them when
@@ -165,7 +166,7 @@ def batch_swap_deltas(
 
     Swaps are grouped by their removed edge; each distinct edge pays one
     ``rows_after_remove_from`` batch over the group's actors and
-    partners (search-free for bridges, one batched BFS otherwise), after
+    partners (search-free: the bridge split or the block repair), after
     which the add identity ``min(row_actor, 1 + row_new)`` and the value
     reduction vectorise across the whole group.  Exact values are
     unique, so the totals equal the per-candidate Fold/BFS path's

@@ -23,8 +23,8 @@ Contract (extends the PR-1 engine contract):
   identity (exact, no search), *bridge* removals on any graph by the
   two-component split read off the engine's incrementally maintained
   bridge set (exact, no search; forests are the special case where every
-  edge qualifies), remaining removals by batched BFS over the affected
-  rows (exact, merely slower when the affected set is large).  Cost
+  edge qualifies), remaining removals by the engine's block repair of
+  the changed rows (exact, no search).  Cost
   comparisons reduce to ``alpha * d_buy < -d_dist`` — the exact
   ``Fraction``/int comparison of
   :func:`repro.core.costs.cost_strictly_less`, with a pure-integer fast
@@ -35,7 +35,8 @@ Contract (extends the PR-1 engine contract):
   drop, breaking ties by enumeration order (first wins); partial
   evaluation state never survives between candidates.  One-edge moves
   (additions, removals, swaps) are evaluated **rows-only** — the add
-  identity, the bridge split, or a probe BFS, never an engine mutation —
+  identity, the bridge split, the block repair or a BFS from the
+  removal's endpoints, never an engine mutation —
   via :meth:`SpeculativeEvaluator.evaluate_rows_only`; only compound
   moves fall back to a per-candidate apply/undo speculation.  Both paths
   produce identical exact deltas, so the sweep's verdicts are
@@ -380,10 +381,12 @@ class SpeculativeEvaluator:
         """Exact evaluation of a one-edge move without touching the engine.
 
         Additions read the one-edge-add identity, removals of bridges the
-        two-component split, other removals a probe BFS on the cached
-        CSR, and swaps compose the two (a :class:`Fold` split + extend
-        over ``{actor, old, new}`` when the dropped edge is a bridge) —
-        no matrix mutation, no undo token, ever.  Returns ``None`` for
+        two-component split, other removals one BFS from the actor with
+        the edge masked out, and swaps compose a removal with the add
+        identity (a :class:`Fold` split + extend over ``{actor, old,
+        new}`` when the dropped edge is a bridge, the engine's block
+        repair of the actor's and partner's rows otherwise) — no matrix
+        mutation, no undo token, ever.  Returns ``None`` for
         compound move types (neighborhood / coalition) and inside an
         active speculation scope — deltas compare against the
         construction-time base snapshot, so at depth > 0 only
@@ -452,8 +455,9 @@ class SpeculativeEvaluator:
 
         Runs of same-type one-edge moves are priced **pool-at-once**
         through the batch kernels of :mod:`repro.core.batch` (one
-        vectorised outer-min for additions, side-mask/grouped-BFS
-        batches for removals and swaps) — no engine mutation at all;
+        vectorised outer-min for additions, side-mask / endpoint-BFS
+        batches for removals, block-repair batches for swaps) — no
+        engine mutation at all;
         compound moves fall back to one speculation each.  The batched
         sweep is bit-identical to the sequential rows-only loop
         (:meth:`evaluate_rows_only` per candidate), which remains the

@@ -22,9 +22,12 @@ runs on the speculative kernel
 (:class:`~repro.core.speculative.SpeculativeEvaluator`), so a trajectory
 never pays a full APSP rebuild per candidate.  The engine's maintained
 bridge set makes the one-edge pools cheap: bridge edges are skipped by
-the removal generator without a BFS (they can never improve) and handled
-by the swap generator with a mutation-free matrix split; schedulers then
-batch-evaluate the round's whole pool rows-only
+the removal generator without a BFS (they can never improve), and the
+swap generator is the BSwE checker's own scan
+(:func:`repro.equilibria.swap.improving_swaps`), which prices each
+dropped edge on a post-removal matrix derived from the cached one
+without mutating the engine; schedulers then batch-evaluate the round's
+whole pool rows-only
 (:meth:`~repro.core.speculative.SpeculativeEvaluator.best`) instead of
 per-candidate apply/undo.
 """
@@ -39,7 +42,7 @@ import numpy as np
 from repro._alpha import strict_gt_threshold
 from repro._rng import coerce_rng
 from repro.core.concepts import Concept
-from repro.core.moves import AddEdge, Move, RemoveEdge, Swap
+from repro.core.moves import AddEdge, Move, RemoveEdge
 from repro.core.state import GameState
 from repro.equilibria.add import pairwise_add_gains
 from repro.equilibria.neighborhood import (
@@ -52,9 +55,7 @@ from repro.equilibria.remove import (
     weighted_improving_removals,
 )
 from repro.equilibria.strong import probe_coalition_moves
-from repro.equilibria.swap import viable_swap_partners
-from repro.graphs.distances import adjacency_bool
-from repro.graphs.trees import tree_split_masks
+from repro.equilibria.swap import improving_swaps
 
 __all__ = ["improving_moves", "move_generator_for"]
 
@@ -98,84 +99,6 @@ def _improving_additions(state: GameState) -> Iterator[AddEdge]:
             yield AddEdge(u, v)
 
 
-def _improving_swaps_tree(state: GameState) -> Iterator[Swap]:
-    dist = state.dist_matrix
-    totals = dist.sum(axis=1)
-    threshold = strict_gt_threshold(state.alpha)
-    n = state.n
-    for a, b in list(state.graph.edges):
-        mask_a, mask_b = tree_split_masks(state.graph, a, b, n)
-        sums_b = dist @ mask_b.astype(np.int64)
-        sums_a = totals - sums_b
-        size_a = int(mask_a.sum())
-        size_b = n - size_a
-        for actor, old, far_mask, far_sums, far_size, near_sums, near_size in (
-            (a, b, mask_b, sums_b, size_b, sums_a, size_a),
-            (b, a, mask_a, sums_a, size_a, sums_b, size_b),
-        ):
-            gain_actor = int(far_sums[actor]) - far_size - far_sums
-            gain_partner = near_sums - near_size - int(near_sums[actor])
-            viable = (gain_actor >= 1) & (gain_partner >= threshold) & far_mask
-            viable[old] = False
-            for new in np.flatnonzero(viable):
-                yield Swap(actor=actor, old=old, new=int(new))
-
-
-def _improving_swaps_general(state: GameState) -> Iterator[Swap]:
-    """All improving swaps via speculative removal on the distance engine.
-
-    Bridge edges never mutate the engine at all: the post-removal matrix
-    is derived from the cached one by the two-component split
-    (:meth:`~repro.graphs.distances.DistanceMatrix.matrix_after_bridge_removal`).
-    Other edges apply the removal in place, read every candidate
-    partner's gains from the repaired matrix with the one-edge-add identity,
-    and undo the removal before yielding — so an abandoned generator can
-    never leave the shared matrix in a speculative state.
-    """
-    dm = state.dist
-    valuer = state.model_ops if state.modeled else None
-    weights = (
-        state.traffic.weights if state.weighted and valuer is None else None
-    )
-    if valuer is not None:
-        totals = dm.ftotals()
-    elif state.weighted:
-        totals = dm.wtotals()
-    else:
-        totals = dm.totals()
-    threshold = strict_gt_threshold(state.alpha)
-    adjacency = adjacency_bool(state.graph)
-    for a, b in list(state.graph.edges):
-        found: list[Swap] = []
-        if dm.is_bridge(a, b):
-            removed = dm.matrix_after_bridge_removal(a, b)
-            token = None
-        else:
-            token = dm.apply_remove(a, b)
-            removed = dm.matrix
-        try:
-            for actor, old in ((a, b), (b, a)):
-                for new in viable_swap_partners(
-                    removed, totals, adjacency, threshold, actor, old,
-                    weights=weights, valuer=valuer,
-                ):
-                    found.append(Swap(actor=actor, old=old, new=int(new)))
-        finally:
-            if token is not None:
-                dm.undo(token)
-        yield from found
-
-
-def _improving_swaps(state: GameState) -> Iterator[Swap]:
-    # the closed-form tree path vectorises uniform linear side sums;
-    # weighted and modeled states take the general engine path
-    # (mutation-free on trees, where every edge is a bridge)
-    if state.is_tree() and not state.weighted and not state.modeled:
-        yield from _improving_swaps_tree(state)
-    else:
-        yield from _improving_swaps_general(state)
-
-
 def _improving_neighborhood(state: GameState, rng: random.Random | None):
     try:
         move = find_improving_neighborhood_move(state, max_evaluations=200_000)
@@ -213,11 +136,11 @@ def improving_moves(
         yield from _improving_removals(state)
         yield from _improving_additions(state)
     elif concept == Concept.BSWE:
-        yield from _improving_swaps(state)
+        yield from improving_swaps(state)
     elif concept == Concept.BGE:
         yield from _improving_removals(state)
         yield from _improving_additions(state)
-        yield from _improving_swaps(state)
+        yield from improving_swaps(state)
     elif concept == Concept.BNE:
         yield from _improving_neighborhood(state, rng)
     elif concept == Concept.BSE:

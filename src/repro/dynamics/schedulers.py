@@ -61,8 +61,9 @@ def best_improvement_scheduler(
     The round's whole move pool is swept rows-only on the speculative
     kernel (:meth:`~repro.core.speculative.SpeculativeEvaluator.best`):
     additions via the one-edge-add identity, bridge removals via the
-    two-component split, other removals via probe BFS, swaps via a Fold
-    split + extend — no per-candidate apply/undo on the cached engine,
+    two-component split, other removals via probe BFS, swaps via the
+    engine's post-removal rows and the add identity — no per-candidate
+    apply/undo on the cached engine,
     and bit-identical verdicts to the speculating path.
     """
     spec = SpeculativeEvaluator(state)

@@ -5,20 +5,24 @@ to ``v`` by an edge to ``w``; ``w`` consents and starts paying.  The move is
 improving iff ``u``'s distance cost strictly drops (her buying cost is
 unchanged) and ``w``'s distance gain strictly exceeds ``alpha``.
 
-Two exact strategies:
+:func:`improving_swaps` is the one scan behind the BSwE checker and the
+BSwE / BGE move generator, with two exact strategies:
 
 * **trees** — removing ``uv`` splits the node set; all post-swap distances
   are closed-form in the original APSP matrix and the split masks, giving an
   ``O(n^2)`` vectorised evaluation per edge (``O(n^3)`` total, no BFS);
-* **general graphs** — bridge edges split the cached matrix in closed form
-  (no mutation, no search); other edges are speculatively removed on the
-  state's cached :class:`~repro.graphs.distances.DistanceMatrix`
-  (affected-rows BFS repair, undone via the token afterwards); then the
-  one-edge-add identity evaluates every candidate ``w`` — no full APSP
-  rebuilds anywhere.
+* **general graphs** — each edge's post-removal matrix comes from the
+  cached :class:`~repro.graphs.distances.DistanceMatrix` as a fresh array
+  (:meth:`~repro.graphs.distances.DistanceMatrix.matrix_after_remove`:
+  the bridge split, or the changed block repaired by a min-plus product
+  of cached entries), then the one-edge-add identity evaluates every
+  candidate ``w`` — no search, no engine mutation, no bridge sweep and no
+  totals shift anywhere in the scan.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from repro.graphs.trees import tree_split_masks
 
 __all__ = [
     "find_improving_swap",
+    "improving_swaps",
     "is_bilateral_swap_equilibrium",
     "swap_gains",
     "viable_swap_partners",
@@ -84,9 +89,8 @@ def swap_gains(state: GameState, actor: int, old: int, new: int) -> tuple[int, i
     """Exact distance gains ``(gain_actor, gain_new)`` of one specific swap.
 
     Evaluated on the speculative kernel (apply the swap to the cached
-    engine, read both agents' total deltas, undo) — the same code path the
-    vectorised searches below speculate on, so the two can never disagree.
-    Tests re-derive these gains with fresh BFS runs on a mutated copy.
+    engine, read both agents' total deltas, undo).  Tests re-derive these
+    gains with fresh BFS runs on a mutated copy.
     """
     from repro.core.speculative import SpeculativeEvaluator
 
@@ -95,12 +99,12 @@ def swap_gains(state: GameState, actor: int, old: int, new: int) -> tuple[int, i
         return (-spec.dist_delta(actor), -spec.dist_delta(new))
 
 
-def _find_swap_tree(state: GameState) -> Swap | None:
+def _tree_swaps(state: GameState) -> Iterator[Swap]:
     dist = state.dist_matrix
     totals = dist.sum(axis=1)
-    w_threshold = strict_gt_threshold(state.alpha)
+    threshold = strict_gt_threshold(state.alpha)
     n = state.n
-    for a, b in state.graph.edges:
+    for a, b in list(state.graph.edges):
         mask_a, mask_b = tree_split_masks(state.graph, a, b, n)
         # column sums of the APSP matrix restricted to each side, per node
         sums_b = dist @ mask_b.astype(np.int64)
@@ -116,15 +120,13 @@ def _find_swap_tree(state: GameState) -> Swap | None:
             #   gain_w(w)     = sum_{x near} d(w,x) - (|near| + sum_{x near} d(actor,x))
             gain_actor = int(far_sums[actor]) - far_size - far_sums
             gain_w = near_sums - near_size - int(near_sums[actor])
-            viable = (gain_actor >= 1) & (gain_w >= w_threshold) & far_mask
+            viable = (gain_actor >= 1) & (gain_w >= threshold) & far_mask
             viable[old] = False
-            candidates = np.flatnonzero(viable)
-            if candidates.size:
-                return Swap(actor=actor, old=old, new=int(candidates[0]))
-    return None
+            for new in np.flatnonzero(viable):
+                yield Swap(actor=actor, old=old, new=int(new))
 
 
-def _find_swap_general(state: GameState) -> Swap | None:
+def _general_swaps(state: GameState) -> Iterator[Swap]:
     dm = state.dist
     valuer = state.model_ops if state.modeled else None
     weights = (
@@ -136,46 +138,37 @@ def _find_swap_general(state: GameState) -> Swap | None:
         totals = dm.wtotals()
     else:
         totals = dm.totals()
-    w_threshold = strict_gt_threshold(state.alpha)
-    graph = state.graph
-    adjacency = adjacency_bool(graph)
-    for a, b in list(graph.edges):
-        if dm.is_bridge(a, b):
-            # mutation-free: the post-removal matrix of a bridge is a
-            # two-component split of the cached one (no search)
-            removed = dm.matrix_after_bridge_removal(a, b)
-            token = None
-        else:
-            # speculative in-place removal on the cached engine, undone below
-            token = dm.apply_remove(a, b)
-            removed = dm.matrix
-        try:
-            for actor, old in ((a, b), (b, a)):
-                candidates = viable_swap_partners(
-                    removed, totals, adjacency, w_threshold, actor, old,
-                    weights=weights, valuer=valuer,
-                )
-                if candidates.size:
-                    return Swap(actor=actor, old=old, new=int(candidates[0]))
-        finally:
-            if token is not None:
-                dm.undo(token)
-    return None
+    threshold = strict_gt_threshold(state.alpha)
+    adjacency = adjacency_bool(state.graph)
+    for a, b in list(state.graph.edges):
+        removed = dm.matrix_after_remove(a, b)
+        for actor, old in ((a, b), (b, a)):
+            for new in viable_swap_partners(
+                removed, totals, adjacency, threshold, actor, old,
+                weights=weights, valuer=valuer,
+            ):
+                yield Swap(actor=actor, old=old, new=int(new))
+
+
+def improving_swaps(state: GameState) -> Iterator[Swap]:
+    """Every mutually improving swap (exact), edge by edge in graph order,
+    both directions of an edge, partners ascending.
+
+    Nothing in the scan mutates the state, so the generator may be
+    abandoned at any point.  Weighted and modeled states always take the
+    general engine-backed path: the closed-form tree evaluation
+    vectorises over *uniform linear* side sums, and on trees every edge
+    is a bridge anyway, so the general path needs no search there.
+    """
+    if state.is_tree() and not state.weighted and not state.modeled:
+        return _tree_swaps(state)
+    return _general_swaps(state)
 
 
 def find_improving_swap(state: GameState) -> Swap | None:
-    """First mutually improving swap, or ``None`` (exact).
-
-    Weighted and modeled states always take the general engine-backed
-    path: the closed-form tree evaluation vectorises over *uniform
-    linear* side sums, and on trees every edge is a bridge anyway, so
-    the general path stays mutation-free there.
-    """
-    if state.n < 3 or state.graph.number_of_edges() == 0:
-        return None
-    if state.is_tree() and not state.weighted and not state.modeled:
-        return _find_swap_tree(state)
-    return _find_swap_general(state)
+    """First mutually improving swap of :func:`improving_swaps`, or
+    ``None`` (exact)."""
+    return next(improving_swaps(state), None)
 
 
 def is_bilateral_swap_equilibrium(state: GameState) -> bool:

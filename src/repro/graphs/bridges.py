@@ -33,9 +33,11 @@ Maintenance contract (mirrors the engine's ``apply_*`` / ``undo``):
   edges may *become* bridges (never the reverse).  All candidates lie in
   the component of ``u``, which one chain-decomposition sweep seeded at
   ``u`` re-derives (:data:`BRIDGE_SWEEPS` spy).  The sweep costs
-  ``O(n_c + m_c)`` on that component — strictly dominated by the probe +
-  repair BFS work the engine already pays for the matrix on the same
-  removal, so the bridge set never changes the removal's complexity.
+  ``O(n_c + m_c)`` on that component, in Python, and is the larger part
+  of such a removal: the engine repairs the matrix itself with a few
+  vectorised passes over the changed block, no search.  Only applied
+  removals sweep; the engine's speculative removal queries (the swap
+  scan's post-removal matrices among them) never touch the bridge set.
 * **undo** — every mutation returns an ``(added, removed)`` delta that
   the engine stores in its :class:`~repro.graphs.distances.UndoToken`;
   :meth:`BridgeSet.revert` restores the set bit-exactly in LIFO order.

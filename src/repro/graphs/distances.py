@@ -13,25 +13,43 @@ The identities behind the engine:
 * adding edge ``uv``:  ``d'(x, y) = min(d(x, y), d(x, u) + 1 + d(v, y),
   d(x, v) + 1 + d(u, y))`` — a shortest path uses a fresh edge at most once,
   so the whole matrix updates with one vectorised outer minimum, no search;
-* removing edge ``uv``: only pairs whose *every* shortest path crossed ``uv``
-  can change, and any such pair has an endpoint whose distance to ``u`` or
-  ``v`` changed.  Two probe BFS runs from ``u`` and ``v`` in ``G - uv``
-  therefore find the **affected rows**, and only those are re-run; every
-  other row is copied from the cached matrix.  The in-place repair
-  (``apply_remove``) and the speculative row queries
-  (``rows_after_remove_from``) share this probe -> mask -> BFS sequence.
-  Small batches run as pure-Python BFS over the graph's adjacency dicts
-  (a C-level call carries ~170us of fixed overhead, see
-  :data:`_PY_BFS_CELLS`); larger ones batch into a single C-level call.
-  The same cell budget picks the arm of a full :func:`apsp_matrix`
-  build, so the engines of small graphs never call scipy.
-  When ``uv`` is a **bridge** — on *any* graph, forests being the
-  special case where every edge qualifies — the BFS-repair path is never
-  entered: the component splits into the two sides of the bridge cut,
-  read off the cached matrix (``d(x, u)`` vs ``d(x, v)``), every cross
-  pair jumps to the sentinel and every within-side distance is unchanged
-  (a simple shortest path cannot cross the cut twice) — exact answers
-  with no search at all.
+* removing edge ``uv``: let ``A_u`` be the nodes ``y`` whose every
+  shortest ``u``-``y`` path starts with ``uv`` — ``d(v, y) = d(u, y) - 1``
+  and ``d(z, y) >= d(u, y)`` for every other neighbour ``z`` of ``u`` —
+  and ``A_v`` the same with ``u`` and ``v`` exchanged.  Only the pairs of
+  ``A_v x A_u`` change, and each new entry is a small min-plus product of
+  old ones: ``d'(s, y) = min d(s, t) + d(t, y)`` over the nodes ``t``
+  outside ``A_u | A_v`` adjacent to ``A_v``.  It is exact because
+
+  - a changed pair ``(s, y)`` has every shortest path through ``uv``,
+    say ``u`` first, so ``s`` is in ``A_v`` and ``y`` in ``A_u`` (a
+    shortest ``u``-``y`` path avoiding ``uv`` behind the ``s``-``u``
+    prefix would be a shortest ``s``-``y`` path avoiding it); every row
+    of ``A_u | A_v`` does change (``d(s, v)`` grows for ``s`` in
+    ``A_v``), so it is exactly the set of changed rows, the mask two
+    probe BFS runs from ``u`` and ``v`` in ``G - uv`` would find;
+  - an edge ``pq != uv`` with ``p`` in ``A_v`` and ``q`` in ``A_u`` would
+    give a shortest ``u``-``q`` path through ``p`` that avoids ``v``, so
+    no such edge exists;
+  - a shortest ``s``-``y`` path in ``G - uv`` therefore first leaves
+    ``A_v`` to some ``t`` outside both sides, and pairs with an endpoint
+    outside ``A_u | A_v``, or with both endpoints on one side, keep their
+    distance — so ``d'(s, t) = d(s, t)`` and ``d'(t, y) = d(t, y)``.
+
+  The in-place repair (``apply_remove``), the full post-removal matrix
+  (``matrix_after_remove``) and multi-source row queries
+  (``rows_after_remove_from``) share this block repair: no search at all.
+  When ``uv`` is a **bridge** — on *any* graph, forests being the special
+  case where every edge qualifies — no such ``t`` exists: ``A_u`` and
+  ``A_v`` are the two sides of the cut, read off the cached matrix
+  (``d(x, u)`` vs ``d(x, v)``), and every cross pair jumps to the
+  sentinel.  Queries for the rows of ``u`` and ``v`` alone instead run
+  one or two BFS with the edge masked out, which is faster at the sizes
+  the workloads use: in pure Python over the graph's adjacency dicts
+  while the batch is small (a C-level call carries ~170us of fixed
+  overhead, see :data:`_PY_BFS_CELLS`), as one C-level call beyond.  The
+  same cell budget picks the arm of a full :func:`apsp_matrix` build, so
+  the engines of small graphs never call scipy.
 
 **The bridge contract.**  The engine owns an incrementally maintained
 :class:`~repro.graphs.bridges.BridgeSet`: one chain-decomposition build
@@ -40,12 +58,12 @@ at materialisation (spy-counted by
 ride along every ``apply_add`` / ``apply_remove`` / ``undo`` — a
 vectorised side test kills the bridges a new cycle absorbs, a bridge
 removal deletes only itself, and only a *non-bridge* removal pays a
-component-local sweep (already dominated by that removal's BFS repair).
-Consequently removals dispatch exactly: bridge removals (and the
-speculative queries ``rows_after_remove`` / ``row_after_remove`` /
-``remove_loss_pair`` on bridges) are search-free matrix reads, while
-non-bridge removals BFS-repair the affected rows, spy-counted by
-:data:`REMOVE_BFS_REPAIRS`.  ``is_forest`` is derived as
+component-local sweep.  That sweep is now the larger part of such a
+removal: the matrix repair is a handful of vectorised passes.  Only
+applied removals sweep; the speculative queries never touch the bridge
+set.  Non-bridge repairs are spy-counted by :data:`REMOVE_BFS_REPAIRS`
+and their rows by ``repro_engine_bfs_repair_rows_total`` (names kept
+from the BFS repair they replaced).  ``is_forest`` is derived as
 ``|bridges| == |edges|``, so it also recovers when deletions make a
 cyclic graph acyclic again.
 
@@ -59,10 +77,10 @@ to speculatively evaluate a move and roll it back.  ``M`` must satisfy
 overflow ``int64``.
 
 Updates are **exact** in every case: additions by the outer-min identity,
-forest removals by the two-component formula, general removals by fresh BFS
-over the affected rows.  The only cost difference is that a general removal
-whose affected set is large degrades towards a full rebuild — it is never
-wrong, just slower.
+bridge removals by the two-component split, other removals by the block
+identity above.  A removal costs ``O(|A_v| * |boundary| * |A_u|)`` for
+the block on top of ``O(|A_u | A_v| * n)`` for its rows — never wrong,
+merely slower when both sides are large.
 
 Per-row distance totals (``totals()`` / ``total(u)``) are maintained
 **incrementally** alongside the matrix: the first query pays one full
@@ -109,6 +127,7 @@ value sentinel.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,19 +198,20 @@ _FTOTALS_REBUILDS = obs.counter(
     "repro_engine_ftotals_rebuilds_total", "full model-aggregate rebuilds"
 )
 
-#: ``apply_remove`` calls that entered the BFS-repair path — a spy used to
-#: assert that bridge removals (forests included) always take the
-#: search-free split path instead.
+#: ``apply_remove`` calls on non-bridges (the block repair) — a spy used
+#: to assert that bridge removals (forests included) take the split path
+#: instead and that speculative scans never mutate the engine.  The name
+#: predates the block repair; ``/metricsz``, perfbench and tests read it.
 _REMOVE_BFS_REPAIRS = obs.counter(
     "repro_engine_remove_bfs_repairs_total",
-    "apply_remove calls that entered the BFS-repair path",
+    "apply_remove calls that repaired a non-bridge removal",
 )
 
-#: Matrix rows actually recomputed by BFS repair — the volume companion of
-#: the call counter above: how much repair work non-bridge removals cost.
+#: Matrix rows rewritten by those repairs (the rows that change) — the
+#: volume companion of the call counter above.
 _BFS_REPAIR_ROWS = obs.counter(
     "repro_engine_bfs_repair_rows_total",
-    "distance-matrix rows recomputed by the BFS-repair path",
+    "distance-matrix rows rewritten by non-bridge removal repairs",
 )
 
 #: legacy module-global spy name -> registry counter (read-only aliases)
@@ -234,7 +254,7 @@ def ftotals_rebuild_count() -> int:
 
 
 def remove_bfs_repair_count() -> int:
-    """How many removals have entered the BFS-repair path since import."""
+    """How many non-bridge removals have been repaired since import."""
     return _REMOVE_BFS_REPAIRS.value
 
 
@@ -496,18 +516,18 @@ class DistanceMatrix:
       minimum (exact, no search);
     * :meth:`apply_remove` takes the two-component split whenever the
       edge is a bridge of the current graph — forests being the special
-      case where every edge qualifies — and otherwise repairs only the
-      affected rows with batched BFS (exact in both cases, search-free
-      in the first);
+      case where every edge qualifies — and otherwise rewrites only the
+      changed rows from a min-plus block of cached entries (exact and
+      search-free in both cases);
     * :meth:`apply_swap` composes the two;
     * :meth:`undo` rolls any of them back bit-exactly (LIFO order);
     * per-row ``totals()`` are maintained incrementally through all of the
       above (one full row-sum at first query, shifts afterwards).
 
     Speculative *queries* that never touch the matrix are also provided:
-    ``row_after_add`` (from the matrix alone) and
-    ``rows_after_remove_from`` (the bridge split, or BFS with the edge
-    masked out of the traversal for the affected sources only).
+    ``row_after_add`` and ``matrix_after_remove`` (from the matrix alone)
+    and ``rows_after_remove_from`` (the same patch, or BFS with the edge
+    masked out of the traversal for the rows of ``u`` and ``v`` alone).
 
     ``unreachable`` must be at least ``n`` (so it exceeds every real
     distance) and satisfy ``fits_int64`` (headroom for ``2M + 1`` in the
@@ -841,12 +861,75 @@ class DistanceMatrix:
 
         ``x`` is on ``u``'s side iff ``d(x, u) < d(x, v)`` (every path
         between the sides crossed the bridge, so ties occur only for
-        nodes of other components, which end up on neither side).  The
-        single source of truth for :meth:`apply_remove`,
-        :meth:`rows_after_remove_from` and
-        :meth:`matrix_after_bridge_removal`.
+        nodes of other components, which end up on neither side).
         """
         return self.matrix[u] < self.matrix[v], self.matrix[v] < self.matrix[u]
+
+    def _only_via(self, u: int, v: int) -> np.ndarray:
+        """Mask of ``A_u`` for a non-bridge ``uv``: the nodes ``y`` whose
+        every shortest ``u``-``y`` path starts with ``uv``, read off the
+        cached matrix as ``d(v, y) = d(u, y) - 1`` with no other
+        neighbour of ``u`` as close to ``y`` as ``v``.  Exactly the nodes
+        whose distance to ``u`` grows when ``uv`` is removed."""
+        matrix = self.matrix
+        row = matrix[u]
+        nearest = functools.reduce(
+            np.minimum,
+            (matrix[node] for node in self._graph._adj[u] if node != v),
+        )
+        return (matrix[v] == row - 1) & (nearest >= row)
+
+    def _removal_rows(self, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows that cover every entry the removal of ``uv`` changes,
+        and their values in ``G - uv``: ``(rows, new)``.
+
+        Written as rows *and* columns (the matrix is symmetric), the
+        patch rewrites every changed entry.  For a bridge, ``rows`` is the
+        smaller side of the cut and its far-side entries become the
+        sentinel.  For any other edge, ``rows`` is ``A_u | A_v``
+        (:meth:`_only_via`), exactly the rows that change, and only their
+        ``A_v x A_u`` block is new: ``d'(s, y) = min d(s, t) + d(t, y)``
+        over the nodes ``t`` outside both sides adjacent to the smaller
+        one, a min-plus product of cached entries.  It is exact (module
+        docstring) because a changed pair ``(s, y)`` has every shortest
+        path through ``uv``, putting ``s`` in ``A_v`` and ``y`` in
+        ``A_u``; because an edge ``pq != uv`` from ``A_v`` to ``A_u``
+        would give a shortest ``u``-``q`` path avoiding ``v``, so none
+        exists; and because a shortest ``s``-``y`` path in ``G - uv``
+        therefore leaves ``A_v`` (and enters ``A_u``) through such a
+        ``t``, while pairs with an endpoint outside ``A_u | A_v``, or with
+        both endpoints on one side, keep their distance.  The product
+        runs in chunks of at most ``n * n`` cells.  No search; neither the
+        graph nor the matrix is touched.
+        """
+        matrix = self.matrix
+        if self._bridges.is_bridge(u, v):
+            side, far_side = self._bridge_sides(u, v)
+            if np.count_nonzero(side) > np.count_nonzero(far_side):
+                side, far_side = far_side, side
+            rows = np.flatnonzero(side)
+            new = matrix[rows]  # fancy index: a copy
+            new[:, far_side] = self.unreachable
+            return rows, new
+        near = np.flatnonzero(self._only_via(v, u))  # A_v, around u
+        far = np.flatnonzero(self._only_via(u, v))  # A_u, around v
+        rows = np.concatenate((near, far))
+        small = near if near.size <= far.size else far
+        border = (matrix[small] == 1).any(axis=0)
+        border[rows] = False
+        via = np.flatnonzero(border)
+        left = matrix[near[:, None], via]
+        right = matrix[via[:, None], far]
+        block = np.full((near.size, far.size), self.unreachable, np.int64)
+        step = self.n * self.n // block.size
+        for start in range(0, via.size, step):
+            stop = start + step
+            paths = left[:, start:stop, None] + right[None, start:stop]
+            np.minimum(block, paths.min(axis=1), out=block)
+        new = matrix[rows]
+        new[: near.size, far] = block
+        new[near.size :, near] = block.T
+        return rows, new
 
     def rows_after_remove_from(
         self, u: int, v: int, sources
@@ -855,42 +938,31 @@ class DistanceMatrix:
 
         Bridges are search-free: each source keeps its side of the cut
         and loses the far side to the sentinel, all read off the cached
-        matrix (sources in other components are unaffected).  Non-bridges
-        BFS only the affected sources (:meth:`_removal_rows`) and copy
-        every other row from the cached matrix; a request for ``u`` and
-        ``v`` alone is answered by BFS from them directly, one or two
-        rows.  Neither the matrix nor the graph is touched.
+        matrix (sources in other components are unaffected).  On a
+        non-bridge, a request for the rows of ``u`` and ``v`` alone runs
+        one or two BFS with the edge masked out of the traversal; any
+        other request takes the cached rows with the columns of the
+        changed rows of :meth:`_removal_rows` patched in, with no search
+        at all.  Neither the matrix nor the graph is touched.
         """
         if not self._graph.has_edge(u, v):
             raise ValueError(f"edge {u}-{v} not in graph")
         sources = [int(source) for source in sources]
-        matrix = self.matrix
         if self._bridges.is_bridge(u, v):
             side_u, side_v = self._bridge_sides(u, v)
-            rows = np.empty((len(sources), self.n), dtype=np.int64)
-            for position, source in enumerate(sources):
-                to_u, to_v = matrix[source, u], matrix[source, v]
-                if to_u < to_v:  # source on u's side: loses v's side
-                    rows[position] = np.where(
-                        side_v, self.unreachable, matrix[source]
-                    )
-                elif to_v < to_u:  # source on v's side: loses u's side
-                    rows[position] = np.where(
-                        side_u, self.unreachable, matrix[source]
-                    )
-                else:  # another component: removal cannot affect it
-                    rows[position] = matrix[source]
-            return rows
+            out = self.matrix[sources]  # fancy index: a copy
+            out[
+                np.outer(side_u[sources], side_v)
+                | np.outer(side_v[sources], side_u)
+            ] = self.unreachable
+            return out
         if all(source == u or source == v for source in sources):
             return self._bfs_without(u, v, sources)
-        affected, repaired = self._removal_rows(u, v, sources)
-        rows = matrix[sources]  # fancy index: a copy
-        slot = np.full(self.n, -1)
-        slot[affected] = np.arange(affected.size)
-        picks = slot[sources]
-        hit = picks >= 0
-        rows[hit] = repaired[picks[hit]]
-        return rows
+        # every changed entry lies in a patched column, by symmetry
+        rows, new = self._removal_rows(u, v)
+        out = self.matrix[sources]
+        out[:, rows] = new[:, sources].T
+        return out
 
     def _bfs_without(self, u: int, v: int, sources) -> np.ndarray:
         """BFS rows of ``sources`` in ``G - uv``, the edge masked out of
@@ -909,41 +981,6 @@ class DistanceMatrix:
             self._csr_without(u, v), sources, self.unreachable
         )
 
-    def _removal_rows(
-        self, u: int, v: int, sources=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Probe -> mask -> BFS for the removal of non-bridge ``uv``.
-
-        Two probe BFS runs from ``u`` and ``v`` in ``G - uv`` mark the
-        affected nodes: those whose distance to ``u`` or ``v`` grows.
-        Only their rows can change.  If every shortest ``s``-``y`` path
-        crossed ``uv``, say ``u`` first, then so did every shortest
-        ``s``-``v`` path (one avoiding ``uv``, followed by the ``v``-``y``
-        tail, would be a shortest ``s``-``y`` path avoiding it), so
-        ``d(s, v)`` grows.  The affected nodes among ``sources`` (every
-        node by default) are BFS-ed, except ``u`` and ``v``, whose rows
-        are the probes.
-
-        Returns ``(affected, rows)``: those sources in increasing order
-        and their rows in ``G - uv``.  Neither the graph nor the matrix
-        is touched.
-        """
-        matrix = self.matrix
-        probe_u, probe_v = self._bfs_without(u, v, (u, v))
-        changed = (probe_u != matrix[u]) | (probe_v != matrix[v])
-        if sources is not None:
-            requested = np.zeros(self.n, dtype=bool)
-            requested[sources] = True
-            changed &= requested
-        affected = np.flatnonzero(changed)
-        rest = (affected != u) & (affected != v)
-        rows = np.empty((affected.size, self.n), dtype=np.int64)
-        if rest.any():
-            rows[rest] = self._bfs_without(u, v, affected[rest].tolist())
-        rows[affected == u] = probe_u
-        rows[affected == v] = probe_v
-        return affected, rows
-
     def rows_after_remove(self, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows of ``u`` and ``v`` in ``G - uv`` (bridge read or one BFS
         from each endpoint; see :meth:`rows_after_remove_from`)."""
@@ -954,22 +991,18 @@ class DistanceMatrix:
         """Distances from ``u`` after removing edge ``uv``."""
         return self.rows_after_remove_from(u, v, (u,))[0]
 
-    def matrix_after_bridge_removal(self, u: int, v: int) -> np.ndarray:
-        """Full APSP matrix of ``G - uv`` for a *bridge* ``uv``.
-
-        A fresh array derived entirely from the cached matrix (cross
-        pairs to the sentinel, everything else unchanged) — no search,
-        no mutation.  The swap searchers use it to evaluate every
-        candidate partner against a bridge removal without touching the
-        engine.
-        """
-        if not self._bridges.is_bridge(u, v):
-            raise ValueError(f"edge {u}-{v} is not a bridge")
-        side_u, side_v = self._bridge_sides(u, v)
+    def matrix_after_remove(self, u: int, v: int) -> np.ndarray:
+        """Full APSP matrix of ``G - uv`` as a fresh array: the cached
+        matrix with the patch of :meth:`_removal_rows` written as rows and
+        columns — no search, no mutation.  The swap scan prices every
+        partner of a dropped edge against it without touching the
+        engine."""
+        if not self._graph.has_edge(u, v):
+            raise ValueError(f"edge {u}-{v} not in graph")
+        rows, new = self._removal_rows(u, v)
         removed = self.matrix.copy()
-        cross = side_u[:, None] & side_v[None, :]
-        removed[cross] = self.unreachable
-        removed[cross.T] = self.unreachable
+        removed[rows] = new
+        removed[:, rows] = new.T
         return removed
 
     def remove_loss(self, u: int, v: int) -> int:
@@ -1063,50 +1096,26 @@ class DistanceMatrix:
     def apply_remove(self, u: int, v: int) -> UndoToken:
         """Remove edge ``uv`` and repair the matrix in place (exact).
 
-        If ``uv`` is a **bridge** (every forest edge is one), the deletion
-        splits its component into ``{x : d(x, u) < d(x, v)}`` and
-        ``{x : d(x, v) < d(x, u)}`` (every path between the sides crossed
-        ``uv``, so ties cannot occur) and every cross pair becomes
-        ``unreachable`` — both sides are read off the cached matrix, no
-        search.  Otherwise :meth:`_removal_rows` recomputes exactly the
-        affected rows: two probe BFS runs from ``u`` and ``v``, then BFS
-        from the other affected nodes (spy-counted by
-        :data:`REMOVE_BFS_REPAIRS`).  Returns an undo token.
+        Writes the patch of :meth:`_removal_rows` as rows and columns,
+        with no search: for a **bridge** (every forest edge is one) the
+        smaller side of the cut, whose cross pairs become
+        ``unreachable``; for any other edge the rows that change,
+        ``A_u | A_v``, with their repaired ``A_v x A_u`` block
+        (spy-counted by :data:`REMOVE_BFS_REPAIRS`).  Returns an undo
+        token.
         """
         if not self._graph.has_edge(u, v):
             raise ValueError(f"edge {u}-{v} not in graph")
+        rows, new = self._removal_rows(u, v)
+        if not self._bridges.is_bridge(u, v):
+            _REMOVE_BFS_REPAIRS.inc()
+            _BFS_REPAIR_ROWS.inc(int(rows.size))
         matrix = self.matrix
-        if self._bridges.is_bridge(u, v):
-            csr_before = self._csr
-            side_u, side_v = self._bridge_sides(u, v)
-            # every changed entry is a cross pair, so the smaller side's
-            # rows (restored as rows *and* columns) cover all of them
-            small = side_u if side_u.sum() <= side_v.sum() else side_v
-            small_rows = np.flatnonzero(small)
-            patches = (
-                _RowPatch(rows=small_rows, old=matrix[small_rows].copy()),
-            )
-            matrix[np.ix_(side_u, side_v)] = self.unreachable
-            matrix[np.ix_(side_v, side_u)] = self.unreachable
-            self._shift_totals(small_rows, patches[0].old)
-            self._graph.remove_edge(u, v)
-            self._csr = None
-            bridge_delta = self._bridges.note_remove(u, v, self._graph._adj)
-            return self._finish(
-                patches, (("add", u, v),), csr_before, (bridge_delta,)
-            )
-        _REMOVE_BFS_REPAIRS.inc()
-        affected, rows = self._removal_rows(u, v)
-        _BFS_REPAIR_ROWS.inc(int(affected.size))
-        # read after the repair, which may have cached the CSR of the
-        # pre-removal graph: exactly the graph undo restores
+        patches = (_RowPatch(rows=rows, old=matrix[rows]),)
+        matrix[rows] = new
+        matrix[:, rows] = new.T
+        self._shift_totals(rows, patches[0].old)
         csr_before = self._csr
-        # u and v are always affected (their mutual distance grew), and
-        # every changed entry has an endpoint among the affected rows
-        patches = (_RowPatch(rows=affected, old=matrix[affected].copy()),)
-        matrix[affected, :] = rows
-        matrix[:, affected] = rows.T
-        self._shift_totals(affected, patches[0].old)
         self._graph.remove_edge(u, v)
         self._csr = None
         # a non-bridge removal can only promote edges of this component to

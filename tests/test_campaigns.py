@@ -325,6 +325,9 @@ class TestExecution:
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            # its own process group, so the kill below takes the pool
+            # workers down with the CLI instead of orphaning them
+            start_new_session=True,
         )
         results = store_dir / "results.jsonl"
         try:
@@ -338,8 +341,10 @@ class TestExecution:
             else:
                 pytest.fail("campaign produced no records within 120s")
         finally:
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGKILL)
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # the whole group has already exited
             proc.wait(timeout=60)
 
         interrupted = CampaignStore(store_dir)

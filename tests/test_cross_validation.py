@@ -28,11 +28,13 @@ constructions), asserting **bit-exact agreement at every step** between
 
 plus spy-counter proofs that the maintenance really is incremental: one
 chain-decomposition build per engine materialisation and zero rebuilds
-along trajectories, bridge removals never entering the BFS-repair path
-(even on cyclic graphs), and the rows-only batch sweep never mutating the
-engine.  The affected-source filter of non-bridge removal queries (rows
-bit-exact, BFS only for the rows that change), both BFS dispatch arms and
-the reservoir-sampling random scheduler are cross-validated here too.
+along trajectories, bridge removals never entering the non-bridge repair
+path (even on cyclic graphs), and the rows-only batch sweep and the swap
+scan never mutating the engine.  The block repair of non-bridge removals
+(bit-exact against a fresh APSP on every edge of families with large or
+lopsided sides, no BFS beyond endpoint-only queries), both BFS dispatch
+arms and the reservoir-sampling random scheduler are cross-validated here
+too.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
 
+from repro._alpha import fits_int64
 from repro._backend import exact_int_fill
 from repro.constructions.basic import clique, complete_binary_tree, cycle, star
 from repro.core.concepts import Concept
@@ -625,7 +628,7 @@ class TestBridgeSpies:
             fresh = apsp_matrix(graph, UNREACHABLE)
             assert (dm.matrix == fresh).all()
         assert distances_mod.remove_bfs_repair_count() == repairs
-        dm.apply_remove(0, 1)  # non-bridge: must BFS-repair
+        dm.apply_remove(0, 1)  # non-bridge: the counted block repair
         assert distances_mod.remove_bfs_repair_count() == repairs + 1
 
     def test_speculative_bridge_queries_run_no_bfs(self, monkeypatch):
@@ -650,7 +653,7 @@ class TestBridgeSpies:
             int((fresh[3] - dm.matrix[3]).sum()),
             int((fresh[4] - dm.matrix[4]).sum()),
         )
-        assert (dm.matrix_after_bridge_removal(3, 4) == fresh).all()
+        assert (dm.matrix_after_remove(3, 4) == fresh).all()
 
 
 # -- Fold: bridge splits on general graphs ----------------------------------
@@ -783,9 +786,11 @@ def _filter_graphs():
 
 
 class TestAffectedSourceFilter:
-    """``rows_after_remove_from`` on a non-bridge BFS-es the two probes
-    plus exactly the requested sources whose rows change, and still
-    equals a fresh APSP of ``G - uv`` bit for bit."""
+    """Non-bridge removal queries equal a fresh APSP of ``G - uv`` bit for
+    bit.  Only requests for the rows of ``u`` and ``v`` alone BFS (those
+    endpoints, whose rows always change); multi-source
+    ``rows_after_remove_from``, ``matrix_after_remove`` and
+    ``apply_remove`` patch the changed block with no BFS at all."""
 
     def test_rows_match_fresh_apsp_and_bfs_only_affected(self, bfs_sources):
         checked = 0
@@ -814,13 +819,15 @@ class TestAffectedSourceFilter:
                 rows = dm.rows_after_remove_from(u, v, sources)
                 assert rows.dtype == np.int64
                 assert (rows == fresh[sources]).all()
-                assert sorted(bfs_sources) == sorted(
-                    {u, v} | (changed & set(sources))
-                )
+                assert (dm.matrix_after_remove(u, v) == fresh).all()
+                assert bfs_sources == []
                 # endpoint-only requests stay one or two plain BFS
-                bfs_sources.clear()
                 assert (dm.row_after_remove(u, v) == fresh[u]).all()
                 assert bfs_sources == [u]
+                bfs_sources.clear()
+                pair = dm.rows_after_remove_from(u, v, (v, u, v))
+                assert (pair == fresh[[v, u, v]]).all()
+                assert set(bfs_sources) == {u, v}
                 checked += 1
         assert checked >= 100
 
@@ -828,21 +835,177 @@ class TestAffectedSourceFilter:
         for graph in _filter_graphs():
             dm = DistanceMatrix(graph, UNREACHABLE)
             edges = [edge for edge in graph.edges if not dm.is_bridge(*edge)]
-            if not edges or graph.number_of_nodes() > 100:
+            if not edges:
                 continue
             u, v = edges[0]
             before = dm.matrix.copy()
             bfs_sources.clear()
             token = dm.apply_remove(u, v)
-            # snapshot before the reference build, which may BFS too
-            repaired = sorted(bfs_sources)
+            assert bfs_sources == []
             fresh = apsp_matrix(graph, UNREACHABLE)
             assert (dm.matrix == fresh).all()
-            changed = set(np.flatnonzero((fresh != before).any(axis=1)).tolist())
-            assert repaired == sorted(changed)
+            changed = np.flatnonzero((fresh != before).any(axis=1))
+            (patch,) = token.patches
+            assert sorted(patch.rows.tolist()) == changed.tolist()
             dm.undo(token)
             assert (dm.matrix == before).all()
 
+
+# -- block repair of removals: fuzz against a fresh APSP ----------------------
+
+
+def _theta(k: int) -> nx.Graph:
+    """Edge 01 plus ``k`` paths 0-p-t-q-1: both sides of 01 hold ``k + 1``
+    nodes and the ``k`` middle nodes all border them, so the min-plus
+    product runs in several chunks once ``k`` passes ~9."""
+    graph = nx.Graph([(0, 1)])
+    for path in range(k):
+        p, t, q = 2 + 3 * path, 3 + 3 * path, 4 + 3 * path
+        graph.add_edges_from([(0, p), (p, t), (t, q), (q, 1)])
+    return graph
+
+
+def _block_graphs():
+    """Families with large or lopsided sides, then G(n, p) samples with
+    extra components and isolated nodes."""
+    relabel = nx.convert_node_labels_to_integers
+    for n in (3, 4, 5, 8, 11, 40, 151):
+        yield nx.cycle_graph(n)
+    for n in (3, 6, 13):
+        yield nx.circular_ladder_graph(n)
+    for n in (4, 7, 16):
+        yield nx.wheel_graph(n)
+    for rows, cols in ((2, 2), (3, 5), (6, 7)):
+        yield relabel(nx.grid_2d_graph(rows, cols))
+    yield nx.barbell_graph(4, 0)
+    yield nx.barbell_graph(5, 3)
+    yield nx.lollipop_graph(3, 6)
+    yield nx.lollipop_graph(7, 2)
+    for a, b in ((1, 5), (2, 2), (3, 8)):
+        yield nx.complete_bipartite_graph(a, b)
+    for k in (2, 12, 30):
+        yield _theta(k)
+    for seed in range(12):
+        rng = random.Random(172_000 + seed)
+        n = rng.randint(6, 45)
+        graph = nx.gnp_random_graph(
+            n, rng.uniform(1.2, 4.0) / n, seed=rng.randrange(10**6)
+        )
+        extra = nx.gnp_random_graph(rng.randint(1, 6), 0.7, seed=seed)
+        yield relabel(nx.disjoint_union(graph, extra))
+
+
+def _largest_sentinel() -> int:
+    sentinel = 2**62 - 1
+    assert fits_int64(sentinel) and not fits_int64(sentinel + 1)
+    return sentinel
+
+
+class TestBlockRepairFuzz:
+    """``_removal_rows``, ``matrix_after_remove``, ``rows_after_remove_from``
+    and ``apply_remove`` + ``undo`` agree with a fresh APSP of ``G - uv``
+    bit for bit on every edge, and the sides behave as the block identity
+    needs: ``A_u | A_v`` is the probe-BFS mask and ``uv`` is the only edge
+    between ``A_v`` and ``A_u``."""
+
+    @pytest.mark.parametrize("sentinel", (UNREACHABLE, _largest_sentinel()))
+    def test_every_edge_matches_fresh_apsp(self, sentinel):
+        checked = 0
+        for graph in _block_graphs():
+            n = graph.number_of_nodes()
+            rng = random.Random(n * 31 + graph.number_of_edges())
+            dm = DistanceMatrix(graph, sentinel)
+            dm.totals()  # materialised, so apply/undo shift them
+            edges = list(graph.edges)
+            if n > 60:
+                edges = rng.sample(edges, 8)
+            for u, v in edges:
+                reference = graph.copy()
+                reference.remove_edge(u, v)
+                fresh = apsp_matrix(reference, sentinel)
+                before = dm.matrix.copy()
+                changed = np.flatnonzero((fresh != before).any(axis=1))
+                rows, new = dm._removal_rows(u, v)
+                assert (new == fresh[rows]).all()
+                if not dm.is_bridge(u, v):
+                    assert sorted(rows.tolist()) == changed.tolist()
+                    self._check_sides(dm, graph, u, v, fresh)
+                assert (dm.matrix_after_remove(u, v) == fresh).all()
+                sources = rng.choices(range(n), k=rng.randint(1, 2 * n))
+                got = dm.rows_after_remove_from(u, v, sources)
+                assert (got == fresh[sources]).all()
+                token = dm.apply_remove(u, v)
+                assert (dm.matrix == fresh).all()
+                assert (dm.totals() == fresh.sum(axis=1)).all()
+                dm.undo(token)
+                assert (dm.matrix == before).all()
+                assert (dm.totals() == before.sum(axis=1)).all()
+                checked += 1
+        assert checked >= 500
+
+    @staticmethod
+    def _check_sides(dm, graph, u, v, fresh):
+        side_u = dm._only_via(u, v)
+        side_v = dm._only_via(v, u)
+        # A_u is where u's own distances grow, A_v where v's do
+        assert (side_u == (fresh[u] != dm.matrix[u])).all()
+        assert (side_v == (fresh[v] != dm.matrix[v])).all()
+        assert not (side_u & side_v).any()
+        crossing = {
+            tuple(sorted((p, q)))
+            for p, q in graph.edges
+            if (side_v[p] and side_u[q]) or (side_u[p] and side_v[q])
+        }
+        assert crossing == {tuple(sorted((u, v)))}
+
+
+# -- the swap scan never mutates the engine -----------------------------------
+
+
+def _swap_states():
+    from repro.core.costmodel import costmodel_from_spec
+
+    for seed in range(8):
+        rng = random.Random(173_000 + seed)
+        n = rng.randint(8, 16)
+        graph = random_connected_gnp(n, 0.25 + 0.2 * rng.random(), rng)
+        alpha = Fraction(rng.randint(1, 4), rng.choice((1, 2)))
+        traffic = TrafficMatrix.random_demands(n, seed=seed, high=5)
+        model = costmodel_from_spec({"model": "convex", "exponent": 2}, n)
+        yield GameState(graph, alpha)
+        yield GameState(graph, alpha, traffic=traffic)
+        yield GameState(graph, alpha, traffic=traffic, cost_model=model)
+
+
+class TestSwapScanIsMutationFree:
+    def test_scan_leaves_engine_untouched_and_agrees(self):
+        from repro.dynamics.movegen import improving_moves
+        from repro.equilibria.swap import find_improving_swap
+
+        found = 0
+        for state in _swap_states():
+            assert not nx.is_forest(state.graph)
+            dm = state.dist
+            dm.totals()
+            before = dm.matrix.copy()
+            spies = (
+                dm._version,
+                bridges_mod.bridge_sweep_count(),
+                distances_mod.remove_bfs_repair_count(),
+            )
+            first = find_improving_swap(state)
+            swaps = list(improving_moves(state, Concept.BSWE))
+            moves = list(improving_moves(state, Concept.BGE))
+            assert (
+                dm._version,
+                bridges_mod.bridge_sweep_count(),
+                distances_mod.remove_bfs_repair_count(),
+            ) == spies
+            assert (dm.matrix == before).all()
+            assert first == next(improving_moves(state, Concept.BSWE), None)
+            assert swaps == [move for move in moves if isinstance(move, Swap)]
+            found += first is not None
+        assert found >= 6
 
 # -- BFS dispatch arms --------------------------------------------------------
 
