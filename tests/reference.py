@@ -258,3 +258,64 @@ def reference_find_improving_coalition_move(
                         added_edges=tuple(added),
                     )
     return None
+
+
+# -- seeded dynamics trajectories --------------------------------------------
+
+#: cost-model spec per trajectory regime (every regime but ``uniform``
+#: also carries seeded random demands; ``sparse`` zeroes half the pairs)
+_TRACE_MODELS = {
+    "modeled": {"model": "convex", "exponent": 2},
+    "max": {"model": "max"},
+    "concave": {"model": "concave", "exponent": "1/2", "scale": 3},
+}
+
+
+def dynamics_trace(seed: int, regime: str):
+    """One seeded best-response trajectory; returns its full bit record.
+
+    ``regime`` is ``uniform`` (the paper's game), ``weighted`` (random
+    demands in ``0..5``), ``sparse`` (the same with about half the pairs
+    at zero demand), or ``modeled`` / ``max`` / ``concave`` (random
+    demands under the convex, max and concave cost models).
+    """
+    import random
+
+    from repro.core.concepts import Concept
+    from repro.core.costmodel import costmodel_from_spec
+    from repro.core.traffic import TrafficMatrix
+    from repro.dynamics.engine import run_dynamics
+    from repro.dynamics.schedulers import best_improvement_scheduler
+    from repro.graphs.generation import random_connected_gnp
+
+    rng = random.Random(970_000 + seed)
+    n = rng.randint(6, 11)
+    graph = random_connected_gnp(n, 0.25 + rng.random() * 0.3, rng)
+    alpha = Fraction(rng.randint(1, 8), rng.choice((1, 2)))
+    concept = Concept.BGE if seed % 2 else Concept.PS
+    traffic = cost_model = None
+    if regime != "uniform":
+        density = 0.5 if regime == "sparse" else 1.0
+        traffic = TrafficMatrix.random_demands(
+            n, seed=seed, high=5, density=density
+        )
+    if regime in _TRACE_MODELS:
+        cost_model = costmodel_from_spec(_TRACE_MODELS[regime], n)
+    result = run_dynamics(
+        graph,
+        alpha,
+        concept,
+        scheduler=best_improvement_scheduler,
+        max_rounds=40,
+        rng=random.Random(seed),
+        traffic=traffic,
+        cost_model=cost_model,
+    )
+    return (
+        tuple(repr(move) for move in result.moves),
+        tuple(sorted(tuple(sorted(e)) for e in result.final.graph.edges)),
+        tuple(result.social_costs),
+        result.converged,
+        result.cycled,
+        result.rounds,
+    )

@@ -62,6 +62,8 @@ from repro.graphs import distances as distances_mod
 from repro.graphs.distances import DistanceMatrix, apsp_matrix
 from repro.graphs.generation import random_connected_gnp, random_tree
 
+from tests.reference import dynamics_trace
+
 UNREACHABLE = 10**6
 
 #: trajectories driven by the engine-level fuzzer below (the satellite
@@ -1195,42 +1197,6 @@ class TestEndpointArrayCache:
 # -- backend arms x batch sweep: whole-trajectory fuzz ------------------------
 
 
-def _dynamics_trace(seed: int, regime: str):
-    """One seeded best-response trajectory; returns its full bit record."""
-    from repro.core.costmodel import costmodel_from_spec
-    from repro.dynamics.engine import run_dynamics
-    from repro.dynamics.schedulers import best_improvement_scheduler
-
-    rng = random.Random(970_000 + seed)
-    n = rng.randint(6, 11)
-    graph = random_connected_gnp(n, 0.25 + rng.random() * 0.3, rng)
-    alpha = Fraction(rng.randint(1, 8), rng.choice((1, 2)))
-    concept = Concept.BGE if seed % 2 else Concept.PS
-    traffic = cost_model = None
-    if regime != "uniform":
-        traffic = TrafficMatrix.random_demands(n, seed=seed, high=5)
-    if regime == "modeled":
-        cost_model = costmodel_from_spec({"model": "convex", "exponent": 2}, n)
-    result = run_dynamics(
-        graph,
-        alpha,
-        concept,
-        scheduler=best_improvement_scheduler,
-        max_rounds=40,
-        rng=random.Random(seed),
-        traffic=traffic,
-        cost_model=cost_model,
-    )
-    return (
-        tuple(repr(move) for move in result.moves),
-        tuple(sorted(tuple(sorted(e)) for e in result.final.graph.edges)),
-        tuple(result.social_costs),
-        result.converged,
-        result.cycled,
-        result.rounds,
-    )
-
-
 class TestBackendAndBatchTrajectoryFuzz:
     """Whole best-response trajectories are bit-identical across every
     registered backend arm and with batching forced on and off.
@@ -1255,7 +1221,7 @@ class TestBackendAndBatchTrajectoryFuzz:
             with _backend.use_backend(arm):
                 for batching in (True, False):
                     monkeypatch.setattr(batch_mod, "ENABLED", batching)
-                    traces = [_dynamics_trace(s, regime) for s in seeds]
+                    traces = [dynamics_trace(s, regime) for s in seeds]
                     if reference is None:
                         reference = (arm, batching, traces)
                         continue
