@@ -1,22 +1,21 @@
 """Perf: pluggable cost-model overhead vs the seed linear path.
 
-The generalized engine routes every cost through a :class:`CostModel`
-— ``LinearCost`` dispatches straight back to the historical code paths,
-non-linear models maintain a third per-row vector ``ftotals()[u] =
-sum_v W[u, v] * f(d(u, v))`` (or the max aggregate) through every
-``apply_*`` / ``undo`` and evaluate kernel candidates through the
-``f``-lookup table.  This benchmark times the regimes on identical
-workloads:
+Every cost runs through the state's valuation — ``LinearCost`` binds
+the paper's plain row sums, non-linear models make the engine's one
+maintained per-row vector ``totals()[u] = sum_v W[u, v] * f(d(u, v))``
+(or the max aggregate) through every ``apply_*`` / ``undo`` and evaluate
+kernel candidates through the ``f``-lookup table.  This benchmark times
+the regimes on identical workloads:
 
 * ``linear_dispatch_sweep`` — rows-only best-of-pool sweeps
   (:meth:`~repro.core.speculative.SpeculativeEvaluator.best`) on a
-  ``LinearCost`` state vs the unmodeled state: the pure dispatch cost
-  of the refactor (the two run the very same arithmetic);
+  ``LinearCost`` state vs the unmodeled state: the two bind the same
+  valuation and run the very same arithmetic;
 * ``ftable_sweep`` — the same sweeps on a ``ConvexCost(2)`` state: the
   per-round price of the ``f``-table lookups;
 * ``ftable_trajectory`` — replay one random add/remove trajectory
-  maintaining incremental ``ftotals`` (convex model bound) vs the
-  uniform ``totals``;
+  maintaining incremental totals under a convex valuation vs the
+  uniform plain row sums;
 * ``max_trajectory`` — the same trajectory under the max aggregate's
   max-with-counts maintenance.
 
@@ -37,7 +36,7 @@ import time
 from fractions import Fraction
 
 from repro.analysis.tables import render_table
-from repro.core.costmodel import ConvexCost, LinearCost, MaxCost, ModelOps
+from repro.core.costmodel import ConvexCost, LinearCost, MaxCost, Valuation
 from repro.core.moves import AddEdge, RemoveEdge, Swap
 from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
@@ -69,11 +68,10 @@ def _trajectory(graph, count, rng):
     return ops
 
 
-def _model_ops(model, n):
-    return ModelOps(
-        n,
-        model.table(n),
-        model.unreachable_cost(n, Fraction(6), n - 1),
+def _valuation(model, n):
+    return Valuation(
+        table=model.table(n),
+        sentinel=model.unreachable_cost(n, Fraction(6), n - 1),
         aggregate=model.aggregate,
     )
 
@@ -85,20 +83,15 @@ def _time_trajectory(graph, ops, model, repeats):
         working = graph.copy()
         start = time.perf_counter()
         dm = DistanceMatrix(working, UNREACHABLE)
-        if model is None:
-            dm.totals()  # materialise the maintained vector being timed
-        else:
-            dm.bind_cost_model(_model_ops(model, n))
-            dm.ftotals()
+        if model is not None:
+            dm.bind_valuation(_valuation(model, n))
+        dm.totals()  # materialise the maintained vector being timed
         for op, u, v in ops:
             if op == "add":
                 dm.apply_add(u, v)
             else:
                 dm.apply_remove(u, v)
-        if model is None:
-            checksum = int(dm.totals().sum())
-        else:
-            checksum = int(dm.ftotals().sum())
+        checksum = int(dm.totals().sum())
         best = min(best, time.perf_counter() - start)
     return best, checksum
 

@@ -1,31 +1,24 @@
 """Perf: batched move-pool kernels vs per-candidate speculation per round.
 
 Replays best-response dynamics round by round: each round enumerates the
-full improving-move pool once, then times three ways of picking the best
+full improving-move pool once, then times two ways of picking the best
 move —
 
-(a) the PR 2 regime: one speculation per candidate
-    (``SpeculativeEvaluator.evaluate`` — apply the move to the cached
-    engine, measure, undo),
-(b) the PR 3 regime: one rows-only query per candidate
-    (``SpeculativeEvaluator._best_sequential`` — add identity, bridge
-    split, probe BFS; no engine mutation, still one numpy dispatch pair
-    per candidate), and
-(c) the batched regime behind ``best_improvement_scheduler``: whole
+(a) one speculation per candidate (``SpeculativeEvaluator.evaluate`` —
+    apply the move to the cached engine, measure, undo), and
+(b) the batched regime behind ``best_improvement_scheduler``: whole
     same-type runs of the pool priced by the ``repro.core.batch``
     kernels in one ``(k, n)`` matrix pass each
-    (``SpeculativeEvaluator.best``), inner loops dispatched through
-    ``repro._backend``.
+    (``SpeculativeEvaluator.best``).
 
-All three paths are asserted to pick the same move with identical exact
-cost deltas before it is applied and the next round begins, so the timed
+Both paths are asserted to pick the same move with identical exact cost
+deltas before it is applied and the next round begins, so the timed
 trajectories are move-for-move the same.  The ``weighted`` family runs
-the same sweep under a random demand matrix, exercising the weighted
-kernel arms end-to-end.  Results land in
+the same sweep under a random demand matrix, exercising the general
+valuation end-to-end.  Results land in
 ``benchmarks/results/BENCH_dynamics_rounds.json`` (tracked by
 ``check_regression.py``; ``speedup`` is per-candidate vs batched — the
-PR 7 acceptance target is >= 10x on the quick sizes — and
-``kernel_speedup`` isolates batching vs the rows-only sweep).
+acceptance target is >= 10x on the quick sizes).
 
 Set ``REPRO_BENCH_QUICK=1`` for the scaled-down CI sizes.
 """
@@ -90,7 +83,7 @@ def _families():
         ),
         (
             # the batched-pool scenario under heterogeneous demands: the
-            # weighted add sweep and row-dot kernels price every run
+            # demand-weighted valuation prices every run
             "gnp_bge_weighted",
             random_connected_gnp(n, 0.1, random.Random(23)),
             3,
@@ -102,7 +95,7 @@ def _families():
 
 
 def _best_per_candidate(spec, pool):
-    """The PR 2 path: one apply/undo speculation per candidate."""
+    """One apply/undo speculation per candidate."""
     best = None
     for move in pool:
         evaluation = spec.evaluate(move)
@@ -117,7 +110,6 @@ def _replay(graph, alpha, concept, rounds, traffic):
     state = GameState(graph, alpha, traffic=traffic)
     state.dist  # one APSP build up front, shared by the whole replay
     batched_s = 0.0
-    rows_only_s = 0.0
     speculated_s = 0.0
     candidates = 0
     played = 0
@@ -135,39 +127,25 @@ def _replay(graph, alpha, concept, rounds, traffic):
 
         start = time.perf_counter()
         spec = SpeculativeEvaluator(state)
-        sequential = spec._best_sequential(iter(pool))
-        rows_only_s += time.perf_counter() - start
-
-        start = time.perf_counter()
-        spec = SpeculativeEvaluator(state)
         reference = _best_per_candidate(spec, pool)
         speculated_s += time.perf_counter() - start
 
         assert chosen is not None and reference is not None
-        assert chosen[0] == reference[0] == sequential[0], (
-            "paths disagree on the best move"
-        )
-        assert (
-            chosen[1].cost_deltas
-            == reference[1].cost_deltas
-            == sequential[1].cost_deltas
-        )
+        assert chosen[0] == reference[0], "paths disagree on the best move"
+        assert chosen[1].cost_deltas == reference[1].cost_deltas
         state = state.apply(chosen[0])
         played += 1
-    return batched_s, rows_only_s, speculated_s, candidates, played
+    return batched_s, speculated_s, candidates, played
 
 
 def study():
     rows = []
     payload = {}
     for name, graph, alpha, concept, rounds, traffic in _families():
-        batched_s, rows_only_s, speculated_s, candidates, played = _replay(
+        batched_s, speculated_s, candidates, played = _replay(
             graph, alpha, concept, rounds, traffic
         )
         speedup = speculated_s / batched_s if batched_s > 0 else float("inf")
-        kernel_speedup = (
-            rows_only_s / batched_s if batched_s > 0 else float("inf")
-        )
         rows.append(
             [
                 name,
@@ -175,10 +153,8 @@ def study():
                 played,
                 candidates,
                 f"{batched_s * 1e3:.1f}",
-                f"{rows_only_s * 1e3:.1f}",
                 f"{speculated_s * 1e3:.1f}",
                 f"{speedup:.1f}x",
-                f"{kernel_speedup:.1f}x",
             ]
         )
         payload[name] = {
@@ -189,10 +165,8 @@ def study():
             "rounds_played": played,
             "candidates": candidates,
             "batched_seconds": batched_s,
-            "rows_only_seconds": rows_only_s,
             "per_candidate_seconds": speculated_s,
             "speedup": speedup,
-            "kernel_speedup": kernel_speedup,
         }
     RESULTS_DIR.mkdir(exist_ok=True)
     write_bench_json("BENCH_dynamics_rounds", {"quick": QUICK, "rounds": payload})
@@ -205,11 +179,10 @@ def test_dynamics_rounds(benchmark):
         "dynamics_rounds",
         render_table(
             ["family", "n", "rounds", "candidates", "batched ms",
-             "rows-only ms", "per-candidate ms", "speedup",
-             "kernel speedup"],
+             "per-candidate ms", "speedup"],
             rows,
-            title="Best-response rounds: batched pool kernels vs rows-only "
-            "sweep vs per-candidate speculation",
+            title="Best-response rounds: batched pool kernels vs "
+            "per-candidate speculation",
         ),
     )
     for name, stats in payload.items():
@@ -217,4 +190,3 @@ def test_dynamics_rounds(benchmark):
         # hard sanity floor; the >= 10x acceptance target lives in the
         # committed baseline and is enforced by check_regression.py
         assert stats["speedup"] >= 5, (name, stats)
-        assert stats["kernel_speedup"] >= 1, (name, stats)

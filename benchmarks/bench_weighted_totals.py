@@ -1,14 +1,14 @@
 """Perf: weighted-totals maintenance overhead vs the uniform engine.
 
-The heterogeneous-traffic subsystem maintains a second per-row vector —
-``wtotals()[u] = sum_v W[u, v] * d(u, v)`` — through every ``apply_*`` /
-``undo``, and the speculative kernel evaluates candidates with weighted
-row dot products instead of plain row sums.  This benchmark times both
-regimes on identical workloads:
+Under a demand-weighted valuation the engine's maintained per-row
+vector is ``totals()[u] = sum_v W[u, v] * d(u, v)`` through every
+``apply_*`` / ``undo``, and the speculative kernel evaluates candidates
+with weighted row values instead of plain row sums.  This benchmark
+times both regimes on identical workloads:
 
 * ``engine_trajectory`` — replay one random add/remove trajectory
   maintaining incremental totals (uniform) vs incremental weighted
-  totals (demand matrix bound);
+  totals (a demand-weighted valuation bound);
 * ``kernel_sweep`` — rows-only best-of-pool sweeps
   (:meth:`~repro.core.speculative.SpeculativeEvaluator.best`) over the
   same one-edge move pool, uniform vs weighted state.
@@ -28,6 +28,7 @@ import random
 import time
 
 from repro.analysis.tables import render_table
+from repro.core.costmodel import Valuation
 from repro.core.moves import AddEdge, RemoveEdge, Swap
 from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
@@ -66,20 +67,15 @@ def _time_trajectory(graph, ops, weights, repeats):
         working = graph.copy()
         start = time.perf_counter()
         dm = DistanceMatrix(working, UNREACHABLE)
-        if weights is None:
-            dm.totals()  # materialise the maintained vector being timed
-        else:
-            dm.bind_traffic(weights)
-            dm.wtotals()
+        if weights is not None:
+            dm.bind_valuation(Valuation(weights))
+        dm.totals()  # materialise the maintained vector being timed
         for op, u, v in ops:
             if op == "add":
                 dm.apply_add(u, v)
             else:
                 dm.apply_remove(u, v)
-        if weights is None:
-            checksum = int(dm.totals().sum())
-        else:
-            checksum = int(dm.wtotals().sum())
+        checksum = int(dm.totals().sum())
         best = min(best, time.perf_counter() - start)
     return best, checksum
 

@@ -1,21 +1,16 @@
-"""Pluggable numerical backends for the engine's three hot inner loops.
+"""Pluggable numerical backends for the engine's BFS inner loop.
 
-The distance engine and the batch move-pool kernel
-(:mod:`repro.core.batch`) spend essentially all of their time in three
-inner loops:
-
-* the **outer-min add sweep** — per candidate pair ``(u, v)``, the
-  one-edge-add identity's row gain
-  ``sum_y max(0, d(u, y) - 1 - d(v, y))`` (plain and demand-weighted);
-* **BFS distance rows** — fresh rows from a set of sources on a CSR
-  adjacency, the repair/probe primitive behind every non-bridge removal;
-* **weighted row dots** — ``sum_y W[row] * rows[row]`` over a ``(k, n)``
-  row stack, the aggregation boundary of every weighted evaluation.
+**BFS distance rows** — fresh rows from a set of sources on a CSR
+adjacency — are the one inner loop of the distance engine that numpy
+cannot vectorise: the C-level arm of full APSP builds and of the
+endpoint-only removal queries in :mod:`repro.graphs.distances`.
+Everything else (the add identity, the removal patches, the value
+reductions of :class:`repro.core.costmodel.Valuation`) is whole-array
+numpy.
 
 This module is a tiny registry of interchangeable implementations of
-exactly those loops.  The **numpy arm is the reference**: scipy's
-C-level dijkstra plus vectorised numpy arithmetic, always registered,
-always available.  A **numba arm** registers itself *only when numba
+that loop.  The **numpy arm is the reference**: scipy's C-level
+dijkstra, always registered, always available.  A **numba arm** registers itself *only when numba
 imports cleanly* — the dependency stays optional (``pip install``
 requirements are unchanged) and the ``@njit`` kernels compile lazily on
 first use.  Selection happens once at import: the fastest registered
@@ -24,9 +19,9 @@ or ``REPRO_BACKEND=numba`` (requesting an unregistered arm raises
 immediately rather than silently falling back).
 
 Exactness contract: every arm must be **bit-identical** to the numpy
-reference — BFS hop counts are unique, the gain/dot arithmetic is pure
-int64, and the big-M sentinel is filled with the exact Python integer —
-so swapping arms can never change a game-theoretic verdict.  The
+reference — BFS hop counts are unique and the big-M sentinel is filled
+with the exact Python integer — so swapping arms can never change a
+game-theoretic verdict.  The
 randomized trajectory harness in ``tests/test_cross_validation.py``
 enforces this whenever more than one arm is registered.
 
@@ -75,45 +70,18 @@ def exact_int_fill(raw: np.ndarray, unreachable: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Backend:
-    """One implementation of the three hot inner loops.
+    """One implementation of the BFS inner loop.
 
-    ``add_gains(matrix, us, vs)`` returns the ``(k,)`` int64 vector of
-    one-edge-add row gains ``sum_y max(0, d(us[i], y) - 1 - d(vs[i], y))``;
-    ``weighted_add_gains`` weights each term by ``weights[us[i], y]``;
     ``bfs_rows(csr, sources, unreachable)`` mirrors scipy's dijkstra
     semantics exactly (a scalar source yields a 1-D row, a sequence a
-    ``(k, n)`` stack, unreached entries hold the exact sentinel);
-    ``weighted_row_dots(weights_rows, rows)`` reduces a ``(k, n)`` row
-    stack against its aligned demand rows.
+    ``(k, n)`` stack, unreached entries hold the exact sentinel).
     """
 
     name: str
-    add_gains: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    weighted_add_gains: Callable[
-        [np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray
-    ]
     bfs_rows: Callable[[object, object, int], np.ndarray]
-    weighted_row_dots: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 # -- numpy arm (the reference) ----------------------------------------------
-
-
-def _np_add_gains(
-    matrix: np.ndarray, us: np.ndarray, vs: np.ndarray
-) -> np.ndarray:
-    diff = matrix[us] - (1 + matrix[vs])
-    np.maximum(diff, 0, out=diff)
-    return diff.sum(axis=1)
-
-
-def _np_weighted_add_gains(
-    matrix: np.ndarray, weights: np.ndarray, us: np.ndarray, vs: np.ndarray
-) -> np.ndarray:
-    diff = matrix[us] - (1 + matrix[vs])
-    np.maximum(diff, 0, out=diff)
-    diff *= weights[us]
-    return diff.sum(axis=1)
 
 
 def _np_bfs_rows(adjacency, sources, unreachable: int) -> np.ndarray:
@@ -121,19 +89,7 @@ def _np_bfs_rows(adjacency, sources, unreachable: int) -> np.ndarray:
     return exact_int_fill(raw, unreachable)
 
 
-def _np_weighted_row_dots(
-    weights_rows: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    return (weights_rows * rows).sum(axis=1)
-
-
-_NUMPY = Backend(
-    name="numpy",
-    add_gains=_np_add_gains,
-    weighted_add_gains=_np_weighted_add_gains,
-    bfs_rows=_np_bfs_rows,
-    weighted_row_dots=_np_weighted_row_dots,
-)
+_NUMPY = Backend(name="numpy", bfs_rows=_np_bfs_rows)
 
 
 # -- optional numba arm ------------------------------------------------------
@@ -150,38 +106,6 @@ def _make_numba_backend() -> Backend | None:
         import numba
     except Exception:
         return None
-
-    @numba.njit(cache=True)
-    def nb_add_gains(matrix, us, vs):
-        k = us.shape[0]
-        n = matrix.shape[1]
-        out = np.empty(k, dtype=np.int64)
-        for i in range(k):
-            u = us[i]
-            v = vs[i]
-            acc = np.int64(0)
-            for y in range(n):
-                diff = matrix[u, y] - 1 - matrix[v, y]
-                if diff > 0:
-                    acc += diff
-            out[i] = acc
-        return out
-
-    @numba.njit(cache=True)
-    def nb_weighted_add_gains(matrix, weights, us, vs):
-        k = us.shape[0]
-        n = matrix.shape[1]
-        out = np.empty(k, dtype=np.int64)
-        for i in range(k):
-            u = us[i]
-            v = vs[i]
-            acc = np.int64(0)
-            for y in range(n):
-                diff = matrix[u, y] - 1 - matrix[v, y]
-                if diff > 0:
-                    acc += weights[u, y] * diff
-            out[i] = acc
-        return out
 
     @numba.njit(cache=True)
     def nb_bfs_rows(indptr, indices, sources, n, unreachable):
@@ -213,18 +137,6 @@ def _make_numba_backend() -> Backend | None:
                         row[y] = unreachable
         return out
 
-    @numba.njit(cache=True)
-    def nb_weighted_row_dots(weights_rows, rows):
-        k = rows.shape[0]
-        n = rows.shape[1]
-        out = np.empty(k, dtype=np.int64)
-        for i in range(k):
-            acc = np.int64(0)
-            for y in range(n):
-                acc += weights_rows[i, y] * rows[i, y]
-            out[i] = acc
-        return out
-
     def bfs_rows(adjacency, sources, unreachable: int) -> np.ndarray:
         # mirror scipy's indices semantics: scalar source -> 1-D row
         scalar = np.isscalar(sources) or isinstance(sources, (int, np.integer))
@@ -238,13 +150,7 @@ def _make_numba_backend() -> Backend | None:
         )
         return rows[0] if scalar else rows
 
-    return Backend(
-        name="numba",
-        add_gains=nb_add_gains,
-        weighted_add_gains=nb_weighted_add_gains,
-        bfs_rows=bfs_rows,
-        weighted_row_dots=nb_weighted_row_dots,
-    )
+    return Backend(name="numba", bfs_rows=bfs_rows)
 
 
 # -- registry & selection ----------------------------------------------------

@@ -204,7 +204,7 @@ def empirical_weighted_poa(
     concept checkers, and divides the worst equilibrium's social cost by
     the family's minimum social cost.  With
     ``TrafficMatrix.uniform(n)`` (and a linear or absent ``cost_model``)
-    the checkers run the unweighted code paths, and whenever the
+    the checkers value rows by plain sums, and whenever the
     closed-form optimum lies inside the enumerated family — for trees
     that is ``alpha >= 1``, where the optimum is the star — the ratio
     reproduces the uniform PoA exactly (for ``alpha < 1`` the uniform
@@ -324,14 +324,15 @@ def bse_upper_bound_via_dary_tree(
 def re_upper_bound_via_prop_3_1(state: GameState) -> Fraction:
     """Best Proposition 3.1 bound over all nodes of a connected RE graph.
 
-    The proposition's arithmetic is linear in raw distances, so it is
-    undefined for non-linear cost models — modeled states raise rather
-    than silently bounding the wrong game.
+    The proposition's arithmetic is linear in raw, unweighted distances,
+    so it is defined for the uniform linear game only — weighted and
+    modeled states raise rather than silently bounding the wrong game
+    (the same predicate as ``GameState.rho()``).
     """
-    if state.modeled:
+    if not state.valuation.uniform_linear:
         raise ValueError(
-            "Proposition 3.1 bounds the linear game; modeled states have "
-            "no closed-form RE bound"
+            "Proposition 3.1 bounds the uniform linear game; weighted or "
+            "modeled states have no closed-form RE bound"
         )
     totals = state.dist.totals()
     best = min(int(value) for value in totals)

@@ -437,9 +437,9 @@ def run_ladder_classify(
         probe_samples=int(params.get("probe_samples", 2000)),
     )
     headline = (
-        {"social_cost": state.social_cost()}
-        if state.modeled
-        else {"rho": state.rho()}
+        {"rho": state.rho()}
+        if state.valuation.uniform_linear
+        else {"social_cost": state.social_cost()}
     )
     return {
         **headline,
@@ -517,6 +517,6 @@ def run_dynamics_trial(
         "final_quality": quality_ratio(final),
         "start_instability": instability,
     }
-    if not (final.weighted or final.modeled):
+    if final.valuation.uniform_linear:
         out["final_rho"] = final.rho()
     return out

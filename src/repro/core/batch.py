@@ -7,10 +7,8 @@ allocator overhead.  This module sweeps whole *runs* of same-type
 one-edge moves through three matrix-level kernels instead:
 
 * :func:`batch_add_gains` — the one-edge-add identity for all ``k``
-  candidate pairs in one ``(k, n)`` outer-min pass (uniform, weighted
-  ``W``-row-dot and :class:`~repro.core.costmodel.ModelOps` f-valued
-  variants, reusing the exact sentinel arithmetic of the per-candidate
-  path);
+  candidate pairs in one ``(k, n)`` outer-min pass, priced as
+  ``base - value(min(d_u, 1 + d_v))``;
 * :func:`batch_remove_losses` — bridge removals vectorised off the cut
   side masks (``d(x, other) < d(x, actor)`` rows to the sentinel, read
   straight off the cached matrix), non-bridge removals grouped by edge
@@ -22,94 +20,60 @@ one-edge moves through three matrix-level kernels instead:
   ``min(row_a, 1 + row_n)`` and the value reduction vectorised across
   the group.
 
-The inner loops (outer-min sweep, BFS rows, weighted row dots) dispatch
-through :mod:`repro._backend`, so a numba arm accelerates them when
-registered.
+All three share one row-value reduction, the state's
+:class:`~repro.core.costmodel.Valuation` (plain row sums in the paper's
+game), so they price every cost regime alike.
 
 **Bit-exactness contract.**  :func:`sweep_best` reproduces the
-sequential ``best`` loop exactly: the same candidates are evaluated (the
+per-candidate sequential sweep (kept as the oracle in
+``tests/reference.py``) exactly: the same candidates are evaluated (the
 module/instance evaluation spies advance by the same counts), the chosen
 move is the same — within a same-type run the alpha buy term is constant,
 so the first argmin over the integer distance deltas *is* the sequential
 first-strict-less winner, and across runs totals compare as exact
 ``Fraction`` values — and the winner's
-:class:`~repro.core.speculative.MoveEvaluation` is rebuilt with the very
-same ``Fraction`` arithmetic as ``evaluate_rows_only``.  Compound moves
-(coalition / neighborhood) fall back to one per-candidate speculation
-each, in pool order, exactly as before.
-
-``REPRO_BATCH=0`` forces the sequential path (the fuzz arm of
-``tests/test_cross_validation.py`` runs whole trajectories both ways);
-tests may also monkeypatch :data:`ENABLED`.
+:class:`~repro.core.speculative.MoveEvaluation` carries the very same
+``Fraction`` deltas.  Compound moves (coalition / neighborhood) fall back
+to one per-candidate speculation each, in pool order.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro._backend import active as _active_backend
 from repro.core.moves import AddEdge, Move, RemoveEdge, Swap
 from repro.obs import metrics as _obs
 
 __all__ = [
-    "ENABLED",
     "batch_add_gains",
     "batch_remove_losses",
     "batch_swap_deltas",
     "sweep_best",
 ]
 
-#: Whether ``SpeculativeEvaluator.best`` routes homogeneous runs through
-#: the batch kernels (``REPRO_BATCH=0`` forces the sequential path).
-ENABLED = os.environ.get("REPRO_BATCH", "1") != "0"
-
-
-def _owned_rows_value(spec, owners: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Distance totals (model values when modeled) of a ``(k, n)`` row
-    stack whose row ``i`` belongs to agent ``owners[i]`` — the shared
-    value reduction of all three kernels, bit-identical per row to
-    ``SpeculativeEvaluator.row_dist``."""
-    if spec._ops is not None:
-        return spec._ops.rows_value_owned(owners, rows)
-    if spec._weights is None:
-        return rows.sum(axis=1)
-    return _active_backend().weighted_row_dots(spec._weights[owners], rows)
-
-
 def batch_add_gains(
     spec, us: np.ndarray, vs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distance gains of both endpoints for ``k`` candidate additions.
 
-    One vectorised outer-min pass over the cached matrix per direction —
-    entry ``i`` equals ``spec.add_gain_pair(us[i], vs[i])`` exactly
-    (uniform: the backend add sweep; weighted: the backend's
-    demand-weighted sweep; modeled: ``min(row_u, 1 + row_v)`` blocks
-    through the model's sentinel-exact value map).
+    One vectorised outer-min pass over the cached matrix per direction:
+    entry ``i`` is ``base(u) - value(min(d(u, .), 1 + d(v, .)))`` with
+    ``(u, v) = (us[i], vs[i])``.
     """
     matrix = spec.engine.matrix
-    if spec._ops is not None:
-        ops = spec._ops
-        base = spec._base_totals_arr
-        new_u = np.minimum(matrix[us], 1 + matrix[vs])
-        new_v = np.minimum(matrix[vs], 1 + matrix[us])
-        return (
-            base[us] - ops.rows_value_owned(us, new_u),
-            base[vs] - ops.rows_value_owned(vs, new_v),
-        )
-    backend = _active_backend()
-    if spec._weights is None:
-        return (
-            backend.add_gains(matrix, us, vs),
-            backend.add_gains(matrix, vs, us),
-        )
-    return (
-        backend.weighted_add_gains(matrix, spec._weights, us, vs),
-        backend.weighted_add_gains(matrix, spec._weights, vs, us),
-    )
+    base = spec._base_totals_arr
+    value = spec.valuation.rows_value
+
+    def gains(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # min(d(a, .), 1 + d(b, .)) built in place: one (k, n) block live
+        rows = matrix[b]
+        rows += 1
+        np.minimum(rows, matrix[a], out=rows)
+        return base[a] - value(rows, a)
+
+    return gains(us, vs), gains(vs, us)
 
 
 def batch_remove_losses(
@@ -141,7 +105,7 @@ def batch_remove_losses(
         rows_a = matrix[a]
         far = matrix[others[hits]] < rows_a
         rows = np.where(far, engine.unreachable, rows_a)
-        deltas[hits] = _owned_rows_value(spec, a, rows) - base[a]
+        deltas[hits] = spec.valuation.rows_value(rows, a) - base[a]
     rest = np.flatnonzero(~bridge)
     if rest.size:
         groups: dict[tuple[int, int], list[int]] = {}
@@ -153,7 +117,7 @@ def batch_remove_losses(
             group_actors = actors[members]
             rows = engine.rows_after_remove_from(a, o, group_actors)
             deltas[members] = (
-                _owned_rows_value(spec, group_actors, rows)
+                spec.valuation.rows_value(rows, group_actors)
                 - base[group_actors]
             )
     return deltas
@@ -203,13 +167,12 @@ def batch_swap_deltas(
         )
         rows_a = rows[[position[int(x)] for x in actors]]
         rows_n = rows[[position[int(x)] for x in news]]
+        value = spec.valuation.rows_value
         d_actor[members] = (
-            _owned_rows_value(spec, actors, np.minimum(rows_a, 1 + rows_n))
-            - base[actors]
+            value(np.minimum(rows_a, 1 + rows_n), actors) - base[actors]
         )
         d_new[members] = (
-            _owned_rows_value(spec, news, np.minimum(rows_n, 1 + rows_a))
-            - base[news]
+            value(np.minimum(rows_n, 1 + rows_a), news) - base[news]
         )
     return d_actor, d_new
 

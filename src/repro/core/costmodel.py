@@ -1,4 +1,4 @@
-"""Pluggable distance-cost models: ``cost(u) = alpha*deg(u) + F_u(d(u, .))``.
+"""Pluggable distance-cost models and the one value algebra of the stack.
 
 The paper's cost function is the linear distance sum, but the same
 authors' follow-up (*Cooperation in Bilateral Generalized Network
@@ -9,11 +9,18 @@ Creation*, arXiv 2510.00239) generalizes it to
 for a monotone non-decreasing ``f`` — concave regimes (nearby agents
 matter, far ones barely more), convex regimes (long detours are
 punishing) — plus the **max/eccentricity objective**
-``max_v W[u, v] * f(d(u, v))``.  A :class:`CostModel` names one such
-regime; :class:`~repro.core.state.GameState` accepts ``cost_model=...``
-and every layer of the stack (distance engine, speculative kernel,
-checkers, move generators, schedulers, campaigns) routes its cost
-arithmetic through the model.
+``max_v W[u, v] * f(d(u, v))``.  A :class:`CostModel` names one ``(f,
+aggregate)`` pair; :class:`~repro.core.traffic.TrafficMatrix` names
+``W``.
+
+Every regime the repo serves is one triple ``(W, f, aggregate)``, and
+:class:`Valuation` is that triple bound to one game.
+:func:`bind_valuation` builds it — together with the distance sentinel
+``M`` and every int64 headroom check — once per
+:class:`~repro.core.state.GameState`, and every layer (distance engine,
+speculative kernel, batch kernels, checkers, move generators) reads
+distance rows through it.  The paper's game binds to the shared
+:data:`UNIFORM_LINEAR`, whose rows are plain row sums.
 
 Exactness contract (mirrors :mod:`repro.core.traffic`):
 
@@ -21,20 +28,20 @@ Exactness contract (mirrors :mod:`repro.core.traffic`):
   ``f(0) = 0`` and ``f`` monotone non-decreasing — so every model value
   is an exact integer and cost comparisons stay exact ``Fraction``-vs-int
   (:class:`ConcaveCost` floors ``scale * d**(p/q)`` through an exact
-  integer root, never a float);
+  integer root, never a float; a table past int64 raises ``ValueError``);
 * unreachable pairs carry the **value sentinel** ``F`` (the aggregate-
   space analogue of the distance big-M, sized by
   :meth:`CostModel.unreachable_cost` so that reconnecting one
   positive-demand pair dominates any buying saving plus any real value
   total);
-* :class:`LinearCost` *is* the paper's game: ``state.modeled`` stays
-  ``False`` and every layer dispatches to the original (un)weighted code
-  paths — the byte-exact equivalence guarantee, same discipline as
-  ``TrafficMatrix.uniform``;
+* :class:`LinearCost` *is* the paper's game: it binds without a table
+  (identity ``f``, the distance sentinel ``M`` as its own value), so
+  its costs are byte-identical to no model at all — the same discipline
+  as ``TrafficMatrix.uniform``;
 * monotonicity is what keeps the searchers' pruning sound: removals only
   grow distances, so with ``f`` non-decreasing they only grow model
-  values — the generalized ``dist_floor`` bounds of the BNE/k-BSE DFS
-  remain valid lower bounds.
+  values — the ``dist_floor`` bounds of the BNE/k-BSE DFS
+  (:meth:`Valuation.floors`) remain valid lower bounds.
 
 Every model carries a lossless JSON-able ``spec``
 (:func:`costmodel_from_spec` is the inverse) so campaign trials naming a
@@ -49,14 +56,19 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from repro._alpha import big_m, fits_int64
+from repro.core.traffic import TrafficMatrix
+
 __all__ = [
     "ConcaveCost",
     "ConvexCost",
     "CostModel",
     "LinearCost",
     "MaxCost",
-    "ModelOps",
     "TableCost",
+    "UNIFORM_LINEAR",
+    "Valuation",
+    "bind_valuation",
     "costmodel_from_spec",
     "integer_root",
 ]
@@ -83,6 +95,16 @@ def integer_root(value: int, k: int) -> int:
     while (guess + 1) ** k <= value:
         guess += 1
     return guess
+
+
+def _int64_table(values) -> np.ndarray:
+    """Exact integer table values as int64 (``ValueError`` past int64)."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(
+            "cost table values exceed int64 (exact arithmetic)"
+        ) from None
 
 
 def _validate_table(table: np.ndarray) -> np.ndarray:
@@ -117,9 +139,9 @@ class CostModel:
     def is_linear(self) -> bool:
         """Whether this model is the paper's linear sum.
 
-        ``True`` keeps ``GameState.modeled`` off, so every layer runs
-        the original code paths byte-exactly — the cost-model analogue
-        of uniform traffic.
+        ``True`` binds without a table (:func:`bind_valuation`), so the
+        game's costs are byte-identical to no model at all — the
+        cost-model analogue of uniform traffic.
         """
         return False
 
@@ -169,7 +191,8 @@ def _freeze(value):
 
 
 class LinearCost(CostModel):
-    """The paper's game: ``f(d) = d``, sum aggregate, byte-exact dispatch."""
+    """The paper's game: ``f(d) = d``, sum aggregate (binds without a
+    table, byte-exact)."""
 
     kind = "linear"
 
@@ -210,7 +233,7 @@ class ConcaveCost(CostModel):
         values = [
             integer_root(self.scale**q * d**p, q) for d in range(n)
         ]
-        return _validate_table(np.array(values, dtype=np.int64))
+        return _validate_table(_int64_table(values))
 
     @property
     def spec(self) -> dict[str, Any]:
@@ -236,7 +259,7 @@ class ConvexCost(CostModel):
 
     def table(self, n: int) -> np.ndarray:
         values = [self.scale * d**self.exponent for d in range(n)]
-        return _validate_table(np.array(values, dtype=np.int64))
+        return _validate_table(_int64_table(values))
 
     @property
     def spec(self) -> dict[str, Any]:
@@ -270,7 +293,7 @@ class TableCost(CostModel):
     kind = "table"
 
     def __init__(self, values: Sequence[int]):
-        self.values = _validate_table(np.array(list(values), dtype=np.int64))
+        self.values = _validate_table(_int64_table(list(values)))
 
     def table(self, n: int) -> np.ndarray:
         if self.values.size < n:
@@ -287,123 +310,169 @@ class TableCost(CostModel):
         return {"model": "table", "values": [int(v) for v in self.values]}
 
 
-class ModelOps:
-    """Vectorised model-value arithmetic bound to one game size.
+class Valuation:
+    """One cost regime ``(W, f, aggregate)`` bound to one game.
 
-    The one object the engine binding, the speculative kernel and the
-    vectorised checkers share: ``apply_f`` maps a distance array through
-    the table (sentinel entries — ``d >= n``, exact because real
-    distances are at most ``n - 1`` and the distance sentinel is at
-    least ``n`` — map to the value sentinel ``F``), and the ``*_value``
-    helpers aggregate per-agent rows under the model's demand weighting.
-    ``weights is None`` means uniform demand (all off-diagonal 1; the
-    diagonal contributes ``f(0) = 0`` either way).
+    The one value algebra every layer reads distances through:
+    ``value(u) = agg_v W[u, v] * f(d(u, v))``.  ``weights`` is an int64
+    demand matrix or ``None`` (every off-diagonal demand 1); ``table`` is
+    the int64 ``f(0..n-1)`` or ``None`` (``f`` the identity, so the
+    distance sentinel ``M`` is its own value); ``sentinel`` is the value
+    ``F`` of an unreachable pair under a table; ``aggregate`` is ``"sum"``
+    or ``"max"``.  Built by :func:`bind_valuation`, which owns every size
+    and int64 headroom check.
+
+    The paper's game — no demands, identity ``f``, a sum — is
+    :data:`UNIFORM_LINEAR`, one shared instance for every ``n``: its rows
+    are valued by plain row sums, with no demand multiply and no table
+    lookup, so it stays byte-exact and allocates nothing per state.
     """
 
-    __slots__ = ("n", "table", "unreachable_value", "weights", "aggregate")
+    __slots__ = (
+        "weights", "table", "sentinel", "aggregate", "uniform_linear",
+        "full_support",
+    )
 
     def __init__(
         self,
-        n: int,
-        table: np.ndarray,
-        unreachable_value: int,
         weights: np.ndarray | None = None,
+        table: np.ndarray | None = None,
+        sentinel: int | None = None,
         aggregate: str = "sum",
     ):
         if aggregate not in ("sum", "max"):
             raise ValueError(f"unknown aggregate {aggregate!r}")
-        self.n = int(n)
-        self.table = _validate_table(table)
-        if self.table.size != self.n:
-            raise ValueError("the cost table must cover exactly 0..n-1")
-        self.unreachable_value = int(unreachable_value)
-        if self.unreachable_value <= int(self.table[-1]):
-            raise ValueError(
-                "the value sentinel must exceed every real table value"
-            )
+        if table is not None:
+            table = _validate_table(table)
+            if sentinel is None or int(sentinel) <= int(table[-1]):
+                raise ValueError(
+                    "the value sentinel must exceed every real table value"
+                )
+            sentinel = int(sentinel)
         self.weights = weights
+        self.table = table
+        self.sentinel = sentinel
         self.aggregate = aggregate
+        #: the paper's game: plain row sums everywhere
+        self.uniform_linear = (
+            weights is None and table is None and aggregate == "sum"
+        )
+        #: every off-diagonal demand is positive (the diagonal is zero), so
+        #: disconnecting anyone costs a sentinel: bridges never pay
+        self.full_support = weights is None or (
+            np.count_nonzero(weights) == weights.shape[0] * (weights.shape[0] - 1)
+        )
 
-    def apply_f(self, dist: np.ndarray) -> np.ndarray:
-        """``f`` over a distance array; sentinel distances map to ``F``."""
+    def values(self, dist: np.ndarray) -> np.ndarray:
+        """``f`` entry-wise over a distance array; sentinel distances
+        (``d >= n``, exact because real distances are at most ``n - 1``)
+        map to ``F``.  The identity returns ``dist`` itself."""
+        table = self.table
+        if table is None:
+            return dist
         dist = np.asarray(dist)
-        values = self.table[np.minimum(dist, self.n - 1)]
-        sentinel = dist >= self.n
-        if sentinel.any():
-            values[sentinel] = self.unreachable_value
+        top = table.size - 1
+        values = table[np.minimum(dist, top)]
+        unreachable = dist > top
+        if unreachable.any():
+            values[unreachable] = self.sentinel
         return values
 
+    def rows_value(self, rows: np.ndarray, owners=None) -> np.ndarray:
+        """Per-row values of a distance row stack (the last axis is the
+        destination).  Row ``i`` is owned by agent ``owners[i]`` for an
+        array, by ``owners`` for one agent, and by agent ``i`` for
+        ``None`` (a full matrix) — the owner picks the demand row."""
+        if self.uniform_linear:
+            return rows.sum(axis=-1)
+        values = self.values(rows)
+        if self.weights is not None:
+            weights = self.weights if owners is None else self.weights[owners]
+            values = values * weights
+        if self.aggregate == "max":
+            return values.max(axis=-1)
+        return values.sum(axis=-1)
+
     def row_value(self, agent: int, row: np.ndarray) -> int:
-        """The model value of one distance row owned by ``agent``."""
-        values = self.apply_f(row)
-        if self.weights is not None:
-            values = self.weights[agent] * values
-        if self.aggregate == "max":
-            return int(values.max())
-        return int(values.sum())
+        """The value of one distance row owned by ``agent``."""
+        if self.uniform_linear:
+            return int(row.sum())
+        return int(self.rows_value(row, agent))
 
-    def rows_value(self, agent: int, rows: np.ndarray) -> np.ndarray:
-        """Per-row model values of a ``(k, n)`` row stack, all owned by
-        ``agent`` (the swap searchers' candidate batches)."""
-        values = self.apply_f(rows)
-        if self.weights is not None:
-            values = values * self.weights[agent]
-        if self.aggregate == "max":
-            return values.max(axis=1)
-        return values.sum(axis=1)
-
-    def rows_value_owned(
-        self, owners: np.ndarray, rows: np.ndarray
-    ) -> np.ndarray:
-        """Per-row model values of a ``(k, n)`` row stack where row ``i``
-        is owned by agent ``owners[i]`` (the batch kernel's candidate
-        blocks — owners are arbitrary, possibly repeated, agents)."""
-        values = self.apply_f(rows)
-        if self.weights is not None:
-            values = values * self.weights[owners]
-        if self.aggregate == "max":
-            return values.max(axis=1)
-        return values.sum(axis=1)
-
-    def rows_value_per_owner(self, rows: np.ndarray) -> np.ndarray:
-        """Per-row model values where row ``i`` is owned by agent ``i``
-        (full ``(n, n)`` stacks — e.g. a distance matrix)."""
-        values = self.apply_f(rows)
-        if self.weights is not None:
-            values = values * self.weights
-        if self.aggregate == "max":
-            return values.max(axis=1)
-        return values.sum(axis=1)
-
-    def totals(self, matrix: np.ndarray) -> np.ndarray:
-        """Naive from-scratch per-agent totals of a distance matrix —
-        the reference the engine's incremental ``ftotals()`` is
-        cross-validated against."""
-        return self.rows_value_per_owner(matrix)
-
-    def floors(self) -> np.ndarray:
-        """Per-agent lower bound on the model value in *any* graph.
+    def floors(self, n: int) -> np.ndarray:
+        """Per-agent lower bound on the value in *any* graph.
 
         Every off-diagonal destination sits at distance at least 1, so a
-        sum aggregate can never drop below ``mass * f(1)`` and a max
-        aggregate never below ``max_v W[u, v] * f(1)`` (both achieved on
-        a star) — the generalized ``dist_floor`` behind the searchers'
-        size pruning, sound because ``f`` is monotone.
+        sum can never drop below ``mass * f(1)`` and a max never below
+        ``max_v W[u, v] * f(1)`` (both achieved on a star) — the
+        ``dist_floor`` behind the searchers' size pruning, sound because
+        ``f`` is monotone.  ``n - 1`` in the paper's game.
         """
-        f1 = int(self.table[1]) if self.n >= 2 else 0
+        f1 = 0 if n < 2 else 1 if self.table is None else int(self.table[1])
+        if self.weights is None:
+            per = f1 if self.aggregate == "max" else (n - 1) * f1
+            return np.full(n, per, dtype=np.int64)
         if self.aggregate == "max":
-            if self.weights is None:
-                per = np.full(
-                    self.n, f1 if self.n >= 2 else 0, dtype=np.int64
-                )
-            else:
-                per = self.weights.max(axis=1) * f1
-        else:
-            if self.weights is None:
-                per = np.full(self.n, (self.n - 1) * f1, dtype=np.int64)
-            else:
-                per = self.weights.sum(axis=1) * f1
-        return per
+            return self.weights.max(axis=1) * f1
+        return self.weights.sum(axis=1) * f1
+
+
+#: The paper's game (no demands, linear ``f``, sum) for every game size.
+UNIFORM_LINEAR = Valuation()
+
+
+def bind_valuation(
+    n: int,
+    alpha: Fraction,
+    traffic: TrafficMatrix | None = None,
+    cost_model: CostModel | None = None,
+) -> tuple[int, Valuation]:
+    """The distance sentinel ``M`` and the :class:`Valuation` of one game.
+
+    Uniform traffic (``None`` or ``TrafficMatrix.uniform``) and linear
+    models (``None`` or :class:`LinearCost`) bind to :data:`UNIFORM_LINEAR`
+    with the paper's ``M``.  Non-uniform demands re-size ``M`` so that one
+    unit of unmet demand dominates any buying saving (``<= alpha * n``)
+    plus any real weighted distance (``<= (n - 1) * max_row_mass``); a
+    non-linear model adds its table and value sentinel ``F``
+    (:meth:`CostModel.unreachable_cost`).  Every input that would break
+    exact int64 arithmetic raises ``ValueError`` here, before any engine
+    exists.
+    """
+    if traffic is not None and traffic.n != n:
+        raise ValueError(f"traffic matrix is for n={traffic.n}, game has n={n}")
+    if cost_model is not None and not isinstance(cost_model, CostModel):
+        raise TypeError(f"cost_model must be a CostModel, got {cost_model!r}")
+    weights = None
+    if traffic is None or traffic.is_uniform:
+        m_constant = big_m(n, alpha)
+        mass = n - 1
+        headroom = m_constant * n
+    else:
+        weights = traffic.weights
+        if not fits_int64(int(weights.max()) * n):
+            raise ValueError("demands too large for exact int64 arithmetic")
+        mass = traffic.max_row_mass
+        m_constant = max(n, int(alpha * n) + n * mass + 1)
+        headroom = m_constant * max(mass, n)
+    if not fits_int64(headroom):
+        raise ValueError(
+            "alpha, n and demand mass too large for exact int64 "
+            "distance arithmetic"
+        )
+    if cost_model is None or cost_model.is_linear:
+        if weights is None:
+            return m_constant, UNIFORM_LINEAR
+        return m_constant, Valuation(weights)
+    sentinel = cost_model.unreachable_cost(n, alpha, mass)
+    if not fits_int64(sentinel * max(mass, n)):
+        raise ValueError(
+            "alpha, n, demand mass and cost table too large for "
+            "exact int64 model-value arithmetic"
+        )
+    return m_constant, Valuation(
+        weights, cost_model.table(n), sentinel, cost_model.aggregate
+    )
 
 
 def costmodel_from_spec(

@@ -6,31 +6,20 @@ comparing an integer against ``alpha * (k2 - k1)``, which Python evaluates
 exactly on ``Fraction``s — no floating point is involved anywhere in an
 equilibrium decision.
 
-Under a heterogeneous traffic model the distance total is the weighted
-``d = sum_v W[u, v] * dist(u, v)`` — still an exact integer, so the same
-comparison applies.  Every helper here reads the state's traffic model:
-none of them silently assumes uniform demand, and callers that mix a
-weighted state with unweighted totals get weighted answers, not wrong
-ones.
-
-Under a pluggable cost model the distance total is the model value
-``sum_v W[u, v] * f(dist(u, v))`` (or the max aggregate) — the same
-no-silent-mixing guarantee holds: :func:`weighted_dist_total` is the one
-place a raw distance row becomes a cost term, and it dispatches on
-``state.modeled`` *before* the traffic model, so no caller of these
-helpers (``agent_cost_after``, ``dist_totals_after``,
-``strictly_improves``, certificate verifiers, tests) can ever sum raw
-distances against a non-linear state.  The only linear-by-definition
-quantities left in the repo — ``GameState.rho()``,
-``DynamicsResult.rho_trace``, the Prop. 3.1 RE bound — raise on modeled
-states instead of silently comparing against the linear optimum.
+Under any other cost regime the distance total is the state's row value
+``agg_v W[u, v] * f(dist(u, v))`` (:class:`~repro.core.costmodel.Valuation`)
+— still an exact integer, so the same comparison applies.  Every helper
+here values fresh distance rows through ``state.valuation``, so no caller
+(certificate verifiers, tests) can mix a weighted or non-linear state
+with plain row sums.  The only linear-by-definition quantities left in
+the repo — ``GameState.rho()``, ``DynamicsResult.rho_trace``, the
+Prop. 3.1 RE bound — raise outside the uniform linear game instead of
+silently comparing against the linear optimum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
 
 from repro.core.state import GameState
 from repro.graphs.distances import single_source_distances
@@ -40,7 +29,6 @@ __all__ = [
     "agent_cost_after",
     "cost_strictly_less",
     "social_cost",
-    "weighted_dist_total",
 ]
 
 
@@ -60,25 +48,6 @@ def cost_strictly_less(
     return alpha * (buy_count_new - buy_count_old) < dist_old - dist_new
 
 
-def weighted_dist_total(state: GameState, u: int, dist: np.ndarray) -> int:
-    """``sum_v W[u, v] * f(dist[v])`` under the state's cost and traffic
-    models.
-
-    ``dist`` is a fresh distance row (e.g. from
-    :func:`~repro.graphs.distances.single_source_distances`).  The single
-    dispatch point where raw distances become cost terms: modeled states
-    route through the model's value arithmetic (so no caller can mix a
-    non-linear state with linear totals), weighted states take the demand
-    dot product, uniform states the plain row sum — bit-identical to the
-    historical behaviour.
-    """
-    if state.modeled:
-        return state.model_ops.row_value(u, np.asarray(dist))
-    if state.weighted:
-        return int((state.traffic.weights[u] * dist).sum())
-    return int(dist.sum())
-
-
 def agent_cost(state: GameState, u: int) -> Fraction:
     """``cost(u)`` in the given state."""
     return state.cost(u)
@@ -86,14 +55,14 @@ def agent_cost(state: GameState, u: int) -> Fraction:
 
 def agent_cost_after(state: GameState, graph_after, u: int) -> Fraction:
     """``cost(u)`` in a mutated graph, using the state's ``alpha``, ``M``
-    and traffic model.
+    and valuation.
 
     ``graph_after`` must keep the node set ``0..n-1``.  One BFS; intended
     for checking candidate moves without building a full new state.
     """
     dist = single_source_distances(graph_after, u, state.m_constant)
-    return state.alpha * graph_after.degree(u) + weighted_dist_total(
-        state, u, dist
+    return state.alpha * graph_after.degree(u) + state.valuation.row_value(
+        u, dist
     )
 
 
@@ -107,13 +76,13 @@ def dist_totals_after(
 ) -> dict[int, int]:
     """Distance totals for several agents in a mutated graph (one BFS each).
 
-    Weighted under the state's traffic model, so a checker can never mix
-    a weighted state with unweighted totals.
+    Valued under the state's valuation, so a checker can never mix a
+    weighted or non-linear state with plain row sums.
     """
     result = {}
     for agent in agents:
         vector = single_source_distances(graph_after, agent, state.m_constant)
-        result[agent] = weighted_dist_total(state, agent, vector)
+        result[agent] = state.valuation.row_value(agent, vector)
     return result
 
 
@@ -121,8 +90,8 @@ def strictly_improves(
     state: GameState, graph_after, u: int
 ) -> bool:
     """Whether agent ``u``'s total cost strictly drops in ``graph_after``."""
-    new_dist = weighted_dist_total(
-        state, u, single_source_distances(graph_after, u, state.m_constant)
+    new_dist = state.valuation.row_value(
+        u, single_source_distances(graph_after, u, state.m_constant)
     )
     return cost_strictly_less(
         graph_after.degree(u),
@@ -143,8 +112,8 @@ def all_strictly_improve(
 def max_agent_cost(state: GameState) -> Fraction:
     """``max_u cost(u)`` — the quantity of Lemma 3.17.
 
-    Reads :meth:`GameState.dist_cost`, so weighted states maximise the
-    demand-weighted costs.
+    Reads :meth:`GameState.dist_cost`, so every regime maximises its own
+    valued costs.
     """
     degrees = state.degrees()
     best: Fraction | None = None

@@ -33,39 +33,28 @@ Contract (extends the PR-1 engine contract):
 * **batching semantics** — :meth:`SpeculativeEvaluator.best` sweeps k
   candidates and keeps the move with the largest total beneficiary cost
   drop, breaking ties by enumeration order (first wins); partial
-  evaluation state never survives between candidates.  One-edge moves
-  (additions, removals, swaps) are evaluated **rows-only** — the add
-  identity, the bridge split, the block repair or a BFS from the
-  removal's endpoints, never an engine mutation —
-  via :meth:`SpeculativeEvaluator.evaluate_rows_only`; only compound
-  moves fall back to a per-candidate apply/undo speculation.  Both paths
-  produce identical exact deltas, so the sweep's verdicts are
-  bit-for-bit those of the speculating path.
+  evaluation state never survives between candidates.  Runs of one-edge
+  moves (additions, removals, swaps) are priced **pool-at-once** by the
+  batch kernels of :mod:`repro.core.batch` — the add identity, the
+  bridge split, the block repair or a BFS from the removal's endpoints,
+  never an engine mutation; only compound moves fall back to a
+  per-candidate apply/undo speculation.  The per-candidate sequential
+  sweep it replaced lives on as the test oracle in ``tests/reference.py``.
 * **base snapshot** — deltas compare against the state at evaluator
   construction.  The evaluator is valid as long as the underlying state
   is only mutated *through* its own speculation scopes; apply a move for
-  real and the evaluator must be rebuilt.
-
-* **heterogeneous traffic** — when the state carries a non-uniform
-  :class:`~repro.core.traffic.TrafficMatrix`, every distance total above
-  becomes the demand-weighted row dot product ``sum_v W[u, v] * d(u, v)``
-  (base snapshots, live deltas, rows-only evaluations and
-  :class:`Fold` totals alike), and the per-agent distance floor used by
-  the searchers' size pruning becomes the agent's demand mass.  Uniform
-  states bypass all weighted arithmetic and stay bit-exact with the
-  historical behaviour.
-* **pluggable cost models** — when the state carries a non-linear
-  :class:`~repro.core.costmodel.CostModel`, every "distance total" above
-  is the model value ``sum_v W[u, v] * f(d(u, v))`` (or the max
-  aggregate): base snapshots, live reads, rows-only evaluations and
-  :class:`Fold` totals all map hypothetical distance rows through the
-  model's int table at the aggregation boundary — the rows themselves
-  stay raw distances, so the add identity and the bridge split are
-  untouched.  The pruning floor generalises to the model's
-  ``floors()`` (demand mass times ``f(1)``, max-weight times ``f(1)``
-  for max aggregates), sound because ``f`` is monotone: removals only
-  grow distances, hence only grow model values.  Linear models keep
-  every historical code path bit-exactly.
+  real and the evaluator must be rebuilt.  ``best`` refuses to run
+  inside an active scope.
+* **one valuation** — every "distance total" above is a row value under
+  the state's :class:`~repro.core.costmodel.Valuation`,
+  ``agg_v W[u, v] * f(d(u, v))`` (base snapshots, live reads, batch
+  kernels and :class:`Fold` totals alike): hypothetical distance rows
+  are mapped at the aggregation boundary, so the add identity and the
+  bridge split are untouched.  The pruning floor is the valuation's
+  ``floors()`` (``n - 1`` in the paper's game, demand mass times
+  ``f(1)``, max-weight times ``f(1)`` for max aggregates), sound because
+  ``f`` is monotone: removals only grow distances, hence only grow
+  values.  The paper's game values rows by plain row sums.
 
 The module-level :data:`EVALUATIONS` spy counts candidate evaluations so
 tests can assert that a refactored searcher inspects exactly the same
@@ -83,7 +72,6 @@ import numpy as np
 
 from repro.core.moves import AddEdge, Move, RemoveEdge, Swap
 from repro.core.state import GameState
-from repro.graphs.distances import weighted_added_edge_dist_gain
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 
@@ -153,50 +141,22 @@ class SpeculativeEvaluator:
         self.engine = state.dist  # materialises the cached APSP once
         self.graph = state.graph  # the same object the engine mutates
         self.alpha = state.alpha
-        # a non-linear cost model routes every total below through its
-        # value arithmetic; the weighted-linear branch is then never
-        # taken (the ops object owns the demand matrix itself)
-        self._ops = state.model_ops if state.modeled else None
-        # heterogeneous traffic: a non-uniform demand matrix switches
-        # every distance total below to the weighted row dot product;
-        # uniform states keep the historical plain row sums bit-exactly
-        self._weights = (
-            state.traffic.weights
-            if state.weighted and self._ops is None
-            else None
-        )
-        # plain-int snapshots: row sums read straight off the matrix (no
+        #: the state's bound value algebra: every distance total below is
+        #: a row value under it (plain row sums in the paper's game)
+        self.valuation = state.valuation
+        # plain-int snapshots: row values read straight off the matrix (no
         # forced materialisation of the engine's incremental totals) and
         # the adjacency dict the engine mutates in place, so per-candidate
         # queries cost a handful of C-level ops
         self._adj = self.graph._adj
-        if self._ops is not None:
-            self._base_totals = [
-                int(value) for value in self._ops.totals(self.engine.matrix)
-            ]
-            # the model's own floor: every destination sits at distance
-            # >= 1 and f is monotone, so no value total can ever drop
-            # below mass * f(1) (max-weight * f(1) for max aggregates)
-            self._floors = [int(value) for value in self._ops.floors()]
-        elif self._weights is None:
-            self._base_totals = [
-                int(value) for value in self.engine.matrix.sum(axis=1)
-            ]
-            self._floors = None
-        else:
-            self._base_totals = [
-                int(value)
-                for value in (self.engine.matrix * self._weights).sum(axis=1)
-            ]
-            # each positive-demand destination sits at distance >= 1, so
-            # an agent's weighted distance total can never drop below its
-            # demand mass — the weighted analogue of the n - 1 floor
-            self._floors = [
-                int(value) for value in self._weights.sum(axis=1)
-            ]
-        # int64 view of the base totals for the batch kernels' vectorised
-        # delta arithmetic (repro.core.batch)
-        self._base_totals_arr = np.asarray(self._base_totals, dtype=np.int64)
+        # int64 base totals for the batch kernels' vectorised delta
+        # arithmetic (repro.core.batch), plain ints for everything else
+        self._base_totals_arr = self.valuation.rows_value(self.engine.matrix)
+        self._base_totals = self._base_totals_arr.tolist()
+        # no value total can ever drop below the valuation's floor (every
+        # destination at distance >= 1, f monotone): n - 1 in the paper's
+        # game, the demand mass under traffic, mass * f(1) under a model
+        self._floors = self.valuation.floors(state.n).tolist()
         self._base_degrees = [len(self._adj[u]) for u in range(state.n)]
         # numerator/denominator of alpha for pure-integer comparisons
         self._alpha_num = self.alpha.numerator
@@ -259,34 +219,18 @@ class SpeculativeEvaluator:
         return len(self._adj[agent]) - self._base_degrees[agent]
 
     def current_dist(self, agent: int) -> int:
-        """``agent``'s distance total (model value when modeled) on the
-        live matrix."""
-        if self._ops is not None:
-            return self._ops.row_value(agent, self.engine.matrix[agent])
-        if self._weights is None:
-            return int(self.engine.matrix[agent].sum())
-        return int((self._weights[agent] * self.engine.matrix[agent]).sum())
+        """``agent``'s distance total (its row value) on the live matrix."""
+        return self.valuation.row_value(agent, self.engine.matrix[agent])
 
     def dist_floor(self, agent: int) -> int:
         """The smallest distance total ``agent`` can ever reach.
 
-        ``n - 1`` uniform (everyone at distance 1); the agent's demand
-        mass under a traffic model; the model's ``mass * f(1)`` analogue
-        when a cost model is bound (sound since ``f`` is monotone).  The
-        lower bound behind the searchers' size pruning.
+        ``n - 1`` in the paper's game (everyone at distance 1); the
+        agent's demand mass under a traffic model; ``mass * f(1)`` under
+        a cost model (sound since ``f`` is monotone).  The lower bound
+        behind the searchers' size pruning.
         """
-        if self._floors is None:
-            return self.state.n - 1
         return self._floors[agent]
-
-    def row_dist(self, agent: int, row: np.ndarray) -> int:
-        """The distance total (model value when modeled) of a hypothetical
-        distance row."""
-        if self._ops is not None:
-            return self._ops.row_value(agent, row)
-        if self._weights is None:
-            return int(row.sum())
-        return int((self._weights[agent] * row).sum())
 
     def dist_delta(self, agent: int) -> int:
         """Exact change in ``agent``'s total distance cost."""
@@ -377,77 +321,6 @@ class SpeculativeEvaluator:
         improving = all(value < 0 for _, value in deltas)
         return MoveEvaluation(move=move, cost_deltas=deltas, improving=improving)
 
-    def evaluate_rows_only(self, move: Move) -> MoveEvaluation | None:
-        """Exact evaluation of a one-edge move without touching the engine.
-
-        Additions read the one-edge-add identity, removals of bridges the
-        two-component split, other removals one BFS from the actor with
-        the edge masked out, and swaps compose a removal with the add
-        identity (a :class:`Fold` split + extend over ``{actor, old,
-        new}`` when the dropped edge is a bridge, the engine's block
-        repair of the actor's and partner's rows otherwise) — no matrix
-        mutation, no undo token, ever.  Returns ``None`` for
-        compound move types (neighborhood / coalition) and inside an
-        active speculation scope — deltas compare against the
-        construction-time base snapshot, so at depth > 0 only
-        :meth:`evaluate` composes correctly with the pushed prefix.
-        Where both paths apply they produce bit-identical
-        :class:`MoveEvaluation` results.
-        """
-        if self._stack:
-            return None  # base snapshot vs speculated matrix would mix
-        if isinstance(move, AddEdge):
-            u, v = move.u, move.v
-            if self.graph.has_edge(u, v):
-                raise ValueError(f"edge {u}-{v} already exists")
-            self.note_evaluation()
-            gain_u, gain_v = self.add_gain_pair(u, v)
-            deltas = (
-                (u, self.alpha - gain_u),
-                (v, self.alpha - gain_v),
-            )
-        elif isinstance(move, RemoveEdge):
-            actor, other = move.actor, move.other
-            self.note_evaluation()
-            row = self.engine.rows_after_remove_from(actor, other, (actor,))
-            dist_after = self.row_dist(actor, row[0])
-            deltas = (
-                (actor, dist_after - self._base_totals[actor] - self.alpha),
-            )
-        elif isinstance(move, Swap):
-            actor, old, new = move.actor, move.old, move.new
-            if self.graph.has_edge(actor, new):
-                raise ValueError(f"edge {actor}-{new} already exists")
-            if self.engine.is_bridge(actor, old):
-                fold = (
-                    self.fold((actor, old, new))
-                    .split(actor, old)
-                    .extend(actor, new)
-                )
-                dist_actor = fold.dist_total(actor)
-                dist_new = fold.dist_total(new)
-            else:
-                rows = self.engine.rows_after_remove_from(
-                    actor, old, (actor, new)
-                )
-                dist_actor = self.row_dist(
-                    actor, np.minimum(rows[0], 1 + rows[1])
-                )
-                dist_new = self.row_dist(
-                    new, np.minimum(rows[1], 1 + rows[0])
-                )
-            self.note_evaluation()
-            deltas = (
-                (actor, Fraction(dist_actor - self._base_totals[actor])),
-                (new, dist_new - self._base_totals[new] + self.alpha),
-            )
-        else:
-            return None
-        improving = all(value < 0 for _, value in deltas)
-        return MoveEvaluation(
-            move=move, cost_deltas=deltas, improving=improving
-        )
-
     def best(
         self, moves: Iterable[Move]
     ) -> tuple[Move, MoveEvaluation] | None:
@@ -457,78 +330,25 @@ class SpeculativeEvaluator:
         through the batch kernels of :mod:`repro.core.batch` (one
         vectorised outer-min for additions, side-mask / endpoint-BFS
         batches for removals, block-repair batches for swaps) — no
-        engine mutation at all;
-        compound moves fall back to one speculation each.  The batched
-        sweep is bit-identical to the sequential rows-only loop
-        (:meth:`evaluate_rows_only` per candidate), which remains the
-        path inside active speculation scopes and under
-        ``REPRO_BATCH=0``.  Ties break by enumeration order (the first
+        engine mutation at all; compound moves fall back to one
+        speculation each.  Ties break by enumeration order (the first
         best candidate wins); returns ``None`` for an empty stream.
+
+        Deltas compare against the construction-time base snapshot, so
+        the sweep cannot compose with a pushed prefix: it raises
+        ``RuntimeError`` inside an active speculation scope.
         """
         from repro.core import batch
 
-        if not self._stack and batch.ENABLED:
-            with _trace.span("engine.sweep", arm="batched"):
-                return batch.sweep_best(self, moves)
-        with _trace.span("engine.sweep", arm="sequential"):
-            return self._best_sequential(moves)
-
-    def _best_sequential(
-        self, moves: Iterable[Move]
-    ) -> tuple[Move, MoveEvaluation] | None:
-        """The per-candidate reference sweep behind :meth:`best`."""
-        best_move: Move | None = None
-        best_eval: MoveEvaluation | None = None
-        for move in moves:
-            evaluation = self.evaluate_rows_only(move)
-            if evaluation is None:
-                evaluation = self.evaluate(move)
-            if (
-                best_eval is None
-                or evaluation.total_delta < best_eval.total_delta
-            ):
-                best_move = move
-                best_eval = evaluation
-        if best_move is None or best_eval is None:
-            return None
-        return best_move, best_eval
+        if self._stack:
+            raise RuntimeError(
+                "best() prices against the base snapshot; it cannot run "
+                "inside an active speculation scope"
+            )
+        with _trace.span("engine.sweep"):
+            return batch.sweep_best(self, moves)
 
     # -- delegated speculative queries (engine fast paths) ------------------
-
-    def add_gain_pair(self, u: int, v: int) -> tuple[int, int]:
-        """(Weighted/model-valued) distance gains of both endpoints when
-        edge ``uv`` is added (one-edge-add identity; no mutation, no
-        search)."""
-        if self._ops is not None:
-            matrix = self.engine.matrix
-            new_u = np.minimum(matrix[u], 1 + matrix[v])
-            new_v = np.minimum(matrix[v], 1 + matrix[u])
-            return (
-                self._ops.row_value(u, matrix[u])
-                - self._ops.row_value(u, new_u),
-                self._ops.row_value(v, matrix[v])
-                - self._ops.row_value(v, new_v),
-            )
-        if self._weights is None:
-            return self.engine.add_gain(u, v), self.engine.add_gain(v, u)
-        matrix = self.engine.matrix
-        return (
-            weighted_added_edge_dist_gain(matrix, self._weights[u], u, v),
-            weighted_added_edge_dist_gain(matrix, self._weights[v], v, u),
-        )
-
-    def remove_loss_pair(self, u: int, v: int) -> tuple[int, int]:
-        """(Weighted/model-valued) distance losses of both endpoints when
-        edge ``uv`` is removed (a matrix read for bridges — each side
-        charged by its demand mass toward the far side — one BFS per
-        endpoint otherwise; no mutation)."""
-        if self._weights is None and self._ops is None:
-            return self.engine.remove_loss_pair(u, v)
-        row_u, row_v = self.engine.rows_after_remove(u, v)
-        return (
-            self.row_dist(u, row_u) - self.current_dist(u),
-            self.row_dist(v, row_v) - self.current_dist(v),
-        )
 
     def is_bridge(self, u: int, v: int) -> bool:
         """Whether edge ``uv`` is a bridge of the current (speculated)
@@ -551,23 +371,9 @@ class SpeculativeEvaluator:
         """
         order = list(nodes)
         index = {node: position for position, node in enumerate(order)}
-        if self._ops is not None:
-            weights = (
-                None
-                if self._ops.weights is None
-                else self._ops.weights[order]
-            )
-            return Fold(
-                index,
-                self.engine.matrix[order],
-                self.engine.unreachable,
-                weights,
-                f_apply=self._ops.apply_f,
-                f_max=self._ops.aggregate == "max",
-            )
-        weights = None if self._weights is None else self._weights[order]
         return Fold(
-            index, self.engine.matrix[order], self.engine.unreachable, weights
+            index, self.engine.matrix[order], self.engine.unreachable,
+            self.valuation,
         )
 
 
@@ -598,34 +404,20 @@ class Fold:
     This is the kernel's batch fast path for the BNE and coalition
     searches (their added edges always live inside the tracked set:
     center plus willing partners, or the coalition; removable-edge
-    endpoints join the tracked set on forest instances) and for the
-    dynamics schedulers' rows-only sweep over a round's move pool
-    (:meth:`SpeculativeEvaluator.best`).
+    endpoints join the tracked set on forest instances).
     """
 
-    __slots__ = (
-        "_index", "_rows", "_unreachable", "_weights", "_f_apply", "_f_max"
-    )
+    __slots__ = ("_index", "_rows", "_unreachable", "_valuation")
 
     def __init__(
-        self,
-        index: dict,
-        rows: np.ndarray,
-        unreachable: int,
-        weights: np.ndarray | None = None,
-        f_apply=None,
-        f_max: bool = False,
+        self, index: dict, rows: np.ndarray, unreachable: int, valuation
     ):
         self._index = index
         self._rows = rows
         self._unreachable = unreachable
-        # demand rows of the tracked nodes (aligned with ``rows``); None
-        # means uniform traffic and plain row sums
-        self._weights = weights
-        # cost-model value map and aggregate flag: rows stay raw
-        # distances, the map applies only inside dist_total
-        self._f_apply = f_apply
-        self._f_max = f_max
+        # rows stay raw distances; the valuation applies only inside
+        # dist_total
+        self._valuation = valuation
 
     def restrict(self, nodes: Sequence[int]) -> "Fold":
         """A fold tracking only ``nodes`` (e.g. drop removable-edge
@@ -634,12 +426,7 @@ class Fold:
         index = {node: position for position, node in enumerate(order)}
         positions = [self._index[node] for node in order]
         return Fold(
-            index,
-            self._rows[positions],
-            self._unreachable,
-            None if self._weights is None else self._weights[positions],
-            f_apply=self._f_apply,
-            f_max=self._f_max,
+            index, self._rows[positions], self._unreachable, self._valuation
         )
 
     def extend(self, u: int, v: int) -> "Fold":
@@ -650,10 +437,7 @@ class Fold:
         row_v = rows[index[v]]
         folded = np.minimum(rows, rows[:, u, None] + (row_v + 1))
         np.minimum(folded, rows[:, v, None] + (row_u + 1), out=folded)
-        return Fold(
-            index, folded, self._unreachable, self._weights,
-            f_apply=self._f_apply, f_max=self._f_max,
-        )
+        return Fold(index, folded, self._unreachable, self._valuation)
 
     def split(self, u: int, v: int) -> "Fold":
         """A new fold with bridge ``uv`` removed (endpoints tracked).
@@ -676,23 +460,9 @@ class Fold:
         cross |= tracked_v_side[:, None] & cols_u_side[None, :]
         folded = rows.copy()
         folded[cross] = self._unreachable
-        return Fold(
-            index, folded, self._unreachable, self._weights,
-            f_apply=self._f_apply, f_max=self._f_max,
-        )
+        return Fold(index, folded, self._unreachable, self._valuation)
 
     def dist_total(self, node: int) -> int:
-        """Exact distance total (model value when a cost model is bound)
+        """Exact distance total (row value under the state's valuation)
         of a tracked node under the folded deltas."""
-        position = self._index[node]
-        row = self._rows[position]
-        if self._f_apply is not None:
-            values = self._f_apply(row)
-            if self._weights is not None:
-                values = self._weights[position] * values
-            if self._f_max:
-                return int(values.max())
-            return int(values.sum())
-        if self._weights is None:
-            return int(row.sum())
-        return int((self._weights[position] * row).sum())
+        return self._valuation.row_value(node, self._rows[self._index[node]])

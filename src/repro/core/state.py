@@ -18,8 +18,8 @@ from typing import Iterable
 import networkx as nx
 import numpy as np
 
-from repro._alpha import AlphaLike, as_alpha, big_m, fits_int64
-from repro.core.costmodel import CostModel, ModelOps
+from repro._alpha import AlphaLike, as_alpha
+from repro.core.costmodel import CostModel, bind_valuation
 from repro.core.traffic import TrafficMatrix
 from repro.graphs.distances import DistanceMatrix, canonical_labels
 from repro.graphs.trees import is_tree
@@ -41,8 +41,7 @@ class GameState:
         Optional :class:`~repro.core.traffic.TrafficMatrix` of per-pair
         demands.  ``None`` (and the bit-exactly equivalent
         ``TrafficMatrix.uniform(n)``) gives the paper's uniform cost
-        model through the original unweighted code paths; a non-uniform
-        matrix switches every cost to
+        model; a non-uniform matrix switches every cost to
         ``alpha * deg(u) + sum_v W[u, v] * d(u, v)`` with the big
         constant ``M`` re-sized so disconnecting any positive-demand
         pair still dominates every possible saving.
@@ -50,13 +49,16 @@ class GameState:
         Optional :class:`~repro.core.costmodel.CostModel` replacing the
         linear distance term by ``sum_v W[u, v] * f(d(u, v))`` (or the
         max aggregate) for a monotone int-valued ``f``.  ``None`` and
-        :class:`~repro.core.costmodel.LinearCost` (``is_linear``) give
-        the paper's game through the original code paths byte-exactly;
-        any other model flips :attr:`modeled` and routes every layer
-        through the model's value arithmetic, with unreachable pairs
-        carrying the model's own value sentinel ``F`` (the distance
-        machinery and its ``M`` are untouched — values are mapped at the
-        aggregation boundary).
+        :class:`~repro.core.costmodel.LinearCost` give the paper's game
+        byte-exactly; any other model maps distance rows through its
+        table, with unreachable pairs carrying the model's own value
+        sentinel ``F`` (the distance machinery and its ``M`` are
+        untouched — values are mapped at the aggregation boundary).
+
+    The pair is bound once, at construction, into :attr:`valuation`
+    (:func:`~repro.core.costmodel.bind_valuation`, which also sizes
+    ``M`` and owns every int64 headroom check); every layer reads
+    distance rows through it.
 
     >>> state = GameState(nx.star_graph(3), 2)
     >>> state.cost(0)            # center: 3 edges bought, distance 3
@@ -81,95 +83,21 @@ class GameState:
         self.alpha: Fraction = as_alpha(alpha)
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if traffic is not None and traffic.n != self.n:
-            raise ValueError(
-                f"traffic matrix is for n={traffic.n}, game has n={self.n}"
-            )
         self.traffic = traffic
-        if self.weighted:
-            # the weighted disconnection constant: one unit of unmet
-            # demand (the smallest positive) must dominate any buying
-            # saving (<= alpha * n) plus any real weighted distance
-            # (<= (n - 1) * max_row_mass); the uniform formula is the
-            # special case max_row_mass = n - 1
-            self.m_constant = max(
-                self.n,
-                int(self.alpha * self.n) + self.n * traffic.max_row_mass + 1,
-            )
-            headroom = self.m_constant * max(traffic.max_row_mass, self.n)
-        else:
-            self.m_constant = big_m(self.n, self.alpha)
-            headroom = self.m_constant * self.n
-        if not fits_int64(headroom):
-            raise ValueError(
-                "alpha, n and demand mass too large for exact int64 "
-                "distance arithmetic"
-            )
-        if cost_model is not None and not isinstance(cost_model, CostModel):
-            raise TypeError(
-                f"cost_model must be a CostModel, got {cost_model!r}"
-            )
         self.cost_model = cost_model
-        self._model_ops: ModelOps | None = None
-        if self.modeled:
-            mass = (
-                traffic.max_row_mass if traffic is not None else self.n - 1
-            )
-            f_unreachable = cost_model.unreachable_cost(
-                self.n, self.alpha, mass
-            )
-            if not fits_int64(f_unreachable * max(mass, self.n)):
-                raise ValueError(
-                    "alpha, n, demand mass and cost table too large for "
-                    "exact int64 model-value arithmetic"
-                )
-            self._model_ops = ModelOps(
-                self.n,
-                cost_model.table(self.n),
-                f_unreachable,
-                weights=self.traffic.weights if self.weighted else None,
-                aggregate=cost_model.aggregate,
-            )
+        self.m_constant, self.valuation = bind_valuation(
+            self.n, self.alpha, traffic, cost_model
+        )
         self._dist: DistanceMatrix | None = None
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def weighted(self) -> bool:
-        """Whether a non-uniform traffic matrix governs this state's costs.
-
-        Uniform traffic (``None`` or ``TrafficMatrix.uniform``) keeps
-        every layer on the original unweighted code paths — the
-        byte-exact equivalence guarantee.
-        """
-        return self.traffic is not None and not self.traffic.is_uniform
-
-    @property
-    def modeled(self) -> bool:
-        """Whether a non-linear cost model governs this state's costs.
-
-        ``None`` and ``LinearCost`` keep every layer on the original
-        (un)weighted code paths — the byte-exact equivalence guarantee,
-        mirroring :attr:`weighted` for uniform traffic.
-        """
-        return self.cost_model is not None and not self.cost_model.is_linear
-
-    @property
-    def model_ops(self) -> ModelOps:
-        """The bound model-value arithmetic (modeled states only)."""
-        if self._model_ops is None:
-            raise ValueError("this state has no non-linear cost model")
-        return self._model_ops
 
     @property
     def dist(self) -> DistanceMatrix:
         """Cached all-pairs distances (``M`` for disconnected pairs)."""
         if self._dist is None:
             self._dist = DistanceMatrix(self.graph, self.m_constant)
-            if self.weighted:
-                self._dist.bind_traffic(self.traffic.weights)
-            if self._model_ops is not None:
-                self._dist.bind_cost_model(self._model_ops)
+            self._dist.bind_valuation(self.valuation)
         return self._dist
 
     @property
@@ -215,13 +143,9 @@ class GameState:
         ``f = id``: linear; max aggregate under :class:`MaxCost`).
 
         Unreachable agents carry ``M`` per unit of demand (the model's
-        ``F`` sentinel when modeled).  Served by the engine's
-        incrementally maintained totals in every regime.
+        ``F`` sentinel under a cost table).  Served by the engine's
+        incrementally maintained totals of the bound :attr:`valuation`.
         """
-        if self.modeled:
-            return self.dist.ftotal(u)
-        if self.weighted:
-            return self.dist.wtotal(u)
         return self.dist.total(u)
 
     def cost(self, u: int) -> Fraction:
@@ -230,12 +154,7 @@ class GameState:
 
     def social_cost(self) -> Fraction:
         """``sum_u cost(u) = 2 * alpha * m + sum_u dist(u)``."""
-        if self.modeled:
-            total_dist = int(self.dist.ftotals().sum())
-        elif self.weighted:
-            total_dist = int(self.dist.wtotals().sum())
-        else:
-            total_dist = int(self.dist.totals().sum())
+        total_dist = int(self.dist.totals().sum())
         return 2 * self.alpha * self.graph.number_of_edges() + total_dist
 
     def optimum_cost(self) -> Fraction:
@@ -246,21 +165,18 @@ class GameState:
     def rho(self) -> Fraction:
         """Social cost ratio ``rho(G) = cost(G) / cost(OPT)``.
 
-        Defined against the paper's closed-form *uniform* optimum, so it
-        is only meaningful for uniform traffic; weighted states compare
+        Defined against the paper's closed-form optimum, so it is only
+        meaningful for the uniform linear game
+        (``valuation.uniform_linear``); other regimes compare social costs
         within an enumerated family instead
         (:func:`repro.analysis.poa.empirical_weighted_poa`).
         """
-        if self.weighted:
+        if not self.valuation.uniform_linear:
             raise ValueError(
-                "rho() compares against the uniform optimum; for weighted "
-                "traffic use repro.analysis.poa.empirical_weighted_poa"
-            )
-        if self.modeled:
-            raise ValueError(
-                "rho() compares against the linear uniform optimum; for a "
-                "non-linear cost model compare social costs within an "
-                "enumerated family (repro.analysis.poa.empirical_weighted_poa)"
+                "rho() compares against the uniform linear optimum; for "
+                "weighted traffic or a non-linear cost model compare social "
+                "costs within an enumerated family "
+                "(repro.analysis.poa.empirical_weighted_poa)"
             )
         from repro.core.optimum import social_cost_ratio
 
@@ -320,7 +236,7 @@ class GameState:
         successor.m_constant = self.m_constant
         successor.traffic = self.traffic
         successor.cost_model = self.cost_model
-        successor._model_ops = self._model_ops
+        successor.valuation = self.valuation
         successor._dist = dist
         return successor
 

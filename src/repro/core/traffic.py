@@ -8,25 +8,25 @@ ordered pair and charges
 
     cost(u) = alpha * deg(u) + sum_v W[u, v] * d(u, v).
 
-:class:`TrafficMatrix` is the exact, immutable demand matrix the whole
-engine stack threads through: :class:`~repro.core.state.GameState`
-carries one, :class:`~repro.graphs.distances.DistanceMatrix` maintains
-the weighted totals incrementally alongside the uniform ones, and the
-:class:`~repro.core.speculative.SpeculativeEvaluator` kernel computes
-weighted per-agent deltas so every checker, move generator, scheduler
-and analysis sweep answers the same questions for any demand matrix.
+:class:`TrafficMatrix` is the exact, immutable demand matrix ``W``:
+:class:`~repro.core.state.GameState` carries one and binds it, with the
+cost model, into the one :class:`~repro.core.costmodel.Valuation` every
+layer values distance rows through — so every checker, move generator,
+scheduler and analysis sweep answers the same questions for any demand
+matrix.
 
 Exactness contract:
 
 * demands are **non-negative int64 integers** (so weighted distance
   totals stay exact integers and cost comparisons stay exact
-  ``Fraction``-vs-int);
+  ``Fraction``-vs-int); every generator checks integrality, so a demand
+  like ``1.5`` raises instead of truncating;
 * the diagonal is identically zero (``d(u, u) = 0`` makes it
   meaningless; zeroing it keeps row masses honest);
 * ``TrafficMatrix.uniform(n)`` — all off-diagonal demands 1 — is
-  **bit-exactly equivalent** to no traffic model at all: every layer
-  dispatches uniform traffic to the original unweighted code paths, so
-  equilibrium verdicts, trajectories and reports are byte-identical.
+  **bit-exactly equivalent** to no traffic model at all: it binds the
+  paper's plain row sums, so equilibrium verdicts, trajectories and
+  reports are byte-identical.
 
 Demand matrices may be asymmetric (``u`` may care about reaching ``v``
 more than ``v`` cares back); all weighted formulas in the stack only
@@ -34,10 +34,11 @@ assume the *distance* matrix is symmetric.
 
 Zero demand changes the game qualitatively: an agent with no demand
 toward a bridge's far side can profitably drop the bridge, so the
-uniform shortcuts "bridges are never improving removals" and "trees are
-always RE" do not survive weighting — the weighted checkers evaluate
-bridge removals through the search-free two-component split, weighting
-each side's demand mass, instead of skipping them.
+shortcuts "bridges are never improving removals" and "trees are always
+RE" hold only while every off-diagonal demand is positive
+(``Valuation.full_support``) — otherwise the removal scan prices bridge
+removals through the search-free two-component split, weighting each
+side's demand mass, instead of skipping them.
 """
 
 from __future__ import annotations
@@ -54,6 +55,22 @@ __all__ = [
 ]
 
 
+def _exact_ints(values) -> np.ndarray:
+    """``values`` as int64, refusing anything that is not an integer —
+    a float like ``1.5`` raises instead of truncating."""
+    array = np.asarray(values)
+    if array.dtype == bool or not np.issubdtype(array.dtype, np.integer):
+        if np.issubdtype(array.dtype, np.floating) and not (
+            array == np.floor(array)
+        ).all():
+            raise ValueError("demands must be integers (exact arithmetic)")
+        try:
+            return array.astype(np.int64, casting="unsafe")
+        except (ValueError, TypeError, OverflowError):
+            raise ValueError("demands must be integers (exact arithmetic)")
+    return array.astype(np.int64)
+
+
 def _as_demand_array(values, n: int | None = None) -> np.ndarray:
     array = np.asarray(values)
     if array.ndim != 2 or array.shape[0] != array.shape[1]:
@@ -63,23 +80,20 @@ def _as_demand_array(values, n: int | None = None) -> np.ndarray:
             f"demand matrix is {array.shape[0]}x{array.shape[0]}, "
             f"expected {n}x{n}"
         )
-    if array.dtype == bool or not np.issubdtype(array.dtype, np.integer):
-        if np.issubdtype(array.dtype, np.floating) and not (
-            array == np.floor(array)
-        ).all():
-            raise ValueError("demands must be integers (exact arithmetic)")
-        try:
-            array = array.astype(np.int64, casting="unsafe")
-        except (ValueError, TypeError):
-            raise ValueError("demands must be integers (exact arithmetic)")
-    else:
-        array = array.astype(np.int64)
+    array = _exact_ints(array)
     if (array < 0).any():
         raise ValueError("demands must be non-negative")
     array = array.copy()
     np.fill_diagonal(array, 0)
     array.setflags(write=False)
     return array
+
+
+def _demand_vector(weights, what: str) -> np.ndarray:
+    vector = _exact_ints(list(weights))
+    if vector.ndim != 1:
+        raise ValueError(f"{what} weights must be a flat sequence")
+    return vector
 
 
 class TrafficMatrix:
@@ -129,9 +143,7 @@ class TrafficMatrix:
         weight (popular content hosts, say); ``W`` is asymmetric unless
         all weights are equal.
         """
-        vector = np.asarray(list(weights), dtype=np.int64)
-        if vector.ndim != 1:
-            raise ValueError("per-agent weights must be a flat sequence")
+        vector = _demand_vector(weights, "per-agent")
         matrix = np.broadcast_to(vector, (len(vector), len(vector)))
         return cls(
             matrix,
@@ -145,9 +157,7 @@ class TrafficMatrix:
         The classic traffic-engineering model: flow between two networks
         scales with the product of their sizes.
         """
-        vector = np.asarray(list(weights), dtype=np.int64)
-        if vector.ndim != 1:
-            raise ValueError("gravity weights must be a flat sequence")
+        vector = _demand_vector(weights, "gravity")
         return cls(
             np.outer(vector, vector),
             spec={"model": "gravity", "weights": vector.tolist()},
@@ -167,11 +177,14 @@ class TrafficMatrix:
         for hub in hub_list:
             if not 0 <= hub < n:
                 raise ValueError(f"hub {hub} outside 0..{n - 1}")
-        matrix = np.full((n, n), int(spoke_demand), dtype=np.int64)
+        hub_demand, spoke_demand = (
+            int(value) for value in _exact_ints([hub_demand, spoke_demand])
+        )
+        matrix = np.full((n, n), spoke_demand, dtype=np.int64)
         mask = np.zeros(n, dtype=bool)
         mask[hub_list] = True
-        matrix[mask, :] = int(hub_demand)
-        matrix[:, mask] = int(hub_demand)
+        matrix[mask, :] = hub_demand
+        matrix[:, mask] = hub_demand
         return cls(
             matrix,
             spec={
@@ -234,9 +247,9 @@ class TrafficMatrix:
     def is_uniform(self) -> bool:
         """Whether every off-diagonal demand is exactly 1.
 
-        Uniform traffic dispatches to the original unweighted code paths
-        everywhere, which is what makes the uniform-equivalence
-        guarantee *byte*-exact rather than merely numerically equal.
+        Uniform traffic binds the paper's plain row sums, which is what
+        makes the uniform-equivalence guarantee *byte*-exact rather than
+        merely numerically equal.
         """
         return self._is_uniform
 

@@ -112,7 +112,7 @@ def convergence_study(
         cycled += result.cycled
         rounds.append(result.rounds)
         qualities.append(quality_ratio(result.final))
-        if not (result.final.weighted or result.final.modeled):
+        if result.final.valuation.uniform_linear:
             rhos.append(result.final.rho())
     return ConvergenceStats(
         concept=concept,

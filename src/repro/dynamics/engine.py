@@ -58,7 +58,7 @@ class DynamicsResult:
     def rho_trace(self) -> list[Fraction]:
         from repro.core.optimum import optimum_cost
 
-        if self.final.weighted or self.final.modeled:
+        if not self.final.valuation.uniform_linear:
             raise ValueError(
                 "rho_trace compares against the linear uniform optimum; "
                 "weighted/modeled trajectories compare social_costs directly"

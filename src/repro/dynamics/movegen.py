@@ -20,14 +20,15 @@ The move spaces mirror the concept definitions:
 All candidate evaluation — here and in the searchers this module calls —
 runs on the speculative kernel
 (:class:`~repro.core.speculative.SpeculativeEvaluator`), so a trajectory
-never pays a full APSP rebuild per candidate.  The engine's maintained
-bridge set makes the one-edge pools cheap: bridge edges are skipped by
-the removal generator without a BFS (they can never improve), and the
-swap generator is the BSwE checker's own scan
-(:func:`repro.equilibria.swap.improving_swaps`), which prices each
-dropped edge on a post-removal matrix derived from the cached one
-without mutating the engine; schedulers then batch-evaluate the round's
-whole pool rows-only
+never pays a full APSP rebuild per candidate.  The one-edge pools are the
+checkers' own scans, so a generator and its checker can never disagree:
+removals come from the RE checker's
+(:func:`repro.equilibria.remove.improving_removals`, which skips bridges
+without a BFS whenever every demand is positive), swaps from the BSwE
+checker's (:func:`repro.equilibria.swap.improving_swaps`, which prices
+each dropped edge on a post-removal matrix derived from the cached one
+without mutating the engine); schedulers then batch-evaluate the
+round's whole pool rows-only
 (:meth:`~repro.core.speculative.SpeculativeEvaluator.best`) instead of
 per-candidate apply/undo.
 """
@@ -42,7 +43,7 @@ import numpy as np
 from repro._alpha import strict_gt_threshold
 from repro._rng import coerce_rng
 from repro.core.concepts import Concept
-from repro.core.moves import AddEdge, Move, RemoveEdge
+from repro.core.moves import AddEdge, Move
 from repro.core.state import GameState
 from repro.equilibria.add import pairwise_add_gains
 from repro.equilibria.neighborhood import (
@@ -50,43 +51,11 @@ from repro.equilibria.neighborhood import (
     find_improving_neighborhood_move,
     probe_neighborhood_moves,
 )
-from repro.equilibria.remove import (
-    modeled_improving_removals,
-    weighted_improving_removals,
-)
+from repro.equilibria.remove import improving_removals
 from repro.equilibria.strong import probe_coalition_moves
 from repro.equilibria.swap import improving_swaps
 
 __all__ = ["improving_moves", "move_generator_for"]
-
-
-def _improving_removals(state: GameState) -> Iterator[RemoveEdge]:
-    if state.modeled:
-        # model values can be indifferent to a disconnection (zero demand
-        # across the cut, or a max objective already pinned elsewhere), so
-        # every edge is charged through the model; shared with the RE
-        # checker so the two cannot disagree
-        yield from modeled_improving_removals(state)
-        return
-    if state.weighted:
-        # zero demand toward a bridge's far side makes its removal free,
-        # so bridges cannot be skipped; the scan is shared with the RE
-        # checker (repro.equilibria.remove) so the two cannot disagree
-        yield from weighted_improving_removals(state)
-        return
-    dm = state.dist
-    for u, v in list(state.graph.edges):
-        # bridges can never be improving removals (disconnection costs at
-        # least M - n > alpha); the maintained bridge set skips them
-        # without any BFS
-        if dm.is_bridge(u, v):
-            continue
-        # both endpoints' losses from one batched BFS call
-        loss_u, loss_v = dm.remove_loss_pair(u, v)
-        for actor, other, loss in ((u, v, loss_u), (v, u, loss_v)):
-            if loss < state.alpha:
-                yield RemoveEdge(actor=actor, other=other)
-                break  # the edge can only be removed once
 
 
 def _improving_additions(state: GameState) -> Iterator[AddEdge]:
@@ -129,16 +98,16 @@ def improving_moves(
     polynomial concepts enumerate exhaustively.
     """
     if concept == Concept.RE:
-        yield from _improving_removals(state)
+        yield from improving_removals(state)
     elif concept == Concept.BAE:
         yield from _improving_additions(state)
     elif concept == Concept.PS:
-        yield from _improving_removals(state)
+        yield from improving_removals(state)
         yield from _improving_additions(state)
     elif concept == Concept.BSWE:
         yield from improving_swaps(state)
     elif concept == Concept.BGE:
-        yield from _improving_removals(state)
+        yield from improving_removals(state)
         yield from _improving_additions(state)
         yield from improving_swaps(state)
     elif concept == Concept.BNE:

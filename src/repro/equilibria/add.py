@@ -2,9 +2,10 @@
 
 Adding edge ``uv`` changes ``u``'s distances by the exact one-edge identity
 ``d'(u, w) = min(d(u, w), 1 + d(v, w))``, so the distance gain of each
-endpoint is a relu-sum over one row difference of the APSP matrix.  The
-whole check is a vectorised ``O(n^3)`` integer computation — exact at any
-size we run.
+endpoint is ``u``'s row value minus the value of that hypothetical row
+(:class:`~repro.core.costmodel.Valuation`; a plain row-sum difference in
+the paper's game).  The whole check is a vectorised ``O(n^3)`` integer
+computation — exact at any size we run.
 
 * **BAE** (bilateral): edge ``uv`` is an improving move iff *both* endpoints
   gain strictly more than ``alpha``.
@@ -19,7 +20,6 @@ import numpy as np
 from repro._alpha import strict_gt_threshold
 from repro.core.moves import AddEdge
 from repro.core.state import GameState
-from repro.graphs.distances import weighted_added_edge_dist_gain
 
 __all__ = [
     "add_gain",
@@ -32,54 +32,31 @@ __all__ = [
 
 
 def add_gain(state: GameState, u: int, v: int) -> int:
-    """(Weighted/model-valued) distance gain of agent ``u`` when edge
-    ``uv`` is created."""
-    if state.modeled:
-        ops = state.model_ops
-        dist = state.dist_matrix
-        new_row = np.minimum(dist[u], 1 + dist[v])
-        return ops.row_value(u, dist[u]) - ops.row_value(u, new_row)
-    if state.weighted:
-        return weighted_added_edge_dist_gain(
-            state.dist_matrix, state.traffic.weights[u], u, v
-        )
-    return state.dist.add_gain(u, v)
+    """Distance-cost (row value) gain of agent ``u`` when edge ``uv`` is
+    created."""
+    dist = state.dist_matrix
+    value = state.valuation.row_value
+    return value(u, dist[u]) - value(u, np.minimum(dist[u], 1 + dist[v]))
 
 
 def pairwise_add_gains(state: GameState) -> np.ndarray:
     """Matrix ``G`` with ``G[u, v]`` = distance gain of ``u`` from edge ``uv``.
 
     ``G`` is not symmetric.  Entries on the diagonal and for existing edges
-    are meaningless and set to zero.  Under a traffic model each row's
-    relu improvements are weighted by ``u``'s demand row (one extra
-    matrix-vector product per agent — same ``O(n^3)`` total).  Under a
-    cost model the gains are model-value drops: each hypothetical row
-    ``min(d(u, .), 1 + d(v, .))`` maps through the table and aggregates —
-    non-negative for sum and max aggregates alike since the new row is
-    entry-wise no larger and ``f`` is monotone.
+    are meaningless and set to zero.  Row ``u`` values every hypothetical
+    row ``min(d(u, .), 1 + d(v, .))`` at once under the state's valuation
+    and subtracts it from ``u``'s current value — non-negative in every
+    regime, since the new row is entry-wise no larger and ``f`` is
+    monotone.
     """
     dist = state.dist_matrix
     n = state.n
-    gains = np.zeros((n, n), dtype=np.int64)
-    if state.modeled:
-        ops = state.model_ops
-        for u in range(n):
-            new_rows = np.minimum(dist[u][None, :], dist + 1)  # row v: edge uv
-            base = ops.row_value(u, dist[u])
-            gains[u] = base - ops.rows_value(u, new_rows)
-        gains[np.arange(n), np.arange(n)] = 0
-        for u, v in state.graph.edges:
-            gains[u, v] = 0
-            gains[v, u] = 0
-        return gains
-    weights = state.traffic.weights if state.weighted else None
+    valuation = state.valuation
+    base = valuation.rows_value(dist)
+    step = dist + 1  # row v: distances through partner v
+    gains = np.empty((n, n), dtype=np.int64)
     for u in range(n):
-        improvement = dist[u][None, :] - dist - 1  # row v: against partner v
-        np.maximum(improvement, 0, out=improvement)
-        if weights is None:
-            gains[u] = improvement.sum(axis=1)
-        else:
-            gains[u] = improvement @ weights[u]
+        gains[u] = base[u] - valuation.rows_value(np.minimum(dist[u], step), u)
     gains[np.arange(n), np.arange(n)] = 0
     for u, v in state.graph.edges:
         gains[u, v] = 0

@@ -116,8 +116,7 @@ def _strategy_cost_speculative(
     state = spec.state
     deltas = _deviation_deltas(state, kept, agent, strategy)
     with spec.applied(deltas):
-        # current_dist dispatches to the demand-weighted total when the
-        # state carries a traffic model (plain row sum otherwise)
+        # the agent's row value under the state's valuation
         dist_after = spec.current_dist(agent)
     return state.alpha * len(strategy) + dist_after
 

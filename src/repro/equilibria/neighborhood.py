@@ -66,52 +66,37 @@ def partner_gain_upper_bound(state: GameState, partner: int, center: int) -> int
     Every strictly shorter path for ``partner`` passes through ``center``
     (all changed edges are incident to ``center``), hence ends at distance at
     least 2 — except the distance to ``center`` itself, which can drop to 1.
-    The argument is purely metric, so under a traffic model each term is
-    simply weighted by ``partner``'s (non-negative) demand toward the
-    destination — still a sound bound on the weighted gain.  Under a cost
-    model the same distance floors push through monotone ``f``: each
-    destination's value can drop at most to ``f(2)`` (``f(1)`` for the
-    center) for sum aggregates, and a max aggregate can never drop below
-    the agent's model floor.
+    The argument is purely metric, so it pushes through any valuation:
+    each destination's value can drop at most to ``f(2)`` (``f(1)`` for
+    the center, ``f`` monotone), weighted by ``partner``'s (non-negative)
+    demand toward it, for sum aggregates; a max aggregate can never drop
+    below the agent's floor.
     """
+    valuation = state.valuation
     row = state.dist.row(partner)
-    if state.modeled:
-        ops = state.model_ops
-        if ops.aggregate == "max":
-            # coarse but sound: the max value can never drop below the
-            # agent's floor (max-weight * f(1))
-            return ops.row_value(partner, row) - int(ops.floors()[partner])
-        table = ops.table
-        n = state.n
-        f1 = int(table[min(1, n - 1)])
-        f2 = int(table[min(2, n - 1)])
-        fvals = ops.apply_f(row)
-        slack = np.maximum(fvals - f2, 0)
-        f_center = int(fvals[center])
-        if ops.weights is not None:
-            weights = ops.weights[partner]
-            bound = int((weights * slack).sum())
-            w_center = int(weights[center])
-            bound -= w_center * max(0, f_center - f2)
-            bound += w_center * max(0, f_center - f1)
-            return bound
-        bound = int(slack.sum())
-        bound -= max(0, f_center - f2)
-        bound += max(0, f_center - f1)
-        return bound
-    slack = row - 2
-    to_center = int(row[center])
-    if state.weighted:
-        weights = state.traffic.weights[partner]
-        bound = int((weights * np.maximum(slack, 0)).sum())
+    if valuation.aggregate == "max":
+        # coarse but sound: the max value can never drop below the
+        # agent's floor (max-weight * f(1))
+        return valuation.row_value(partner, row) - int(
+            valuation.floors(state.n)[partner]
+        )
+    # every destination's value can drop at most to f(2), the center's
+    # to f(1): sum the slack above those floors, weighted by demand
+    f1, f2 = (
+        (1, 2) if valuation.table is None
+        else (int(valuation.table[min(d, state.n - 1)]) for d in (1, 2))
+    )
+    values = valuation.values(row)
+    slack = np.maximum(values - f2, 0)
+    f_center = int(values[center])
+    w_center = 1
+    if valuation.weights is not None:
+        weights = valuation.weights[partner]
+        slack = weights * slack
         w_center = int(weights[center])
-        bound -= w_center * max(0, to_center - 2)
-        bound += w_center * max(0, to_center - 1)
-        return bound
-    bound = int(slack[slack > 0].sum())
-    # correct the center term: admissible floor is 1, not 2
-    bound -= max(0, to_center - 2)
-    bound += max(0, to_center - 1)
+    bound = int(slack.sum())
+    bound -= w_center * max(0, f_center - f2)
+    bound += w_center * max(0, f_center - f1)
     return bound
 
 
@@ -167,7 +152,7 @@ def find_improving_neighborhood_move(
             )
         # alpha * (|A| - |R|) < dist(center) - floor(center) is necessary
         # for the center to strictly benefit (the best imaginable distance
-        # total is n - 1 uniform, the center's demand mass weighted).
+        # total is the valuation's floor: n - 1 in the paper's game).
         slack = spec.base_dist(center) - spec.dist_floor(center)
         remove_cap = len(neighbors) if max_remove is None else max_remove
         add_cap = len(willing) if max_add is None else min(max_add, len(willing))

@@ -4,28 +4,24 @@ Dropping edge ``uv`` saves ``alpha`` and raises ``u``'s distance cost by
 
     loss(u, uv) = dist_{G - uv}(u) - dist_G(u),
 
-so ``u`` improves iff ``loss < alpha`` (exact integer vs Fraction).  Under
-the uniform cost model bridges never qualify: disconnection costs at least
-``M > alpha * n^3``.  By Proposition A.2 the RE coincides with the Pure
-Nash Equilibrium of the BNCG, so this checker doubles as the bilateral NE
-test.
+so ``u`` improves iff ``loss < alpha`` (exact integer vs Fraction).  By
+Proposition A.2 the RE coincides with the Pure Nash Equilibrium of the
+BNCG, so this checker doubles as the bilateral NE test.
 
-Trees are RE for every ``alpha`` (every edge is a bridge); the checker
-shortcuts that case.
+:func:`improving_removals` is the one removal scan behind the RE checker
+and the removal move generator, for every cost regime: both endpoints'
+post-removal rows come from the engine's mutation-free removal query
+(the bridge split, or one BFS per endpoint with the edge masked out) and
+their losses are row-value diffs under the state's
+:class:`~repro.core.costmodel.Valuation`.
 
-**Heterogeneous traffic** changes the bridge story: an agent with *zero*
-demand toward a bridge's far side pays nothing for the disconnection, so
-bridge removals can be improving and must be evaluated, not skipped.  The
-weighted checker charges each bridge removal through the engine's
-search-free two-component split — the far side's entries jump to the
-``M`` sentinel and the loss is the actor's demand mass toward that side
-times ``M`` minus the saved real distances — and only non-bridges pay a
-probe BFS, exactly like the uniform path.
-
-**Non-linear cost models** reuse the same every-edge scan with losses
-read through the model's value arithmetic (a zero-demand cut side makes
-a bridge droppable there too, and a max aggregate can be entirely
-indifferent to a removal).
+Bridges are skipped exactly when every off-diagonal demand is positive
+(``Valuation.full_support``, always so in the paper's game): dropping a
+bridge then disconnects the actor from someone it values, which costs at
+least one sentinel (``M`` or the model's ``F``), more than any saving —
+so trees are RE for every ``alpha`` there.  With *zero* demand toward a
+bridge's far side the disconnection is free, and a max aggregate can be
+entirely indifferent to a removal, so such states charge every edge.
 """
 
 from __future__ import annotations
@@ -37,99 +33,47 @@ from repro.core.state import GameState
 
 __all__ = [
     "find_improving_removal",
+    "improving_removals",
     "is_remove_equilibrium",
-    "modeled_improving_removals",
     "removal_loss",
-    "weighted_improving_removals",
 ]
 
 
 def removal_loss(state: GameState, actor: int, other: int) -> int:
-    """(Weighted/model-valued) distance-cost increase for ``actor`` when
-    edge ``actor-other`` goes."""
+    """Distance-cost (row value) increase for ``actor`` when edge
+    ``actor-other`` goes."""
+    value = state.valuation.row_value
     after = state.dist.row_after_remove(actor, other)
-    if state.modeled:
-        ops = state.model_ops
-        return ops.row_value(actor, after) - ops.row_value(
-            actor, state.dist.row(actor)
-        )
-    if state.weighted:
-        weights = state.traffic.weights[actor]
-        return int((weights * (after - state.dist.row(actor))).sum())
-    return int((after - state.dist.row(actor)).sum())
+    return value(actor, after) - value(actor, state.dist.row(actor))
 
 
-def weighted_improving_removals(state: GameState) -> Iterator[RemoveEdge]:
-    """All improving removals of a *weighted* state, enumeration order.
-
-    Evaluates every edge — bridges included, through the engine's
-    mutation-free split weighting each side's demand mass (zero demand
-    across the cut makes a bridge droppable).  Losses are demand-weighted
-    row diffs straight off the engine (no per-round totals snapshot),
-    and the single scan is shared by the RE checker and the removal move
-    generator so the two can never disagree.
-    """
+def improving_removals(state: GameState) -> Iterator[RemoveEdge]:
+    """All improving removals, edge by edge in graph order; of an edge's
+    two directions only the first improving one is yielded (an edge can
+    be removed once).  Nothing in the scan mutates the engine."""
+    valuation = state.valuation
+    skip_bridges = valuation.full_support
+    if skip_bridges and state.is_tree():
+        return  # every edge is a bridge
     dm = state.dist
-    weights = state.traffic.weights
-    for u, v in list(state.graph.edges):
-        row_u, row_v = dm.rows_after_remove(u, v)
-        loss_u = int((weights[u] * (row_u - dm.matrix[u])).sum())
-        loss_v = int((weights[v] * (row_v - dm.matrix[v])).sum())
-        for actor, other, loss in ((u, v, loss_u), (v, u, loss_v)):
-            if loss < state.alpha:
-                yield RemoveEdge(actor=actor, other=other)
-                break  # the edge can only be removed once
-
-
-def modeled_improving_removals(state: GameState) -> Iterator[RemoveEdge]:
-    """All improving removals of a *modeled* state, enumeration order.
-
-    The cost-model analogue of :func:`weighted_improving_removals`: every
-    edge — bridges included — is charged through the engine's
-    mutation-free removal query, with both endpoints' losses read as
-    model-value diffs.  Shared by the RE checker and the removal move
-    generator so the two can never disagree.
-    """
-    dm = state.dist
-    ops = state.model_ops
-    for u, v in list(state.graph.edges):
-        row_u, row_v = dm.rows_after_remove(u, v)
-        loss_u = ops.row_value(u, row_u) - ops.row_value(u, dm.matrix[u])
-        loss_v = ops.row_value(v, row_v) - ops.row_value(v, dm.matrix[v])
-        for actor, other, loss in ((u, v, loss_u), (v, u, loss_v)):
-            if loss < state.alpha:
-                yield RemoveEdge(actor=actor, other=other)
-                break  # the edge can only be removed once
+    base = valuation.rows_value(dm.matrix).tolist()
+    # a snapshot of the edges: consumers may speculate on the graph
+    # between yields (the comprehension skips EdgeView's O(n) len())
+    for u, v in [edge for edge in state.graph.edges]:
+        if skip_bridges and dm.is_bridge(u, v):
+            continue
+        rows = dm.rows_after_remove_from(u, v, (u, v))
+        after_u, after_v = valuation.rows_value(rows, [u, v]).tolist()
+        if after_u - base[u] < state.alpha:
+            yield RemoveEdge(actor=u, other=v)
+        elif after_v - base[v] < state.alpha:
+            yield RemoveEdge(actor=v, other=u)
 
 
 def find_improving_removal(state: GameState) -> RemoveEdge | None:
-    """First improving single-edge removal, or ``None`` (exact, O(m * m)).
-
-    Uniform states skip bridges straight off the engine's incrementally
-    maintained bridge set (no per-check Tarjan pass) — and trees
-    entirely; both endpoints' post-removal losses for the remaining
-    edges come from the engine's batched speculative query — the same
-    path the kernel's
-    :meth:`~repro.core.speculative.SpeculativeEvaluator.remove_loss_pair`
-    delegates to (one BFS pair per edge; the graph is never mutated).
-    Weighted states take :func:`weighted_improving_removals`; modeled
-    states :func:`modeled_improving_removals`.
-    """
-    if state.modeled:
-        return next(modeled_improving_removals(state), None)
-    if state.weighted:
-        return next(weighted_improving_removals(state), None)
-    if state.is_tree():
-        return None  # removing any tree edge disconnects: loss >= M > alpha
-    dm = state.dist
-    for u, v in state.graph.edges:
-        if dm.is_bridge(u, v):
-            continue
-        loss_u, loss_v = dm.remove_loss_pair(u, v)
-        for actor, other, loss in ((u, v, loss_u), (v, u, loss_v)):
-            if loss < state.alpha:
-                return RemoveEdge(actor=actor, other=other)
-    return None
+    """First improving single-edge removal of :func:`improving_removals`,
+    or ``None`` (exact)."""
+    return next(improving_removals(state), None)
 
 
 def is_remove_equilibrium(state: GameState) -> bool:

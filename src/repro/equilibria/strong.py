@@ -159,7 +159,7 @@ def _dfs_coalition_space(
       (``alpha * (buy_delta + 1) >= base_dist - (n - 1)``) dooms every
       candidate containing that edge.
     """
-    # per-member distance floor: n - 1 uniform, demand mass weighted
+    # per-member distance floor of the valuation (n - 1 in the paper's game)
     slack = {m: spec.base_dist(m) - spec.dist_floor(m) for m in members}
     # future_incident[m][i] = removable edges at index >= i incident to m
     future_incident = {}

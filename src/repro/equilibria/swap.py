@@ -8,16 +8,17 @@ unchanged) and ``w``'s distance gain strictly exceeds ``alpha``.
 :func:`improving_swaps` is the one scan behind the BSwE checker and the
 BSwE / BGE move generator, with two exact strategies:
 
-* **trees** — removing ``uv`` splits the node set; all post-swap distances
-  are closed-form in the original APSP matrix and the split masks, giving an
-  ``O(n^2)`` vectorised evaluation per edge (``O(n^3)`` total, no BFS);
+* **trees of the paper's game** — removing ``uv`` splits the node set; all
+  post-swap distances are closed-form in the original APSP matrix and the
+  split masks, giving an ``O(n^2)`` vectorised evaluation per edge
+  (``O(n^3)`` total, no BFS);
 * **general graphs** — each edge's post-removal matrix comes from the
   cached :class:`~repro.graphs.distances.DistanceMatrix` as a fresh array
   (:meth:`~repro.graphs.distances.DistanceMatrix.matrix_after_remove`:
   the bridge split, or the changed block repaired by a min-plus product
   of cached entries), then the one-edge-add identity evaluates every
-  candidate ``w`` — no search, no engine mutation, no bridge sweep and no
-  totals shift anywhere in the scan.
+  candidate ``w`` under the state's valuation — no search, no engine
+  mutation, no bridge sweep and no totals shift anywhere in the scan.
 """
 
 from __future__ import annotations
@@ -48,36 +49,22 @@ def viable_swap_partners(
     threshold: int,
     actor: int,
     old: int,
-    weights: np.ndarray | None = None,
-    valuer=None,
+    valuation,
 ) -> np.ndarray:
     """Partners ``w`` for which swap ``(actor, old -> w)`` is improving.
 
-    ``removed`` is the exact APSP matrix of ``G - {actor, old}``; gains come
-    from the one-edge-add identity.  Shared by the BSwE checker and the swap
-    move generator so the two can never disagree.  Ascending node order.
-
-    With a demand matrix ``weights``, ``totals`` must be the *weighted*
-    base totals and both gain vectors weight each candidate row by the
-    owner's demand row — the same ``O(n^2)`` evaluation, one extra
-    elementwise product.  With a ``valuer``
-    (:class:`~repro.core.costmodel.ModelOps`), ``totals`` must be the
-    model aggregates and gains are model-value drops of the hypothetical
-    rows — the candidate rows themselves stay raw distances.
+    ``removed`` is the exact APSP matrix of ``G - {actor, old}`` and
+    ``totals`` the base row values under ``valuation`` (the state's
+    :class:`~repro.core.costmodel.Valuation`); gains come from the
+    one-edge-add identity, valued row by row — the candidate rows
+    themselves stay raw distances.  Ascending node order.
     """
     # actor's new distances with partner w:  min(rm[actor], 1 + rm[w])
     actor_rows = np.minimum(removed[actor][None, :], 1 + removed)
     # partner w's new distances:             min(rm[w], 1 + rm[actor])
     partner_rows = np.minimum(removed, (1 + removed[actor])[None, :])
-    if valuer is not None:
-        gain_actor = int(totals[actor]) - valuer.rows_value(actor, actor_rows)
-        gain_w = totals - valuer.rows_value_per_owner(partner_rows)
-    elif weights is None:
-        gain_actor = int(totals[actor]) - actor_rows.sum(axis=1)
-        gain_w = totals - partner_rows.sum(axis=1)
-    else:
-        gain_actor = int(totals[actor]) - actor_rows @ weights[actor]
-        gain_w = totals - (partner_rows * weights).sum(axis=1)
+    gain_actor = int(totals[actor]) - valuation.rows_value(actor_rows, actor)
+    gain_w = totals - valuation.rows_value(partner_rows)
     viable = (gain_actor >= 1) & (gain_w >= threshold)
     viable[actor] = False
     viable[old] = False
@@ -128,16 +115,7 @@ def _tree_swaps(state: GameState) -> Iterator[Swap]:
 
 def _general_swaps(state: GameState) -> Iterator[Swap]:
     dm = state.dist
-    valuer = state.model_ops if state.modeled else None
-    weights = (
-        state.traffic.weights if state.weighted and valuer is None else None
-    )
-    if valuer is not None:
-        totals = dm.ftotals()
-    elif state.weighted:
-        totals = dm.wtotals()
-    else:
-        totals = dm.totals()
+    totals = dm.totals()
     threshold = strict_gt_threshold(state.alpha)
     adjacency = adjacency_bool(state.graph)
     for a, b in list(state.graph.edges):
@@ -145,7 +123,7 @@ def _general_swaps(state: GameState) -> Iterator[Swap]:
         for actor, old in ((a, b), (b, a)):
             for new in viable_swap_partners(
                 removed, totals, adjacency, threshold, actor, old,
-                weights=weights, valuer=valuer,
+                state.valuation,
             ):
                 yield Swap(actor=actor, old=old, new=int(new))
 
@@ -155,12 +133,12 @@ def improving_swaps(state: GameState) -> Iterator[Swap]:
     both directions of an edge, partners ascending.
 
     Nothing in the scan mutates the state, so the generator may be
-    abandoned at any point.  Weighted and modeled states always take the
-    general engine-backed path: the closed-form tree evaluation
-    vectorises over *uniform linear* side sums, and on trees every edge
-    is a bridge anyway, so the general path needs no search there.
+    abandoned at any point.  Trees of the paper's game take the
+    closed-form evaluation, which vectorises over *uniform linear* side
+    sums; every other state takes the general engine-backed path (on
+    trees every edge is a bridge, so it needs no search there either).
     """
-    if state.is_tree() and not state.weighted and not state.modeled:
+    if state.valuation.uniform_linear and state.is_tree():
         return _tree_swaps(state)
     return _general_swaps(state)
 

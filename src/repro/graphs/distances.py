@@ -82,47 +82,32 @@ identity above.  A removal costs ``O(|A_v| * |boundary| * |A_u|)`` for
 the block on top of ``O(|A_u | A_v| * n)`` for its rows — never wrong,
 merely slower when both sides are large.
 
-Per-row distance totals (``totals()`` / ``total(u)``) are maintained
+Per-row totals (``totals()`` / ``total(u)``) are maintained
 **incrementally** alongside the matrix: the first query pays one full
-``O(n^2)`` row-sum (counted by the :data:`TOTALS_REBUILDS` spy), after which
+``O(n^2)`` pass (counted by the :data:`TOTALS_REBUILDS` spy), after which
 every ``apply_*`` and ``undo`` shifts the affected entries from the same row
 patches it already records — ``O(|affected| * n)`` per mutation, never a
-full re-sum.  Because the matrix is symmetric and every changed entry has an
-endpoint among the patched rows, the shift
+full re-sum.  Because the matrix is symmetric and every changed entry has
+an endpoint among the patched rows, the shift
 
     ``totals += delta.sum(axis=0)``
     ``totals[rows] += delta.sum(axis=1) - delta[:, rows].sum(axis=1)``
 
 (with ``delta`` the patched rows' new-minus-old values) is exact.
 
-When a **traffic matrix** is bound (:meth:`DistanceMatrix.bind_traffic`),
-the per-row *weighted* totals ``wtotals()`` — ``sum_v W[u, v] * d(u, v)``
-for an int64 demand matrix ``W`` — are maintained by the same discipline:
-one full weighted row-sum at first query (counted by the
-:data:`WTOTALS_REBUILDS` spy), then every ``apply_*`` / ``undo`` shifts
-the cached vector from the very same row patches.  The shift generalises
-the uniform one entry-wise (``d`` is symmetric, ``W`` need not be):
-column ``y`` gains ``sum_{x in rows} W[y, x] * delta[x, y]`` and patched
-row ``x`` additionally gains its own weighted row delta minus the
-doubly-counted patched-column part — ``O(|affected| * n)`` per mutation,
-never a full re-sum.
-
-When a **cost model** is bound (:meth:`DistanceMatrix.bind_cost_model`),
-the per-row *model aggregates* ``ftotals()`` ride the very same row
-patches.  For a sum aggregate ``sum_v W[u, v] * f(d(u, v))`` the shift is
-the weighted shift applied to the entry-wise **value delta**
-``f(new) - f(old)`` instead of the distance delta (``f`` of a symmetric
-matrix is symmetric, so the same endpoint argument holds).  For a max
-aggregate ``max_v W[u, v] * f(d(u, v))`` the engine maintains each row's
-max *with its multiplicity*: a patched entry above the cached max raises
-it outright, one at the max bumps the count, and only a row whose
-count-at-max drains to zero pays a fresh ``O(n)`` row scan — still
-incremental maintenance, not a rebuild.  Either way the first query pays
-one full ``O(n^2)`` pass (spy-counted by :data:`FTOTALS_REBUILDS`), then
-zero along move trajectories.  Sentinel entries are exact here too: real
-distances are at most ``n - 1`` and the sentinel is at least ``n``, so
-``d >= n`` identifies unreachable pairs and maps them to the model's own
-value sentinel.
+The totals are plain row sums ``sum_v d(u, v)`` until a **valuation** is
+bound (:meth:`DistanceMatrix.bind_valuation`, a
+:class:`repro.core.costmodel.Valuation`); then they are
+``agg_v W[u, v] * f(d(u, v))``.  For a sum the shift above runs on the
+entry-wise value delta ``f(new) - f(old)``, weighted entry-wise by the
+demand matrix when one is bound (``d`` is symmetric, ``W`` need not
+be).  For a max the engine keeps each row's max *with its multiplicity*:
+a patched entry above the cached max raises it outright, one at the max
+bumps the count, and only a row whose count drains to zero pays a fresh
+``O(n)`` row scan.  Sentinel entries are exact here too: real distances
+are at most ``n - 1`` and the sentinel is at least ``n``, so ``d >= n``
+identifies unreachable pairs and maps them to the valuation's own value
+sentinel.
 """
 
 from __future__ import annotations
@@ -155,15 +140,12 @@ __all__ = [
     "added_edge_dist_gain",
     "component_labels",
     "dist_vector_after_add",
-    "ftotals_rebuild_count",
     "is_connected",
     "remove_bfs_repair_count",
     "removed_edge_dist_vector",
     "single_source_distances",
     "total_distances",
     "totals_rebuild_count",
-    "weighted_added_edge_dist_gain",
-    "wtotals_rebuild_count",
 ]
 
 #: Number of full APSP builds since import — a test/benchmark spy used to
@@ -175,27 +157,13 @@ _APSP_BUILDS = obs.counter(
     "repro_engine_apsp_builds_total", "full APSP matrix builds"
 )
 
-#: Full O(n^2) row-sum rebuilds of the per-row totals — a spy used to
-#: assert that totals are maintained incrementally along move
-#: trajectories (one rebuild at materialisation, then zero).
+#: Full O(n^2) rebuilds of the per-row totals (plain sums or the bound
+#: valuation's aggregates) — a spy used to assert that totals are
+#: maintained incrementally along move trajectories (one rebuild at
+#: materialisation, then zero; max-row rescans triggered by a drained
+#: count are incremental maintenance and do not count).
 _TOTALS_REBUILDS = obs.counter(
     "repro_engine_totals_rebuilds_total", "full totals row-sum rebuilds"
-)
-
-#: Full O(n^2) weighted row-sum rebuilds — the traffic-model counterpart:
-#: one rebuild at first ``wtotals()`` query per engine, zero along move
-#: trajectories.
-_WTOTALS_REBUILDS = obs.counter(
-    "repro_engine_wtotals_rebuilds_total",
-    "full weighted-totals row-sum rebuilds",
-)
-
-#: Full O(n^2) model-value passes rebuilding the per-row cost aggregates —
-#: the cost-model counterpart: one rebuild at first ``ftotals()`` query per
-#: engine, zero along move trajectories (max-row rescans triggered by a
-#: drained count are incremental maintenance and do not count).
-_FTOTALS_REBUILDS = obs.counter(
-    "repro_engine_ftotals_rebuilds_total", "full model-aggregate rebuilds"
 )
 
 #: ``apply_remove`` calls on non-bridges (the block repair) — a spy used
@@ -218,8 +186,6 @@ _BFS_REPAIR_ROWS = obs.counter(
 _SPY_ALIASES = {
     "APSP_BUILDS": _APSP_BUILDS,
     "TOTALS_REBUILDS": _TOTALS_REBUILDS,
-    "WTOTALS_REBUILDS": _WTOTALS_REBUILDS,
-    "FTOTALS_REBUILDS": _FTOTALS_REBUILDS,
     "REMOVE_BFS_REPAIRS": _REMOVE_BFS_REPAIRS,
 }
 
@@ -239,18 +205,8 @@ def apsp_build_count() -> int:
 
 
 def totals_rebuild_count() -> int:
-    """How many full totals re-sums have been performed since import."""
+    """How many full totals rebuilds have been performed since import."""
     return _TOTALS_REBUILDS.value
-
-
-def wtotals_rebuild_count() -> int:
-    """How many full weighted-totals re-sums have been performed."""
-    return _WTOTALS_REBUILDS.value
-
-
-def ftotals_rebuild_count() -> int:
-    """How many full model-aggregate rebuilds have been performed."""
-    return _FTOTALS_REBUILDS.value
 
 
 def remove_bfs_repair_count() -> int:
@@ -453,19 +409,6 @@ def added_edge_dist_gain(dist: np.ndarray, u: int, v: int) -> int:
     return int(improvement[improvement > 0].sum())
 
 
-def weighted_added_edge_dist_gain(
-    dist: np.ndarray, weights_row: np.ndarray, u: int, v: int
-) -> int:
-    """Demand-weighted decrease of ``dist(u)`` when edge ``uv`` is added.
-
-    ``weights_row`` is agent ``u``'s demand row; the single definition
-    shared by the BAE checker and the speculative kernel so the two can
-    never disagree on a weighted gain.
-    """
-    improvement = np.maximum(dist[u] - (1 + dist[v]), 0)
-    return int((weights_row * improvement).sum())
-
-
 def removed_edge_dist_vector(
     graph: nx.Graph, u: int, v: int, unreachable: int
 ) -> np.ndarray:
@@ -548,11 +491,8 @@ class DistanceMatrix:
         self._graph = graph
         self._csr: csr_matrix | None = None
         self._totals: np.ndarray | None = None
-        self._weights: np.ndarray | None = None
-        self._wtotals: np.ndarray | None = None
-        self._fbind = None
-        self._ftotals: np.ndarray | None = None
-        self._fcounts: np.ndarray | None = None
+        self._valuation = None  # None: plain row sums (the paper's game)
+        self._counts: np.ndarray | None = None  # max aggregates only
         self._version = 0
         # the exact bridge set powers the search-free split removal path on
         # any graph; built once here (chain decomposition), then maintained
@@ -569,227 +509,140 @@ class DistanceMatrix:
         return self.matrix[u]
 
     def total(self, u: int) -> int:
-        """``sum_v d(u, v)`` from the incrementally maintained totals."""
+        """Agent ``u``'s value from the incrementally maintained totals:
+        ``sum_v d(u, v)``, or ``agg_v W[u, v] * f(d(u, v))`` under a
+        bound valuation."""
         return int(self._totals_live()[u])
 
     def totals(self) -> np.ndarray:
         """Per-node totals as a *snapshot copy* (safe across ``apply_*``).
 
-        The first call pays one full row-sum; every later call is an
-        ``O(n)`` copy because ``apply_*`` / ``undo`` shift the cached
-        vector in place instead of re-summing the matrix.
+        The first call pays one full pass over the matrix (spy-counted by
+        :data:`TOTALS_REBUILDS`); every later call is an ``O(n)`` copy
+        because ``apply_*`` / ``undo`` shift the cached vector in place
+        instead of re-summing the matrix.
         """
         return self._totals_live().copy()
 
-    def _totals_live(self) -> np.ndarray:
-        if self._totals is None:
-            _TOTALS_REBUILDS.inc()
-            self._totals = self.matrix.sum(axis=1)
-        return self._totals
+    def bind_valuation(self, valuation) -> None:
+        """Value every row through ``valuation`` from now on.
 
-    # -- weighted totals (heterogeneous traffic) ----------------------------
-
-    def bind_traffic(self, weights: np.ndarray) -> None:
-        """Attach an int64 per-pair demand matrix ``W`` to the engine.
-
-        Enables the incrementally maintained weighted totals
-        ``wtotals()[u] = sum_v W[u, v] * d(u, v)``.  The caller (normally
-        :class:`repro.core.state.GameState`) is responsible for the
-        overflow headroom check ``fits_int64(unreachable * max_row_mass)``;
-        a cheap guard here re-asserts it.  Re-binding the same array is a
-        no-op; binding a different demand matrix drops the cached vector.
+        ``valuation`` is duck-typed (the engine must not import
+        ``repro.core``): a :class:`repro.core.costmodel.Valuation`, whose
+        ``values(dist)`` maps a distance array through ``f`` (sentinel
+        distances to the value sentinel), ``weights`` is ``None`` or an
+        int64 ``(n, n)`` demand matrix and ``aggregate`` is ``"sum"`` or
+        ``"max"``.  The caller (normally
+        :func:`~repro.core.costmodel.bind_valuation` via
+        :class:`repro.core.state.GameState`) owns the int64 headroom.  A
+        ``uniform_linear`` valuation keeps the plain row sums.  Binding a
+        different valuation drops the cached totals.
         """
-        weights = np.asarray(weights)
-        if weights.shape != (self.n, self.n):
-            raise ValueError(
-                f"demand matrix shape {weights.shape} does not match n={self.n}"
-            )
-        if weights.dtype != np.int64:
-            raise ValueError("demand matrix must be int64 (exact arithmetic)")
-        if self._weights is weights:
+        if valuation is not None and valuation.uniform_linear:
+            valuation = None
+        if valuation is self._valuation:
             return
-        if not fits_int64(self.unreachable * int(weights.sum(axis=1).max())):
-            raise ValueError(
-                "demand mass too large for exact int64 weighted totals"
-            )
-        self._weights = weights
-        self._wtotals = None
+        weights = getattr(valuation, "weights", None)
+        table = getattr(valuation, "table", None)
+        if (weights is not None and weights.shape != (self.n, self.n)) or (
+            table is not None and table.size != self.n
+        ):
+            raise ValueError(f"valuation does not match the engine's n={self.n}")
+        self._valuation = valuation
+        self._totals = None
+        self._counts = None
 
-    def wtotal(self, u: int) -> int:
-        """``sum_v W[u, v] * d(u, v)`` from the maintained weighted totals."""
-        return int(self._wtotals_live()[u])
-
-    def wtotals(self) -> np.ndarray:
-        """Per-node weighted totals as a snapshot copy.
-
-        Requires a bound traffic matrix (:meth:`bind_traffic`).  The
-        first call pays one full weighted row-sum (spy-counted by
-        :data:`WTOTALS_REBUILDS`); afterwards ``apply_*`` / ``undo``
-        shift the cached vector in place.
-        """
-        return self._wtotals_live().copy()
-
-    def _wtotals_live(self) -> np.ndarray:
-        if self._weights is None:
-            raise RuntimeError(
-                "no traffic matrix bound; call bind_traffic() first"
-            )
-        if self._wtotals is None:
-            _WTOTALS_REBUILDS.inc()
-            self._wtotals = (self.matrix * self._weights).sum(axis=1)
-        return self._wtotals
-
-    # -- model aggregates (pluggable distance-cost models) ------------------
-
-    def bind_cost_model(self, ops) -> None:
-        """Attach model-value arithmetic to the engine.
-
-        ``ops`` is duck-typed (the engine must not import ``repro.core``):
-        it needs ``.n``, ``.aggregate`` (``"sum"`` or ``"max"``),
-        ``.weights`` (``None`` or an int64 ``(n, n)`` demand matrix) and
-        ``.apply_f(dist) -> values`` mapping a distance array through the
-        model's table (sentinel distances ``>= n`` to the model's value
-        sentinel).  Enables the incrementally maintained per-row
-        aggregates :meth:`ftotals`.  The caller (normally
-        :class:`repro.core.state.GameState`) is responsible for value-
-        space overflow headroom.  Re-binding the same object is a no-op;
-        binding a different one drops the cached vectors.
-        """
-        if getattr(ops, "n", None) != self.n:
-            raise ValueError("cost model ops size does not match the engine")
-        if getattr(ops, "aggregate", None) not in ("sum", "max"):
-            raise ValueError("cost model ops must aggregate by sum or max")
-        if self._fbind is ops:
-            return
-        self._fbind = ops
-        self._ftotals = None
-        self._fcounts = None
-
-    def ftotal(self, u: int) -> int:
-        """Agent ``u``'s model aggregate from the maintained vector."""
-        return int(self._ftotals_live()[u])
-
-    def ftotals(self) -> np.ndarray:
-        """Per-node model aggregates as a snapshot copy.
-
-        Requires a bound cost model (:meth:`bind_cost_model`).  The first
-        call pays one full model-value pass (spy-counted by
-        :data:`FTOTALS_REBUILDS`); afterwards ``apply_*`` / ``undo``
-        shift the cached vector in place from the same row patches that
-        maintain ``totals()`` / ``wtotals()``.
-        """
-        return self._ftotals_live().copy()
-
-    def fmax_counts(self) -> np.ndarray:
+    def max_counts(self) -> np.ndarray:
         """Per-row multiplicity of the max value (max aggregates only).
 
         A test accessor: cross-validation asserts the maintained counts
         match a naive recount at every trajectory step.
         """
-        if self._fcounts is None:
-            raise RuntimeError("no max-aggregate cost model materialised")
-        return self._fcounts.copy()
+        if self._counts is None:
+            raise RuntimeError("no max-aggregate valuation materialised")
+        return self._counts.copy()
 
-    def _fvalues(self, dist: np.ndarray) -> np.ndarray:
-        """Model values of a distance array under the bound ops (weighted
-        entry-wise by the demand matrix when one is attached)."""
-        ops = self._fbind
-        values = ops.apply_f(dist)
-        if ops.weights is not None:
-            values = values * ops.weights
+    def _totals_live(self) -> np.ndarray:
+        if self._totals is None:
+            _TOTALS_REBUILDS.inc()
+            valuation = self._valuation
+            if valuation is None:
+                self._totals = self.matrix.sum(axis=1)
+            elif valuation.aggregate == "max":
+                values = self._weighted_values(self.matrix)
+                self._totals = values.max(axis=1)
+                self._counts = (values == self._totals[:, None]).sum(axis=1)
+            else:
+                self._totals = self._weighted_values(self.matrix).sum(axis=1)
+        return self._totals
+
+    def _weighted_values(self, rows: np.ndarray, index=slice(None)):
+        """``W[index] * f(rows)`` entry-wise under the bound valuation
+        (``index`` picks the demand rows aligned with ``rows``)."""
+        valuation = self._valuation
+        values = valuation.values(rows)
+        if valuation.weights is not None:
+            values = values * valuation.weights[index]
         return values
 
-    def _ftotals_live(self) -> np.ndarray:
-        if self._fbind is None:
-            raise RuntimeError(
-                "no cost model bound; call bind_cost_model() first"
-            )
-        if self._ftotals is None:
-            _FTOTALS_REBUILDS.inc()
-            values = self._fvalues(self.matrix)
-            if self._fbind.aggregate == "max":
-                self._ftotals = values.max(axis=1)
-                self._fcounts = (values == self._ftotals[:, None]).sum(axis=1)
-            else:
-                self._ftotals = values.sum(axis=1)
-        return self._ftotals
-
     def _shift_totals(self, rows: np.ndarray, old: np.ndarray) -> None:
-        """Shift cached (weighted) totals by the change ``matrix[rows] - old``.
+        """Shift the cached totals by the change ``matrix[rows] - old``.
 
         Exact because the matrix is symmetric and every changed entry has
         at least one endpoint among ``rows`` (the patch invariant of
-        ``apply_add`` / ``apply_remove``).  The weighted shift reads the
-        demand entry of each changed pair from the bound traffic matrix;
-        demands may be asymmetric, only distances must be symmetric.
+        ``apply_add`` / ``apply_remove``), and ``f`` of a symmetric matrix
+        is symmetric, so the value delta ``f(new) - f(old)`` inherits the
+        same coverage.  For a **sum**, column ``y`` gains
+        ``sum_{x in rows} W[y, x] * delta[x, y]`` and each patched row
+        additionally gains its own weighted row delta minus the
+        patched-column part already counted (demands may be asymmetric,
+        only distances must be symmetric).  A **max** keeps each row's max
+        with its multiplicity: only entries in the patched columns changed
+        for an unpatched row, so a new value above the cached max raises
+        it (the fresh count reads off the patched columns alone), equal
+        values adjust the count, and only a row whose count drains to
+        zero — or a patched row — is rescanned.  The update is symmetric
+        in old/new, so :meth:`undo` drives it with the pre-restore values
+        as ``old`` and lands bit-exactly.
         """
         totals = self._totals
-        wtotals = self._wtotals
-        ftotals = self._ftotals
-        if totals is None and wtotals is None and ftotals is None:
+        if totals is None:
             return
-        delta = self.matrix[rows] - old
-        if totals is not None:
+        valuation = self._valuation
+        new = self.matrix[rows]
+        if valuation is None:
+            delta = new - old
             totals += delta.sum(axis=0)
             totals[rows] += delta.sum(axis=1) - delta[:, rows].sum(axis=1)
-        if wtotals is not None:
-            weights = self._weights
-            # column y gains sum_{x in rows} W[y, x] * delta[x, y] ...
-            wtotals += (weights[:, rows] * delta.T).sum(axis=1)
-            # ... and each patched row additionally gains its own weighted
-            # row delta, minus the patched-column part already counted
-            wtotals[rows] += (weights[rows] * delta).sum(axis=1) - (
-                weights[np.ix_(rows, rows)] * delta[:, rows]
-            ).sum(axis=1)
-        if ftotals is not None:
-            self._shift_ftotals(rows, old)
-
-    def _shift_ftotals(self, rows: np.ndarray, old: np.ndarray) -> None:
-        """Shift the cached model aggregates for the patch ``rows``/``old``.
-
-        The value delta ``f(new) - f(old)`` inherits the distance delta's
-        symmetry and endpoint coverage, so for a **sum** aggregate the
-        weighted-totals shift applies verbatim in value space.  A **max**
-        aggregate instead maintains each row's max with its multiplicity:
-        only entries in the patched columns changed for an unpatched row,
-        so a new value above the cached max raises it (the fresh count
-        reads off the patched columns alone), equal values adjust the
-        count, and only a row whose count drains to zero is rescanned.
-        The update is symmetric in old/new, so :meth:`undo` drives it with
-        the pre-restore values as ``old`` and lands bit-exactly.
-        """
-        ops = self._fbind
-        ftotals = self._ftotals
-        fnew = ops.apply_f(self.matrix[rows])
-        fold_ = ops.apply_f(old)
-        if ops.aggregate != "max":
-            fdelta = fnew - fold_
-            if ops.weights is None:
-                ftotals += fdelta.sum(axis=0)
-                ftotals[rows] += fdelta.sum(axis=1) - fdelta[:, rows].sum(
-                    axis=1
-                )
+            return
+        fnew = valuation.values(new)
+        fold = valuation.values(old)
+        weights = valuation.weights
+        if valuation.aggregate == "sum":
+            delta = fnew - fold
+            if weights is None:
+                totals += delta.sum(axis=0)
+                totals[rows] += delta.sum(axis=1) - delta[:, rows].sum(axis=1)
             else:
-                weights = ops.weights
-                ftotals += (weights[:, rows] * fdelta.T).sum(axis=1)
-                ftotals[rows] += (weights[rows] * fdelta).sum(axis=1) - (
-                    weights[np.ix_(rows, rows)] * fdelta[:, rows]
+                totals += (weights[:, rows] * delta.T).sum(axis=1)
+                totals[rows] += (weights[rows] * delta).sum(axis=1) - (
+                    weights[np.ix_(rows, rows)] * delta[:, rows]
                 ).sum(axis=1)
             return
-        fcounts = self._fcounts
+        counts = self._counts
         # per-row weighted values of the changed entries, column view:
         # vnew_cols[y, j] = W[y, rows[j]] * f(d'(y, rows[j]))
-        if ops.weights is None:
+        if weights is None:
             vnew_cols = fnew.T
-            vold_cols = fold_.T
+            vold_cols = fold.T
         else:
-            vnew_cols = ops.weights[:, rows] * fnew.T
-            vold_cols = ops.weights[:, rows] * fold_.T
+            vnew_cols = weights[:, rows] * fnew.T
+            vold_cols = weights[:, rows] * fold.T
         colmax = vnew_cols.max(axis=1)
-        raised = colmax > ftotals
-        at_max = ftotals[:, None]
+        raised = colmax > totals
+        at_max = totals[:, None]
         stay_counts = (
-            fcounts
+            counts
             - (vold_cols == at_max).sum(axis=1)
             + (vnew_cols == at_max).sum(axis=1)
         )
@@ -802,18 +655,16 @@ class DistanceMatrix:
             # every unpatched entry of an updated row is <= the old max
             # < colmax, so the new max and its count live in the patched
             # columns alone
-            ftotals[update] = colmax[update]
-            fcounts[update] = (
-                vnew_cols[update] == colmax[update, None]
-            ).sum(axis=1)
+            totals[update] = colmax[update]
+            counts[update] = (vnew_cols[update] == colmax[update, None]).sum(
+                axis=1
+            )
         keep = ~raised & ~rescan
-        fcounts[keep] = stay_counts[keep]
+        counts[keep] = stay_counts[keep]
         if rescan.any():
-            values = ops.apply_f(self.matrix[rescan])
-            if ops.weights is not None:
-                values = values * ops.weights[rescan]
-            ftotals[rescan] = values.max(axis=1)
-            fcounts[rescan] = (values == ftotals[rescan, None]).sum(axis=1)
+            values = self._weighted_values(self.matrix[rescan], rescan)
+            totals[rescan] = values.max(axis=1)
+            counts[rescan] = (values == totals[rescan, None]).sum(axis=1)
 
     def eccentricity(self, u: int) -> int:
         return int(self.matrix[u].max())
@@ -834,9 +685,10 @@ class DistanceMatrix:
         """Whether edge ``uv`` is a bridge (O(1) off the maintained set).
 
         Bridge removals take the search-free split path in
-        :meth:`apply_remove` and in every speculative removal query; they
-        can also never be improving moves (disconnection costs at least
-        ``M - n > alpha``), so generators skip them without any BFS.
+        :meth:`apply_remove` and in every speculative removal query; when
+        every demand is positive they can also never be improving moves
+        (disconnection costs at least ``M - n > alpha``), so the removal
+        scan skips them without any BFS.
         """
         return self._bridges.is_bridge(u, v)
 
@@ -1009,18 +861,6 @@ class DistanceMatrix:
         """Distance-cost increase for ``u`` when edge ``uv`` is removed."""
         after = self.row_after_remove(u, v)
         return int((after - self.matrix[u]).sum())
-
-    def remove_loss_pair(self, u: int, v: int) -> tuple[int, int]:
-        """Distance-cost increases of both endpoints when ``uv`` is removed.
-
-        A bridge read or one BFS per endpoint — the shared evaluation
-        behind the RE checker and the removal move generator.
-        """
-        row_u, row_v = self.rows_after_remove(u, v)
-        return (
-            int((row_u - self.matrix[u]).sum()),
-            int((row_v - self.matrix[v]).sum()),
-        )
 
     # -- cached CSR adjacency ----------------------------------------------
 

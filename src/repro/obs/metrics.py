@@ -19,8 +19,8 @@ concurrent serve threads, and therefore racy as module globals:
 * ``repro.graphs.canonical._HITS`` / ``_MISSES`` — every request
   canonicalises before touching the cache, on the calling thread;
 * ``repro.graphs.distances.APSP_BUILDS`` / ``TOTALS_REBUILDS`` /
-  ``WTOTALS_REBUILDS`` / ``FTOTALS_REBUILDS`` / ``REMOVE_BFS_REPAIRS``
-  and ``repro.graphs.bridges.BRIDGE_REBUILDS`` / ``BRIDGE_SWEEPS`` —
+  ``REMOVE_BFS_REPAIRS`` and ``repro.graphs.bridges.BRIDGE_REBUILDS`` /
+  ``BRIDGE_SWEEPS`` —
   engine builds and speculative evaluations on *different* engines hold
   different per-entry locks yet share these module counters;
 * ``repro.core.speculative.EVALUATIONS`` — ``best_response`` requests on

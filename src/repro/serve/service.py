@@ -50,7 +50,7 @@ from repro._alpha import as_alpha
 from repro.analysis.search import classify_full_ladder
 from repro.campaigns.spec import to_jsonable
 from repro.core.concepts import Concept
-from repro.core.costmodel import costmodel_from_spec
+from repro.core.costmodel import bind_valuation, costmodel_from_spec
 from repro.core.moves import AddEdge, RemoveEdge, Swap
 from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
@@ -164,8 +164,11 @@ class _Instance:
         try:
             self.traffic = traffic_from_spec(payload.get("traffic"), n)
             self.cost_model = costmodel_from_spec(payload.get("costmodel"), n)
+            # sizes and int64 headroom of the whole regime, before any
+            # key or engine is built from it
+            bind_valuation(n, self.alpha, self.traffic, self.cost_model)
         except (ValueError, TypeError, KeyError) as exc:
-            raise ServeError(400, f"bad traffic/costmodel spec: {exc}") from None
+            raise ServeError(400, f"bad alpha/traffic/costmodel: {exc}") from None
 
         regime = json.dumps(
             to_jsonable(

@@ -4,6 +4,10 @@ Everything here recomputes distances from scratch with networkx BFS and
 compares exact Fraction costs — slow but obviously correct.  The unit tests
 cross-check every optimised checker against these on enumerated small
 graphs, so any vectorisation bug surfaces as a disagreement.
+
+The per-candidate sequential sweep (:func:`best_sequential`) is the oracle
+of the batched ``SpeculativeEvaluator.best``, and :func:`dynamics_trace`
+records whole seeded trajectories for bit-identity checks.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import itertools
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 
 from repro.core.state import GameState
 
@@ -319,3 +324,93 @@ def dynamics_trace(seed: int, regime: str):
         result.cycled,
         result.rounds,
     )
+
+
+# -- the per-candidate sequential sweep ---------------------------------------
+
+
+def add_gain_pair(spec, u: int, v: int) -> tuple[int, int]:
+    """Row-value gains of both endpoints when edge ``uv`` is added, one
+    candidate at a time (the one-edge-add identity on the live matrix)."""
+    matrix = spec.engine.matrix
+    value = spec.valuation.row_value
+    return (
+        value(u, matrix[u]) - value(u, np.minimum(matrix[u], 1 + matrix[v])),
+        value(v, matrix[v]) - value(v, np.minimum(matrix[v], 1 + matrix[u])),
+    )
+
+
+def evaluate_rows_only(spec, move):
+    """Exact evaluation of a one-edge move without touching the engine —
+    the per-candidate reference for the batch kernels of
+    :mod:`repro.core.batch`.
+
+    Additions read the one-edge-add identity, removals the engine's
+    removal query for the actor's row, and swaps compose a removal with
+    the add identity (a ``Fold`` split + extend over ``{actor, old,
+    new}`` when the dropped edge is a bridge, the engine's rows of the
+    actor and partner otherwise).  Returns ``None`` for compound moves
+    and inside an active speculation scope (deltas compare against the
+    base snapshot).
+    """
+    from repro.core.moves import AddEdge, RemoveEdge, Swap
+    from repro.core.speculative import MoveEvaluation
+
+    if spec.depth:
+        return None
+    value = spec.valuation.row_value
+    if isinstance(move, AddEdge):
+        u, v = move.u, move.v
+        if spec.graph.has_edge(u, v):
+            raise ValueError(f"edge {u}-{v} already exists")
+        spec.note_evaluation()
+        gain_u, gain_v = add_gain_pair(spec, u, v)
+        deltas = ((u, spec.alpha - gain_u), (v, spec.alpha - gain_v))
+    elif isinstance(move, RemoveEdge):
+        actor, other = move.actor, move.other
+        spec.note_evaluation()
+        row = spec.engine.rows_after_remove_from(actor, other, (actor,))
+        dist_after = value(actor, row[0])
+        deltas = ((actor, dist_after - spec.base_dist(actor) - spec.alpha),)
+    elif isinstance(move, Swap):
+        actor, old, new = move.actor, move.old, move.new
+        if spec.graph.has_edge(actor, new):
+            raise ValueError(f"edge {actor}-{new} already exists")
+        if spec.is_bridge(actor, old):
+            fold = spec.fold((actor, old, new)).split(actor, old)
+            fold = fold.extend(actor, new)
+            dist_actor = fold.dist_total(actor)
+            dist_new = fold.dist_total(new)
+        else:
+            rows = spec.engine.rows_after_remove_from(actor, old, (actor, new))
+            dist_actor = value(actor, np.minimum(rows[0], 1 + rows[1]))
+            dist_new = value(new, np.minimum(rows[1], 1 + rows[0]))
+        spec.note_evaluation()
+        deltas = (
+            (actor, Fraction(dist_actor - spec.base_dist(actor))),
+            (new, dist_new - spec.base_dist(new) + spec.alpha),
+        )
+    else:
+        return None
+    return MoveEvaluation(
+        move=move,
+        cost_deltas=deltas,
+        improving=all(delta < 0 for _, delta in deltas),
+    )
+
+
+def best_sequential(spec, moves):
+    """The per-candidate reference sweep for ``SpeculativeEvaluator.best``:
+    rows-only where :func:`evaluate_rows_only` applies, one speculation
+    otherwise; the first strictly best total delta wins."""
+    best_move = best_eval = None
+    for move in moves:
+        evaluation = evaluate_rows_only(spec, move)
+        if evaluation is None:
+            evaluation = spec.evaluate(move)
+        if best_eval is None or evaluation.total_delta < best_eval.total_delta:
+            best_move = move
+            best_eval = evaluation
+    if best_move is None:
+        return None
+    return best_move, best_eval

@@ -3,9 +3,9 @@ registry (`repro._backend`).
 
 The contract under test is bit-exactness: every batch kernel entry must
 equal the per-candidate speculative path's integers, `sweep_best` must
-reproduce the sequential `best` loop's chosen move, deltas and
-evaluation counts, and every registered backend arm must agree with the
-numpy reference to the bit.
+reproduce the sequential oracle's (`tests/reference.py`) chosen move,
+deltas and evaluation counts, and every registered backend arm must
+agree with the numpy reference to the bit.
 """
 
 import random
@@ -23,6 +23,8 @@ from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
 from repro.core.traffic import TrafficMatrix
 from repro.graphs.generation import random_connected_gnp
+
+from tests.reference import add_gain_pair, best_sequential
 
 REGIMES = ("uniform", "weighted", "modeled")
 
@@ -69,7 +71,7 @@ class TestKernelEquivalence:
             vs = np.array([v for _, v in pairs], dtype=np.int64)
             gains_u, gains_v = batch.batch_add_gains(spec, us, vs)
             for i, (u, v) in enumerate(pairs):
-                expected = spec.add_gain_pair(u, v)
+                expected = add_gain_pair(spec, u, v)
                 assert (int(gains_u[i]), int(gains_v[i])) == expected
 
     @pytest.mark.parametrize("regime", REGIMES)
@@ -139,7 +141,7 @@ class TestSweepBest:
             batched = batch.sweep_best(spec, iter(pool))
             batched_count = spec.evaluations - before
             before = spec.evaluations
-            sequential = spec._best_sequential(iter(pool))
+            sequential = best_sequential(spec, iter(pool))
             sequential_count = spec.evaluations - before
             assert batched_count == sequential_count == len(pool)
             assert (batched is None) == (sequential is None)
@@ -156,7 +158,7 @@ class TestSweepBest:
         spec = SpeculativeEvaluator(state)
         pool = [RemoveEdge(u, v) for u, v in state.graph.edges]
         chosen = batch.sweep_best(spec, iter(pool))
-        reference = spec._best_sequential(iter(pool))
+        reference = best_sequential(spec, iter(pool))
         assert chosen[0] == pool[0] == reference[0]
 
     def test_compound_moves_fall_back_per_candidate(self):
@@ -168,23 +170,25 @@ class TestSweepBest:
         )
         pool = [AddEdge(*edge) for edge in state.non_edges()] + [compound]
         batched = batch.sweep_best(spec, iter(pool))
-        sequential = spec._best_sequential(iter(pool))
+        sequential = best_sequential(spec, iter(pool))
         assert batched[0] == sequential[0]
         assert batched[1].cost_deltas == sequential[1].cost_deltas
 
-    def test_best_routes_through_sweep_only_when_enabled(self, monkeypatch):
+    def test_best_always_routes_through_sweep(self, monkeypatch):
         state = GameState(nx.path_graph(5), 2)
         spec = SpeculativeEvaluator(state)
         pool = [AddEdge(u, v) for u, v in state.non_edges()]
+        calls = []
 
-        def boom(*args, **kwargs):  # pragma: no cover - guard only
-            raise AssertionError("sweep_best called with batching disabled")
+        def recording(spec_, moves):
+            calls.append(spec_)
+            return None
 
-        monkeypatch.setattr(batch, "ENABLED", False)
-        monkeypatch.setattr(batch, "sweep_best", boom)
-        assert spec.best(iter(pool)) is not None  # sequential path
+        monkeypatch.setattr(batch, "sweep_best", recording)
+        assert spec.best(iter(pool)) is None
+        assert calls == [spec]
 
-    def test_best_inside_speculation_scope_stays_sequential(self, monkeypatch):
+    def test_best_inside_speculation_scope_raises(self, monkeypatch):
         # active undo scopes invalidate the cached base totals: best must
         # not hand such a spec to the batch kernels
         state = GameState(nx.path_graph(6), 2)
@@ -196,9 +200,11 @@ class TestSweepBest:
         monkeypatch.setattr(batch, "sweep_best", boom)
         spec.push("remove", 0, 1)
         try:
-            spec.best(iter([AddEdge(0, 2)]))
+            with pytest.raises(RuntimeError, match="speculation scope"):
+                spec.best(iter([AddEdge(0, 2)]))
         finally:
             spec.pop()
+        assert spec.depth == 0
 
 
 class TestBackendRegistry:
@@ -257,30 +263,6 @@ class TestNumbaArmBitExact:
         graph = random_connected_gnp(rng.randint(8, 20), 0.3, rng)
         state = GameState(graph, 2)
         return state.dist.matrix, graph
-
-    def test_add_gains_and_row_dots(self):
-        numpy_arm = _backend._REGISTRY["numpy"]
-        numba_arm = _backend._REGISTRY["numba"]
-        for seed in range(8):
-            matrix, graph = self._matrix(seed)
-            n = matrix.shape[0]
-            rng = np.random.default_rng(seed)
-            us = rng.integers(0, n, size=12).astype(np.int64)
-            vs = rng.integers(0, n, size=12).astype(np.int64)
-            weights = rng.integers(0, 6, size=(n, n)).astype(np.int64)
-            assert (
-                numba_arm.add_gains(matrix, us, vs)
-                == numpy_arm.add_gains(matrix, us, vs)
-            ).all()
-            assert (
-                numba_arm.weighted_add_gains(matrix, weights, us, vs)
-                == numpy_arm.weighted_add_gains(matrix, weights, us, vs)
-            ).all()
-            rows = matrix[us]
-            assert (
-                numba_arm.weighted_row_dots(weights[us], rows)
-                == numpy_arm.weighted_row_dots(weights[us], rows)
-            ).all()
 
     def test_bfs_rows_scalar_and_batch(self):
         from scipy.sparse import csr_array

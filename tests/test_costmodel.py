@@ -36,8 +36,9 @@ from repro.core.costmodel import (
     CostModel,
     LinearCost,
     MaxCost,
-    ModelOps,
     TableCost,
+    UNIFORM_LINEAR,
+    Valuation,
     costmodel_from_spec,
     integer_root,
 )
@@ -50,6 +51,8 @@ from repro.dynamics.schedulers import random_improvement_scheduler
 from repro.equilibria.registry import check
 from repro.graphs.distances import DistanceMatrix, apsp_matrix
 from repro.graphs.generation import random_connected_gnp, random_tree
+
+from tests.reference import evaluate_rows_only
 
 UNREACHABLE = 10**6
 
@@ -64,16 +67,16 @@ NONLINEAR_MODELS = (
 
 def naive_agent_value(graph: nx.Graph, state: GameState, agent: int) -> int:
     """``sum_v W[a, v] * f(d)`` (or the max) per-entry from a fresh APSP."""
-    ops = state.model_ops
+    valuation = state.valuation
     fresh = apsp_matrix(graph, state.m_constant)
     n = fresh.shape[0]
     values = []
     for v in range(n):
         d = int(fresh[agent, v])
-        f = int(ops.table[d]) if d < n else int(ops.unreachable_value)
-        w = 1 if ops.weights is None else int(ops.weights[agent, v])
+        f = int(valuation.table[d]) if d < n else int(valuation.sentinel)
+        w = 1 if valuation.weights is None else int(valuation.weights[agent, v])
         values.append(w * f)
-    return max(values) if ops.aggregate == "max" else sum(values)
+    return max(values) if valuation.aggregate == "max" else sum(values)
 
 
 def naive_agent_cost(graph: nx.Graph, state: GameState, agent: int):
@@ -156,6 +159,11 @@ class TestModelArithmetic:
         with pytest.raises(ValueError):
             # explicit tables must cover every distance of the game
             costmodel_from_spec({"model": "table", "values": [0, 1]}, 5)
+        # tables past int64 raise ValueError, never OverflowError
+        with pytest.raises(ValueError, match="int64"):
+            ConvexCost(60).table(4)
+        with pytest.raises(ValueError, match="int64"):
+            TableCost([0, 1, 2**63])
 
 
 # -- linear byte-equivalence --------------------------------------------------
@@ -178,7 +186,7 @@ class TestLinearByteEquivalence:
             modeled = GameState(
                 graph.copy(), alpha, traffic=traffic, cost_model=LinearCost()
             )
-            assert not modeled.modeled  # linear dispatches to today's code
+            assert modeled.valuation.table is None  # linear binds no table
             for agent in range(plain.n):
                 assert plain.cost(agent) == modeled.cost(agent)
             assert plain.social_cost() == modeled.social_cost()
@@ -254,7 +262,7 @@ class TestKernelDeltasMatchNaive:
                         graph_after, state, agent
                     ) - naive_agent_cost(state.graph, state, agent)
                     assert delta == expected, (seed, move, agent)
-                rows_only = spec.evaluate_rows_only(move)
+                rows_only = evaluate_rows_only(spec, move)
                 if rows_only is not None:
                     assert rows_only.cost_deltas == evaluation.cost_deltas
                     assert rows_only.improving == evaluation.improving
@@ -263,7 +271,7 @@ class TestKernelDeltasMatchNaive:
 
     def test_deltas_exact_along_apply_chains(self):
         """The kernel stays exact on states that already moved (the undo
-        stack and ftotals maintenance compose with the model)."""
+        stack and totals maintenance compose with the model)."""
         for seed in range(8):
             rng = random.Random(240_000 + seed)
             n = rng.randint(4, 8)
@@ -354,15 +362,33 @@ class TestModeledGuards:
         with pytest.raises(ValueError, match="linear"):
             re_upper_bound_via_prop_3_1(self._modeled_state())
 
-    def test_model_ops_requires_a_modeled_state(self):
-        plain = GameState(nx.path_graph(4), Fraction(2))
-        with pytest.raises(ValueError):
-            plain.model_ops
-        linear = GameState(
-            nx.path_graph(4), Fraction(2), cost_model=LinearCost()
+    def test_prop_3_1_bound_raises_on_weighted_states(self):
+        """Its arithmetic is over unweighted distance totals: on C5 with
+        gravity demands it would bound the wrong game."""
+        state = GameState(
+            nx.cycle_graph(5), Fraction(2),
+            traffic=TrafficMatrix.gravity([1, 2, 3, 4, 5]),
         )
-        with pytest.raises(ValueError):
-            linear.model_ops
+        with pytest.raises(ValueError, match="linear"):
+            state.rho()
+        with pytest.raises(ValueError, match="linear"):
+            re_upper_bound_via_prop_3_1(state)
+
+    def test_paper_game_binds_the_shared_uniform_linear_valuation(self):
+        n = 4
+        for traffic in (None, TrafficMatrix.uniform(n)):
+            for cost_model in (None, LinearCost()):
+                state = GameState(
+                    nx.path_graph(n), Fraction(2), traffic=traffic,
+                    cost_model=cost_model,
+                )
+                assert state.valuation is UNIFORM_LINEAR
+        weighted = GameState(
+            nx.path_graph(n), Fraction(2),
+            traffic=TrafficMatrix.gravity([1, 2, 3, 4]),
+        )
+        assert not weighted.valuation.uniform_linear
+        assert weighted.valuation.table is None
 
     def test_cost_model_type_checked(self):
         with pytest.raises(TypeError):
@@ -371,27 +397,29 @@ class TestModeledGuards:
     def test_bind_mismatches_fail_fast(self):
         dm = DistanceMatrix(nx.path_graph(5), UNREACHABLE)
         model = ConvexCost(2)
-        with pytest.raises(ValueError, match="size"):
-            dm.bind_cost_model(
-                ModelOps(4, model.table(4), 10**9, aggregate="sum")
+        with pytest.raises(ValueError, match="n=5"):
+            dm.bind_valuation(Valuation(table=model.table(4), sentinel=10**9))
+        with pytest.raises(ValueError, match="n=5"):
+            dm.bind_valuation(
+                Valuation(weights=TrafficMatrix.uniform(4).weights)
             )
-        with pytest.raises(ValueError):
-            dm.bind_cost_model(object())
+        dm.bind_valuation(Valuation(table=model.table(5), sentinel=10**9))
         with pytest.raises(RuntimeError):
-            dm.ftotals()  # nothing bound
-        dm.bind_cost_model(
-            ModelOps(5, model.table(5), 10**9, aggregate="sum")
-        )
-        with pytest.raises(RuntimeError):
-            dm.fmax_counts()  # sum aggregate maintains no counts
+            dm.max_counts()  # sum aggregate maintains no counts
 
-    def test_model_ops_validates_table_and_sentinel(self):
+    def test_valuation_validates_table_sentinel_and_aggregate(self):
         model = ConvexCost(2)
         with pytest.raises(ValueError):
-            ModelOps(5, model.table(4), 10**9, aggregate="sum")
+            Valuation(table=model.table(5))  # a table needs a sentinel
         with pytest.raises(ValueError):
             # sentinel must clear the largest real value
-            ModelOps(5, model.table(5), int(model.table(5)[-1]), aggregate="sum")
+            Valuation(table=model.table(5), sentinel=int(model.table(5)[-1]))
+        with pytest.raises(ValueError):
+            Valuation(aggregate="mean")
+        with pytest.raises(ValueError, match="covers"):
+            GameState(
+                nx.path_graph(5), Fraction(2), cost_model=TableCost([0, 1, 2])
+            )
 
     def test_costmodel_is_a_cost_model_subclass_contract(self):
         for model in (LinearCost(),) + NONLINEAR_MODELS:

@@ -9,17 +9,13 @@ constructions), asserting **bit-exact agreement at every step** between
   APSP of the mutated graph (whose Python arm is itself pinned to scipy
   below),
 * the incrementally maintained ``totals()`` and a fresh row sum,
-* the incrementally maintained weighted ``wtotals()`` (uniform and
-  random demand matrices) and a fresh weighted row sum, plus weighted
-  per-agent costs along ``GameState.apply`` chains vs naive
-  recomputation — with the ``WTOTALS_REBUILDS`` spy proving exactly one
-  weighted row-sum per engine and zero along trajectories,
-* the incrementally maintained model aggregates ``ftotals()`` (linear,
-  concave, convex and max cost models, with and without demand
-  matrices) and a fresh per-entry recomputation — including the
-  max-aggregate's maintained multiplicity counts — with the
-  ``FTOTALS_REBUILDS`` spy proving exactly one model-value pass per
-  engine and zero along trajectories,
+* the same ``totals()`` under every bound valuation (linear, concave,
+  convex and max cost models, with and without demand matrices) and a
+  fresh per-entry recomputation — including the max-aggregate's
+  maintained multiplicity counts — with the ``TOTALS_REBUILDS`` spy
+  proving exactly one full pass per engine and zero along trajectories,
+  plus weighted and modeled per-agent costs along ``GameState.apply``
+  chains vs naive recomputation,
 * the incrementally maintained bridge set and a from-scratch naive
   recompute (edge is a bridge iff deleting it disconnects its endpoints —
   re-derived by BFS per edge, independent of the chain decomposition),
@@ -62,7 +58,7 @@ from repro.graphs import distances as distances_mod
 from repro.graphs.distances import DistanceMatrix, apsp_matrix
 from repro.graphs.generation import random_connected_gnp, random_tree
 
-from tests.reference import dynamics_trace
+from tests.reference import best_sequential, dynamics_trace
 
 UNREACHABLE = 10**6
 
@@ -297,7 +293,7 @@ class TestCostCrossValidation:
         return None
 
 
-# -- weighted totals: the traffic-model engine arm ---------------------------
+# -- valued totals: one maintained aggregate per engine ----------------------
 
 
 def demand_matrix(n: int, seed: int) -> np.ndarray:
@@ -309,109 +305,6 @@ def demand_matrix(n: int, seed: int) -> np.ndarray:
     if seed % 3 == 0:
         return TrafficMatrix.uniform(n).weights
     return TrafficMatrix.random_demands(n, seed=seed, high=4).weights
-
-
-class TestWeightedTotalsCrossValidation:
-    """``wtotals()`` vs a fresh weighted row sum at every trajectory step."""
-
-    def test_wtotals_match_naive_along_trajectories(self):
-        for seed in range(25):
-            rng = random.Random(100_000 + seed)
-            family = FAMILIES[seed % len(FAMILIES)]
-            graph = start_graph(family, rng)
-            n = graph.number_of_nodes()
-            weights = demand_matrix(n, seed)
-            dm = DistanceMatrix(graph, UNREACHABLE)
-            dm.bind_traffic(weights)
-            rebuilds_before = distances_mod.wtotals_rebuild_count()
-            assert (
-                dm.wtotals()
-                == (apsp_matrix(graph, UNREACHABLE) * weights).sum(axis=1)
-            ).all()
-            assert (
-                distances_mod.wtotals_rebuild_count() == rebuilds_before + 1
-            )
-            for _ in range(STEPS):
-                if random_step(dm, graph, rng) is None:
-                    continue
-                fresh = apsp_matrix(graph, UNREACHABLE)
-                assert (dm.wtotals() == (fresh * weights).sum(axis=1)).all()
-                # uniform demand: the weighted vector is the uniform one
-                if (weights == TrafficMatrix.uniform(n).weights).all():
-                    assert (dm.wtotals() == dm.totals()).all()
-            # incrementality: exactly one weighted row-sum per engine
-            assert (
-                distances_mod.wtotals_rebuild_count() == rebuilds_before + 1
-            )
-
-    def test_undo_restores_wtotals(self):
-        for seed in range(15):
-            rng = random.Random(110_000 + seed)
-            graph = start_graph(FAMILIES[seed % len(FAMILIES)], rng)
-            n = graph.number_of_nodes()
-            weights = demand_matrix(n, seed + 1)
-            dm = DistanceMatrix(graph, UNREACHABLE)
-            dm.bind_traffic(weights)
-            before = dm.wtotals()
-            tokens = []
-            for _ in range(STEPS):
-                token = random_step(dm, graph, rng)
-                if token is not None:
-                    tokens.append(token)
-            for token in reversed(tokens):
-                dm.undo(token)
-            assert (dm.wtotals() == before).all()
-
-    def test_asymmetric_demands_stay_exact(self):
-        """Only the *distance* matrix is symmetric; W need not be."""
-        rng = random.Random(7)
-        graph = random_connected_gnp(9, 0.35, rng)
-        weights = np.arange(81, dtype=np.int64).reshape(9, 9).copy()
-        np.fill_diagonal(weights, 0)
-        dm = DistanceMatrix(graph, UNREACHABLE)
-        dm.bind_traffic(weights)
-        dm.wtotals()
-        for _ in range(15):
-            random_step(dm, graph, rng)
-            fresh = apsp_matrix(graph, UNREACHABLE)
-            assert (dm.wtotals() == (fresh * weights).sum(axis=1)).all()
-
-    def test_weighted_costs_match_naive_along_apply_chains(self):
-        for seed in range(20):
-            rng = random.Random(120_000 + seed)
-            n = rng.randint(3, 9)
-            graph = random_connected_gnp(n, 0.35, rng)
-            alpha = Fraction(rng.randint(1, 9), rng.choice((1, 2)))
-            traffic = (
-                TrafficMatrix.uniform(n)
-                if seed % 3 == 0
-                else TrafficMatrix.random_demands(n, seed=seed, high=4)
-            )
-            state = GameState(graph, alpha, traffic=traffic)
-            state.dist  # materialise so apply() hands the engine off
-            rebuilds_before = distances_mod.wtotals_rebuild_count()
-            for _ in range(6):
-                move = TestCostCrossValidation._random_move(state, rng)
-                if move is None:
-                    break
-                state = state.apply(move)
-                expected_social = Fraction(0)
-                fresh = apsp_matrix(state.graph, state.m_constant)
-                for agent in range(state.n):
-                    expected = state.alpha * state.graph.degree(agent) + int(
-                        (traffic.weights[agent] * fresh[agent]).sum()
-                    )
-                    assert state.cost(agent) == expected
-                    expected_social += expected
-                assert state.social_cost() == expected_social
-            # weighted trajectories pay at most one weighted row-sum
-            # (zero when the uniform dispatch never touches wtotals)
-            assert (
-                distances_mod.wtotals_rebuild_count() <= rebuilds_before + 1
-            )
-
-
-# -- model aggregates: the cost-model engine arm ------------------------------
 
 
 MODEL_KINDS = ("linear", "concave", "convex", "max")
@@ -433,39 +326,36 @@ def cost_model_for(kind: str):
     }[kind]
 
 
-def model_ops_for(kind: str, n: int, weights):
-    """Engine-facing ops for one model (the binding GameState would make)."""
-    from repro.core.costmodel import ModelOps
+def valuation_for(kind: str, n: int, weights):
+    """The valuation a ``GameState`` would bind for one model and demand
+    matrix (uniform demands bind the paper's plain row sums)."""
+    from repro.core.costmodel import bind_valuation
 
-    model = cost_model_for(kind)
-    mass = int(weights.sum(axis=1).max()) if weights is not None else n - 1
-    return ModelOps(
-        n,
-        model.table(n),
-        model.unreachable_cost(n, Fraction(3), mass),
-        weights=weights,
-        aggregate=model.aggregate,
-    )
+    traffic = None if weights is None else TrafficMatrix(weights)
+    return bind_valuation(n, Fraction(3), traffic, cost_model_for(kind))[1]
 
 
-def naive_model_totals(graph: nx.Graph, ops):
-    """Per-row model aggregates (and max multiplicities) from scratch.
+def naive_valued_totals(graph: nx.Graph, valuation, unreachable=UNREACHABLE):
+    """Per-row values (and max multiplicities) from scratch.
 
     Pure-Python per-entry loops over a fresh APSP — shares no vector
-    code with ``ModelOps.apply_f`` or the engine's shift maintenance.
+    code with ``Valuation.values`` or the engine's shift maintenance.
     """
-    fresh = apsp_matrix(graph, UNREACHABLE)
+    fresh = apsp_matrix(graph, unreachable)
     n = fresh.shape[0]
-    table = ops.table
+    table = valuation.table
     totals, counts = [], []
     for u in range(n):
         values = []
         for v in range(n):
             d = int(fresh[u, v])
-            f = int(table[d]) if d < n else int(ops.unreachable_value)
-            w = 1 if ops.weights is None else int(ops.weights[u, v])
+            if table is None:
+                f = d  # identity: the distance sentinel is its own value
+            else:
+                f = int(table[d]) if d < n else int(valuation.sentinel)
+            w = 1 if valuation.weights is None else int(valuation.weights[u, v])
             values.append(w * f)
-        if ops.aggregate == "max":
+        if valuation.aggregate == "max":
             top = max(values)
             totals.append(top)
             counts.append(sum(1 for value in values if value == top))
@@ -478,60 +368,57 @@ def naive_model_totals(graph: nx.Graph, ops):
     )
 
 
-class TestModelTotalsCrossValidation:
-    """``ftotals()`` / max-with-counts vs per-entry recompute every step."""
+VALUATION_CASES = [
+    (kind, weighted) for kind in MODEL_KINDS for weighted in (False, True)
+]
 
-    def test_ftotals_match_naive_along_trajectories(self):
-        for seed in range(32):
-            rng = random.Random(130_000 + seed)
-            family = FAMILIES[seed % len(FAMILIES)]
-            graph = start_graph(family, rng)
+
+class TestValuedTotalsCrossValidation:
+    """``totals()`` under every valuation — plain, demand-weighted, the
+    concave / convex / max models with and without demands — vs a
+    per-entry recompute at every trajectory step, with the max-with-counts
+    multiplicities and one rebuild per engine."""
+
+    @pytest.mark.parametrize("kind,weighted", VALUATION_CASES)
+    def test_totals_match_naive_along_trajectories(self, kind, weighted):
+        for seed in range(8):
+            rng = random.Random(100_000 + seed)
+            graph = start_graph(FAMILIES[seed % len(FAMILIES)], rng)
             n = graph.number_of_nodes()
-            kind = MODEL_KINDS[seed % len(MODEL_KINDS)]
-            weights = None if seed % 2 == 0 else demand_matrix(n, seed)
-            ops = model_ops_for(kind, n, weights)
+            weights = demand_matrix(n, seed) if weighted else None
+            valuation = valuation_for(kind, n, weights)
             dm = DistanceMatrix(graph, UNREACHABLE)
-            dm.bind_cost_model(ops)
-            rebuilds_before = distances_mod.ftotals_rebuild_count()
-            expected, expected_counts = naive_model_totals(graph, ops)
-            assert (dm.ftotals() == expected).all()
-            assert (
-                distances_mod.ftotals_rebuild_count() == rebuilds_before + 1
-            )
+            dm.bind_valuation(valuation)
+            rebuilds_before = distances_mod.totals_rebuild_count()
+            expected, _ = naive_valued_totals(graph, valuation)
+            assert (dm.totals() == expected).all()
+            assert distances_mod.totals_rebuild_count() == rebuilds_before + 1
             for _ in range(STEPS):
                 if random_step(dm, graph, rng) is None:
                     continue
-                expected, expected_counts = naive_model_totals(graph, ops)
-                assert (dm.ftotals() == expected).all()
-                assert dm.ftotals().dtype == np.int64
-                if ops.aggregate == "max":
-                    assert (dm.fmax_counts() == expected_counts).all()
-                if (
-                    kind == "linear"
-                    and weights is None
-                    and nx.is_connected(graph)
-                ):
-                    # identity table, sum aggregate: the plain totals
-                    # (only reachable pairs — unreachable ones map to the
-                    # model's value sentinel, not the distance sentinel)
-                    assert (dm.ftotals() == dm.totals()).all()
-            # incrementality: exactly one model-value pass per engine
-            assert (
-                distances_mod.ftotals_rebuild_count() == rebuilds_before + 1
-            )
+                expected, expected_counts = naive_valued_totals(
+                    graph, valuation
+                )
+                assert (dm.totals() == expected).all()
+                assert dm.totals().dtype == np.int64
+                if valuation.aggregate == "max":
+                    assert (dm.max_counts() == expected_counts).all()
+            # incrementality: exactly one full pass per engine
+            assert distances_mod.totals_rebuild_count() == rebuilds_before + 1
 
-    def test_undo_restores_ftotals_and_counts(self):
-        for seed in range(16):
-            rng = random.Random(140_000 + seed)
+    @pytest.mark.parametrize("kind,weighted", VALUATION_CASES)
+    def test_undo_restores_totals_and_counts(self, kind, weighted):
+        for seed in range(4):
+            rng = random.Random(110_000 + seed)
             graph = start_graph(FAMILIES[seed % len(FAMILIES)], rng)
             n = graph.number_of_nodes()
-            kind = MODEL_KINDS[seed % len(MODEL_KINDS)]
-            weights = None if seed % 2 == 0 else demand_matrix(n, seed + 1)
+            weights = demand_matrix(n, seed + 1) if weighted else None
+            valuation = valuation_for(kind, n, weights)
             dm = DistanceMatrix(graph, UNREACHABLE)
-            dm.bind_cost_model(model_ops_for(kind, n, weights))
-            before = dm.ftotals()
+            dm.bind_valuation(valuation)
+            before = dm.totals()
             counts_before = (
-                dm.fmax_counts() if kind == "max" else None
+                dm.max_counts() if valuation.aggregate == "max" else None
             )
             tokens = []
             for _ in range(STEPS):
@@ -540,16 +427,68 @@ class TestModelTotalsCrossValidation:
                     tokens.append(token)
             for token in reversed(tokens):
                 dm.undo(token)
-            assert (dm.ftotals() == before).all()
+            assert (dm.totals() == before).all()
             if counts_before is not None:
-                assert (dm.fmax_counts() == counts_before).all()
+                assert (dm.max_counts() == counts_before).all()
+
+class TestWeightedTotalsCrossValidation:
+    """Demand-weighted totals beyond the parametrised maintenance above."""
+
+    def test_asymmetric_demands_stay_exact(self):
+        """Only the *distance* matrix is symmetric; W need not be."""
+        from repro.core.costmodel import Valuation
+
+        rng = random.Random(7)
+        graph = random_connected_gnp(9, 0.35, rng)
+        weights = np.arange(81, dtype=np.int64).reshape(9, 9).copy()
+        np.fill_diagonal(weights, 0)
+        dm = DistanceMatrix(graph, UNREACHABLE)
+        dm.bind_valuation(Valuation(weights))
+        dm.totals()
+        for _ in range(15):
+            random_step(dm, graph, rng)
+            fresh = apsp_matrix(graph, UNREACHABLE)
+            assert (dm.totals() == (fresh * weights).sum(axis=1)).all()
+
+    def test_weighted_costs_match_naive_along_apply_chains(self):
+        for seed in range(20):
+            rng = random.Random(120_000 + seed)
+            n = rng.randint(3, 9)
+            graph = random_connected_gnp(n, 0.35, rng)
+            alpha = Fraction(rng.randint(1, 9), rng.choice((1, 2)))
+            traffic = (
+                TrafficMatrix.uniform(n)
+                if seed % 3 == 0
+                else TrafficMatrix.random_demands(n, seed=seed, high=4)
+            )
+            state = GameState(graph, alpha, traffic=traffic)
+            state.dist  # materialise so apply() hands the engine off
+            rebuilds_before = distances_mod.totals_rebuild_count()
+            for _ in range(6):
+                move = TestCostCrossValidation._random_move(state, rng)
+                if move is None:
+                    break
+                state = state.apply(move)
+                expected_social = Fraction(0)
+                fresh = apsp_matrix(state.graph, state.m_constant)
+                for agent in range(state.n):
+                    expected = state.alpha * state.graph.degree(agent) + int(
+                        (traffic.weights[agent] * fresh[agent]).sum()
+                    )
+                    assert state.cost(agent) == expected
+                    expected_social += expected
+                assert state.social_cost() == expected_social
+            # a trajectory pays at most one full pass (zero if no move)
+            assert distances_mod.totals_rebuild_count() <= rebuilds_before + 1
+
+class TestModelTotalsCrossValidation:
+    """Cost-model totals along ``GameState.apply`` chains."""
 
     def test_modeled_costs_match_naive_along_apply_chains(self):
         """``GameState(cost_model=...)`` costs vs per-entry recompute.
 
-        Covers concave / convex / max (the modeled dispatch) with and
-        without a demand matrix; one model-value pass per chain, zero
-        along the moves.
+        Covers concave / convex / max with and without a demand matrix;
+        one full pass per chain, zero along the moves.
         """
         for seed in range(24):
             rng = random.Random(150_000 + seed)
@@ -566,14 +505,14 @@ class TestModelTotalsCrossValidation:
                 graph, alpha, traffic=traffic, cost_model=cost_model_for(kind)
             )
             state.dist  # materialise so apply() hands the engine off
-            rebuilds_before = distances_mod.ftotals_rebuild_count()
+            rebuilds_before = distances_mod.totals_rebuild_count()
             for _ in range(6):
                 move = TestCostCrossValidation._random_move(state, rng)
                 if move is None:
                     break
                 state = state.apply(move)
-                expected_totals, _ = naive_model_totals(
-                    state.graph, state.model_ops
+                expected_totals, _ = naive_valued_totals(
+                    state.graph, state.valuation
                 )
                 expected_social = Fraction(0)
                 for agent in range(state.n):
@@ -583,10 +522,8 @@ class TestModelTotalsCrossValidation:
                     assert state.cost(agent) == expected
                     expected_social += expected
                 assert state.social_cost() == expected_social
-            # modeled trajectories pay at most one model-value pass
-            assert (
-                distances_mod.ftotals_rebuild_count() <= rebuilds_before + 1
-            )
+            # modeled trajectories pay at most one full pass
+            assert distances_mod.totals_rebuild_count() <= rebuilds_before + 1
 
 
 # -- spy counters: the maintenance is genuinely incremental -----------------
@@ -651,7 +588,7 @@ class TestBridgeSpies:
         monkeypatch.setattr(distances_mod, "_rows_from_csr", boom)
         row_u, row_v = dm.rows_after_remove(3, 4)
         assert (row_u == fresh[3]).all() and (row_v == fresh[4]).all()
-        assert dm.remove_loss_pair(3, 4) == (
+        assert (dm.remove_loss(3, 4), dm.remove_loss(4, 3)) == (
             int((fresh[3] - dm.matrix[3]).sum()),
             int((fresh[4] - dm.matrix[4]).sum()),
         )
@@ -1199,9 +1136,10 @@ class TestEndpointArrayCache:
 
 class TestBackendAndBatchTrajectoryFuzz:
     """Whole best-response trajectories are bit-identical across every
-    registered backend arm and with batching forced on and off.
+    registered backend arm and between the batched sweep and the
+    per-candidate sequential oracle (``tests/reference.py``).
 
-    The reference leg is (numpy arm, batching on); every other
+    The reference leg is (numpy arm, batched); every other
     (arm, batching) combination must reproduce its move sequence, social
     cost trace and final graph exactly — 40 uniform + 15 weighted + 15
     modeled seeded trajectories per combination (>= 140 trajectories
@@ -1213,14 +1151,17 @@ class TestBackendAndBatchTrajectoryFuzz:
     @pytest.mark.parametrize("regime", ("uniform", "weighted", "modeled"))
     def test_trajectories_bit_identical(self, regime, monkeypatch):
         from repro import _backend
-        from repro.core import batch as batch_mod
 
+        batched = SpeculativeEvaluator.best
         seeds = range(self.SEEDS[regime])
         reference = None
         for arm in _backend.available_backends():
             with _backend.use_backend(arm):
                 for batching in (True, False):
-                    monkeypatch.setattr(batch_mod, "ENABLED", batching)
+                    monkeypatch.setattr(
+                        SpeculativeEvaluator, "best",
+                        batched if batching else best_sequential,
+                    )
                     traces = [dynamics_trace(s, regime) for s in seeds]
                     if reference is None:
                         reference = (arm, batching, traces)

@@ -208,8 +208,6 @@ class TestSpyAliases:
         assert distances.APSP_BUILDS >= before[0] + 1
         assert distances.TOTALS_REBUILDS == distances.totals_rebuild_count()
         assert distances.TOTALS_REBUILDS >= before[1] + 1
-        assert distances.WTOTALS_REBUILDS == distances.wtotals_rebuild_count()
-        assert distances.FTOTALS_REBUILDS == distances.ftotals_rebuild_count()
         assert (
             distances.REMOVE_BFS_REPAIRS
             == distances.remove_bfs_repair_count()

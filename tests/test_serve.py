@@ -225,6 +225,35 @@ class TestClassify:
             )
             assert status == 400, agent
             assert "agent" in body["error"]
+        # regime inputs: a 400 naming the problem, never a 500 and never
+        # an answer for a different game (4-node path)
+        path_4 = PATH_5[:3]
+        for regime, fragment in [
+            ({"traffic": {"model": "gravity", "weights": [1, 2]}}, "n=2"),
+            (
+                {"traffic": {"model": "explicit", "rows": [[0, 1], [1, 0]]}},
+                "n=2",
+            ),
+            ({"alpha": 2**62}, "too large"),
+            (
+                {"traffic": {"model": "random", "seed": 1, "high": 2**62}},
+                "too large",
+            ),
+            (
+                {"costmodel": {"model": "table", "values": [0, 1, 2**61, 2**62]}},
+                "too large",
+            ),
+            ({"costmodel": {"model": "convex", "exponent": 60}}, "int64"),
+            (
+                {"traffic": {"model": "gravity", "weights": [1.5, 2, 3, 4]}},
+                "integers",
+            ),
+        ]:
+            for endpoint, extra in (("classify", {}), ("best_response", {"agent": 0})):
+                payload = {"edges": path_4, "alpha": 2, **regime, **extra}
+                status, body = app.handle(endpoint, payload)
+                assert status == 400, (endpoint, regime)
+                assert fragment in body["error"], (endpoint, body["error"])
 
     def test_unknown_endpoint_is_404(self):
         app = ServeApp()

@@ -119,6 +119,28 @@ class TestTrafficMatrix:
         exact = TrafficMatrix.from_pairs([[0.0, 2.0], [2.0, 0.0]])
         assert exact.weights[0, 1] == 2
 
+    def test_named_generators_refuse_to_truncate(self):
+        """``gravity([1.5, 2, 3])`` must not build the game of
+        ``[1, 2, 3]``: every named generator runs the same integrality
+        check as ``from_pairs``."""
+        for build in (
+            lambda: TrafficMatrix.gravity([1.5, 2, 3]),
+            lambda: TrafficMatrix.gravity([1, 2, 3, 4.25]),
+            lambda: TrafficMatrix.per_agent([2, 0.5, 1]),
+            lambda: TrafficMatrix.hub_spoke(4, [0], hub_demand=2.5),
+            lambda: TrafficMatrix.hub_spoke(4, [0], spoke_demand=0.5),
+            lambda: traffic_from_spec(
+                {"model": "gravity", "weights": [1.5, 2, 3, 4]}, 4
+            ),
+        ):
+            with pytest.raises(ValueError, match="integers"):
+                build()
+        # integer-valued floats are accepted exactly, as in from_pairs
+        assert TrafficMatrix.gravity([1.0, 2, 3]) == TrafficMatrix.gravity(
+            [1, 2, 3]
+        )
+        assert TrafficMatrix.gravity([1.0, 2, 3]).spec["weights"] == [1, 2, 3]
+
     def test_diagonal_zeroed_and_masses(self):
         traffic = TrafficMatrix.from_pairs([[7, 2], [3, 9]])
         assert traffic.weights[0, 0] == 0 and traffic.weights[1, 1] == 0
@@ -164,13 +186,13 @@ class TestTrafficMatrix:
         weighted = GameState(
             nx.path_graph(4), 2, traffic=TrafficMatrix.gravity([2, 1, 1, 1])
         )
-        assert weighted.weighted
+        assert not weighted.valuation.uniform_linear
         with pytest.raises(ValueError):
             weighted.rho()
         uniform = GameState(
             nx.path_graph(4), 2, traffic=TrafficMatrix.uniform(4)
         )
-        assert not uniform.weighted
+        assert uniform.valuation.uniform_linear
         assert uniform.rho() == GameState(nx.path_graph(4), 2).rho()
 
 
@@ -535,4 +557,6 @@ class TestWeightedCheckersVsNaive:
             )
             if result.converged:
                 assert check(result.final, Concept.PS)
-                assert result.final.weighted == (not traffic.is_uniform)
+                assert result.final.valuation.uniform_linear == (
+                    traffic.is_uniform
+                )
