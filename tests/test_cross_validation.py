@@ -373,38 +373,33 @@ VALUATION_CASES = [
 ]
 
 
-class TestValuedTotalsCrossValidation:
-    """``totals()`` under every valuation — plain, demand-weighted, the
-    concave / convex / max models with and without demands — vs a
-    per-entry recompute at every trajectory step, with the max-with-counts
-    multiplicities and one rebuild per engine."""
+def assert_totals_track_naive(graph: nx.Graph, valuation, rng: random.Random):
+    """Bind ``valuation`` to a fresh engine on ``graph`` and walk ``STEPS``
+    random moves, checking ``totals()`` (and the max-with-counts
+    multiplicities) against :func:`naive_valued_totals` after every one,
+    with exactly one full pass for the engine."""
+    dm = DistanceMatrix(graph, UNREACHABLE)
+    dm.bind_valuation(valuation)
+    rebuilds_before = distances_mod.totals_rebuild_count()
+    expected, _ = naive_valued_totals(graph, valuation)
+    assert (dm.totals() == expected).all()
+    assert distances_mod.totals_rebuild_count() == rebuilds_before + 1
+    for _ in range(STEPS):
+        if random_step(dm, graph, rng) is None:
+            continue
+        expected, expected_counts = naive_valued_totals(graph, valuation)
+        assert (dm.totals() == expected).all()
+        assert dm.totals().dtype == np.int64
+        if valuation.aggregate == "max":
+            assert (dm.max_counts() == expected_counts).all()
+    # incrementality: exactly one full pass per engine
+    assert distances_mod.totals_rebuild_count() == rebuilds_before + 1
 
-    @pytest.mark.parametrize("kind,weighted", VALUATION_CASES)
-    def test_totals_match_naive_along_trajectories(self, kind, weighted):
-        for seed in range(8):
-            rng = random.Random(100_000 + seed)
-            graph = start_graph(FAMILIES[seed % len(FAMILIES)], rng)
-            n = graph.number_of_nodes()
-            weights = demand_matrix(n, seed) if weighted else None
-            valuation = valuation_for(kind, n, weights)
-            dm = DistanceMatrix(graph, UNREACHABLE)
-            dm.bind_valuation(valuation)
-            rebuilds_before = distances_mod.totals_rebuild_count()
-            expected, _ = naive_valued_totals(graph, valuation)
-            assert (dm.totals() == expected).all()
-            assert distances_mod.totals_rebuild_count() == rebuilds_before + 1
-            for _ in range(STEPS):
-                if random_step(dm, graph, rng) is None:
-                    continue
-                expected, expected_counts = naive_valued_totals(
-                    graph, valuation
-                )
-                assert (dm.totals() == expected).all()
-                assert dm.totals().dtype == np.int64
-                if valuation.aggregate == "max":
-                    assert (dm.max_counts() == expected_counts).all()
-            # incrementality: exactly one full pass per engine
-            assert distances_mod.totals_rebuild_count() == rebuilds_before + 1
+
+class TestValuedTotalsCrossValidation:
+    """Undo under every valuation — plain, demand-weighted, the concave /
+    convex / max models with and without demands — restores ``totals()``
+    and the max-with-counts multiplicities."""
 
     @pytest.mark.parametrize("kind,weighted", VALUATION_CASES)
     def test_undo_restores_totals_and_counts(self, kind, weighted):
@@ -431,8 +426,25 @@ class TestValuedTotalsCrossValidation:
             if counts_before is not None:
                 assert (dm.max_counts() == counts_before).all()
 
+
 class TestWeightedTotalsCrossValidation:
-    """Demand-weighted totals beyond the parametrised maintenance above."""
+    """Demand-weighted linear totals vs a per-entry recompute every step."""
+
+    def test_wtotals_match_naive_along_trajectories(self):
+        from repro.core.costmodel import UNIFORM_LINEAR
+
+        for seed in range(25):
+            rng = random.Random(100_000 + seed)
+            graph = start_graph(FAMILIES[seed % len(FAMILIES)], rng)
+            n = graph.number_of_nodes()
+            weights = demand_matrix(n, seed)
+            valuation = valuation_for("linear", n, weights)
+            # uniform demand binds the paper's plain row sums
+            if (weights == TrafficMatrix.uniform(n).weights).all():
+                assert valuation is UNIFORM_LINEAR
+            else:
+                assert (valuation.weights == weights).all()
+            assert_totals_track_naive(graph, valuation, rng)
 
     def test_asymmetric_demands_stay_exact(self):
         """Only the *distance* matrix is symmetric; W need not be."""
@@ -481,8 +493,23 @@ class TestWeightedTotalsCrossValidation:
             # a trajectory pays at most one full pass (zero if no move)
             assert distances_mod.totals_rebuild_count() <= rebuilds_before + 1
 
+
 class TestModelTotalsCrossValidation:
-    """Cost-model totals along ``GameState.apply`` chains."""
+    """Cost-model totals vs a per-entry recompute every step."""
+
+    def test_ftotals_match_naive_along_trajectories(self):
+        """Every model kind, with and without demands: sums and the max
+        aggregate's multiplicities."""
+        for seed in range(32):
+            rng = random.Random(130_000 + seed)
+            graph = start_graph(FAMILIES[seed % len(FAMILIES)], rng)
+            n = graph.number_of_nodes()
+            kind = MODEL_KINDS[seed % len(MODEL_KINDS)]
+            weighted = (seed // len(MODEL_KINDS)) % 2 == 1
+            weights = demand_matrix(n, seed) if weighted else None
+            assert_totals_track_naive(
+                graph, valuation_for(kind, n, weights), rng
+            )
 
     def test_modeled_costs_match_naive_along_apply_chains(self):
         """``GameState(cost_model=...)`` costs vs per-entry recompute.
