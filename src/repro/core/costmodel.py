@@ -358,7 +358,9 @@ class Valuation:
             weights is None and table is None and aggregate == "sum"
         )
         #: every off-diagonal demand is positive (the diagonal is zero), so
-        #: disconnecting anyone costs a sentinel: bridges never pay
+        #: disconnecting anyone adds a sentinel to a sum, or lifts a finite
+        #: max to one: bridges never pay (a sum, or a max on a connected
+        #: graph)
         self.full_support = weights is None or (
             np.count_nonzero(weights) == weights.shape[0] * (weights.shape[0] - 1)
         )

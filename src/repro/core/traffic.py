@@ -36,9 +36,10 @@ Zero demand changes the game qualitatively: an agent with no demand
 toward a bridge's far side can profitably drop the bridge, so the
 shortcuts "bridges are never improving removals" and "trees are always
 RE" hold only while every off-diagonal demand is positive
-(``Valuation.full_support``) — otherwise the removal scan prices bridge
-removals through the search-free two-component split, weighting each
-side's demand mass, instead of skipping them.
+(``Valuation.full_support``; under a max aggregate the graph must be
+connected too) — otherwise the removal scan prices bridge removals
+through the search-free two-component split, weighting each side's
+demand mass, instead of skipping them.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from repro._alpha import fits_int64
 from repro._rng import coerce_rng
 
 __all__ = [
@@ -56,19 +58,23 @@ __all__ = [
 
 
 def _exact_ints(values) -> np.ndarray:
-    """``values`` as int64, refusing anything that is not an integer —
-    a float like ``1.5`` raises instead of truncating."""
+    """``values`` as int64, refusing anything that is not an integer in
+    int64 range — a float like ``1.5`` raises instead of truncating, and
+    ``1e19`` or ``2**63`` instead of wrapping."""
     array = np.asarray(values)
-    if array.dtype == bool or not np.issubdtype(array.dtype, np.integer):
-        if np.issubdtype(array.dtype, np.floating) and not (
-            array == np.floor(array)
-        ).all():
-            raise ValueError("demands must be integers (exact arithmetic)")
-        try:
-            return array.astype(np.int64, casting="unsafe")
-        except (ValueError, TypeError, OverflowError):
-            raise ValueError("demands must be integers (exact arithmetic)")
-    return array.astype(np.int64)
+    if np.issubdtype(array.dtype, np.signedinteger):
+        return array.astype(np.int64)
+    try:
+        with np.errstate(invalid="ignore"):
+            exact = array.astype(np.int64, casting="unsafe")
+        # a cast that truncated or wrapped no longer equals its input
+        if not (exact == array).all():
+            raise ValueError
+    except (ValueError, TypeError, OverflowError):
+        raise ValueError(
+            "demands must be integers within int64 (exact arithmetic)"
+        ) from None
+    return exact
 
 
 def _as_demand_array(values, n: int | None = None) -> np.ndarray:
@@ -93,6 +99,8 @@ def _demand_vector(weights, what: str) -> np.ndarray:
     vector = _exact_ints(list(weights))
     if vector.ndim != 1:
         raise ValueError(f"{what} weights must be a flat sequence")
+    if (vector < 0).any():
+        raise ValueError(f"{what} weights must be non-negative")
     return vector
 
 
@@ -158,6 +166,8 @@ class TrafficMatrix:
         scales with the product of their sizes.
         """
         vector = _demand_vector(weights, "gravity")
+        if vector.size and not fits_int64(int(vector.max()) ** 2):
+            raise ValueError("gravity weights too large for int64 demands")
         return cls(
             np.outer(vector, vector),
             spec={"model": "gravity", "weights": vector.tolist()},
@@ -218,12 +228,18 @@ class TrafficMatrix:
         ``density < 1`` zeroes pairs independently (exercising the
         zero-demand regime).
         """
+        high = int(_exact_ints(high))
+        if not fits_int64(high):
+            raise ValueError(
+                f"random demand bound high={high} too large for exact "
+                "int64 arithmetic"
+            )
         rng = coerce_rng(int(seed))
         matrix = np.zeros((n, n), dtype=np.int64)
         for u in range(n):
             for v in range(u + 1, n):
                 demand = (
-                    rng.randint(0, int(high))
+                    rng.randint(0, high)
                     if rng.random() < density
                     else 0
                 )
@@ -233,7 +249,7 @@ class TrafficMatrix:
             spec={
                 "model": "random",
                 "seed": int(seed),
-                "high": int(high),
+                "high": high,
                 "density": float(density),
             },
         )

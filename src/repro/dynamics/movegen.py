@@ -24,7 +24,8 @@ never pays a full APSP rebuild per candidate.  The one-edge pools are the
 checkers' own scans, so a generator and its checker can never disagree:
 removals come from the RE checker's
 (:func:`repro.equilibria.remove.improving_removals`, which skips bridges
-without a BFS whenever every demand is positive), swaps from the BSwE
+without a BFS whenever every demand is positive and a disconnection
+always costs a sentinel), swaps from the BSwE
 checker's (:func:`repro.equilibria.swap.improving_swaps`, which prices
 each dropped edge on a post-removal matrix derived from the cached one
 without mutating the engine); schedulers then batch-evaluate the

@@ -16,12 +16,15 @@ their losses are row-value diffs under the state's
 :class:`~repro.core.costmodel.Valuation`.
 
 Bridges are skipped exactly when every off-diagonal demand is positive
-(``Valuation.full_support``, always so in the paper's game): dropping a
-bridge then disconnects the actor from someone it values, which costs at
-least one sentinel (``M`` or the model's ``F``), more than any saving —
-so trees are RE for every ``alpha`` there.  With *zero* demand toward a
-bridge's far side the disconnection is free, and a max aggregate can be
-entirely indifferent to a removal, so such states charge every edge.
+(``Valuation.full_support``, always so in the paper's game) and the
+aggregate is a sum or the graph is connected: dropping a bridge then
+disconnects the actor from someone it values, which adds at least one
+sentinel (``M`` or the model's ``F``) to a sum, or lifts a finite max to
+one — more than any saving — so trees are RE for every ``alpha`` there.
+With *zero* demand toward a bridge's far side the disconnection is free,
+and on a disconnected graph a max aggregate already sits at the sentinel
+and can be entirely indifferent to a removal, so such states charge
+every edge.
 """
 
 from __future__ import annotations
@@ -52,11 +55,14 @@ def improving_removals(state: GameState) -> Iterator[RemoveEdge]:
     two directions only the first improving one is yielded (an edge can
     be removed once).  Nothing in the scan mutates the engine."""
     valuation = state.valuation
-    skip_bridges = valuation.full_support
-    if skip_bridges and state.is_tree():
-        return  # every edge is a bridge
+    if valuation.full_support and state.is_tree():
+        return  # every edge is a bridge of a connected graph
     dm = state.dist
-    base = valuation.rows_value(dm.matrix).tolist()
+    # connected iff row 0 holds no sentinel (real distances are < n)
+    skip_bridges = valuation.full_support and (
+        valuation.aggregate == "sum" or int(dm.matrix[0].max()) < state.n
+    )
+    base = dm.totals().tolist()
     # a snapshot of the edges: consumers may speculate on the graph
     # between yields (the comprehension skips EdgeView's O(n) len())
     for u, v in [edge for edge in state.graph.edges]:

@@ -687,8 +687,9 @@ class DistanceMatrix:
         Bridge removals take the search-free split path in
         :meth:`apply_remove` and in every speculative removal query; when
         every demand is positive they can also never be improving moves
-        (disconnection costs at least ``M - n > alpha``), so the removal
-        scan skips them without any BFS.
+        under a sum, or under a max on a connected graph (disconnection
+        costs at least ``M - n > alpha``), so the removal scan skips them
+        without any BFS.
         """
         return self._bridges.is_bridge(u, v)
 

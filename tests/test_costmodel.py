@@ -47,6 +47,7 @@ from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
 from repro.core.traffic import TrafficMatrix
 from repro.dynamics.engine import run_dynamics
+from repro.dynamics.movegen import improving_moves
 from repro.dynamics.schedulers import random_improvement_scheduler
 from repro.equilibria.registry import check
 from repro.graphs.distances import DistanceMatrix, apsp_matrix
@@ -66,14 +67,18 @@ NONLINEAR_MODELS = (
 
 
 def naive_agent_value(graph: nx.Graph, state: GameState, agent: int) -> int:
-    """``sum_v W[a, v] * f(d)`` (or the max) per-entry from a fresh APSP."""
+    """``sum_v W[a, v] * f(d)`` (or the max) per-entry from a fresh APSP
+    (``f`` the identity, ``M`` included, without a table)."""
     valuation = state.valuation
     fresh = apsp_matrix(graph, state.m_constant)
     n = fresh.shape[0]
     values = []
     for v in range(n):
         d = int(fresh[agent, v])
-        f = int(valuation.table[d]) if d < n else int(valuation.sentinel)
+        if valuation.table is None:
+            f = d
+        else:
+            f = int(valuation.table[d]) if d < n else int(valuation.sentinel)
         w = 1 if valuation.weights is None else int(valuation.weights[agent, v])
         values.append(w * f)
     return max(values) if valuation.aggregate == "max" else sum(values)
@@ -292,6 +297,81 @@ class TestKernelDeltasMatchNaive:
                         ) - naive_agent_cost(state.graph, state, agent)
                         assert delta == expected
                 state = state.apply(pool[0])
+
+
+# -- removals on disconnected graphs ------------------------------------------
+
+
+def disconnected_graphs():
+    """Every disconnected graph with an edge on 2..6 nodes (atlas order)."""
+    return [
+        graph
+        for graph in nx.graph_atlas_g()
+        if 2 <= graph.number_of_nodes() <= 6
+        and graph.number_of_edges()
+        and not nx.is_connected(graph)
+    ]
+
+
+class TestDisconnectedRemovalsMatchNaive:
+    """With every demand positive a bridge removal never pays under a
+    sum, but on a disconnected graph a max aggregate may already sit at
+    the sentinel, so dropping a bridge can cost an agent nothing: RE, PS
+    and the removal move pool must match a per-entry recompute there."""
+
+    @pytest.mark.parametrize("gravity", [False, True], ids=["plain", "gravity"])
+    @pytest.mark.parametrize(
+        "model", [MaxCost(), ConvexCost(2), None], ids=["max", "convex", "linear"]
+    )
+    def test_re_ps_and_removal_pool(self, model, gravity):
+        graphs = disconnected_graphs()
+        assert len(graphs) == 60
+        free_drops = 0
+        for graph in graphs:
+            n = graph.number_of_nodes()
+            traffic = (
+                TrafficMatrix.gravity(range(1, n + 1)) if gravity else None
+            )
+            for alpha in (Fraction(1, 2), Fraction(2), Fraction(7)):
+                state = GameState(
+                    graph, alpha, traffic=traffic, cost_model=model
+                )
+                before = [
+                    naive_agent_cost(state.graph, state, a) for a in range(n)
+                ]
+
+                def improves(graph_after, agent):
+                    cost = naive_agent_cost(graph_after, state, agent)
+                    return cost < before[agent]
+
+                expected = []
+                for u, v in state.graph.edges:
+                    after = state.graph.copy()
+                    after.remove_edge(u, v)
+                    if improves(after, u):
+                        expected.append((u, v))
+                    elif improves(after, v):
+                        expected.append((v, u))
+                joinable = False
+                for u, v in state.non_edges():
+                    after = state.graph.copy()
+                    after.add_edge(u, v)
+                    joinable = joinable or (
+                        improves(after, u) and improves(after, v)
+                    )
+                pool = [
+                    (move.actor, move.other)
+                    for move in improving_moves(state, Concept.RE)
+                ]
+                assert pool == expected, (graph.edges, alpha)
+                assert check(state, Concept.RE) == (not expected)
+                assert check(state, Concept.PS) == (not expected and not joinable)
+                bridges = {frozenset(edge) for edge in nx.bridges(state.graph)}
+                free_drops += sum(frozenset(edge) in bridges for edge in expected)
+        if model is not None and model.aggregate == "max":
+            assert free_drops > 0  # the case bridge skipping must not hide
+        else:
+            assert free_drops == 0  # a sum never lets a bridge go
 
 
 # -- pruning soundness --------------------------------------------------------

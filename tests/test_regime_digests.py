@@ -7,7 +7,9 @@ concave / convex / max / table cost models with and without demands:
 
 * the verdict of every polynomial and exponential checker (RE, BAE, PS,
   BSwE, BGE, BNE, unilateral AE, 2-BSE) plus the social cost, on all 30
-  connected graphs with 2 to 5 nodes, at three edge prices;
+  connected graphs with 2 to 5 nodes, at three edge prices — and, in a
+  second digest, on all 21 disconnected graphs with 2 to 5 nodes, where
+  a max aggregate may already sit at the sentinel;
 * whole best-improvement trajectories (moves, final graph, social cost
   trace, convergence flags) of 15 seeded dynamics runs per regime.
 
@@ -87,6 +89,15 @@ def connected_graphs():
     ]
 
 
+def disconnected_graphs():
+    """All 21 disconnected graphs on 2..5 nodes, in atlas order."""
+    return [
+        graph
+        for graph in nx.graph_atlas_g()
+        if 2 <= graph.number_of_nodes() <= 5 and not nx.is_connected(graph)
+    ]
+
+
 def _verdict(state, concept, k):
     try:
         return repr(check(state, concept, k))
@@ -94,10 +105,10 @@ def _verdict(state, concept, k):
         return type(exc).__name__
 
 
-def checker_digest() -> tuple[str, int]:
+def checker_digest(graphs) -> tuple[str, int]:
     digest = hashlib.sha256()
     checks = 0
-    for index, graph in enumerate(connected_graphs()):
+    for index, graph in enumerate(graphs):
         n = graph.number_of_nodes()
         for name, build in REGIMES.items():
             traffic, cost_model = build(n)
@@ -128,6 +139,10 @@ CHECKER_DIGEST = (
     "a466cc835699a9929c24e30b2197b567d1f9de937f0ff36d8d786b32124d363c"
 )
 
+DISCONNECTED_CHECKER_DIGEST = (
+    "cf723fcd9a5d5888237dc19ae2d4d6d23e2c19dcec6825575f5e4fdb3a9613fd"
+)
+
 TRACE_DIGESTS = {
     "uniform": (
         "06e2b0664a9304193ed3083ba2fa138e1bb7332d4ca624e922ad4853fc69e488"
@@ -156,10 +171,22 @@ def test_connected_graph_family():
     assert sorted({g.number_of_nodes() for g in graphs}) == [2, 3, 4, 5]
 
 
+def test_disconnected_graph_family():
+    graphs = disconnected_graphs()
+    assert len(graphs) == 21
+    assert sorted({g.number_of_nodes() for g in graphs}) == [2, 3, 4, 5]
+
+
 def test_checker_verdicts_and_costs_pinned():
-    digest, checks = checker_digest()
+    digest, checks = checker_digest(connected_graphs())
     assert checks == 30 * len(REGIMES) * len(ALPHAS) * len(CONCEPTS) == 8640
     assert digest == CHECKER_DIGEST
+
+
+def test_disconnected_checker_verdicts_and_costs_pinned():
+    digest, checks = checker_digest(disconnected_graphs())
+    assert checks == 21 * len(REGIMES) * len(ALPHAS) * len(CONCEPTS) == 6048
+    assert digest == DISCONNECTED_CHECKER_DIGEST
 
 
 @pytest.mark.parametrize("regime", TRACE_REGIMES)

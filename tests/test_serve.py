@@ -248,6 +248,26 @@ class TestClassify:
                 {"traffic": {"model": "gravity", "weights": [1.5, 2, 3, 4]}},
                 "integers",
             ),
+            (
+                {"traffic": {"model": "gravity", "weights": [1e19, 2, 4, 1]}},
+                "int64",
+            ),
+            (
+                {"traffic": {"model": "gravity", "weights": [2**63, 2, 4, 1]}},
+                "int64",
+            ),
+            (
+                {"traffic": {"model": "gravity", "weights": [2**32, 2**32, 1, 1]}},
+                "int64",
+            ),
+            (
+                {"traffic": {"model": "gravity", "weights": [-1, -2, -3, -4]}},
+                "non-negative",
+            ),
+            (
+                {"traffic": {"model": "random", "seed": 1, "high": 2**70}},
+                "int64",
+            ),
         ]:
             for endpoint, extra in (("classify", {}), ("best_response", {"agent": 0})):
                 payload = {"edges": path_4, "alpha": 2, **regime, **extra}

@@ -141,6 +141,48 @@ class TestTrafficMatrix:
         )
         assert TrafficMatrix.gravity([1.0, 2, 3]).spec["weights"] == [1, 2, 3]
 
+    def test_generators_refuse_to_wrap_past_int64(self):
+        """Integral values past int64 (``1e19``, ``2**63``, which numpy
+        infers as uint64) and gravity products past int64 raise instead
+        of wrapping into the demands of another game; negative weights
+        raise instead of squaring away in a product."""
+        for build, match in (
+            (lambda: TrafficMatrix.gravity([1e19, 2, 4]), "int64"),
+            (lambda: TrafficMatrix.gravity([2**63, 2, 4]), "int64"),
+            (lambda: TrafficMatrix.gravity([2**70, 1]), "int64"),
+            (lambda: TrafficMatrix.gravity([2**32, 2**32, 1]), "int64"),
+            (lambda: TrafficMatrix.per_agent([2**63, 1, 1]), "int64"),
+            (lambda: TrafficMatrix.hub_spoke(4, [0], hub_demand=2**63), "int64"),
+            (
+                lambda: TrafficMatrix.from_pairs(
+                    np.array([[0, 2**63], [1, 0]], dtype=np.uint64)
+                ),
+                "int64",
+            ),
+            (lambda: TrafficMatrix.gravity([-1, -2, 3]), "non-negative"),
+            (lambda: TrafficMatrix.gravity([-1, -2]), "non-negative"),
+            (lambda: TrafficMatrix.per_agent([1, -2, 3]), "non-negative"),
+            (lambda: TrafficMatrix.gravity([float("nan"), 1]), "integers"),
+            (lambda: TrafficMatrix.gravity([float("inf"), 1]), "integers"),
+            (
+                lambda: traffic_from_spec(
+                    {"model": "random", "seed": 1, "high": 2**70}, 4
+                ),
+                "int64",
+            ),
+            (
+                lambda: traffic_from_spec(
+                    {"model": "random", "seed": 1, "high": 2.5}, 4
+                ),
+                "integers",
+            ),
+        ):
+            with pytest.raises(ValueError, match=match):
+                build()
+        # the largest exact gravity weights still build
+        top = 2**31 - 1
+        assert int(TrafficMatrix.gravity([top, top]).weights[0, 1]) == top * top
+
     def test_diagonal_zeroed_and_masses(self):
         traffic = TrafficMatrix.from_pairs([[7, 2], [3, 9]])
         assert traffic.weights[0, 0] == 0 and traffic.weights[1, 1] == 0
