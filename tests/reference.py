@@ -268,11 +268,14 @@ def reference_find_improving_coalition_move(
 # -- seeded dynamics trajectories --------------------------------------------
 
 #: cost-model spec per trajectory regime (every regime but ``uniform``
-#: also carries seeded random demands; ``sparse`` zeroes half the pairs)
+#: and the ``disconnected-*`` ones also carries seeded random demands;
+#: ``sparse`` zeroes half the pairs)
 _TRACE_MODELS = {
     "modeled": {"model": "convex", "exponent": 2},
     "max": {"model": "max"},
     "concave": {"model": "concave", "exponent": "1/2", "scale": 3},
+    "disconnected-max": {"model": "max"},
+    "disconnected-gravity-max": {"model": "max"},
 }
 
 
@@ -281,8 +284,11 @@ def dynamics_trace(seed: int, regime: str):
 
     ``regime`` is ``uniform`` (the paper's game), ``weighted`` (random
     demands in ``0..5``), ``sparse`` (the same with about half the pairs
-    at zero demand), or ``modeled`` / ``max`` / ``concave`` (random
-    demands under the convex, max and concave cost models).
+    at zero demand), ``modeled`` / ``max`` / ``concave`` (random
+    demands under the convex, max and concave cost models), or
+    ``disconnected-max`` / ``disconnected-gravity-max`` (the max model
+    without demands and with gravity demands ``1..n``, so every demand
+    is positive, started with agent 0 cut off).
     """
     import random
 
@@ -299,7 +305,12 @@ def dynamics_trace(seed: int, regime: str):
     alpha = Fraction(rng.randint(1, 8), rng.choice((1, 2)))
     concept = Concept.BGE if seed % 2 else Concept.PS
     traffic = cost_model = None
-    if regime != "uniform":
+    if regime.startswith("disconnected-"):
+        # a max aggregate already at the sentinel may ignore a bridge drop
+        graph.remove_edges_from(list(graph.edges(0)))
+        if regime == "disconnected-gravity-max":
+            traffic = TrafficMatrix.gravity(range(1, n + 1))
+    elif regime != "uniform":
         density = 0.5 if regime == "sparse" else 1.0
         traffic = TrafficMatrix.random_demands(
             n, seed=seed, high=5, density=density

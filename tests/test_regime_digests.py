@@ -11,7 +11,8 @@ concave / convex / max / table cost models with and without demands:
   second digest, on all 21 disconnected graphs with 2 to 5 nodes, where
   a max aggregate may already sit at the sentinel;
 * whole best-improvement trajectories (moves, final graph, social cost
-  trace, convergence flags) of 15 seeded dynamics runs per regime.
+  trace, convergence flags) of 15 seeded dynamics runs per regime,
+  including max-model runs started from a disconnected graph.
 
 The digests were computed before the regime arms were collapsed into one
 valuation; any change to a verdict, a cost or a trajectory moves them.
@@ -124,7 +125,16 @@ def checker_digest(graphs) -> tuple[str, int]:
     return digest.hexdigest(), checks
 
 
-TRACE_REGIMES = ("uniform", "weighted", "modeled", "max", "concave", "sparse")
+TRACE_REGIMES = (
+    "uniform",
+    "weighted",
+    "modeled",
+    "max",
+    "concave",
+    "sparse",
+    "disconnected-max",
+    "disconnected-gravity-max",
+)
 TRACE_SEEDS = 15
 
 
@@ -161,6 +171,12 @@ TRACE_DIGESTS = {
     ),
     "sparse": (
         "93e738ce250642883dee8cc830532be3e6cd65e5435d5cda6d932640e1803b43"
+    ),
+    "disconnected-max": (
+        "abee4078054c2c2120c09a600b52afba3164f360c200bd5e23351b43f1e712d3"
+    ),
+    "disconnected-gravity-max": (
+        "8887d60054e49952fd49f221ad71d8ff6df87315f2f5cbe98ffe0f432e77f130"
     ),
 }
 

@@ -122,31 +122,33 @@ class TestTrafficMatrix:
     def test_named_generators_refuse_to_truncate(self):
         """``gravity([1.5, 2, 3])`` must not build the game of
         ``[1, 2, 3]``: every named generator runs the same integrality
-        check as ``from_pairs``."""
-        for build in (
-            lambda: TrafficMatrix.gravity([1.5, 2, 3]),
-            lambda: TrafficMatrix.gravity([1, 2, 3, 4.25]),
-            lambda: TrafficMatrix.per_agent([2, 0.5, 1]),
-            lambda: TrafficMatrix.hub_spoke(4, [0], hub_demand=2.5),
-            lambda: TrafficMatrix.hub_spoke(4, [0], spoke_demand=0.5),
-            lambda: traffic_from_spec(
-                {"model": "gravity", "weights": [1.5, 2, 3, 4]}, 4
-            ),
-        ):
-            with pytest.raises(ValueError, match="integers"):
-                build()
-        # integer-valued floats are accepted exactly, as in from_pairs
-        assert TrafficMatrix.gravity([1.0, 2, 3]) == TrafficMatrix.gravity(
-            [1, 2, 3]
-        )
-        assert TrafficMatrix.gravity([1.0, 2, 3]).spec["weights"] == [1, 2, 3]
-
-    def test_generators_refuse_to_wrap_past_int64(self):
-        """Integral values past int64 (``1e19``, ``2**63``, which numpy
-        infers as uint64) and gravity products past int64 raise instead
-        of wrapping into the demands of another game; negative weights
-        raise instead of squaring away in a product."""
+        check as ``from_pairs``.  Integral values past int64 (``1e19``,
+        or ``2**63``, which numpy infers as uint64) and gravity products
+        past int64 raise instead of wrapping into another game, and
+        negative weights instead of squaring away in a product."""
         for build, match in (
+            (lambda: TrafficMatrix.gravity([1.5, 2, 3]), "integers"),
+            (lambda: TrafficMatrix.gravity([1, 2, 3, 4.25]), "integers"),
+            (lambda: TrafficMatrix.per_agent([2, 0.5, 1]), "integers"),
+            (lambda: TrafficMatrix.hub_spoke(4, [0], hub_demand=2.5), "integers"),
+            (
+                lambda: TrafficMatrix.hub_spoke(4, [0], spoke_demand=0.5),
+                "integers",
+            ),
+            (
+                lambda: traffic_from_spec(
+                    {"model": "gravity", "weights": [1.5, 2, 3, 4]}, 4
+                ),
+                "integers",
+            ),
+            (lambda: TrafficMatrix.gravity([float("nan"), 1]), "integers"),
+            (lambda: TrafficMatrix.gravity([float("inf"), 1]), "integers"),
+            (
+                lambda: traffic_from_spec(
+                    {"model": "random", "seed": 1, "high": 2.5}, 4
+                ),
+                "integers",
+            ),
             (lambda: TrafficMatrix.gravity([1e19, 2, 4]), "int64"),
             (lambda: TrafficMatrix.gravity([2**63, 2, 4]), "int64"),
             (lambda: TrafficMatrix.gravity([2**70, 1]), "int64"),
@@ -159,26 +161,23 @@ class TestTrafficMatrix:
                 ),
                 "int64",
             ),
-            (lambda: TrafficMatrix.gravity([-1, -2, 3]), "non-negative"),
-            (lambda: TrafficMatrix.gravity([-1, -2]), "non-negative"),
-            (lambda: TrafficMatrix.per_agent([1, -2, 3]), "non-negative"),
-            (lambda: TrafficMatrix.gravity([float("nan"), 1]), "integers"),
-            (lambda: TrafficMatrix.gravity([float("inf"), 1]), "integers"),
             (
                 lambda: traffic_from_spec(
                     {"model": "random", "seed": 1, "high": 2**70}, 4
                 ),
                 "int64",
             ),
-            (
-                lambda: traffic_from_spec(
-                    {"model": "random", "seed": 1, "high": 2.5}, 4
-                ),
-                "integers",
-            ),
+            (lambda: TrafficMatrix.gravity([-1, -2, 3]), "non-negative"),
+            (lambda: TrafficMatrix.gravity([-1, -2]), "non-negative"),
+            (lambda: TrafficMatrix.per_agent([1, -2, 3]), "non-negative"),
         ):
             with pytest.raises(ValueError, match=match):
                 build()
+        # integer-valued floats are accepted exactly, as in from_pairs
+        assert TrafficMatrix.gravity([1.0, 2, 3]) == TrafficMatrix.gravity(
+            [1, 2, 3]
+        )
+        assert TrafficMatrix.gravity([1.0, 2, 3]).spec["weights"] == [1, 2, 3]
         # the largest exact gravity weights still build
         top = 2**31 - 1
         assert int(TrafficMatrix.gravity([top, top]).weights[0, 1]) == top * top
