@@ -1,25 +1,27 @@
 """Empirical Price of Anarchy: exhaustive worst cases and certified bounds.
 
-Small instances allow the real thing: enumerate *all* non-isomorphic trees
-(or connected graphs), keep those passing a concept's exact checker, and
-take the worst social cost ratio.  That is the PoA by definition, not an
-estimate.  Larger instances use the paper's own reductions (Lemma 3.17 /
-3.18) to produce certified upper bounds.
+Small instances allow the real thing: enumerate *all* graphs of a
+family, keep those passing a concept's exact checker, and take the worst
+social cost ratio.  That is the PoA by definition, not an estimate.
+Larger instances use the paper's own reductions (Lemma 3.17 / 3.18) to
+produce certified upper bounds.
 
-Enumeration rides the canonical-key machinery of
-:mod:`repro.graphs.canonical` / :mod:`repro.graphs.enumerate`: connected
-graphs reach n = 8-9 (past the networkx atlas), :func:`empirical_layer_poa`
-scans one edge-count layer — the unit of campaign-level resume — and
-:func:`exact_weighted_tree_poa` quantifies over **all labelled trees**
-modulo the joint ``(tree, W)`` symmetries, settling the weighted tree PoA
-exactly rather than over one representative per unlabelled class.
+Every exact number goes through :func:`family_poa`: one family selector
+(:func:`family_graphs`) feeding one scan.  The families ride the
+canonical-key machinery of :mod:`repro.graphs.canonical` /
+:mod:`repro.graphs.enumerate`: all trees, all connected graphs (past the
+networkx atlas to n = 8-9), one edge-count layer of them — the unit of
+campaign-level resume — and **all labelled trees** modulo the joint
+``(tree, W)`` symmetries of a demand matrix, which settles the weighted
+tree PoA exactly rather than over one representative per unlabelled
+class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import networkx as nx
 
@@ -36,20 +38,31 @@ from repro.graphs.generation import all_connected_graphs, all_trees
 
 __all__ = [
     "PoAResult",
-    "WeightedPoAResult",
     "bse_upper_bound_via_dary_tree",
-    "empirical_layer_poa",
     "empirical_poa",
     "empirical_tree_poa",
-    "empirical_weighted_poa",
-    "exact_weighted_tree_poa",
+    "family_graphs",
+    "family_poa",
     "worst_equilibria",
 ]
+
+#: the enumerable graph families a PoA quantifies over
+FAMILIES = ("trees", "graphs", "labelled_trees")
 
 
 @dataclass(frozen=True)
 class PoAResult:
-    """Worst-case ratio over an enumerated family, with the witness."""
+    """Worst-case ratio over an enumerated family, with the witness.
+
+    Without a demand matrix or cost model the ratio is the worst
+    equilibrium's ``rho`` against the paper's closed-form optimum, and
+    ``worst_cost`` / ``best_cost`` stay ``None``.  With either one there
+    is no closed-form optimum (and demands break label symmetry), so the
+    ratio is *family-relative*: the worst equilibrium's social cost over
+    the **minimum social cost in the enumerated family**.  Over one
+    labelled representative per isomorphism class that is a certified
+    lower bound on the true PoA; over ``labelled_trees`` it is exact.
+    """
 
     n: int
     alpha: Fraction
@@ -59,87 +72,147 @@ class PoAResult:
     witness: nx.Graph | None
     equilibria: int
     candidates: int
+    worst_cost: Fraction | None = None
+    best_cost: Fraction | None = None
 
 
-def _scan(
+def family_graphs(
+    family: str,
+    n: int,
+    m: int | None = None,
+    traffic: TrafficMatrix | None = None,
+) -> Iterable[nx.Graph]:
+    """The graphs a PoA quantifies over, in their bit-stable order.
+
+    ``"trees"`` are all non-isomorphic trees; ``"graphs"`` all connected
+    graphs (atlas order for ``n <= 7``), or only those with exactly
+    ``m`` edges; ``"labelled_trees"`` every Pruefer sequence deduplicated
+    by the joint ``(tree, W)`` canonical key of ``traffic``
+    (:func:`repro.graphs.enumerate.enumerate_labelled_trees`; under
+    ``TrafficMatrix.uniform(n)`` the classes collapse to the unlabelled
+    ones; feasible to ``n ~ 8``).
+    """
+    if family not in FAMILIES:
+        raise ValueError(
+            f"unknown graph family {family!r}; known: {list(FAMILIES)}"
+        )
+    if m is not None and family != "graphs":
+        raise ValueError(
+            f"the edge-count layer axis 'm' needs family 'graphs', "
+            f"not {family!r}"
+        )
+    if family == "trees":
+        return all_trees(n)
+    if family == "labelled_trees":
+        if traffic is None:
+            raise ValueError(
+                "labelled_trees needs an explicit 'traffic' demand matrix "
+                "(the joint canonical key acts on it)"
+            )
+        from repro.graphs.enumerate import enumerate_labelled_trees
+
+        return enumerate_labelled_trees(n, traffic)
+    if m is None:
+        return all_connected_graphs(n)
+    # imported at call time, so a wrapper installed on the enumerator
+    # module (perfbench's tracer) sees every layer
+    from repro.graphs.canonical import decode_key
+    from repro.graphs.enumerate import connected_graph_layer
+
+    return (decode_key(key)[0] for key in connected_graph_layer(n, m))
+
+
+def _verdicts(
     graphs: Iterable[nx.Graph],
     alpha: Fraction,
     concept: Concept,
     k: int | None,
+    traffic: TrafficMatrix | None,
+    cost_model: CostModel | None,
+) -> Iterator[tuple[GameState, bool]]:
+    """The one PoA scan: every candidate's state and its verdict.
+
+    ``check`` is read from this module's globals on every call, the
+    point where perfbench's tracer wraps it.
+    """
+    for graph in graphs:
+        state = GameState(graph, alpha, traffic=traffic, cost_model=cost_model)
+        yield state, check(state, concept, k=k)
+
+
+def family_poa(
+    family: str,
     n: int,
+    alpha: AlphaLike,
+    concept: Concept,
+    k: int | None = None,
+    *,
+    m: int | None = None,
+    traffic: TrafficMatrix | None = None,
+    cost_model: CostModel | None = None,
 ) -> PoAResult:
+    """Exact PoA of ``concept`` (``k``-BSE with ``k``) over a family.
+
+    ``family``, ``m`` and ``traffic`` select the graphs
+    (:func:`family_graphs`); ``traffic`` and ``cost_model`` select the
+    game.  With neither, ``rho()`` is computed for equilibria only; with
+    either, every candidate's social cost enters the family minimum (see
+    :class:`PoAResult`).  With ``TrafficMatrix.uniform(n)`` and a linear
+    or absent cost model, the family-relative ratio reproduces the
+    uniform PoA whenever the closed-form optimum lies inside the family
+    (for trees: ``alpha >= 1``, where the optimum is the star).
+    """
+    price = as_alpha(alpha)
+    relative = traffic is not None or cost_model is not None
     worst: Fraction | None = None
+    best: Fraction | None = None
     witness: nx.Graph | None = None
     equilibria = 0
     candidates = 0
-    for graph in graphs:
+    for state, stable in _verdicts(
+        family_graphs(family, n, m, traffic),
+        price, concept, k, traffic, cost_model,
+    ):
         candidates += 1
-        state = GameState(graph, alpha)
-        if not check(state, concept, k=k):
+        if relative:
+            cost = state.social_cost()
+            if best is None or cost < best:
+                best = cost
+        if not stable:
             continue
         equilibria += 1
-        rho = state.rho()
-        if worst is None or rho > worst:
-            worst = rho
+        value = cost if relative else state.rho()
+        if worst is None or value > worst:
+            worst = value
             witness = state.graph.copy()
     return PoAResult(
         n=n,
-        alpha=alpha,
+        alpha=price,
         concept=concept,
         k=k,
-        poa=worst,
+        poa=worst if not relative or worst is None else worst / best,
         witness=witness,
         equilibria=equilibria,
         candidates=candidates,
+        worst_cost=worst if relative else None,
+        best_cost=best,
     )
 
 
 def empirical_tree_poa(
     n: int, alpha: AlphaLike, concept: Concept, k: int | None = None
 ) -> PoAResult:
-    """Exact PoA restricted to tree equilibria on ``n`` nodes.
-
-    Enumerates every non-isomorphic tree; feasible up to ``n ~ 13``
-    (1301 trees) for the polynomial concepts, less for BNE/k-BSE.
-    """
-    price = as_alpha(alpha)
-    return _scan(all_trees(n), price, concept, k, n)
+    """Exact PoA of the paper's game over all non-isomorphic trees
+    (feasible up to ``n ~ 13`` for the polynomial concepts)."""
+    return family_poa("trees", n, alpha, concept, k)
 
 
 def empirical_poa(
     n: int, alpha: AlphaLike, concept: Concept, k: int | None = None
 ) -> PoAResult:
-    """Exact PoA over *all* connected graphs on ``n`` nodes.
-
-    Atlas-backed to ``n = 7``; the canonical-key layered enumerator
-    carries the sweep to ``n = 8`` in seconds and ``n = 9`` in minutes.
-    """
-    price = as_alpha(alpha)
-    return _scan(all_connected_graphs(n), price, concept, k, n)
-
-
-def empirical_layer_poa(
-    n: int,
-    m: int,
-    alpha: AlphaLike,
-    concept: Concept,
-    k: int | None = None,
-) -> PoAResult:
-    """Exact PoA over connected graphs with exactly ``m`` edges.
-
-    One edge-count layer of the canonical enumerator — the resume unit
-    of the ``exact_poa`` campaign runner: the full-graph PoA at ``n`` is
-    the max over its layers ``m = n-1 .. n(n-1)/2``, and each layer is a
-    content-addressed trial that survives being killed independently.
-    """
-    from repro.graphs.canonical import decode_key
-    from repro.graphs.enumerate import connected_graph_layer
-
-    price = as_alpha(alpha)
-    graphs = (
-        decode_key(key)[0] for key in connected_graph_layer(n, m)
-    )
-    return _scan(graphs, price, concept, k, n)
+    """Exact PoA of the paper's game over *all* connected graphs
+    (seconds at ``n = 8``, minutes at ``n = 9``)."""
+    return family_poa("graphs", n, alpha, concept, k)
 
 
 def worst_equilibria(
@@ -151,159 +224,16 @@ def worst_equilibria(
     trees_only: bool = True,
 ) -> list[tuple[Fraction, nx.Graph]]:
     """The ``top`` worst equilibria (ratio, graph), descending."""
-    price = as_alpha(alpha)
-    graphs = all_trees(n) if trees_only else all_connected_graphs(n)
-    scored: list[tuple[Fraction, nx.Graph]] = []
-    for graph in graphs:
-        state = GameState(graph, price)
-        if check(state, concept, k=k):
-            scored.append((state.rho(), state.graph.copy()))
+    graphs = family_graphs("trees" if trees_only else "graphs", n)
+    scored = [
+        (state.rho(), state.graph.copy())
+        for state, stable in _verdicts(
+            graphs, as_alpha(alpha), concept, k, None, None
+        )
+        if stable
+    ]
     scored.sort(key=lambda item: item[0], reverse=True)
     return scored[:top]
-
-
-@dataclass(frozen=True)
-class WeightedPoAResult:
-    """Family-relative worst-case ratio under a heterogeneous demand matrix.
-
-    The uniform game has a closed-form optimum; a weighted game does
-    not, and demands break label symmetry, so the ratio here is
-    *family-relative*: worst equilibrium social cost over the **minimum
-    social cost in the enumerated family** (a certified lower bound on
-    the true weighted PoA — the enumeration quantifies over one labelled
-    representative per isomorphism class).
-    """
-
-    n: int
-    alpha: Fraction
-    concept: Concept
-    k: int | None
-    poa: Fraction | None  # None when no equilibrium exists in the family
-    worst_cost: Fraction | None
-    best_cost: Fraction
-    witness: nx.Graph | None
-    equilibria: int
-    candidates: int
-
-
-def empirical_weighted_poa(
-    n: int,
-    alpha: AlphaLike,
-    concept: Concept,
-    traffic: TrafficMatrix | None = None,
-    k: int | None = None,
-    trees_only: bool = True,
-    cost_model: CostModel | None = None,
-) -> WeightedPoAResult:
-    """Worst equilibrium vs family optimum under a demand matrix and/or a
-    cost model.
-
-    Enumerates the same family as :func:`empirical_tree_poa` /
-    :func:`empirical_poa` (one labelled representative per isomorphism
-    class), checks each representative against the *weighted/modeled*
-    concept checkers, and divides the worst equilibrium's social cost by
-    the family's minimum social cost.  With
-    ``TrafficMatrix.uniform(n)`` (and a linear or absent ``cost_model``)
-    the checkers value rows by plain sums, and whenever the
-    closed-form optimum lies inside the enumerated family — for trees
-    that is ``alpha >= 1``, where the optimum is the star — the ratio
-    reproduces the uniform PoA exactly (for ``alpha < 1`` the uniform
-    optimum is the clique, so the tree-family ratio is denominated by
-    the cheapest tree instead).  Non-linear models have no closed-form
-    optimum at all, so the family-relative ratio is the definition of
-    record for them.
-    """
-    price = as_alpha(alpha)
-    graphs = all_trees(n) if trees_only else all_connected_graphs(n)
-    worst: Fraction | None = None
-    witness: nx.Graph | None = None
-    best: Fraction | None = None
-    equilibria = 0
-    candidates = 0
-    for graph in graphs:
-        candidates += 1
-        state = GameState(graph, price, traffic=traffic, cost_model=cost_model)
-        cost = state.social_cost()
-        if best is None or cost < best:
-            best = cost
-        if not check(state, concept, k=k):
-            continue
-        equilibria += 1
-        if worst is None or cost > worst:
-            worst = cost
-            witness = state.graph.copy()
-    assert best is not None, "the family enumeration was empty"
-    return WeightedPoAResult(
-        n=n,
-        alpha=price,
-        concept=concept,
-        k=k,
-        poa=None if worst is None else worst / best,
-        worst_cost=worst,
-        best_cost=best,
-        witness=witness,
-        equilibria=equilibria,
-        candidates=candidates,
-    )
-
-
-def exact_weighted_tree_poa(
-    n: int,
-    alpha: AlphaLike,
-    concept: Concept,
-    traffic: TrafficMatrix,
-    k: int | None = None,
-    cost_model: CostModel | None = None,
-) -> WeightedPoAResult:
-    """Exact weighted PoA over **all labelled trees** on ``n`` nodes.
-
-    :func:`empirical_weighted_poa` checks one labelled representative per
-    *unlabelled* isomorphism class against a fixed demand matrix — a
-    certified lower bound, because demands break label symmetry and a
-    different labelling of the same shape is a genuinely different game.
-    This function closes that gap: it sweeps every Pruefer sequence (all
-    ``n**(n-2)`` labelled trees) deduplicated by the **joint**
-    ``(tree, W)`` canonical key (:func:`repro.graphs.enumerate.
-    enumerate_labelled_trees`), so the quantifier runs over the complete
-    labelled family modulo the symmetries the demand matrix actually
-    has.  Under ``TrafficMatrix.uniform(n)`` the joint classes collapse
-    to the unlabelled ones and the result matches
-    :func:`empirical_weighted_poa` exactly.  Feasible to ``n ~ 8``
-    (262144 sequences).
-    """
-    from repro.graphs.enumerate import enumerate_labelled_trees
-
-    price = as_alpha(alpha)
-    worst: Fraction | None = None
-    witness: nx.Graph | None = None
-    best: Fraction | None = None
-    equilibria = 0
-    candidates = 0
-    for graph in enumerate_labelled_trees(n, traffic):
-        candidates += 1
-        state = GameState(graph, price, traffic=traffic, cost_model=cost_model)
-        cost = state.social_cost()
-        if best is None or cost < best:
-            best = cost
-        if not check(state, concept, k=k):
-            continue
-        equilibria += 1
-        if worst is None or cost > worst:
-            worst = cost
-            witness = state.graph.copy()
-    assert best is not None, "the labelled-tree enumeration was empty"
-    return WeightedPoAResult(
-        n=n,
-        alpha=price,
-        concept=concept,
-        k=k,
-        poa=None if worst is None else worst / best,
-        worst_cost=worst,
-        best_cost=best,
-        witness=witness,
-        equilibria=equilibria,
-        candidates=candidates,
-    )
 
 
 def bse_upper_bound_via_dary_tree(

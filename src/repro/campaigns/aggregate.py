@@ -9,10 +9,23 @@ which order they landed.
 
 Built-in reducers:
 
-``poa_table``
-    Table-1-style rows: one row per alpha, one column per solution
-    concept, cells the exact worst-case PoA of the matching ``tree_poa``
-    / ``graph_poa`` trial.  This is the cooperation-ladder rendering.
+``poa_table`` and its aliases
+    One reducer (:func:`reduce_poa_table`): alpha rows against concept
+    columns, cells the exact worst-case PoA of the matching PoA trials.
+    ``exact_poa_table`` is the same table, ``weighted_poa_table``
+    repeats the rows per traffic regime (``traffics``) and
+    ``costmodel_poa_table`` per cost model (``models``); the names
+    differ only in that row axis and their default title.  A cell may be
+    one whole-family trial *or* sharded across an ``m`` (edge-count
+    layer) axis; layered cells aggregate exactly — PoA is the max over
+    layers, equilibria/candidates the sum — so the table is
+    byte-identical whether the campaign ran layered or whole.
+``poa_fit``
+    PoA-vs-alpha scaling fits (:mod:`repro.analysis.fitting`) over the
+    same cells: one row per concept column with the ``rho ~ log2(alpha)``
+    slope, the log-log power-law exponent and the relative spread — the
+    shape comparison behind the paper's Theta claims, computed from
+    campaign records instead of a hand-rolled benchmark loop.
 ``convergence``
     Groups ``dynamics`` trials by everything but their seed ``index``
     and reduces each group to a
@@ -23,25 +36,6 @@ Built-in reducers:
 ``trial_table``
     A flat listing of every trial and its status — the fallback report
     for any campaign shape.
-``weighted_poa_table``
-    Traffic-regime-by-alpha rows against concept columns, cells the
-    family-relative weighted PoA of the matching ``weighted_poa`` trial.
-``costmodel_poa_table``
-    Cost-model-regime-by-alpha rows against concept columns, cells the
-    family-relative PoA of the matching ``generalized_poa`` trial —
-    the linear-vs-concave-vs-convex-vs-max separation rendering.
-``poa_fit``
-    PoA-vs-alpha scaling fits (:mod:`repro.analysis.fitting`): one row
-    per concept column with the ``rho ~ log2(alpha)`` slope, the
-    log-log power-law exponent and the relative spread — the shape
-    comparison behind the paper's Theta claims, computed from campaign
-    records instead of a hand-rolled benchmark loop.
-``exact_poa_table``
-    Alpha-by-concept table over ``exact_poa`` trials.  A cell may be
-    covered by one whole-family trial *or* sharded across an ``m``
-    (edge-count layer) axis; layered cells aggregate exactly — PoA is
-    the max over layers, equilibria/candidates the sum — so the table is
-    byte-identical whether the campaign ran layered or whole.
 ``conjecture_table``
     One row per ``conjecture_hunt`` cell: graphs scanned, NE counts,
     refutations, and the first replayable certificate.
@@ -49,6 +43,7 @@ Built-in reducers:
 
 from __future__ import annotations
 
+import functools
 import statistics
 from fractions import Fraction
 from typing import Any, Callable, Mapping
@@ -63,15 +58,15 @@ from repro.dynamics.convergence import ConvergenceStats
 __all__ = [
     "REDUCERS",
     "convergence_stats",
+    "layer_groups",
+    "layer_key",
     "reduce_conjecture_table",
     "reduce_convergence",
-    "reduce_costmodel_poa_table",
-    "reduce_exact_poa_table",
     "reduce_poa_fit",
     "reduce_poa_table",
     "reduce_trial_table",
-    "reduce_weighted_poa_table",
     "render_report",
+    "roll_up",
 ]
 
 Reducer = Callable[[CampaignSpec, CampaignStore, Mapping[str, Any]], str]
@@ -83,136 +78,115 @@ def _concept_of(value) -> Concept:
     return Concept[value] if value in Concept.__members__ else Concept(value)
 
 
-def reduce_poa_table(
-    spec: CampaignSpec, store: CampaignStore, options: Mapping[str, Any]
-) -> str:
-    """Alpha-by-concept PoA table (the cooperation-ladder rendering).
-
-    Options: ``n`` (int), ``alphas`` (list), ``columns`` (list of
-    ``{"header", "concept", "k"?}``), optional ``kind`` (defaults to the
-    campaign kind) and ``title`` (may reference ``{n}``).  Cells of
-    trials not yet in the store render as ``?``.
-    """
-    n = int(options["n"])
-    kind = options.get("kind", spec.kind)
-    alphas = [as_alpha(a) for a in options["alphas"]]
-    columns = list(options["columns"])
-    title = options.get(
-        "title", "Exact tree PoA by cooperation level (all trees, n={n})"
-    ).format(n=n)
-
-    rows = []
-    for alpha in alphas:
-        cells: list[Any] = [alpha]
-        for column in columns:
-            result = store.result(
-                trial_key(kind, _column_params(n, alpha, column))
-            )
-            if result is None:
-                cells.append("?")
-            else:
-                poa = result["poa"]
-                cells.append(float(poa) if poa else "-")
-        rows.append(cells)
-    headers = ["alpha"] + [column["header"] for column in columns]
-    return render_table(headers, rows, title=title)
+def layer_key(kind: str, params: Mapping[str, Any]) -> str:
+    """A trial's key with the edge-count layer axis ``m`` stripped: every
+    layer of one PoA cell shares it with the cell's unlayered trial."""
+    return trial_key(
+        kind, {name: value for name, value in params.items() if name != "m"}
+    )
 
 
-def _column_params(
-    n: int, alpha, column: Mapping[str, Any]
-) -> dict[str, Any]:
-    """Trial parameters addressed by one report column (shared lookup)."""
-    params: dict[str, Any] = {
-        "n": n,
-        "alpha": alpha,
-        "concept": _concept_of(column["concept"]),
+def layer_groups(spec: CampaignSpec) -> dict[str, list[Trial]]:
+    """The spec's trials by :func:`layer_key`, each group in spec order."""
+    groups: dict[str, list[Trial]] = {}
+    for trial in spec.trials():
+        groups.setdefault(layer_key(trial.kind, trial.params), []).append(
+            trial
+        )
+    return groups
+
+
+def roll_up(results: list[Mapping[str, Any]]) -> dict[str, Any]:
+    """One PoA cell from its trials' results: the PoA is the max over
+    layers, equilibria and candidates the sums."""
+    poas = [r["poa"] for r in results if r.get("poa") is not None]
+    return {
+        "poa": max(poas) if poas else None,
+        "equilibria": sum(r.get("equilibria", 0) for r in results),
+        "candidates": sum(r.get("candidates", 0) for r in results),
     }
-    if column.get("k") is not None:
-        params["k"] = int(column["k"])
-    for name, value in (column.get("params") or {}).items():
-        params[name] = value
-    return params
 
 
-def reduce_weighted_poa_table(
-    spec: CampaignSpec, store: CampaignStore, options: Mapping[str, Any]
-) -> str:
-    """Traffic-by-alpha rows against concept columns (``weighted_poa``).
+class _PoAGrid:
+    """The options every PoA reducer shares, and its cell lookup.
 
-    Options: ``n``, ``alphas``, ``traffics`` (list of ``{"label",
-    "traffic"}`` with the same spec dicts the grid used), ``columns``
-    (``{"header", "concept", "k"?, "params"?}``), optional ``kind`` and
-    ``title``.  Cells are the family-relative weighted PoA; trials not
-    yet in the store render as ``?``, equilibrium-free cells as ``-``.
+    Options: ``n``, ``alphas``, ``columns`` (``{"header", "concept",
+    "k"?, "params"?}``), optional ``family`` (merged into every cell
+    unless the column pins one), ``kind`` (defaults to the campaign
+    kind) and ``title`` (may reference ``{n}``).  A cell's trials are
+    the spec trials whose parameters, with ``m`` stripped, match the
+    cell: one whole-family trial or many layered ones.  Either way the
+    cell is their :func:`roll_up`, so layered and whole campaigns render
+    byte-identically.
     """
-    n = int(options["n"])
-    kind = options.get("kind", spec.kind)
-    alphas = [as_alpha(a) for a in options["alphas"]]
-    traffics = list(options["traffics"])
-    columns = list(options["columns"])
-    title = options.get(
-        "title", "Family-relative weighted PoA by traffic regime (n={n})"
-    ).format(n=n)
 
-    rows = []
-    for regime in traffics:
-        for alpha in alphas:
-            cells: list[Any] = [regime["label"], alpha]
-            for column in columns:
-                params = _column_params(n, alpha, column)
-                params["traffic"] = regime["traffic"]
-                result = store.result(trial_key(kind, params))
-                if result is None:
-                    cells.append("?")
-                else:
-                    poa = result["poa"]
-                    cells.append(float(poa) if poa else "-")
-            rows.append(cells)
-    headers = ["traffic", "alpha"] + [column["header"] for column in columns]
-    return render_table(headers, rows, title=title)
+    def __init__(self, spec, store, options, title: str):
+        self.n = int(options["n"])
+        self.alphas = [as_alpha(a) for a in options["alphas"]]
+        self.columns = list(options["columns"])
+        self.title = options.get("title", title).format(n=self.n)
+        self._family = options.get("family")
+        self._kind = options.get("kind", spec.kind)
+        self._store = store
+        self._groups = layer_groups(spec)
+
+    def result(self, alpha, column, regime=None) -> dict[str, Any] | None:
+        """The cell at ``alpha`` in ``column`` (and a row ``regime``,
+        whose keys but ``label`` are trial parameters); ``None`` while any
+        of its trials is pending."""
+        params: dict[str, Any] = {
+            "n": self.n,
+            "alpha": alpha,
+            "concept": _concept_of(column["concept"]),
+        }
+        if column.get("k") is not None:
+            params["k"] = int(column["k"])
+        params.update(column.get("params") or {})
+        if self._family is not None:
+            params.setdefault("family", self._family)
+        for name, value in (regime or {}).items():
+            if name != "label" and value is not None:
+                params[name] = value
+        trials = self._groups.get(trial_key(self._kind, params), [])
+        results = [self._store.result(trial.key) for trial in trials]
+        if not results or any(result is None for result in results):
+            return None
+        return roll_up(results)
 
 
-def reduce_costmodel_poa_table(
-    spec: CampaignSpec, store: CampaignStore, options: Mapping[str, Any]
+def reduce_poa_table(
+    spec: CampaignSpec,
+    store: CampaignStore,
+    options: Mapping[str, Any],
+    rows: tuple[str, str] | None = None,
+    title: str = "Exact tree PoA by cooperation level (all trees, n={n})",
 ) -> str:
-    """Cost-model-by-alpha rows against concept columns (``generalized_poa``).
+    """Alpha-by-concept PoA table, optionally one block per row regime.
 
-    Options: ``n``, ``alphas``, ``models`` (list of ``{"label",
-    "costmodel", "traffic"?}`` with the same spec dicts the grid used),
-    ``columns`` (``{"header", "concept", "k"?, "params"?}``), optional
-    ``kind`` and ``title``.  Cells are the family-relative PoA under the
-    regime's cost model; trials not yet in the store render as ``?``,
-    equilibrium-free cells as ``-``.  A regime's ``traffic`` key is only
-    written into the trial parameters when present, so the lookup matches
-    grids that omit the traffic axis entirely.
+    Options as for every PoA reducer (:class:`_PoAGrid`).  ``rows`` is
+    the ``(option, header)`` of a regime axis: ``weighted_poa_table``
+    reads ``traffics`` (``{"label", "traffic"}``) and
+    ``costmodel_poa_table`` reads ``models`` (``{"label", "costmodel",
+    "traffic"?}``), with the same spec dicts the grid used.  Pending
+    cells render ``?``, equilibrium-free ones ``-``.
     """
-    n = int(options["n"])
-    kind = options.get("kind", spec.kind)
-    alphas = [as_alpha(a) for a in options["alphas"]]
-    models = list(options["models"])
-    columns = list(options["columns"])
-    title = options.get(
-        "title", "Family-relative PoA by cost model (n={n})"
-    ).format(n=n)
-
-    rows = []
-    for regime in models:
-        for alpha in alphas:
-            cells: list[Any] = [regime["label"], alpha]
-            for column in columns:
-                params = _column_params(n, alpha, column)
-                params["costmodel"] = regime["costmodel"]
-                if regime.get("traffic") is not None:
-                    params["traffic"] = regime["traffic"]
-                result = store.result(trial_key(kind, params))
+    grid = _PoAGrid(spec, store, options, title)
+    regimes = [None] if rows is None else list(options[rows[0]])
+    table = []
+    for regime in regimes:
+        for alpha in grid.alphas:
+            row: list[Any] = [] if regime is None else [regime["label"]]
+            row.append(alpha)
+            for column in grid.columns:
+                result = grid.result(alpha, column, regime)
                 if result is None:
-                    cells.append("?")
+                    row.append("?")
                 else:
-                    poa = result["poa"]
-                    cells.append(float(poa) if poa else "-")
-            rows.append(cells)
-    headers = ["model", "alpha"] + [column["header"] for column in columns]
-    return render_table(headers, rows, title=title)
+                    row.append(float(result["poa"]) if result["poa"] else "-")
+            table.append(row)
+    headers = [] if rows is None else [rows[1]]
+    headers += ["alpha"] + [column["header"] for column in grid.columns]
+    return render_table(headers, table, title=grid.title)
 
 
 def reduce_poa_fit(
@@ -220,9 +194,8 @@ def reduce_poa_fit(
 ) -> str:
     """PoA-vs-alpha scaling fits per concept column.
 
-    Options: ``n``, ``alphas``, ``columns`` (``{"header", "concept",
-    "k"?, "params"?}``), optional ``kind`` / ``title``.  Each column's
-    ``(alpha, poa)`` points (completed trials with an equilibrium) feed
+    Options as for every PoA reducer (:class:`_PoAGrid`).  Each column's
+    ``(alpha, poa)`` points (completed cells with an equilibrium) feed
     :func:`repro.analysis.fitting.fit_log_slope` and
     :func:`~repro.analysis.fitting.fit_power_law`; rows report both
     slopes, their r-squared and the relative spread, so a
@@ -236,22 +209,13 @@ def reduce_poa_fit(
         relative_spread,
     )
 
-    n = int(options["n"])
-    kind = options.get("kind", spec.kind)
-    alphas = [as_alpha(a) for a in options["alphas"]]
-    columns = list(options["columns"])
-    title = options.get(
-        "title", "PoA-vs-alpha scaling fits (n={n})"
-    ).format(n=n)
-
+    grid = _PoAGrid(spec, store, options, "PoA-vs-alpha scaling fits (n={n})")
     rows = []
-    for column in columns:
+    for column in grid.columns:
         points: list[tuple[Fraction, Fraction]] = []
-        for alpha in alphas:
-            result = store.result(
-                trial_key(kind, _column_params(n, alpha, column))
-            )
-            if result is None or not result.get("poa"):
+        for alpha in grid.alphas:
+            result = grid.result(alpha, column)
+            if result is None or not result["poa"]:
                 continue
             points.append((alpha, result["poa"]))
         if len(points) < 2:
@@ -278,67 +242,7 @@ def reduce_poa_fit(
         "column", "points", "log2 slope", "r2(log)",
         "power exp", "r2(power)", "spread",
     ]
-    return render_table(headers, rows, title=title)
-
-
-def reduce_exact_poa_table(
-    spec: CampaignSpec, store: CampaignStore, options: Mapping[str, Any]
-) -> str:
-    """Alpha-by-concept table over ``exact_poa`` trials, layer-aware.
-
-    Options: ``n``, ``alphas``, ``columns`` (``{"header", "concept",
-    "k"?, "params"?}``), optional ``family`` (merged into every cell's
-    params unless the column already pins one), ``kind`` and ``title``.
-    A cell's trials are every spec trial whose parameters — with the
-    edge-count layer axis ``m`` stripped — match the cell: one whole
-    trial or many layered ones.  PoA aggregates as the max over layers,
-    equilibria/candidates as sums, so layered and whole campaigns render
-    byte-identically.  Cells with any layer still missing render ``?``,
-    equilibrium-free cells ``-``.
-    """
-    n = int(options["n"])
-    kind = options.get("kind", spec.kind)
-    alphas = [as_alpha(a) for a in options["alphas"]]
-    columns = list(options["columns"])
-    family = options.get("family")
-    title = options.get(
-        "title", "Exact PoA over all connected graphs (n={n})"
-    ).format(n=n)
-
-    trials = [trial for trial in spec.trials() if trial.kind == kind]
-    stripped_keys = [
-        trial_key(
-            kind,
-            {name: value for name, value in trial.items if name != "m"},
-        )
-        for trial in trials
-    ]
-
-    rows = []
-    for alpha in alphas:
-        cells: list[Any] = [alpha]
-        for column in columns:
-            cell_params = _column_params(n, alpha, column)
-            if family is not None and "family" not in cell_params:
-                cell_params["family"] = family
-            wanted = trial_key(kind, cell_params)
-            matched = [
-                trial
-                for trial, stripped in zip(trials, stripped_keys)
-                if stripped == wanted
-            ]
-            results = [store.result(trial.key) for trial in matched]
-            if not matched or any(result is None for result in results):
-                cells.append("?")
-                continue
-            poas = [
-                result["poa"] for result in results
-                if result["poa"] is not None
-            ]
-            cells.append(float(max(poas)) if poas else "-")
-        rows.append(cells)
-    headers = ["alpha"] + [column["header"] for column in columns]
-    return render_table(headers, rows, title=title)
+    return render_table(headers, rows, title=grid.title)
 
 
 def reduce_conjecture_table(
@@ -559,9 +463,19 @@ REDUCERS: dict[str, Reducer] = {
     "poa_fit": reduce_poa_fit,
     "convergence": reduce_convergence,
     "trial_table": reduce_trial_table,
-    "weighted_poa_table": reduce_weighted_poa_table,
-    "costmodel_poa_table": reduce_costmodel_poa_table,
-    "exact_poa_table": reduce_exact_poa_table,
+    "weighted_poa_table": functools.partial(
+        reduce_poa_table,
+        rows=("traffics", "traffic"),
+        title="Family-relative weighted PoA by traffic regime (n={n})",
+    ),
+    "costmodel_poa_table": functools.partial(
+        reduce_poa_table,
+        rows=("models", "model"),
+        title="Family-relative PoA by cost model (n={n})",
+    ),
+    "exact_poa_table": functools.partial(
+        reduce_poa_table, title="Exact PoA over all connected graphs (n={n})"
+    ),
     "conjecture_table": reduce_conjecture_table,
 }
 

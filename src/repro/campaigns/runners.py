@@ -15,6 +15,7 @@ reproduces the serial run bit-for-bit at any worker count.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Mapping
 
 from repro._rng import coerce_rng, derive_seed, trial_seed
@@ -80,137 +81,18 @@ def _concept(params: Mapping[str, Any]) -> Concept:
     return concept
 
 
-@runner("tree_poa")
-def run_tree_poa(params: Mapping[str, Any], base_seed: int) -> dict[str, Any]:
-    """Exact worst-case PoA over all non-isomorphic trees (one cell of
-    Table 1); deterministic, so the base seed is unused."""
-    from repro.analysis.poa import empirical_tree_poa
-
-    result = empirical_tree_poa(
-        int(params["n"]),
-        params["alpha"],
-        _concept(params),
-        k=params.get("k"),
-    )
-    return {
-        "poa": result.poa,
-        "equilibria": result.equilibria,
-        "candidates": result.candidates,
-    }
-
-
-@runner("graph_poa")
-def run_graph_poa(params: Mapping[str, Any], base_seed: int) -> dict[str, Any]:
-    """Exact worst-case PoA over all connected graphs.
-
-    Atlas-backed to ``n = 7``, canonical-key enumerated above; for
-    ``n >= 8`` prefer the ``exact_poa`` kind with an ``m`` axis — one
-    trial per edge-count layer resumes at layer granularity."""
-    from repro.analysis.poa import empirical_poa
-
-    result = empirical_poa(
-        int(params["n"]),
-        params["alpha"],
-        _concept(params),
-        k=params.get("k"),
-    )
-    return {
-        "poa": result.poa,
-        "equilibria": result.equilibria,
-        "candidates": result.candidates,
-    }
-
-
-@runner("weighted_poa")
-def run_weighted_poa(
-    params: Mapping[str, Any], base_seed: int
-) -> dict[str, Any]:
-    """Family-relative worst-case PoA under a heterogeneous demand matrix.
-
-    ``params["traffic"]`` is a **required** JSON-able traffic spec
-    (:func:`repro.core.traffic.traffic_from_spec`) — part of the trial's
-    content hash, so the demand matrix is a pure function of the trial's
-    identity and every trial has exactly one spelling (an absent axis
-    would hash differently from an explicit ``{"model": "uniform"}``,
-    splitting one semantic trial across two keys).  Deterministic; the
-    base seed is unused (seeded traffic models carry their own ``seed``
-    parameter).
-    """
-    from repro.analysis.poa import empirical_weighted_poa
-    from repro.core.traffic import traffic_from_spec
-
-    n = int(params["n"])
-    if params.get("traffic") is None:
-        raise ValueError(
-            "weighted_poa trials need an explicit 'traffic' spec "
-            '(use {"model": "uniform"} for the uniform game)'
-        )
-    traffic = traffic_from_spec(params["traffic"], n)
-    family = params.get("family", "trees")
-    if family not in ("trees", "graphs"):
-        raise ValueError(f"unknown graph family {family!r}")
-    result = empirical_weighted_poa(
-        n,
-        params["alpha"],
-        _concept(params),
-        traffic,
-        k=params.get("k"),
-        trees_only=family == "trees",
-    )
-    return {
-        "poa": result.poa,
-        "worst_cost": result.worst_cost,
-        "best_cost": result.best_cost,
-        "equilibria": result.equilibria,
-        "candidates": result.candidates,
-    }
-
-
-@runner("generalized_poa")
-def run_generalized_poa(
-    params: Mapping[str, Any], base_seed: int
-) -> dict[str, Any]:
-    """Family-relative worst-case PoA under a pluggable cost model.
-
-    ``params["costmodel"]`` is a **required** JSON-able cost-model spec
-    (:func:`repro.core.costmodel.costmodel_from_spec`) — part of the
-    trial's content hash for the same single-spelling reason as the
-    ``weighted_poa`` runner's traffic axis (use ``{"model": "linear"}``
-    for the paper's game).  An optional ``traffic`` spec composes a
-    demand matrix with the model.  Deterministic; the base seed is
-    unused.
-    """
-    from repro.analysis.poa import empirical_weighted_poa
-    from repro.core.costmodel import costmodel_from_spec
-    from repro.core.traffic import traffic_from_spec
-
-    n = int(params["n"])
-    if params.get("costmodel") is None:
-        raise ValueError(
-            "generalized_poa trials need an explicit 'costmodel' spec "
-            '(use {"model": "linear"} for the paper\'s game)'
-        )
-    cost_model = costmodel_from_spec(params["costmodel"], n)
-    traffic = traffic_from_spec(params.get("traffic"), n)
-    family = params.get("family", "trees")
-    if family not in ("trees", "graphs"):
-        raise ValueError(f"unknown graph family {family!r}")
-    result = empirical_weighted_poa(
-        n,
-        params["alpha"],
-        _concept(params),
-        traffic,
-        k=params.get("k"),
-        trees_only=family == "trees",
-        cost_model=cost_model,
-    )
-    return {
-        "poa": result.poa,
-        "worst_cost": result.worst_cost,
-        "best_cost": result.best_cost,
-        "equilibria": result.equilibria,
-        "candidates": result.candidates,
-    }
+#: PoA kind -> (default family, required axis, reports the witness);
+#: every kind runs :func:`run_poa` and reads the same axes
+POA_KINDS: dict[str, tuple[str, str | None, bool]] = {
+    "tree_poa": ("trees", None, False),
+    "graph_poa": ("graphs", None, False),
+    "weighted_poa": ("trees", "traffic", False),
+    "generalized_poa": ("trees", "costmodel", False),
+    "exact_poa": ("graphs", None, True),
+}
+POA_AXES = frozenset(
+    {"n", "alpha", "concept", "k", "family", "m", "traffic", "costmodel"}
+)
 
 
 def _witness_payload(witness, traffic=None) -> dict[str, Any]:
@@ -238,68 +120,69 @@ def _witness_payload(witness, traffic=None) -> dict[str, Any]:
     }
 
 
-@runner("exact_poa")
-def run_exact_poa(params, base_seed: int) -> dict[str, Any]:
-    """Exact PoA over a canonically enumerated family, with certificates.
+def run_poa(
+    kind: str, params: Mapping[str, Any], base_seed: int
+) -> dict[str, Any]:
+    """Exact worst-case PoA over an enumerated family (one cell of
+    Table 1 and its generalisations), through
+    :func:`repro.analysis.poa.family_poa`.
 
-    ``family`` selects the quantifier: ``"trees"`` (all non-isomorphic
-    trees), ``"graphs"`` (all connected graphs — optionally one
-    edge-count layer ``m``, the campaign resume unit: the full PoA is
-    the max over the ``m`` axis and each layer is its own
-    content-addressed trial), or ``"labelled_trees"`` (**all** labelled
-    trees deduplicated by the joint ``(tree, W)`` canonical key, which
-    needs an explicit ``traffic`` spec — the exact weighted tree PoA).
-    Results carry the worst witness as a canonical-key digest plus edge
-    list.  Deterministic; the base seed is unused.
+    ``family`` is ``"trees"``, ``"graphs"`` (optionally one edge-count
+    layer ``m``: the campaign resume unit, the full PoA being the max
+    over the ``m`` axis) or ``"labelled_trees"`` (needs ``traffic``);
+    it defaults per kind (:data:`POA_KINDS`).  ``traffic`` and
+    ``costmodel`` are JSON-able specs
+    (:func:`repro.core.traffic.traffic_from_spec`,
+    :func:`repro.core.costmodel.costmodel_from_spec`); with either one
+    the ratio is family-relative and the result also carries
+    ``worst_cost`` / ``best_cost``.  ``weighted_poa`` requires
+    ``traffic`` and ``generalized_poa`` requires ``costmodel``, so each
+    of their trials has exactly one spelling (``{"model": "uniform"}`` /
+    ``{"model": "linear"}`` for the paper's game).  ``exact_poa``
+    results carry the worst witness as a canonical-key digest plus edge
+    list.  Any other parameter raises.  Deterministic; the base seed is
+    unused.
     """
-    from repro.analysis.poa import (
-        empirical_layer_poa,
-        empirical_poa,
-        empirical_tree_poa,
-        exact_weighted_tree_poa,
-    )
+    from repro.analysis.poa import family_poa
+    from repro.core.costmodel import costmodel_from_spec
+    from repro.core.traffic import traffic_from_spec
 
-    n = int(params["n"])
-    family = params.get("family", "graphs")
-    concept = _concept(params)
-    k = params.get("k")
-    if family == "trees":
-        result = empirical_tree_poa(n, params["alpha"], concept, k=k)
-    elif family == "graphs":
-        if params.get("m") is not None:
-            result = empirical_layer_poa(
-                n, int(params["m"]), params["alpha"], concept, k=k
-            )
-        else:
-            result = empirical_poa(n, params["alpha"], concept, k=k)
-    elif family == "labelled_trees":
-        from repro.core.traffic import traffic_from_spec
-
-        if params.get("traffic") is None:
-            raise ValueError(
-                "labelled_trees trials need an explicit 'traffic' spec "
-                "(the joint canonical key acts on the demand matrix)"
-            )
-        traffic = traffic_from_spec(params["traffic"], n)
-        weighted = exact_weighted_tree_poa(
-            n, params["alpha"], concept, traffic, k=k
+    family, required, certified = POA_KINDS[kind]
+    unknown = sorted(set(params) - POA_AXES)
+    if unknown:
+        raise ValueError(
+            f"{kind} trials take no {unknown} axis; "
+            f"known: {sorted(POA_AXES)}"
         )
-        return {
-            "poa": weighted.poa,
-            "worst_cost": weighted.worst_cost,
-            "best_cost": weighted.best_cost,
-            "equilibria": weighted.equilibria,
-            "candidates": weighted.candidates,
-            **_witness_payload(weighted.witness, traffic),
-        }
-    else:
-        raise ValueError(f"unknown graph family {family!r}")
-    return {
-        "poa": result.poa,
-        "equilibria": result.equilibria,
-        "candidates": result.candidates,
-        **_witness_payload(result.witness),
-    }
+    if required is not None and params.get(required) is None:
+        raise ValueError(
+            f"{kind} trials need an explicit {required!r} spec "
+            '({"model": "uniform"} / {"model": "linear"} is the paper\'s game)'
+        )
+    n = int(params["n"])
+    m = params.get("m")
+    traffic = traffic_from_spec(params.get("traffic"), n)
+    result = family_poa(
+        params.get("family", family),
+        n,
+        params["alpha"],
+        _concept(params),
+        params.get("k"),
+        m=None if m is None else int(m),
+        traffic=traffic,
+        cost_model=costmodel_from_spec(params.get("costmodel"), n),
+    )
+    out: dict[str, Any] = {"poa": result.poa}
+    if result.best_cost is not None:
+        out.update(worst_cost=result.worst_cost, best_cost=result.best_cost)
+    out.update(equilibria=result.equilibria, candidates=result.candidates)
+    if certified:
+        out.update(_witness_payload(result.witness, traffic))
+    return out
+
+
+for _kind in POA_KINDS:
+    runner(_kind)(functools.partial(run_poa, _kind))
 
 
 @runner("conjecture_hunt")

@@ -77,9 +77,10 @@ __all__ = [
 def integer_root(value: int, k: int) -> int:
     """Exact ``floor(value ** (1/k))`` for non-negative integers.
 
-    A float seed refined by integer Newton steps — correct for any
-    magnitude (the float is only a starting guess, every comparison is
-    pure-integer).
+    Pure-integer Newton iteration from a power of two above the root:
+    the iterates fall monotonically onto the floor root, in a number of
+    steps logarithmic in ``value`` — no floats, so any magnitude is
+    exact and none overflows.
     """
     if k <= 0:
         raise ValueError("the root index must be positive")
@@ -87,14 +88,12 @@ def integer_root(value: int, k: int) -> int:
         raise ValueError("integer roots need a non-negative radicand")
     if value == 0 or k == 1:
         return value
-    guess = int(round(value ** (1.0 / k)))
-    if guess < 1:
-        guess = 1
-    while guess > 1 and guess**k > value:
-        guess -= 1
-    while (guess + 1) ** k <= value:
-        guess += 1
-    return guess
+    root = 1 << -(-value.bit_length() // k)
+    while True:
+        below = ((k - 1) * root + value // root ** (k - 1)) // k
+        if below >= root:
+            return root
+        root = below
 
 
 def _int64_table(values) -> np.ndarray:

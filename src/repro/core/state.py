@@ -169,14 +169,14 @@ class GameState:
         meaningful for the uniform linear game
         (``valuation.uniform_linear``); other regimes compare social costs
         within an enumerated family instead
-        (:func:`repro.analysis.poa.empirical_weighted_poa`).
+        (:func:`repro.analysis.poa.family_poa`).
         """
         if not self.valuation.uniform_linear:
             raise ValueError(
                 "rho() compares against the uniform linear optimum; for "
                 "weighted traffic or a non-linear cost model compare social "
                 "costs within an enumerated family "
-                "(repro.analysis.poa.empirical_weighted_poa)"
+                "(repro.analysis.poa.family_poa)"
             )
         from repro.core.optimum import social_cost_ratio
 

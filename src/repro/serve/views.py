@@ -8,11 +8,12 @@ instead of re-running enumeration:
 
 * the **exact index** maps every :func:`~repro.campaigns.spec.trial_key`
   in every registered store to its decoded result;
-* the **layer index** re-aggregates ``m``-sharded ``exact_poa`` trials
-  the same way :func:`~repro.campaigns.aggregate.reduce_exact_poa_table`
-  does — PoA is the max over edge-count layers, equilibria/candidates
-  the sums — so a query that does not mention ``m`` still resolves
-  against a campaign that ran layered.
+* the **layer index** groups ``m``-sharded PoA trials by
+  :func:`~repro.campaigns.aggregate.layer_groups` and rolls them up with
+  :func:`~repro.campaigns.aggregate.roll_up`, the lookup every PoA
+  table reducer reads — PoA is the max over edge-count layers,
+  equilibria/candidates the sums — so a query that does not mention
+  ``m`` still resolves against a campaign that ran layered.
 
 Queries are content-addressed exactly like trials (``alpha: 4.5`` and
 ``alpha: "9/2"`` hit the same record), so the view needs no schema
@@ -24,16 +25,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.campaigns.aggregate import layer_groups, layer_key, roll_up
 from repro.campaigns.spec import CampaignSpec, trial_key
 from repro.campaigns.store import CampaignStore
 
 __all__ = ["MaterialisedViews"]
-
-
-def _stripped_key(kind: str, params: Mapping[str, Any]) -> str:
-    return trial_key(
-        kind, {name: value for name, value in params.items() if name != "m"}
-    )
 
 
 class MaterialisedViews:
@@ -42,7 +38,7 @@ class MaterialisedViews:
     def __init__(self, roots: list[str | Path] | None = None):
         self.sources: list[dict[str, Any]] = []
         self._exact: dict[str, dict[str, Any]] = {}
-        # stripped key -> {"source", "kind", "layers": [m...], "results": []}
+        # layer key -> {"source", "campaign", "results": [per layer]}
         self._layers: dict[str, dict[str, Any]] = {}
         for root in roots or []:
             self.add_store(root)
@@ -76,20 +72,15 @@ class MaterialisedViews:
                     "result": result,
                 }
                 indexed += 1
-            if "m" in trial.params:
-                stripped = _stripped_key(trial.kind, trial.params)
-                group = self._layers.setdefault(
-                    stripped,
-                    {
-                        "source": source,
-                        "campaign": spec.name,
-                        "kind": trial.kind,
-                        "layers": [],
-                        "results": [],
-                    },
-                )
-                group["layers"].append(trial.params["m"])
-                group["results"].append(result)
+        for stripped, trials in layer_groups(spec).items():
+            layered = [trial for trial in trials if "m" in trial.params]
+            if not layered:
+                continue
+            group = self._layers.setdefault(
+                stripped,
+                {"source": source, "campaign": spec.name, "results": []},
+            )
+            group["results"] += [store.result(t.key) for t in layered]
         info = {
             "source": source,
             "campaign": spec.name,
@@ -123,18 +114,12 @@ class MaterialisedViews:
             }
         if "m" in params:
             return None
-        group = self._layers.get(_stripped_key(kind, params))
+        group = self._layers.get(layer_key(kind, params))
         if group is None:
             return None
         present = [result for result in group["results"] if result is not None]
         if not present:
             return None
-        poas = [r["poa"] for r in present if r.get("poa") is not None]
-        aggregated: dict[str, Any] = {
-            "poa": max(poas) if poas else None,
-            "equilibria": sum(r.get("equilibria", 0) for r in present),
-            "candidates": sum(r.get("candidates", 0) for r in present),
-        }
         return {
             "layered": True,
             "source": group["source"],
@@ -142,7 +127,7 @@ class MaterialisedViews:
             "complete": all(r is not None for r in group["results"]),
             "layers": len(group["results"]),
             "layers_present": len(present),
-            "result": aggregated,
+            "result": roll_up(present),
         }
 
     def stats(self) -> dict[str, Any]:

@@ -581,6 +581,86 @@ class TestNewRunnerKinds:
         )
         assert hubbed == reordered
 
+    @pytest.mark.parametrize(
+        "kind",
+        ["tree_poa", "graph_poa", "weighted_poa", "generalized_poa",
+         "exact_poa"],
+    )
+    @pytest.mark.parametrize(
+        "axis",
+        ["traffic", "costmodel", "trees", "graphs", "labelled_trees",
+         "layer", "layer_on_graphs", "unknown"],
+    )
+    def test_every_poa_kind_honours_every_axis(self, kind, axis):
+        """No PoA kind answers for a game its trial key does not name:
+        each axis either reaches the one family scan or raises."""
+        from repro.analysis.poa import family_poa
+        from repro.campaigns.runners import execute_trial
+        from repro.core.costmodel import LinearCost, MaxCost
+        from repro.core.traffic import TrafficMatrix
+
+        gravity = {"model": "gravity", "weights": [3, 1, 2, 1, 1]}
+        default_family = {
+            "tree_poa": "trees", "graph_poa": "graphs",
+            "weighted_poa": "trees", "generalized_poa": "trees",
+            "exact_poa": "graphs",
+        }[kind]
+        params = {"n": 5, "alpha": Fraction(4), "concept": Concept.PS}
+        # the axis each kind requires, at its paper-game spelling
+        if kind == "weighted_poa":
+            params["traffic"] = {"model": "uniform"}
+        if kind == "generalized_poa":
+            params["costmodel"] = {"model": "linear"}
+        params |= {
+            "traffic": {"traffic": gravity},
+            "costmodel": {"costmodel": {"model": "max"}},
+            "trees": {"family": "trees"},
+            "graphs": {"family": "graphs"},
+            "labelled_trees": {"family": "labelled_trees"},
+            "layer": {"m": 5},
+            "layer_on_graphs": {"family": "graphs", "m": 5},
+            "unknown": {"index": 0},
+        }[axis]
+        family = params.get("family", default_family)
+
+        if axis == "unknown":
+            with pytest.raises(ValueError, match="index"):
+                execute_trial(kind, params, base_seed=0)
+            return
+        if "m" in params and family != "graphs":
+            with pytest.raises(ValueError, match="'m'"):
+                execute_trial(kind, params, base_seed=0)
+            return
+        if family == "labelled_trees" and "traffic" not in params:
+            with pytest.raises(ValueError, match="traffic"):
+                execute_trial(kind, params, base_seed=0)
+            return
+
+        traffic = {
+            None: None,
+            "uniform": TrafficMatrix.uniform(5),
+            "gravity": TrafficMatrix.gravity(gravity["weights"]),
+        }[params.get("traffic", {}).get("model")]
+        cost_model = {
+            None: None,
+            "linear": LinearCost(),
+            "max": MaxCost(),
+        }[params.get("costmodel", {}).get("model")]
+        scan = family_poa(
+            family, 5, 4, Concept.PS, m=params.get("m"),
+            traffic=traffic, cost_model=cost_model,
+        )
+        result = execute_trial(kind, params, base_seed=0)
+        assert result["poa"] == scan.poa
+        assert result["equilibria"] == scan.equilibria
+        assert result["candidates"] == scan.candidates
+        relative = traffic is not None or cost_model is not None
+        assert ("best_cost" in result) == relative
+        if relative:
+            assert result["worst_cost"] == scan.worst_cost
+            assert result["best_cost"] == scan.best_cost
+        assert ("witness_key" in result) == (kind == "exact_poa")
+
     def test_constructions_runner_reproduces_figure_claims(self):
         from repro.campaigns.runners import execute_trial
 
@@ -763,12 +843,12 @@ class TestExactPoACampaigns:
             )
 
     def test_exact_poa_labelled_trees_uniform_degenerates(self):
-        from repro.analysis.poa import empirical_weighted_poa
+        from repro.analysis.poa import family_poa
         from repro.campaigns.runners import execute_trial
         from repro.core.traffic import TrafficMatrix
 
-        reference = empirical_weighted_poa(
-            5, 3, Concept.PS, traffic=TrafficMatrix.uniform(5)
+        reference = family_poa(
+            "trees", 5, 3, Concept.PS, traffic=TrafficMatrix.uniform(5)
         )
         result = execute_trial(
             "exact_poa",
@@ -785,14 +865,20 @@ class TestExactPoACampaigns:
         assert result["candidates"] == reference.candidates
         assert result["best_cost"] == reference.best_cost
 
-    def test_exact_poa_table_layered_equals_whole(self):
+    @pytest.mark.parametrize(
+        "reducer",
+        ["exact_poa_table", "poa_table", "poa_fit"],
+        ids=["exact", "poa_table", "poa_fit"],
+    )
+    def test_exact_poa_table_layered_equals_whole(self, reducer):
         # the load-bearing resume property: a campaign sharded into
-        # edge-count layers renders byte-identically to an unsharded one
+        # edge-count layers renders byte-identically to an unsharded one,
+        # under every reducer that reads PoA cells
         from repro.graphs.enumerate import max_edge_count
 
         n, alphas = 5, [2, 3]
         report = {
-            "reducer": "exact_poa_table",
+            "reducer": reducer,
             "options": {
                 "n": n,
                 "alphas": alphas,
@@ -827,6 +913,9 @@ class TestExactPoACampaigns:
         right = render_report(whole, whole_store)
         assert left.split("\n", 1)[1] == right.split("\n", 1)[1]
         assert "?" not in left
+        if reducer == "poa_fit":
+            # both alphas count as points, layered or whole
+            assert left.splitlines()[-1].split()[:2] == ["PoA(PS)", "2"]
 
     def test_conjecture_hunt_runner_finds_prop_2_3(self):
         import networkx as nx

@@ -20,6 +20,7 @@ Four arms lock the generalized engine down:
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -110,6 +111,18 @@ class TestModelArithmetic:
     def test_integer_root_exact(self):
         for k in (1, 2, 3, 5):
             for value in list(range(200)) + [10**12, 10**15 + 7]:
+                root = integer_root(value, k)
+                assert root**k <= value < (root + 1) ** k
+
+    def test_integer_root_matches_isqrt_at_any_magnitude(self):
+        rng = random.Random(16)
+        values = list(range(1000)) + [10**80 * 7, 10**400 + 1]
+        values += [rng.getrandbits(rng.randint(1, 2000)) for _ in range(500)]
+        for value in values:
+            assert integer_root(value, 2) == math.isqrt(value)
+        # higher roots past float range stay exact
+        for k in (3, 7):
+            for value in (10**400 + 3, 2**3000 - 1):
                 root = integer_root(value, k)
                 assert root**k <= value < (root + 1) ** k
 

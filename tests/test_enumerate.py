@@ -194,12 +194,12 @@ class TestLabelledTrees:
 
 class TestPoAIntegration:
     def test_layer_poa_max_equals_whole_family(self):
-        from repro.analysis.poa import empirical_layer_poa, empirical_poa
+        from repro.analysis.poa import empirical_poa, family_poa
 
         n, alpha, concept = 5, 2, Concept.PS
         whole = empirical_poa(n, alpha, concept)
         layers = [
-            empirical_layer_poa(n, m, alpha, concept)
+            family_poa("graphs", n, alpha, concept, m=m)
             for m in range(n - 1, max_edge_count(n) + 1)
         ]
         layer_poas = [r.poa for r in layers if r.poa is not None]
@@ -208,16 +208,15 @@ class TestPoAIntegration:
         assert sum(r.candidates for r in layers) == whole.candidates
 
     def test_exact_weighted_tree_poa_uniform_matches_representative(self):
-        from repro.analysis.poa import (
-            empirical_weighted_poa,
-            exact_weighted_tree_poa,
-        )
+        from repro.analysis.poa import family_poa
 
         n, alpha, concept = 5, 3, Concept.PS
         uniform = TrafficMatrix.uniform(n)
-        exact = exact_weighted_tree_poa(n, alpha, concept, uniform)
-        representative = empirical_weighted_poa(
-            n, alpha, concept, traffic=uniform, trees_only=True
+        exact = family_poa(
+            "labelled_trees", n, alpha, concept, traffic=uniform
+        )
+        representative = family_poa(
+            "trees", n, alpha, concept, traffic=uniform
         )
         assert exact.poa == representative.poa
         assert exact.candidates == representative.candidates

@@ -244,6 +244,18 @@ class TestClassify:
                 "too large",
             ),
             ({"costmodel": {"model": "convex", "exponent": 60}}, "int64"),
+            # a huge concave scale: exact integer roots, then the int64
+            # table check (no float guess to spin on or overflow)
+            (
+                {"costmodel": {"model": "concave", "exponent": "1/2",
+                               "scale": 10**40}},
+                "int64",
+            ),
+            (
+                {"costmodel": {"model": "concave", "exponent": "1/2",
+                               "scale": 10**200}},
+                "int64",
+            ),
             (
                 {"traffic": {"model": "gravity", "weights": [1.5, 2, 3, 4]}},
                 "integers",

@@ -25,7 +25,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.analysis.poa import empirical_tree_poa, empirical_weighted_poa
+from repro.analysis.poa import empirical_tree_poa, family_poa
 from repro.core.concepts import Concept
 from repro.core.costs import (
     agent_cost,
@@ -283,8 +283,9 @@ class TestUniformEquivalence:
     def test_weighted_poa_uniform_matches_tree_poa(self):
         for alpha in (2, Fraction(9, 2), 8):
             reference = empirical_tree_poa(6, alpha, Concept.PS)
-            weighted = empirical_weighted_poa(
-                6, alpha, Concept.PS, TrafficMatrix.uniform(6)
+            weighted = family_poa(
+                "trees", 6, alpha, Concept.PS,
+                traffic=TrafficMatrix.uniform(6),
             )
             assert weighted.poa == reference.poa
             assert weighted.equilibria == reference.equilibria
