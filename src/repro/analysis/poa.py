@@ -90,7 +90,10 @@ def family_graphs(
     by the joint ``(tree, W)`` canonical key of ``traffic``
     (:func:`repro.graphs.enumerate.enumerate_labelled_trees`; under
     ``TrafficMatrix.uniform(n)`` the classes collapse to the unlabelled
-    ones; feasible to ``n ~ 8``).
+    ones; feasible to ``n ~ 8``).  A demand matrix sees labels: a layer
+    holds canonical representatives and the whole family at ``n <= 7``
+    the atlas's, so under non-uniform demands the two scan different
+    labellings of the same classes.
     """
     if family not in FAMILIES:
         raise ValueError(

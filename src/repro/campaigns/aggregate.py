@@ -17,9 +17,9 @@ Built-in reducers:
     ``costmodel_poa_table`` per cost model (``models``); the names
     differ only in that row axis and their default title.  A cell may be
     one whole-family trial *or* sharded across an ``m`` (edge-count
-    layer) axis; layered cells aggregate exactly — PoA is the max over
-    layers, equilibria/candidates the sum — so the table is
-    byte-identical whether the campaign ran layered or whole.
+    layer) axis; layered cells aggregate exactly (:func:`roll_up`) —
+    PoA is the max over layers, equilibria/candidates the sum — so the
+    table is byte-identical whether the campaign ran layered or whole.
 ``poa_fit``
     PoA-vs-alpha scaling fits (:mod:`repro.analysis.fitting`) over the
     same cells: one row per concept column with the ``rho ~ log2(alpha)``
@@ -98,13 +98,28 @@ def layer_groups(spec: CampaignSpec) -> dict[str, list[Trial]]:
 
 def roll_up(results: list[Mapping[str, Any]]) -> dict[str, Any]:
     """One PoA cell from its trials' results: the PoA is the max over
-    layers, equilibria and candidates the sums."""
+    layers, equilibria and candidates the sums.
+
+    A family-relative PoA (results with ``best_cost``) is not the max of
+    the layers' ratios: it is the worst equilibrium cost over every
+    layer divided by the cheapest cost over every layer.
+    """
     poas = [r["poa"] for r in results if r.get("poa") is not None]
-    return {
-        "poa": max(poas) if poas else None,
-        "equilibria": sum(r.get("equilibria", 0) for r in results),
-        "candidates": sum(r.get("candidates", 0) for r in results),
-    }
+    cell: dict[str, Any] = {"poa": max(poas) if poas else None}
+    if any("best_cost" in r for r in results):
+        worst = max(
+            (r["worst_cost"] for r in results if r["worst_cost"] is not None),
+            default=None,
+        )
+        best = min(r["best_cost"] for r in results)
+        cell = {
+            "poa": None if worst is None else worst / best,
+            "worst_cost": worst,
+            "best_cost": best,
+        }
+    cell["equilibria"] = sum(r.get("equilibria", 0) for r in results)
+    cell["candidates"] = sum(r.get("candidates", 0) for r in results)
+    return cell
 
 
 class _PoAGrid:

@@ -867,8 +867,8 @@ class TestExactPoACampaigns:
 
     @pytest.mark.parametrize(
         "reducer",
-        ["exact_poa_table", "poa_table", "poa_fit"],
-        ids=["exact", "poa_table", "poa_fit"],
+        ["exact_poa_table", "poa_table", "poa_fit", "costmodel_poa_table"],
+        ids=["exact", "poa_table", "poa_fit", "costmodel"],
     )
     def test_exact_poa_table_layered_equals_whole(self, reducer):
         # the load-bearing resume property: a campaign sharded into
@@ -876,7 +876,11 @@ class TestExactPoACampaigns:
         # under every reducer that reads PoA cells
         from repro.graphs.enumerate import max_edge_count
 
-        n, alphas = 5, [2, 3]
+        n, alphas, regime = 5, [2, 3], {}
+        if reducer == "costmodel_poa_table":
+            # family-relative cells: at these prices the max of the
+            # layers' ratios is not the whole family's ratio
+            alphas, regime = ["1/2", 1], {"costmodel": {"model": "max"}}
         report = {
             "reducer": reducer,
             "options": {
@@ -888,6 +892,8 @@ class TestExactPoACampaigns:
                 ],
             },
         }
+        if regime:
+            report["options"]["models"] = [{"label": "max", **regime}]
         layered = CampaignSpec(
             name="layered", kind="exact_poa", report=report,
             grids=(
@@ -895,6 +901,7 @@ class TestExactPoACampaigns:
                     "family": "graphs", "n": n, "alpha": alphas,
                     "concept": "PS",
                     "m": {"$range": [n - 1, max_edge_count(n) + 1]},
+                    **regime,
                 },
             ),
         )
@@ -902,7 +909,7 @@ class TestExactPoACampaigns:
             name="whole", kind="exact_poa", report=report,
             grids=(
                 {"family": "graphs", "n": n, "alpha": alphas,
-                 "concept": "PS"},
+                 "concept": "PS", **regime},
             ),
         )
         layered_store = CampaignStore(None)
