@@ -279,8 +279,9 @@ _TRACE_MODELS = {
 }
 
 
-def dynamics_trace(seed: int, regime: str):
-    """One seeded best-response trajectory; returns its full bit record.
+def trace_start(seed: int, regime: str):
+    """The seeded start of one :func:`dynamics_trace` trajectory:
+    ``(graph, alpha, concept, traffic, cost_model)``.
 
     ``regime`` is ``uniform`` (the paper's game), ``weighted`` (random
     demands in ``0..5``), ``sparse`` (the same with about half the pairs
@@ -295,8 +296,6 @@ def dynamics_trace(seed: int, regime: str):
     from repro.core.concepts import Concept
     from repro.core.costmodel import costmodel_from_spec
     from repro.core.traffic import TrafficMatrix
-    from repro.dynamics.engine import run_dynamics
-    from repro.dynamics.schedulers import best_improvement_scheduler
     from repro.graphs.generation import random_connected_gnp
 
     rng = random.Random(970_000 + seed)
@@ -317,6 +316,18 @@ def dynamics_trace(seed: int, regime: str):
         )
     if regime in _TRACE_MODELS:
         cost_model = costmodel_from_spec(_TRACE_MODELS[regime], n)
+    return graph, alpha, concept, traffic, cost_model
+
+
+def dynamics_trace(seed: int, regime: str):
+    """One seeded best-response trajectory from :func:`trace_start`;
+    returns its full bit record."""
+    import random
+
+    from repro.dynamics.engine import run_dynamics
+    from repro.dynamics.schedulers import best_improvement_scheduler
+
+    graph, alpha, concept, traffic, cost_model = trace_start(seed, regime)
     result = run_dynamics(
         graph,
         alpha,
