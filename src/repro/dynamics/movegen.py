@@ -1,9 +1,9 @@
 """Enumerate improving moves for each solution concept.
 
-Each generator yields *certified* improving moves of the concept's move
-type(s) in the given state.  The dynamics engine consumes these lazily, so
-schedulers can stop at the first move or drain the generator to choose the
-best one.
+Each pool yields *certified* improving moves of the concept's move
+type(s) in the given state.  The dynamics engine hands the pool to its
+scheduler, which can stop at the first move, drain the pool, or reduce
+its prices to the best move.
 
 The move spaces mirror the concept definitions:
 
@@ -17,56 +17,67 @@ The move spaces mirror the concept definitions:
 * ``BSE``  — bounded coalition moves (via :func:`probe_coalition_moves`
   sampling, since exhaustive generation is exponential).
 
-All candidate evaluation — here and in the searchers this module calls —
-runs on the speculative kernel
-(:class:`~repro.core.speculative.SpeculativeEvaluator`), so a trajectory
-never pays a full APSP rebuild per candidate.  The one-edge pools are the
-checkers' own scans, so a generator and its checker can never disagree:
-removals come from the RE checker's
-(:func:`repro.equilibria.remove.improving_removals`, which skips bridges
-without a BFS whenever every demand is positive and a disconnection
-always costs a sentinel), swaps from the BSwE
-checker's (:func:`repro.equilibria.swap.improving_swaps`, which prices
-each dropped edge on a post-removal matrix derived from the cached one
-without mutating the engine); schedulers then batch-evaluate the
-round's whole pool rows-only
-(:meth:`~repro.core.speculative.SpeculativeEvaluator.best`) instead of
-per-candidate apply/undo.
+The one-edge spaces are **priced pools** (:func:`move_pool`): the
+checkers' own scans — :func:`~repro.equilibria.remove.removal_runs`,
+:func:`~repro.equilibria.add.addition_runs` and
+:func:`~repro.equilibria.swap.swap_runs` — emit every improving move with
+the exact deltas they computed to find it, so a pool and its checker can
+never disagree and nothing prices a move twice.  The BGE pool prices each
+edge's removals and swaps off one post-removal matrix.  Compound moves
+(BNE, BSE) come from the searchers on the speculative kernel.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from typing import Callable, Iterator
 
-import numpy as np
-
-from repro._alpha import strict_gt_threshold
 from repro._rng import coerce_rng
+from repro.core.batch import MovePool
 from repro.core.concepts import Concept
-from repro.core.moves import AddEdge, Move
+from repro.core.moves import Move
 from repro.core.state import GameState
-from repro.equilibria.add import pairwise_add_gains
+from repro.equilibria.add import addition_runs
 from repro.equilibria.neighborhood import (
     SearchBudgetExceeded,
     find_improving_neighborhood_move,
     probe_neighborhood_moves,
 )
-from repro.equilibria.remove import improving_removals
+from repro.equilibria.remove import RemovalPricer, removal_runs
 from repro.equilibria.strong import probe_coalition_moves
-from repro.equilibria.swap import improving_swaps
+from repro.equilibria.swap import SwapPricer, swap_runs
 
-__all__ = ["improving_moves", "move_generator_for"]
+__all__ = ["improving_moves", "move_generator_for", "move_pool"]
 
 
-def _improving_additions(state: GameState) -> Iterator[AddEdge]:
-    threshold = strict_gt_threshold(state.alpha)
-    gains = pairwise_add_gains(state)
-    mutual = (gains >= threshold) & (gains.T >= threshold)
-    for u, v in np.argwhere(np.triu(mutual, k=1)):
-        u, v = int(u), int(v)
-        if not state.graph.has_edge(u, v):
-            yield AddEdge(u, v)
+def _folded_runs(state: GameState):
+    """The BGE space: removals, then additions, then swaps, priced.
+
+    Each edge's post-removal matrix prices its removals and its swap
+    partners alike; the swap runs wait until the additions are out.  On
+    a tree with every demand positive no removal improves, so the swap
+    scan runs on its own (in closed form in the paper's game).
+    """
+    if state.valuation.full_support and state.is_tree():
+        yield from addition_runs(state)
+        yield from swap_runs(state)
+        return
+    dm = state.dist
+    removals = RemovalPricer(state)
+    pricer = SwapPricer(state)
+    swaps = []
+    # a snapshot of the edges: consumers may speculate between yields
+    for a, b in list(state.graph.edges):
+        removed = dm.matrix_after_remove(a, b)
+        if removals.wanted(a, b):
+            run = removals.price(a, b, removed[[a, b]])
+            if run is not None:
+                yield run
+        swaps.extend(pricer.runs(a, b, removed))
+    yield from addition_runs(state)
+    yield from swaps
 
 
 def _improving_neighborhood(state: GameState, rng: random.Random | None):
@@ -77,7 +88,7 @@ def _improving_neighborhood(state: GameState, rng: random.Random | None):
         # moves only; a None simply yields nothing this round)
         move = probe_neighborhood_moves(state, coerce_rng(rng), samples=500)
     if move is not None:
-        yield move
+        yield (move,)
 
 
 def _improving_coalitions(state: GameState, rng: random.Random | None):
@@ -85,7 +96,34 @@ def _improving_coalitions(state: GameState, rng: random.Random | None):
         state, coerce_rng(rng), max_coalition_size=min(state.n, 4), samples=500
     )
     if move is not None:
-        yield move
+        yield (move,)
+
+
+#: each concept's runs in pool order (compound moves as one-move runs)
+_SCANS = {
+    Concept.RE: lambda state, rng: removal_runs(state),
+    Concept.BAE: lambda state, rng: addition_runs(state),
+    Concept.PS: lambda state, rng: itertools.chain(
+        removal_runs(state), addition_runs(state)
+    ),
+    Concept.BSWE: lambda state, rng: swap_runs(state),
+    Concept.BGE: lambda state, rng: _folded_runs(state),
+    Concept.BNE: _improving_neighborhood,
+    Concept.BSE: _improving_coalitions,
+}
+
+
+def move_pool(
+    state: GameState,
+    concept: Concept,
+    rng: random.Random | None = None,
+) -> MovePool:
+    """The improving moves of ``concept``'s move space in ``state``, as a
+    priced pool (see the module docstring)."""
+    scan = _SCANS.get(concept)
+    if scan is None:
+        raise ValueError(f"no move generator for {concept}")
+    return MovePool(state, functools.partial(scan, state, rng))
 
 
 def improving_moves(
@@ -93,30 +131,13 @@ def improving_moves(
     concept: Concept,
     rng: random.Random | None = None,
 ) -> Iterator[Move]:
-    """All improving moves of ``concept``'s move space in ``state``.
+    """All improving moves of ``concept``'s move space in ``state``: the
+    moves of :func:`move_pool`, lazily.
 
     BNE and BSE generation is budgeted/sampled (see module docstring); the
     polynomial concepts enumerate exhaustively.
     """
-    if concept == Concept.RE:
-        yield from improving_removals(state)
-    elif concept == Concept.BAE:
-        yield from _improving_additions(state)
-    elif concept == Concept.PS:
-        yield from improving_removals(state)
-        yield from _improving_additions(state)
-    elif concept == Concept.BSWE:
-        yield from improving_swaps(state)
-    elif concept == Concept.BGE:
-        yield from improving_removals(state)
-        yield from _improving_additions(state)
-        yield from improving_swaps(state)
-    elif concept == Concept.BNE:
-        yield from _improving_neighborhood(state, rng)
-    elif concept == Concept.BSE:
-        yield from _improving_coalitions(state, rng)
-    else:
-        raise ValueError(f"no move generator for {concept}")
+    yield from move_pool(state, concept, rng)
 
 
 def move_generator_for(

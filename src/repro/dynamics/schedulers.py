@@ -1,6 +1,7 @@
 """Schedulers: which improving move fires when several are available.
 
-A scheduler maps a non-empty iterator of improving moves to the move to
+A scheduler maps the round's improving moves (a priced
+:class:`~repro.core.batch.MovePool` in a dynamics run) to the move to
 apply.  Determinism: ``first`` is fully deterministic; ``random`` is
 deterministic given its ``random.Random``; ``best`` breaks ties by move
 order.
@@ -9,7 +10,7 @@ order.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.core.moves import Move
 from repro.core.speculative import SpeculativeEvaluator
@@ -22,18 +23,18 @@ __all__ = [
     "random_improvement_scheduler",
 ]
 
-Scheduler = Callable[[GameState, Iterator[Move], random.Random], Optional[Move]]
+Scheduler = Callable[[GameState, Iterable[Move], random.Random], Optional[Move]]
 
 
 def first_improvement_scheduler(
-    state: GameState, moves: Iterator[Move], rng: random.Random
+    state: GameState, moves: Iterable[Move], rng: random.Random
 ) -> Move | None:
     """The first improving move in enumeration order."""
     return next(iter(moves), None)
 
 
 def random_improvement_scheduler(
-    state: GameState, moves: Iterator[Move], rng: random.Random
+    state: GameState, moves: Iterable[Move], rng: random.Random
 ) -> Move | None:
     """A uniformly random improving move (reservoir sampling, O(1) memory).
 
@@ -54,17 +55,14 @@ def random_improvement_scheduler(
 
 
 def best_improvement_scheduler(
-    state: GameState, moves: Iterator[Move], rng: random.Random
+    state: GameState, moves: Iterable[Move], rng: random.Random
 ) -> Move | None:
     """The move with the largest total cost drop over its beneficiaries.
 
-    The round's whole move pool is swept rows-only on the speculative
-    kernel (:meth:`~repro.core.speculative.SpeculativeEvaluator.best`):
-    additions via the one-edge-add identity, bridge removals via the
-    two-component split, other removals via probe BFS, swaps via the
-    engine's post-removal rows and the add identity — no per-candidate
-    apply/undo on the cached engine,
-    and bit-identical verdicts to the speculating path.
+    A priced pool is reduced over the deltas its scans already computed
+    (:meth:`~repro.core.speculative.SpeculativeEvaluator.best`), with no
+    second pricing and no engine mutation; any other iterable is priced
+    by one apply/undo evaluation per candidate.
     """
     spec = SpeculativeEvaluator(state)
     chosen = spec.best(moves)

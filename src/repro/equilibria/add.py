@@ -15,14 +15,19 @@ computation — exact at any size we run.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro._alpha import strict_gt_threshold
+from repro.core import batch
+from repro.core.batch import Additions
 from repro.core.moves import AddEdge
 from repro.core.state import GameState
 
 __all__ = [
     "add_gain",
+    "addition_runs",
     "find_improving_bilateral_add",
     "find_improving_unilateral_add",
     "is_bilateral_add_equilibrium",
@@ -45,51 +50,37 @@ def pairwise_add_gains(state: GameState) -> np.ndarray:
     ``G`` is not symmetric.  Entries on the diagonal and for existing edges
     are meaningless and set to zero.  Row ``u`` values every hypothetical
     row ``min(d(u, .), 1 + d(v, .))`` at once under the state's valuation
-    and subtracts it from ``u``'s current value — non-negative in every
-    regime, since the new row is entry-wise no larger and ``f`` is
-    monotone.
+    (:func:`repro.core.batch.batch_add_gains`) and subtracts it from
+    ``u``'s current value — non-negative in every regime, since the new
+    row is entry-wise no larger and ``f`` is monotone.
     """
-    dist = state.dist_matrix
-    n = state.n
-    valuation = state.valuation
-    base = valuation.rows_value(dist)
-    step = dist + 1  # row v: distances through partner v
-    gains = np.empty((n, n), dtype=np.int64)
-    for u in range(n):
-        gains[u] = base[u] - valuation.rows_value(np.minimum(dist[u], step), u)
-    gains[np.arange(n), np.arange(n)] = 0
+    gains = batch.batch_add_gains(state.valuation, state.dist_matrix)
+    np.fill_diagonal(gains, 0)
     for u, v in state.graph.edges:
-        gains[u, v] = 0
-        gains[v, u] = 0
+        gains[u, v] = gains[v, u] = 0
     return gains
 
 
-def _candidate_pairs(state: GameState, threshold: int):
-    """Non-edges whose *both-way* gains reach ``threshold``, ascending."""
+def addition_runs(state: GameState) -> Iterator[Additions]:
+    """The mutually improving additions, ascending, priced by the gain
+    matrix: at most one run.  Existing edges carry zero gain, below any
+    threshold."""
+    threshold = strict_gt_threshold(state.alpha)
     gains = pairwise_add_gains(state)
-    both = (gains >= threshold) & (gains.T >= threshold)
-    candidates = np.argwhere(np.triu(both, k=1))
-    return gains, [tuple(map(int, pair)) for pair in candidates]
+    mutual = (gains >= threshold) & (gains.T >= threshold)
+    us, vs = np.nonzero(np.triu(mutual, k=1))
+    if us.size:
+        yield Additions(us, vs, gains[us, vs], gains[vs, us])
 
 
 def find_improving_bilateral_add(state: GameState) -> AddEdge | None:
     """First mutually improving edge addition, or ``None`` (exact).
 
-    The vectorised gain matrix (an engine-row query) prunes to the exact
-    candidate set; the returned certificate is confirmed through the
-    speculative kernel so every concept shares one evaluation path.
+    The gain matrix prices every pair exactly, so its first mutual pair
+    is the certificate.
     """
-    from repro.core.speculative import SpeculativeEvaluator
-
-    threshold = strict_gt_threshold(state.alpha)
-    _, candidates = _candidate_pairs(state, threshold)
-    if not candidates:
-        return None
-    spec = SpeculativeEvaluator(state)
-    for u, v in candidates:
-        move = AddEdge(u, v)
-        if spec.move_improves(move):
-            return move
+    for run in addition_runs(state):
+        return next(iter(run))
     return None
 
 
@@ -102,27 +93,17 @@ def find_improving_unilateral_add(state: GameState) -> AddEdge | None:
     """First unilaterally improving addition (only the buyer pays).
 
     A buyer ``u`` improves iff her distance gain strictly exceeds
-    ``alpha`` — exactly the kernel's single-agent verdict (her degree
-    grows by one, the partner is not asked), used here to confirm the
-    vectorised candidates.
+    ``alpha``, so the gain matrix's first pair with either gain past the
+    threshold is the certificate.
     """
-    from repro.core.speculative import SpeculativeEvaluator
-
     threshold = strict_gt_threshold(state.alpha)
     gains = pairwise_add_gains(state)
     either = (gains >= threshold) | (gains.T >= threshold)
     candidates = np.argwhere(np.triu(either, k=1))
     if not candidates.size:
         return None
-    spec = SpeculativeEvaluator(state)
-    for u, v in candidates:
-        u, v = int(u), int(v)
-        move = AddEdge(u, v)
-        if spec.move_improves(move, agents=(u,)) or spec.move_improves(
-            move, agents=(v,)
-        ):
-            return move
-    return None
+    u, v = candidates[0]
+    return AddEdge(int(u), int(v))
 
 
 def is_unilateral_add_equilibrium(state: GameState) -> bool:

@@ -17,14 +17,15 @@ how the gap closes along improving paths.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro._alpha import AlphaLike, as_alpha
+from repro.core.batch import PricedRun
 from repro.core.concepts import Concept
 from repro.core.moves import Move
 from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
-from repro.dynamics.movegen import improving_moves
+from repro.dynamics.movegen import move_pool
 
 __all__ = [
     "is_approximate_equilibrium",
@@ -33,20 +34,34 @@ __all__ = [
 ]
 
 
+def _factor(spec: SpeculativeEvaluator, cost_deltas) -> Fraction:
+    """Smallest ``before / after`` cost ratio over the evaluated agents."""
+    ratios = []
+    for agent, delta in cost_deltas:
+        before = spec.base_cost(agent)
+        if before + delta <= 0:
+            raise ValueError("costs must stay positive")
+        ratios.append(Fraction(before) / Fraction(before + delta))
+    return min(ratios)
+
+
 def _improvement_factor(spec: SpeculativeEvaluator, move: Move) -> Fraction:
     """Smallest beneficiary ``before / after`` ratio via the kernel."""
-    factor: Fraction | None = None
     with spec.speculate(move):
-        for agent in move.beneficiaries():
-            before = spec.base_cost(agent)
-            after = before + spec.cost_delta(agent)
-            if after <= 0:
-                raise ValueError("costs must stay positive")
-            ratio = Fraction(before) / Fraction(after)
-            if factor is None or ratio < factor:
-                factor = ratio
-    assert factor is not None
-    return factor
+        agents = move.beneficiaries()
+        return _factor(spec, [(a, spec.cost_delta(a)) for a in agents])
+
+
+def _pool_factors(state: GameState, concept: Concept) -> Iterator[Fraction]:
+    """Each pool move's factor, off its scan's prices."""
+    spec = SpeculativeEvaluator(state)
+    for run in move_pool(state, concept).runs():
+        for index, move in enumerate(run):
+            if isinstance(run, PricedRun):
+                deltas = run.evaluation(index, state.alpha).cost_deltas
+                yield _factor(spec, deltas)
+            else:
+                yield _improvement_factor(spec, move)
 
 
 def move_improvement_factor(state: GameState, move: Move) -> Fraction:
@@ -69,11 +84,7 @@ def is_approximate_equilibrium(
     bound = as_alpha(beta)
     if bound < 1:
         raise ValueError("beta must be at least 1")
-    spec = SpeculativeEvaluator(state)
-    for move in improving_moves(state, concept):
-        if _improvement_factor(spec, move) > bound:
-            return False
-    return True
+    return all(factor <= bound for factor in _pool_factors(state, concept))
 
 
 def stability_factor(
@@ -85,9 +96,9 @@ def stability_factor(
 
     Returns 1 when the state is an exact equilibrium of the concept.
     """
-    worst = Fraction(1)
-    spec = SpeculativeEvaluator(state)
-    pool = improving_moves(state, concept) if moves is None else moves
-    for move in pool:
-        worst = max(worst, _improvement_factor(spec, move))
-    return worst
+    if moves is None:
+        factors = _pool_factors(state, concept)
+    else:
+        spec = SpeculativeEvaluator(state)
+        factors = (_improvement_factor(spec, move) for move in moves)
+    return max([Fraction(1), *factors])

@@ -8,12 +8,12 @@ so ``u`` improves iff ``loss < alpha`` (exact integer vs Fraction).  By
 Proposition A.2 the RE coincides with the Pure Nash Equilibrium of the
 BNCG, so this checker doubles as the bilateral NE test.
 
-:func:`improving_removals` is the one removal scan behind the RE checker
-and the removal move generator, for every cost regime: both endpoints'
+:func:`removal_runs` is the one removal scan behind the RE checker and
+the removal move pools, for every cost regime: both endpoints'
 post-removal rows come from the engine's mutation-free removal query
 (the bridge split, or one BFS per endpoint with the edge masked out) and
-their losses are row-value diffs under the state's
-:class:`~repro.core.costmodel.Valuation`.
+:class:`RemovalPricer` keeps each improving removal's loss, a row-value
+diff under the state's :class:`~repro.core.costmodel.Valuation`.
 
 Bridges are skipped exactly when every off-diagonal demand is positive
 (``Valuation.full_support``, always so in the paper's game) and the
@@ -29,16 +29,20 @@ every edge.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
+from repro.core import batch
+from repro.core.batch import Removal
 from repro.core.moves import RemoveEdge
 from repro.core.state import GameState
 
 __all__ = [
+    "RemovalPricer",
     "find_improving_removal",
-    "improving_removals",
     "is_remove_equilibrium",
     "removal_loss",
+    "removal_runs",
 ]
 
 
@@ -50,36 +54,59 @@ def removal_loss(state: GameState, actor: int, other: int) -> int:
     return value(actor, after) - value(actor, state.dist.row(actor))
 
 
-def improving_removals(state: GameState) -> Iterator[RemoveEdge]:
-    """All improving removals, edge by edge in graph order; of an edge's
-    two directions only the first improving one is yielded (an edge can
-    be removed once).  Nothing in the scan mutates the engine."""
-    valuation = state.valuation
-    if valuation.full_support and state.is_tree():
+class RemovalPricer:
+    """Prices an edge's removals from its endpoints' rows in ``G - uv``;
+    only the first improving direction counts (an edge goes once)."""
+
+    def __init__(self, state: GameState):
+        valuation = self.valuation = state.valuation
+        self.dist = state.dist
+        # connected iff row 0 holds no sentinel (real distances are < n)
+        self.skip_bridges = valuation.full_support and (
+            valuation.aggregate == "sum"
+            or int(state.dist.matrix[0].max()) < state.n
+        )
+        self.base = state.dist.totals().tolist()
+        # an integer loss is below alpha iff it is below ceil(alpha)
+        self.bound = math.ceil(state.alpha)
+
+    def wanted(self, u: int, v: int) -> bool:
+        """Whether a removal of ``uv`` can improve at all."""
+        return not (self.skip_bridges and self.dist.is_bridge(u, v))
+
+    def price(self, u: int, v: int, rows) -> Removal | None:
+        """The improving removal of ``uv`` given its endpoints' ``rows``."""
+        loss_u, loss_v = batch.batch_remove_losses(
+            self.valuation, rows, (u, v), self.base
+        )
+        if loss_u < self.bound:
+            return Removal(u, v, loss_u)
+        if loss_v < self.bound:
+            return Removal(v, u, loss_v)
+        return None
+
+
+def removal_runs(state: GameState) -> Iterator[Removal]:
+    """All improving removals, priced, edge by edge in graph order.
+    Nothing in the scan mutates the engine."""
+    if state.valuation.full_support and state.is_tree():
         return  # every edge is a bridge of a connected graph
     dm = state.dist
-    # connected iff row 0 holds no sentinel (real distances are < n)
-    skip_bridges = valuation.full_support and (
-        valuation.aggregate == "sum" or int(dm.matrix[0].max()) < state.n
-    )
-    base = dm.totals().tolist()
+    pricer = RemovalPricer(state)
     # a snapshot of the edges: consumers may speculate on the graph
     # between yields (the comprehension skips EdgeView's O(n) len())
     for u, v in [edge for edge in state.graph.edges]:
-        if skip_bridges and dm.is_bridge(u, v):
-            continue
-        rows = dm.rows_after_remove_from(u, v, (u, v))
-        after_u, after_v = valuation.rows_value(rows, [u, v]).tolist()
-        if after_u - base[u] < state.alpha:
-            yield RemoveEdge(actor=u, other=v)
-        elif after_v - base[v] < state.alpha:
-            yield RemoveEdge(actor=v, other=u)
+        if pricer.wanted(u, v):
+            run = pricer.price(u, v, dm.rows_after_remove_from(u, v, (u, v)))
+            if run is not None:
+                yield run
 
 
 def find_improving_removal(state: GameState) -> RemoveEdge | None:
-    """First improving single-edge removal of :func:`improving_removals`,
-    or ``None`` (exact)."""
-    return next(improving_removals(state), None)
+    """First improving single-edge removal of :func:`removal_runs`, or
+    ``None`` (exact)."""
+    run = next(removal_runs(state), None)
+    return None if run is None else run.move(0)
 
 
 def is_remove_equilibrium(state: GameState) -> bool:

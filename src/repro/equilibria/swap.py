@@ -5,8 +5,10 @@ to ``v`` by an edge to ``w``; ``w`` consents and starts paying.  The move is
 improving iff ``u``'s distance cost strictly drops (her buying cost is
 unchanged) and ``w``'s distance gain strictly exceeds ``alpha``.
 
-:func:`improving_swaps` is the one scan behind the BSwE checker and the
-BSwE / BGE move generator, with two exact strategies:
+:func:`swap_runs` is the one scan behind the BSwE checker and the BSwE /
+BGE move pools.  It keeps every improving swap's gains, one priced
+:class:`~repro.core.batch.Swaps` run per dropped edge and direction, with
+two exact strategies:
 
 * **trees of the paper's game** — removing ``uv`` splits the node set; all
   post-swap distances are closed-form in the original APSP matrix and the
@@ -16,9 +18,10 @@ BSwE / BGE move generator, with two exact strategies:
   cached :class:`~repro.graphs.distances.DistanceMatrix` as a fresh array
   (:meth:`~repro.graphs.distances.DistanceMatrix.matrix_after_remove`:
   the bridge split, or the changed block repaired by a min-plus product
-  of cached entries), then the one-edge-add identity evaluates every
-  candidate ``w`` under the state's valuation — no search, no engine
-  mutation, no bridge sweep and no totals shift anywhere in the scan.
+  of cached entries), then :class:`SwapPricer` prices every candidate
+  ``w`` by the one-edge-add identity under the state's valuation — no
+  search, no engine mutation, no bridge sweep and no totals shift
+  anywhere in the scan.
 """
 
 from __future__ import annotations
@@ -28,48 +31,52 @@ from typing import Iterator
 import numpy as np
 
 from repro._alpha import strict_gt_threshold
+from repro.core import batch
+from repro.core.batch import Swaps
 from repro.core.moves import Swap
 from repro.core.state import GameState
 from repro.graphs.distances import adjacency_bool
 from repro.graphs.trees import tree_split_masks
 
 __all__ = [
+    "SwapPricer",
     "find_improving_swap",
-    "improving_swaps",
     "is_bilateral_swap_equilibrium",
     "swap_gains",
-    "viable_swap_partners",
+    "swap_runs",
 ]
 
 
-def viable_swap_partners(
-    removed: np.ndarray,
-    totals: np.ndarray,
-    adjacency: np.ndarray,
-    threshold: int,
-    actor: int,
-    old: int,
-    valuation,
-) -> np.ndarray:
-    """Partners ``w`` for which swap ``(actor, old -> w)`` is improving.
+class SwapPricer:
+    """Prices every swap partner of one dropped edge, both directions,
+    on the edge's post-removal matrix."""
 
-    ``removed`` is the exact APSP matrix of ``G - {actor, old}`` and
-    ``totals`` the base row values under ``valuation`` (the state's
-    :class:`~repro.core.costmodel.Valuation`); gains come from the
-    one-edge-add identity, valued row by row — the candidate rows
-    themselves stay raw distances.  Ascending node order.
-    """
-    # actor's new distances with partner w:  min(rm[actor], 1 + rm[w])
-    actor_rows = np.minimum(removed[actor][None, :], 1 + removed)
-    # partner w's new distances:             min(rm[w], 1 + rm[actor])
-    partner_rows = np.minimum(removed, (1 + removed[actor])[None, :])
-    gain_actor = int(totals[actor]) - valuation.rows_value(actor_rows, actor)
-    gain_w = totals - valuation.rows_value(partner_rows)
-    viable = (gain_actor >= 1) & (gain_w >= threshold)
-    viable[actor] = False
-    viable[old] = False
-    viable &= ~adjacency[actor]
-    return np.flatnonzero(viable)
+    def __init__(self, state: GameState):
+        self.state = state
+        self.totals = state.dist.totals()
+        self.threshold = strict_gt_threshold(state.alpha)
+        self.adjacency = adjacency_bool(state.graph)
+
+    def runs(self, a: int, b: int, removed: np.ndarray) -> list[Swaps]:
+        """The improving swaps dropping ``ab``, given ``G - ab``'s APSP."""
+        gains = batch.batch_swap_deltas(
+            self.state.valuation, removed, self.totals, (a, b)
+        )
+        runs = []
+        for (actor, old), (gain_actor, gain_w) in zip(((a, b), (b, a)), gains):
+            viable = (gain_actor >= 1) & (gain_w >= self.threshold)
+            viable[actor] = False
+            viable &= ~self.adjacency[actor]  # old is still adjacent
+            runs.extend(_swaps(actor, old, gain_actor, gain_w, viable))
+        return runs
+
+
+def _swaps(actor, old, gain_actor, gain_w, viable) -> list[Swaps]:
+    """The run of the ``viable`` partners, if any."""
+    partners = np.flatnonzero(viable)
+    if not partners.size:
+        return []
+    return [Swaps(actor, old, partners, gain_actor[partners], gain_w[partners])]
 
 
 def swap_gains(state: GameState, actor: int, old: int, new: int) -> tuple[int, int]:
@@ -86,7 +93,7 @@ def swap_gains(state: GameState, actor: int, old: int, new: int) -> tuple[int, i
         return (-spec.dist_delta(actor), -spec.dist_delta(new))
 
 
-def _tree_swaps(state: GameState) -> Iterator[Swap]:
+def _tree_runs(state: GameState) -> Iterator[Swaps]:
     dist = state.dist_matrix
     totals = dist.sum(axis=1)
     threshold = strict_gt_threshold(state.alpha)
@@ -109,44 +116,34 @@ def _tree_swaps(state: GameState) -> Iterator[Swap]:
             gain_w = near_sums - near_size - int(near_sums[actor])
             viable = (gain_actor >= 1) & (gain_w >= threshold) & far_mask
             viable[old] = False
-            for new in np.flatnonzero(viable):
-                yield Swap(actor=actor, old=old, new=int(new))
+            yield from _swaps(actor, old, gain_actor, gain_w, viable)
 
 
-def _general_swaps(state: GameState) -> Iterator[Swap]:
-    dm = state.dist
-    totals = dm.totals()
-    threshold = strict_gt_threshold(state.alpha)
-    adjacency = adjacency_bool(state.graph)
-    for a, b in list(state.graph.edges):
-        removed = dm.matrix_after_remove(a, b)
-        for actor, old in ((a, b), (b, a)):
-            for new in viable_swap_partners(
-                removed, totals, adjacency, threshold, actor, old,
-                state.valuation,
-            ):
-                yield Swap(actor=actor, old=old, new=int(new))
-
-
-def improving_swaps(state: GameState) -> Iterator[Swap]:
-    """Every mutually improving swap (exact), edge by edge in graph order,
-    both directions of an edge, partners ascending.
+def swap_runs(state: GameState) -> Iterator[Swaps]:
+    """Every mutually improving swap (exact), priced, edge by edge in
+    graph order, both directions of an edge, partners ascending.
 
     Nothing in the scan mutates the state, so the generator may be
     abandoned at any point.  Trees of the paper's game take the
-    closed-form evaluation, which vectorises over *uniform linear* side
-    sums; every other state takes the general engine-backed path (on
-    trees every edge is a bridge, so it needs no search there either).
+    closed-form evaluation; every other state takes the general
+    engine-backed path (on trees every edge is a bridge, so it needs no
+    search there either).
     """
     if state.valuation.uniform_linear and state.is_tree():
-        return _tree_swaps(state)
-    return _general_swaps(state)
+        # the closed form vectorises over uniform linear side sums
+        yield from _tree_runs(state)
+        return
+    dm = state.dist
+    pricer = SwapPricer(state)
+    for a, b in list(state.graph.edges):
+        yield from pricer.runs(a, b, dm.matrix_after_remove(a, b))
 
 
 def find_improving_swap(state: GameState) -> Swap | None:
-    """First mutually improving swap of :func:`improving_swaps`, or
-    ``None`` (exact)."""
-    return next(improving_swaps(state), None)
+    """First mutually improving swap of :func:`swap_runs`, or ``None``
+    (exact)."""
+    run = next(swap_runs(state), None)
+    return None if run is None else run.move(0)
 
 
 def is_bilateral_swap_equilibrium(state: GameState) -> bool:

@@ -9,8 +9,9 @@ the materialised campaign views, and answers four endpoints:
     included.
 ``best_response``
     Agent ``u``'s best improving move within a polynomial concept's move
-    space (RE / BAE / PS / BSWE / BGE), priced by the speculative
-    kernel; ``best_responding: true`` when ``u`` has none.
+    space (RE / BAE / PS / BSWE / BGE): the argmin of ``u``'s own cost
+    delta over the moves it initiates in the priced move pool;
+    ``best_responding: true`` when ``u`` has none.
 ``poa``
     Dictionary reads against :class:`~repro.serve.views.MaterialisedViews`
     (campaign stores indexed by trial key, layered ``exact_poa`` cells
@@ -52,10 +53,11 @@ from repro.campaigns.spec import to_jsonable
 from repro.core.concepts import Concept
 from repro.core.costmodel import bind_valuation, costmodel_from_spec
 from repro.core.moves import AddEdge, RemoveEdge, Swap
-from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
 from repro.core.traffic import TrafficMatrix, traffic_from_spec
-from repro.dynamics.movegen import improving_moves
+# perfbench's tracer wraps improving_moves here; best_response reduces the
+# priced pool itself
+from repro.dynamics.movegen import improving_moves, move_pool  # noqa: F401
 from repro.graphs.canonical import canonical_key, canonical_labelling
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
@@ -531,24 +533,20 @@ class ServeApp:
         with entry.lock:
             sigma, inv = self._labelling(entry, inst)
             actor = sigma[agent]
-            pool = [
-                move
-                for move in improving_moves(entry.state, concept)
-                if self._initiates(move, actor)
-            ]
-            evaluator = SpeculativeEvaluator(entry.state)
-            best = None
-            best_delta = None
-            for move in pool:
-                evaluation = evaluator.evaluate(move)
-                delta = dict(evaluation.cost_deltas)[actor]
-                if best_delta is None or delta < best_delta:
-                    best, best_delta = move, delta
+            # the actor-filtered argmin of the priced pool: the actor's
+            # own cost delta, first best in pool order
+            pool = 0
+            best = best_delta = None
+            for run in move_pool(entry.state, concept).runs():
+                count, index, delta = run.for_actor(actor, entry.state.alpha)
+                pool += count
+                if count and (best_delta is None or delta < best_delta):
+                    best, best_delta = run.move(index), delta
         body = {
             "agent": agent,
             "concept": concept.name,
             "engine": inst.digest,
-            "pool": len(pool),
+            "pool": pool,
             "best_responding": best is None,
             "move": _move_payload(best, inv) if best is not None else None,
             "cost_delta": str(best_delta) if best_delta is not None else None,
@@ -556,16 +554,6 @@ class ServeApp:
         }
         self._remember_response(key, raw_key, body=body)
         return body
-
-    @staticmethod
-    def _initiates(move: Any, actor: int) -> bool:
-        if isinstance(move, RemoveEdge):
-            return move.actor == actor
-        if isinstance(move, AddEdge):
-            return actor in (move.u, move.v)
-        if isinstance(move, Swap):
-            return move.actor == actor
-        return False
 
     def _poa(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         kind = payload.get("kind")

@@ -52,6 +52,7 @@ from repro.core.moves import AddEdge, RemoveEdge, Swap
 from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
 from repro.core.traffic import TrafficMatrix
+from repro.dynamics.movegen import move_pool
 from repro.dynamics.schedulers import random_improvement_scheduler
 from repro.graphs import bridges as bridges_mod
 from repro.graphs import distances as distances_mod
@@ -670,8 +671,9 @@ class TestFoldBridgeSplits:
 
 
 class TestBatchSweepCrossValidation:
-    """spec.best must equal the per-candidate speculate loop bit-for-bit,
-    without mutating the engine."""
+    """spec.best over a priced move pool must equal the per-candidate
+    speculate loop over the pool's moves bit-for-bit, without mutating
+    the engine."""
 
     def test_best_matches_per_candidate_speculation(self):
         for seed in range(40):
@@ -679,10 +681,11 @@ class TestBatchSweepCrossValidation:
             graph = random_connected_gnp(rng.randint(4, 10), rng.random() * 0.5, rng)
             state = GameState(graph, Fraction(rng.randint(1, 7), 2))
             spec = SpeculativeEvaluator(state)
-            pool = self._pool(state, rng)
+            concept = rng.choice((Concept.PS, Concept.BSWE, Concept.BGE))
+            pool = move_pool(state, concept)
             version_before = state.dist._version
-            chosen = spec.best(iter(pool))
-            assert state.dist._version == version_before  # rows-only sweep
+            chosen = spec.best(pool)
+            assert state.dist._version == version_before  # prices only
             reference = None
             for move in pool:
                 evaluation = spec.evaluate(move)
@@ -696,22 +699,6 @@ class TestBatchSweepCrossValidation:
             assert chosen is not None
             assert chosen[0] == reference[0]
             assert chosen[1].cost_deltas == reference[1].cost_deltas
-
-    @staticmethod
-    def _pool(state: GameState, rng: random.Random):
-        pool = []
-        for u, v in state.graph.edges:
-            pool.append(RemoveEdge(u, v))
-        for u, v in state.non_edges():
-            pool.append(AddEdge(u, v))
-        for actor, old in list(state.graph.edges):
-            for new in range(state.n):
-                if new not in (actor, old) and not state.graph.has_edge(
-                    actor, new
-                ):
-                    pool.append(Swap(actor=actor, old=old, new=new))
-        rng.shuffle(pool)
-        return pool[:25]
 
 
 # -- affected-source filter for non-bridge removals ---------------------------

@@ -46,7 +46,7 @@ from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
 from repro.core.traffic import TrafficMatrix, traffic_from_spec
 from repro.dynamics.engine import run_dynamics
-from repro.dynamics.movegen import improving_moves
+from repro.dynamics.movegen import improving_moves, move_pool
 from repro.dynamics.schedulers import best_improvement_scheduler
 from repro.equilibria.neighborhood import find_improving_neighborhood_move
 from repro.equilibria.registry import check
@@ -331,7 +331,7 @@ class TestWeightedKernel:
                     assert delta == naive_delta, (trial, move)
 
     def test_rows_only_matches_speculation(self):
-        """Weighted rows-only sweeps are bit-identical to apply/undo."""
+        """Weighted priced pools reduce bit-identically to apply/undo."""
         rng = random.Random(13)
         for trial in range(20):
             n = rng.randint(4, 9)
@@ -341,9 +341,10 @@ class TestWeightedKernel:
                 graph, Fraction(rng.randint(1, 9), 2), traffic=traffic
             )
             spec = SpeculativeEvaluator(state)
-            pool = self._move_pool(state, rng)
+            concept = rng.choice((Concept.PS, Concept.BSWE, Concept.BGE))
+            pool = move_pool(state, concept)
             version_before = state.dist._version
-            chosen = spec.best(iter(pool))
+            chosen = spec.best(pool)
             assert state.dist._version == version_before
             reference = None
             for move in pool:
