@@ -37,12 +37,12 @@ import time
 from fractions import Fraction
 
 from repro.analysis.tables import render_table
-from repro.core.costmodel import ConvexCost, LinearCost, MaxCost, Valuation
 from repro.core.concepts import Concept
+from repro.core.costmodel import ConvexCost, LinearCost, MaxCost, Valuation
 from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
-from repro.graphs.distances import DistanceMatrix
 from repro.dynamics.movegen import move_pool
+from repro.graphs.distances import DistanceMatrix
 from repro.graphs.generation import random_connected_gnp
 
 from _harness import RESULTS_DIR, emit, once, write_bench_json

@@ -32,8 +32,8 @@ import time
 import networkx as nx
 
 from repro.analysis.tables import render_table
-from repro.core.concepts import Concept
 from repro.core.batch import MovePool
+from repro.core.concepts import Concept
 from repro.core.speculative import SpeculativeEvaluator
 from repro.core.traffic import TrafficMatrix
 from repro.dynamics.movegen import move_pool

@@ -30,13 +30,13 @@ import random
 import time
 
 from repro.analysis.tables import render_table
-from repro.core.costmodel import Valuation
 from repro.core.concepts import Concept
+from repro.core.costmodel import Valuation
 from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
 from repro.core.traffic import TrafficMatrix
-from repro.graphs.distances import DistanceMatrix
 from repro.dynamics.movegen import move_pool
+from repro.graphs.distances import DistanceMatrix
 from repro.graphs.generation import random_connected_gnp
 
 from _harness import RESULTS_DIR, emit, once, write_bench_json

@@ -49,19 +49,19 @@ __all__ = [
 # -- pricing kernels ----------------------------------------------------------
 
 
-def batch_add_gains(valuation, matrix: np.ndarray) -> np.ndarray:
+def batch_add_gains(valuation, dist: np.ndarray) -> np.ndarray:
     """``G[u, v]``: the row-value gain of ``u`` when edge ``uv`` is added.
 
     Row ``u`` values every hypothetical row ``min(d(u, .), 1 + d(v, .))``
     at once.  Entries on the diagonal and for existing edges are
     meaningless.
     """
-    n = len(matrix)
-    base = valuation.rows_value(matrix)
-    step = matrix + 1  # row v: distances through partner v
+    n = len(dist)
+    base = valuation.rows_value(dist)
+    step = dist + 1  # row v: distances through partner v
     gains = np.empty((n, n), dtype=np.int64)
     for u in range(n):
-        gains[u] = base[u] - valuation.rows_value(np.minimum(matrix[u], step), u)
+        gains[u] = base[u] - valuation.rows_value(np.minimum(dist[u], step), u)
     return gains
 
 

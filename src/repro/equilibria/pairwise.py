@@ -6,9 +6,9 @@
   Equilibrium).
 
 Both are intersections of exact polynomial checkers, hence exact.  The
-component finders all evaluate candidates through the speculative kernel
-(engine queries and undo-token speculation), so a composite verdict here
-and a single-concept verdict elsewhere can never disagree.
+component finders are the priced scans behind the move pools (engine
+queries, no mutation), so a composite verdict here and a single-concept
+verdict or pool elsewhere can never disagree.
 """
 
 from __future__ import annotations
