@@ -6,7 +6,7 @@ cross-check every optimised checker against these on enumerated small
 graphs, so any vectorisation bug surfaces as a disagreement.
 
 The per-candidate sequential sweep (:func:`best_sequential`) is the oracle
-of the batched ``SpeculativeEvaluator.best``, and :func:`dynamics_trace`
+of ``SpeculativeEvaluator.best``'s pool reduction, and :func:`dynamics_trace`
 records whole seeded trajectories for bit-identity checks.
 """
 
@@ -364,7 +364,7 @@ def add_gain_pair(spec, u: int, v: int) -> tuple[int, int]:
 
 def evaluate_rows_only(spec, move):
     """Exact evaluation of a one-edge move without touching the engine —
-    the per-candidate reference for the batch kernels of
+    the per-candidate reference for the priced runs of
     :mod:`repro.core.batch`.
 
     Additions read the one-edge-add identity, removals the engine's

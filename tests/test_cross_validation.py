@@ -25,7 +25,7 @@ constructions), asserting **bit-exact agreement at every step** between
 plus spy-counter proofs that the maintenance really is incremental: one
 chain-decomposition build per engine materialisation and zero rebuilds
 along trajectories, bridge removals never entering the non-bridge repair
-path (even on cyclic graphs), and the rows-only batch sweep and the swap
+path (even on cyclic graphs), and the priced pool reduction and the swap
 scan never mutating the engine.  The block repair of non-bridge removals
 (bit-exact against a fresh APSP on every edge of families with large or
 lopsided sides, no BFS beyond endpoint-only queries), both BFS dispatch
@@ -667,7 +667,7 @@ class TestFoldBridgeSplits:
             assert fold.dist_total(node) == int(fresh[node].sum())
 
 
-# -- the rows-only batch sweep ----------------------------------------------
+# -- the priced pool reduction -----------------------------------------------
 
 
 class TestBatchSweepCrossValidation:
