@@ -7,7 +7,7 @@ pytest's output capture.
 
 ``write_bench_json`` is the one way BENCH_*.json files get written: it
 stamps every payload with a ``meta`` block (platform, python, numpy,
-active kernel backend) so perf trajectories compared across machines are
+the BFS backend name) so perf trajectories compared across machines are
 interpretable.  ``check_regression.py`` indexes only its tracked group
 key, so the block never participates in the gate.
 """

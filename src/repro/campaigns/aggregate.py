@@ -72,12 +72,6 @@ __all__ = [
 Reducer = Callable[[CampaignSpec, CampaignStore, Mapping[str, Any]], str]
 
 
-def _concept_of(value) -> Concept:
-    if isinstance(value, Concept):
-        return value
-    return Concept[value] if value in Concept.__members__ else Concept(value)
-
-
 def layer_key(kind: str, params: Mapping[str, Any]) -> str:
     """A trial's key with the edge-count layer axis ``m`` stripped: every
     layer of one PoA cell shares it with the cell's unlayered trial."""
@@ -152,7 +146,7 @@ class _PoAGrid:
         params: dict[str, Any] = {
             "n": self.n,
             "alpha": alpha,
-            "concept": _concept_of(column["concept"]),
+            "concept": Concept.parse(column["concept"]),
         }
         if column.get("k") is not None:
             params["k"] = int(column["k"])
@@ -367,7 +361,7 @@ def convergence_stats(
             (
                 params,
                 ConvergenceStats(
-                    concept=_concept_of(params["concept"]),
+                    concept=Concept.parse(params["concept"]),
                     runs=len(runs),
                     converged=sum(r["converged"] for _, r in runs),
                     cycled=sum(r["cycled"] for _, r in runs),
@@ -404,7 +398,7 @@ def reduce_convergence(
     for params, stats in convergence_stats(spec, store):
         rows.append(
             [
-                str(_concept_of(params["concept"])),
+                str(Concept.parse(params["concept"])),
                 params.get("n", "-"),
                 params.get("alpha", "-"),
                 params.get("scheduler", "first"),

@@ -63,7 +63,11 @@ def _open_store_dir(path: str) -> CampaignStore:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = CampaignSpec.load(args.spec)
+    try:
+        spec = CampaignSpec.load(args.spec)
+        spec.trials()  # expand before a store directory exists
+    except (ValueError, TypeError, OSError) as exc:
+        raise SystemExit(f"bad campaign spec {args.spec}: {exc}") from None
     store_dir = Path(args.store) if args.store else _default_store(spec)
     stream = sys.stderr if args.quiet else sys.stdout
 

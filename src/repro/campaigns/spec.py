@@ -131,6 +131,27 @@ class Trial:
         return f"Trial({self.kind}: {inner})"
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass, but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _range_values(axis: str, bounds: Any) -> list[int]:
+    """The values of ``{"$range": N}`` / ``{"$range": [start, stop]}``."""
+    if _is_int(bounds):
+        return list(range(bounds))
+    if (
+        isinstance(bounds, (list, tuple))
+        and len(bounds) == 2
+        and all(_is_int(bound) for bound in bounds)
+    ):
+        return list(range(bounds[0], bounds[1]))
+    raise ValueError(
+        f"grid axis {axis!r}: '$range' takes an int or [start, stop] "
+        f"ints, got {bounds!r}"
+    )
+
+
 def _normalise_param(name: str, value: Any) -> Any:
     """Exact-type coercion for well-known axis names.
 
@@ -142,15 +163,7 @@ def _normalise_param(name: str, value: Any) -> Any:
     if name == "alpha":
         return as_alpha(from_jsonable(value))
     if name == "concept":
-        decoded = from_jsonable(value)
-        if isinstance(decoded, Concept):
-            return decoded
-        if isinstance(decoded, str):
-            try:
-                return Concept[decoded]
-            except KeyError:
-                return Concept(decoded)
-        raise TypeError(f"cannot interpret {value!r} as a Concept")
+        return Concept.parse(from_jsonable(value))
     return from_jsonable(value)
 
 
@@ -233,19 +246,18 @@ class CampaignSpec:
                 if isinstance(values, Mapping) and set(values) == {"$range"}:
                     # {"$range": N} / {"$range": [start, stop]}: the usual
                     # spelling for seed-index axes
-                    bounds = values["$range"]
-                    spread: Sequence[Any] = (
-                        list(range(int(bounds)))
-                        if isinstance(bounds, int)
-                        else list(range(int(bounds[0]), int(bounds[1])))
+                    spread: Sequence[Any] = _range_values(
+                        axis, values["$range"]
                     )
                 elif isinstance(values, (list, tuple)):
                     spread = values
                 else:
                     spread = [values]
-                axes.append(
-                    (axis, [_normalise_param(axis, v) for v in spread])
-                )
+                try:
+                    normalised = [_normalise_param(axis, v) for v in spread]
+                except (ValueError, TypeError, ZeroDivisionError) as exc:
+                    raise ValueError(f"grid axis {axis!r}: {exc}") from None
+                axes.append((axis, normalised))
             names = [axis for axis, _ in axes]
             for combo in itertools.product(*(vals for _, vals in axes)):
                 # absent and None-valued parameters are the same trial:
@@ -281,17 +293,31 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "CampaignSpec":
+        """A spec from its dict form; ``ValueError`` names a bad field."""
+        if not isinstance(payload, Mapping):
+            raise ValueError("a campaign spec must be a JSON object")
         unknown = set(payload) - {
             "name", "description", "kind", "seed", "grids", "report",
         }
         if unknown:
             raise ValueError(f"unknown campaign spec fields: {sorted(unknown)}")
+        for name in ("name", "kind"):
+            if not isinstance(payload.get(name), str) or not payload[name]:
+                raise ValueError(f"'{name}' must be a non-empty string")
+        grids = payload.get("grids")
+        if not isinstance(grids, (list, tuple)) or not all(
+            isinstance(grid, Mapping) for grid in grids
+        ):
+            raise ValueError("'grids' must be a list of objects")
+        seed = payload.get("seed", 0)
+        if not _is_int(seed):
+            raise ValueError(f"'seed' must be an int, got {seed!r}")
         return cls(
             name=payload["name"],
             description=payload.get("description", ""),
             kind=payload["kind"],
-            seed=int(payload.get("seed", 0)),
-            grids=tuple(payload["grids"]),
+            seed=seed,
+            grids=tuple(grids),
             report=from_jsonable(payload.get("report", {})) or {},
         )
 

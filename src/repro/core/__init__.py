@@ -30,11 +30,7 @@ from repro.core.moves import (
     Swap,
 )
 from repro.core.concepts import Concept
-from repro.core.speculative import (
-    MoveEvaluation,
-    SpeculativeEvaluator,
-    evaluation_count,
-)
+from repro.core.speculative import MoveEvaluation, SpeculativeEvaluator
 from repro.core.traffic import TrafficMatrix, traffic_from_spec
 
 __all__ = [
@@ -59,7 +55,6 @@ __all__ = [
     "agent_cost_after",
     "cost_strictly_less",
     "costmodel_from_spec",
-    "evaluation_count",
     "optimum_cost",
     "optimum_graph",
     "social_cost",

@@ -31,6 +31,24 @@ class Concept(str, Enum):
     UNILATERAL_AE = "unilateral-add-equilibrium"
     UNILATERAL_NE = "unilateral-nash-equilibrium"
 
+    @classmethod
+    def parse(cls, value: object) -> "Concept":
+        """The concept named by a member, a member name (``"PS"``) or a
+        value (``"pairwise-stability"``); ``ValueError`` otherwise."""
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, str):
+            if value in cls.__members__:
+                return cls[value]
+            try:
+                return cls(value)
+            except ValueError:
+                pass
+        raise ValueError(
+            f"unknown concept {value!r}; expected one of "
+            f"{sorted(cls.__members__)}"
+        )
+
     @property
     def is_bilateral(self) -> bool:
         return self not in (Concept.UNILATERAL_AE, Concept.UNILATERAL_NE)

@@ -54,8 +54,8 @@ Contract (extends the PR-1 engine contract):
   ``f`` is monotone: removals only grow distances, hence only grow
   values.  The paper's game values rows by plain row sums.
 
-The module-level :data:`EVALUATIONS` spy counts candidate evaluations so
-tests can assert that a refactored searcher inspects exactly the same
+The ``repro_engine_evaluations_total`` spy counts candidate evaluations
+so tests can assert that a refactored searcher inspects exactly the same
 number of candidates as its reference implementation.
 """
 
@@ -78,27 +78,14 @@ __all__ = [
     "Fold",
     "MoveEvaluation",
     "SpeculativeEvaluator",
-    "evaluation_count",
 ]
 
 #: Number of candidate-move evaluations since import — a test spy used to
 #: assert budget accounting is unchanged across searcher refactors.
-#: Registry-backed; ``speculative.EVALUATIONS`` stays a read-only alias
-#: via module ``__getattr__``.
+#: Registry-backed and read by its series name.
 _EVALUATIONS = _obs.counter(
     "repro_engine_evaluations_total", "speculative candidate evaluations"
 )
-
-
-def __getattr__(name: str) -> int:
-    if name == "EVALUATIONS":
-        return _EVALUATIONS.value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def evaluation_count() -> int:
-    """How many candidate moves have been speculatively evaluated."""
-    return _EVALUATIONS.value
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from repro.equilibria.neighborhood import SearchBudgetExceeded
 from repro.obs import metrics as _obs
 
 __all__ = [
-    "dfs_path_counts",
     "find_improving_coalition_move",
     "is_k_strong_equilibrium",
     "is_strong_equilibrium",
@@ -56,25 +55,6 @@ _ENGINE_DFS_RUNS = _obs.counter(
     "repro_strong_engine_dfs_runs_total",
     "coalition subspaces searched by the token-based engine DFS",
 )
-
-_SPY_ALIASES = {
-    "FOLD_DFS_RUNS": _FOLD_DFS_RUNS,
-    "ENGINE_DFS_RUNS": _ENGINE_DFS_RUNS,
-}
-
-
-def __getattr__(name: str) -> int:
-    counter = _SPY_ALIASES.get(name)
-    if counter is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    return counter.value
-
-
-def dfs_path_counts() -> tuple[int, int]:
-    """``(fold_runs, engine_runs)`` of the coalition DFS since import."""
-    return _FOLD_DFS_RUNS.value, _ENGINE_DFS_RUNS.value
 
 
 def _coalition_edge_space(

@@ -1,25 +1,17 @@
 """Graph substrate: distances, bridges, trees, generation, enumeration."""
 
-from repro.graphs.bridges import (
-    BridgeSet,
-    bridge_rebuild_count,
-    bridge_sweep_count,
-    component_bridges,
-)
+from repro.graphs.bridges import BridgeSet, component_bridges
 from repro.graphs.distances import (
     DistanceMatrix,
     UndoToken,
     added_edge_dist_gain,
     adjacency_bool,
-    apsp_build_count,
     apsp_matrix,
     component_labels,
     dist_vector_after_add,
     is_connected,
-    remove_bfs_repair_count,
     removed_edge_dist_vector,
     total_distances,
-    totals_rebuild_count,
 )
 from repro.graphs.trees import RootedTree, one_medians, tree_split_masks
 from repro.graphs.canonical import (
@@ -54,10 +46,7 @@ __all__ = [
     "adjacency_bool",
     "all_connected_graphs",
     "all_trees",
-    "apsp_build_count",
     "apsp_matrix",
-    "bridge_rebuild_count",
-    "bridge_sweep_count",
     "canonical_cache_clear",
     "canonical_cache_info",
     "canonical_graph",
@@ -76,10 +65,8 @@ __all__ = [
     "one_medians",
     "random_connected_gnp",
     "random_tree",
-    "remove_bfs_repair_count",
     "removed_edge_dist_vector",
     "total_distances",
-    "totals_rebuild_count",
     "tree_layer_keys",
     "tree_split_masks",
 ]

@@ -15,9 +15,10 @@ Maintenance contract (mirrors the engine's ``apply_*`` / ``undo``):
 
 * **build** — one chain decomposition (Schmidt 2013) when the owning
   :class:`~repro.graphs.distances.DistanceMatrix` materialises, counted
-  by the :data:`BRIDGE_REBUILDS` spy.  DFS-order the graph, then walk
-  each back edge's fundamental cycle upwards through parent pointers;
-  tree edges covered by no chain are exactly the bridges.
+  by the ``repro_engine_bridge_rebuilds_total`` spy.  DFS-order the
+  graph, then walk each back edge's fundamental cycle upwards through
+  parent pointers; tree edges covered by no chain are exactly the
+  bridges.
 * **addition of** ``uv`` — if ``u`` and ``v`` were disconnected the new
   edge is itself a bridge and nothing else changes.  Otherwise the new
   edge closes a cycle and the bridges that die are exactly those whose
@@ -32,12 +33,13 @@ Maintenance contract (mirrors the engine's ``apply_*`` / ``undo``):
 * **removal of a non-bridge** ``uv`` — cycles through ``uv`` die, so
   edges may *become* bridges (never the reverse).  All candidates lie in
   the component of ``u``, which one chain-decomposition sweep seeded at
-  ``u`` re-derives (:data:`BRIDGE_SWEEPS` spy).  The sweep costs
-  ``O(n_c + m_c)`` on that component, in Python, and is the larger part
-  of such a removal: the engine repairs the matrix itself with a few
-  vectorised passes over the changed block, no search.  Only applied
-  removals sweep; the engine's speculative removal queries (the swap
-  scan's post-removal matrices among them) never touch the bridge set.
+  ``u`` re-derives (``repro_engine_bridge_sweeps_total`` spy).  The
+  sweep costs ``O(n_c + m_c)`` on that component, in Python, and is the
+  larger part of such a removal: the engine repairs the matrix itself
+  with a few vectorised passes over the changed block, no search.  Only
+  applied removals sweep; the engine's speculative removal queries (the
+  swap scan's post-removal matrices among them) never touch the bridge
+  set.
 * **undo** — every mutation returns an ``(added, removed)`` delta that
   the engine stores in its :class:`~repro.graphs.distances.UndoToken`;
   :meth:`BridgeSet.revert` restores the set bit-exactly in LIFO order.
@@ -59,15 +61,12 @@ from repro.obs import metrics as _obs
 __all__ = [
     "BridgeDelta",
     "BridgeSet",
-    "bridge_rebuild_count",
-    "bridge_sweep_count",
     "component_bridges",
 ]
 
 #: Number of full chain-decomposition builds since import — a test spy:
 #: exactly one per engine materialisation, zero along move trajectories.
-#: Registry-backed (thread-safe); ``bridges.BRIDGE_REBUILDS`` stays a
-#: read-only alias via module ``__getattr__``.
+#: Registry-backed (thread-safe) and read by its series name.
 _BRIDGE_REBUILDS = _obs.counter(
     "repro_engine_bridge_rebuilds_total",
     "full chain-decomposition bridge-set builds",
@@ -81,35 +80,11 @@ _BRIDGE_SWEEPS = _obs.counter(
     "component-local bridge sweeps after non-bridge removals",
 )
 
-_SPY_ALIASES = {
-    "BRIDGE_REBUILDS": _BRIDGE_REBUILDS,
-    "BRIDGE_SWEEPS": _BRIDGE_SWEEPS,
-}
-
-
-def __getattr__(name: str) -> int:
-    counter = _SPY_ALIASES.get(name)
-    if counter is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    return counter.value
-
 #: ``(added, removed)`` bridge-set delta of one engine mutation, stored
 #: in the engine's undo token and reversed by :meth:`BridgeSet.revert`.
 BridgeDelta = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
 _NO_CHANGE: BridgeDelta = ((), ())
-
-
-def bridge_rebuild_count() -> int:
-    """How many full chain-decomposition builds have run since import."""
-    return _BRIDGE_REBUILDS.value
-
-
-def bridge_sweep_count() -> int:
-    """How many component-local bridge sweeps have run since import."""
-    return _BRIDGE_SWEEPS.value
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:
@@ -316,7 +291,8 @@ class BridgeSet:
         Removing a bridge is ``O(1)`` (only the edge itself leaves the
         set).  Removing a non-bridge may promote edges of ``u``'s
         component to bridges — one component-local sweep re-derives them
-        (:data:`BRIDGE_SWEEPS`); bridges never demote on a deletion.
+        (``repro_engine_bridge_sweeps_total``); bridges never demote on
+        a deletion.
         """
         edge = _edge(u, v)
         if edge in self._edges:

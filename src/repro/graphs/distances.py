@@ -53,16 +53,17 @@ The identities behind the engine:
 
 **The bridge contract.**  The engine owns an incrementally maintained
 :class:`~repro.graphs.bridges.BridgeSet`: one chain-decomposition build
-at materialisation (spy-counted by
-:data:`repro.graphs.bridges.BRIDGE_REBUILDS`), then O(affected) updates
+at materialisation (spy-counted by the
+``repro_engine_bridge_rebuilds_total`` series), then O(affected) updates
 ride along every ``apply_add`` / ``apply_remove`` / ``undo`` — a
 vectorised side test kills the bridges a new cycle absorbs, a bridge
 removal deletes only itself, and only a *non-bridge* removal pays a
 component-local sweep.  That sweep is now the larger part of such a
 removal: the matrix repair is a handful of vectorised passes.  Only
 applied removals sweep; the speculative queries never touch the bridge
-set.  Non-bridge repairs are spy-counted by :data:`REMOVE_BFS_REPAIRS`
-and their rows by ``repro_engine_bfs_repair_rows_total`` (names kept
+set.  Non-bridge repairs are spy-counted by
+``repro_engine_remove_bfs_repairs_total`` and their rows by
+``repro_engine_bfs_repair_rows_total`` (names kept
 from the BFS repair they replaced).  ``is_forest`` is derived as
 ``|bridges| == |edges|``, so it also recovers when deletions make a
 cyclic graph acyclic again.
@@ -84,11 +85,11 @@ merely slower when both sides are large.
 
 Per-row totals (``totals()`` / ``total(u)``) are maintained
 **incrementally** alongside the matrix: the first query pays one full
-``O(n^2)`` pass (counted by the :data:`TOTALS_REBUILDS` spy), after which
-every ``apply_*`` and ``undo`` shifts the affected entries from the same row
-patches it already records — ``O(|affected| * n)`` per mutation, never a
-full re-sum.  Because the matrix is symmetric and every changed entry has
-an endpoint among the patched rows, the shift
+``O(n^2)`` pass (counted by ``repro_engine_totals_rebuilds_total``), after
+which every ``apply_*`` and ``undo`` shifts the affected entries from the
+same row patches it already records — ``O(|affected| * n)`` per mutation,
+never a full re-sum.  Because the matrix is symmetric and every changed
+entry has an endpoint among the patched rows, the shift
 
     ``totals += delta.sum(axis=0)``
     ``totals[rows] += delta.sum(axis=1) - delta[:, rows].sum(axis=1)``
@@ -123,8 +124,8 @@ from scipy.sparse.csgraph import (
     shortest_path,
 )
 
-from repro import _backend
 from repro._alpha import fits_int64
+from repro._backend import bfs_rows as _bfs_rows
 from repro._backend import exact_int_fill as _exact_int_fill
 from repro.graphs.bridges import BridgeSet
 from repro.obs import metrics as obs
@@ -135,24 +136,21 @@ __all__ = [
     "UndoToken",
     "adjacency_bool",
     "adjacency_csr",
-    "apsp_build_count",
     "apsp_matrix",
     "added_edge_dist_gain",
     "component_labels",
     "dist_vector_after_add",
     "is_connected",
-    "remove_bfs_repair_count",
     "removed_edge_dist_vector",
     "single_source_distances",
     "total_distances",
-    "totals_rebuild_count",
 ]
 
 #: Number of full APSP builds since import — a test/benchmark spy used to
 #: assert that a dynamics trajectory pays for exactly one build.  Lives in
 #: the :mod:`repro.obs` registry (thread-safe increments — engine builds
-#: race under the serve thread pool); ``distances.APSP_BUILDS`` remains a
-#: read-only alias via module ``__getattr__``, as do the other spies.
+#: race under the serve thread pool), read by its series name, as are the
+#: other spies.
 _APSP_BUILDS = obs.counter(
     "repro_engine_apsp_builds_total", "full APSP matrix builds"
 )
@@ -181,37 +179,6 @@ _BFS_REPAIR_ROWS = obs.counter(
     "repro_engine_bfs_repair_rows_total",
     "distance-matrix rows rewritten by non-bridge removal repairs",
 )
-
-#: legacy module-global spy name -> registry counter (read-only aliases)
-_SPY_ALIASES = {
-    "APSP_BUILDS": _APSP_BUILDS,
-    "TOTALS_REBUILDS": _TOTALS_REBUILDS,
-    "REMOVE_BFS_REPAIRS": _REMOVE_BFS_REPAIRS,
-}
-
-
-def __getattr__(name: str) -> int:
-    counter = _SPY_ALIASES.get(name)
-    if counter is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    return counter.value
-
-
-def apsp_build_count() -> int:
-    """How many full APSP matrices have been built since import."""
-    return _APSP_BUILDS.value
-
-
-def totals_rebuild_count() -> int:
-    """How many full totals rebuilds have been performed since import."""
-    return _TOTALS_REBUILDS.value
-
-
-def remove_bfs_repair_count() -> int:
-    """How many non-bridge removals have been repaired since import."""
-    return _REMOVE_BFS_REPAIRS.value
 
 
 def _require_canonical(graph: nx.Graph) -> int:
@@ -271,7 +238,7 @@ def apsp_matrix(graph: nx.Graph, unreachable: int) -> np.ndarray:
     Runs one BFS per node, ``O(n * m)`` total: in pure Python over the
     adjacency dicts while the ``n * n`` matrix is within
     :data:`_PY_BFS_CELLS`, in C via scipy beyond.  Increments the
-    module's :data:`APSP_BUILDS` spy counter.
+    ``repro_engine_apsp_builds_total`` spy counter.
     """
     _APSP_BUILDS.inc()
     n = _require_canonical(graph)
@@ -297,14 +264,9 @@ def apsp_matrix(graph: nx.Graph, unreachable: int) -> np.ndarray:
 def _rows_from_csr(
     adjacency: csr_matrix, sources, unreachable: int
 ) -> np.ndarray:
-    """BFS distance rows for several sources in one batched call.
-
-    Dispatches to the active numerical backend
-    (:func:`repro._backend.active`): scipy's C-level dijkstra on the
-    numpy arm, an ``@njit`` CSR BFS on the numba arm — bit-identical by
-    the backend exactness contract.
-    """
-    return _backend.active().bfs_rows(adjacency, sources, unreachable)
+    """BFS distance rows for several sources in one C-level scipy call
+    (:func:`repro._backend.bfs_rows`)."""
+    return _bfs_rows(adjacency, sources, unreachable)
 
 
 #: A batch of BFS rows runs in pure Python while ``rows * n`` is at most
@@ -518,9 +480,9 @@ class DistanceMatrix:
         """Per-node totals as a *snapshot copy* (safe across ``apply_*``).
 
         The first call pays one full pass over the matrix (spy-counted by
-        :data:`TOTALS_REBUILDS`); every later call is an ``O(n)`` copy
-        because ``apply_*`` / ``undo`` shift the cached vector in place
-        instead of re-summing the matrix.
+        ``repro_engine_totals_rebuilds_total``); every later call is an
+        ``O(n)`` copy because ``apply_*`` / ``undo`` shift the cached
+        vector in place instead of re-summing the matrix.
         """
         return self._totals_live().copy()
 
@@ -942,8 +904,8 @@ class DistanceMatrix:
         smaller side of the cut, whose cross pairs become
         ``unreachable``; for any other edge the rows that change,
         ``A_u | A_v``, with their repaired ``A_v x A_u`` block
-        (spy-counted by :data:`REMOVE_BFS_REPAIRS`).  Returns an undo
-        token.
+        (spy-counted by ``repro_engine_remove_bfs_repairs_total``).
+        Returns an undo token.
         """
         if not self._graph.has_edge(u, v):
             raise ValueError(f"edge {u}-{v} not in graph")

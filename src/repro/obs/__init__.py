@@ -5,9 +5,9 @@ imports the rest of ``repro``):
 
 * :mod:`repro.obs.metrics` — thread-safe ``Counter`` / ``Gauge`` /
   ``Histogram`` in a process-wide :data:`~repro.obs.metrics.REGISTRY`.
-  Every legacy module-global spy (``APSP_BUILDS``, ``BRIDGE_REBUILDS``,
-  ``ENGINE_BUILDS``, the canonical memo…) now lives here, with its old
-  module attribute kept as a read-only alias.
+  Every engine spy (``repro_engine_apsp_builds_total``, the canonical
+  memo, ``repro_serve_engine_builds_total``…) lives here and is read by
+  its series name, through ``REGISTRY.snapshot()`` or ``/metricsz``.
 * :mod:`repro.obs.trace` — ``span(name, **attrs)`` context managers
   over ``time.monotonic_ns`` emitting JSONL to the sink named by
   ``REPRO_TRACE`` (default off; near-zero overhead when disabled).

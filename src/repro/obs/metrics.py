@@ -1,37 +1,35 @@
 """Thread-safe metric registry: counters, gauges, log-bucketed histograms.
 
-The engine grew up with *module-global spy counters* (``APSP_BUILDS``,
-``TOTALS_REBUILDS``, ``BRIDGE_REBUILDS``, the canonical-key memo
-hits/misses, ``ENGINE_BUILDS`` …): plain ints bumped with ``global X;
-X += 1``.  That idiom was fine while every workload was one thread, but
-``repro.serve`` now runs the engine from a ``ThreadPoolExecutor`` — and
-a CPython ``int`` increment is a read-modify-write that can interleave
-(the GIL serialises bytecodes, not statements), so two serve threads
-bumping the same spy can lose updates.  The ``EngineCache`` per-entry
-``RLock`` protects one engine's *matrix*, not the module globals the
-engine code updates along the way.
+Every engine spy is a :class:`Counter` in the process-wide
+:data:`REGISTRY`, read by its series name — through
+``REGISTRY.snapshot()`` in-process or ``/metricsz`` over HTTP.  Plain
+module-global ints would lose updates: ``repro.serve`` runs the engine
+from a ``ThreadPoolExecutor``, and a CPython ``int`` increment is a
+read-modify-write that can interleave (the GIL serialises bytecodes,
+not statements).  The ``EngineCache`` per-entry ``RLock`` protects one
+engine's *matrix*, not the counters the engine code updates along the
+way.
 
-**Thread-safety audit (the PR-10 migration).**  Spies reachable from
-concurrent serve threads, and therefore racy as module globals:
+Spies reachable from concurrent serve threads:
 
-* ``repro.serve.cache.ENGINE_BUILDS`` — cold builds race by design (two
+* ``repro_serve_engine_builds_total`` — cold builds race by design (two
   distinct instances may materialise concurrently);
-* ``repro.graphs.canonical._HITS`` / ``_MISSES`` — every request
-  canonicalises before touching the cache, on the calling thread;
-* ``repro.graphs.distances.APSP_BUILDS`` / ``TOTALS_REBUILDS`` /
-  ``REMOVE_BFS_REPAIRS`` and ``repro.graphs.bridges.BRIDGE_REBUILDS`` /
-  ``BRIDGE_SWEEPS`` —
-  engine builds and speculative evaluations on *different* engines hold
-  different per-entry locks yet share these module counters;
-* ``repro.core.speculative.EVALUATIONS`` — ``best_response`` requests on
+* ``repro_canonical_cache_hits_total`` / ``_misses_total`` — every
+  request canonicalises before touching the cache, on the calling
+  thread;
+* ``repro_engine_apsp_builds_total``, ``repro_engine_totals_rebuilds_total``,
+  ``repro_engine_remove_bfs_repairs_total``,
+  ``repro_engine_bridge_rebuilds_total`` and
+  ``repro_engine_bridge_sweeps_total`` — engine builds and speculative
+  evaluations on *different* engines hold different per-entry locks yet
+  share these counters;
+* ``repro_engine_evaluations_total`` — ``best_response`` requests on
   distinct engines evaluate concurrently;
-* ``repro.equilibria.strong`` DFS dispatch spies — ``classify`` requests
-  run coalition searches concurrently.
+* ``repro_strong_fold_dfs_runs_total`` /
+  ``repro_strong_engine_dfs_runs_total`` — ``classify`` requests run
+  coalition searches concurrently.
 
-All of them now live here as :class:`Counter` objects whose increments
-take a per-metric lock (their legacy module names survive as read-only
-aliases via module ``__getattr__``, so every existing spy test reads the
-same numbers through the same names).  The single-threaded cost is one
+Each increment takes a per-metric lock.  The single-threaded cost is one
 lock round-trip per increment — nanoseconds against the numpy work each
 spy brackets, measured by ``benchmarks/bench_obs_overhead.py``.
 

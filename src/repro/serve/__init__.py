@@ -27,7 +27,7 @@ Run it::
     python -m repro.serve --port 8080 --views .campaigns/exact-poa
 """
 
-from repro.serve.cache import EngineCache, engine_cache_info
+from repro.serve.cache import EngineCache
 from repro.serve.service import ServeApp
 from repro.serve.views import MaterialisedViews
 
@@ -35,5 +35,4 @@ __all__ = [
     "EngineCache",
     "MaterialisedViews",
     "ServeApp",
-    "engine_cache_info",
 ]

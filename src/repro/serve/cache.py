@@ -17,10 +17,10 @@ engine's resident arrays, not Python object overhead).  A budget of
 ``0`` disables caching entirely — every request builds cold, which is
 the baseline arm of ``bench_serve_qps.py``.
 
-Module counters follow the engine's spy discipline
-(``TOTALS_REBUILDS`` & co): ``ENGINE_BUILDS`` counts every cold engine
-construction process-wide, so tests can assert a warm path built
-nothing.
+Process-wide hits, misses and evictions are counted in the
+:mod:`repro.obs` registry (``repro_serve_engine_cache_*_total``); the
+cold builds themselves are counted where they happen, in
+:mod:`repro.serve.service`.
 """
 
 from __future__ import annotations
@@ -34,20 +34,10 @@ from repro.core.state import GameState
 from repro.obs import metrics as _obs
 
 __all__ = [
-    "ENGINE_BUILDS",
     "CachedEngine",
     "EngineCache",
-    "engine_cache_info",
     "estimate_engine_bytes",
 ]
-
-#: process-wide count of cold engine materialisations.  Registry-backed
-#: (requests from different serve threads build concurrently, and the
-#: per-entry RLock never protected this count); ``cache.ENGINE_BUILDS``
-#: stays a read-only alias via module ``__getattr__``.
-_ENGINE_BUILDS = _obs.counter(
-    "repro_serve_engine_builds_total", "cold engine materialisations"
-)
 
 #: process-wide LRU traffic (per-instance counts live on the cache)
 _CACHE_HITS = _obs.counter(
@@ -60,21 +50,6 @@ _CACHE_EVICTIONS = _obs.counter(
     "repro_serve_engine_cache_evictions_total",
     "engines evicted past the byte budget",
 )
-
-
-def __getattr__(name: str) -> int:
-    if name == "ENGINE_BUILDS":
-        return _ENGINE_BUILDS.value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def note_engine_build() -> None:
-    _ENGINE_BUILDS.inc()
-
-
-def engine_cache_info() -> dict[str, int]:
-    """The module-level spy counters (process-wide)."""
-    return {"engine_builds": _ENGINE_BUILDS.value}
 
 
 def estimate_engine_bytes(state: GameState) -> int:

@@ -19,8 +19,9 @@ the materialised campaign views, and answers four endpoints:
 ``healthz`` / ``statsz`` / ``metricsz``
     Liveness, the full counter surface (engine cache hits/misses/
     evictions, response cache, per-endpoint request counts and p50/p99
-    latency, the process-wide ``ENGINE_BUILDS`` spy) and the Prometheus
-    text exposition of the :mod:`repro.obs` registries.
+    latency, the process-wide ``repro_serve_engine_builds_total`` spy)
+    and the Prometheus text exposition of the :mod:`repro.obs`
+    registries.
 
 Label discipline: every graph query is mapped onto its canonical
 representative before touching an engine.  The request's labelling
@@ -61,8 +62,7 @@ from repro.dynamics.movegen import improving_moves, move_pool  # noqa: F401
 from repro.graphs.canonical import canonical_key, canonical_labelling
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
-from repro.serve.cache import CachedEngine, EngineCache, engine_cache_info
-from repro.serve import cache as _cache_mod
+from repro.serve.cache import CachedEngine, EngineCache
 from repro.serve.views import MaterialisedViews
 
 __all__ = ["ServeApp", "ServeError"]
@@ -75,6 +75,13 @@ BEST_RESPONSE_CONCEPTS = (
     Concept.PS,
     Concept.BSWE,
     Concept.BGE,
+)
+
+#: process-wide count of cold engine materialisations (requests from
+#: different serve threads build concurrently, so it lives in the
+#: thread-safe registry)
+_ENGINE_BUILDS = _obs.counter(
+    "repro_serve_engine_builds_total", "cold engine materialisations"
 )
 
 _LATENCY_WINDOW = 2048  # per-endpoint rolling latency samples
@@ -105,23 +112,6 @@ def _int_param(
     return value
 
 
-def _concept_of(value: Any) -> Concept:
-    if isinstance(value, Concept):
-        return value
-    if isinstance(value, str):
-        if value in Concept.__members__:
-            return Concept[value]
-        try:
-            return Concept(value)
-        except ValueError:
-            pass
-    raise ServeError(
-        400,
-        f"unknown concept {value!r}; expected one of "
-        f"{sorted(Concept.__members__)}",
-    )
-
-
 class _Instance:
     """One parsed graph query: the game plus its canonical identity."""
 
@@ -148,6 +138,10 @@ class _Instance:
         n = payload.get("n", top + 1)
         if not _is_int(n) or n < 1 or top >= n:
             raise ServeError(400, f"bad node count n={n!r} for the edge list")
+        # a connected graph on n nodes has at least n - 1 edges: refuse a
+        # huge n before building anything of its size
+        if len(pairs) < n - 1:
+            raise ServeError(400, "graph must be connected")
         self.n = n
         self.graph = nx.empty_graph(n)
         self.graph.add_edges_from(pairs)
@@ -354,7 +348,7 @@ class ServeApp:
 
     def _build_state(self, inst: _Instance) -> GameState:
         """Materialise the canonical engine for one instance (cold path)."""
-        _cache_mod.note_engine_build()
+        _ENGINE_BUILDS.inc()
         with _trace.span(
             "serve.engine_build", digest=inst.digest, n=inst.n
         ):
@@ -513,7 +507,10 @@ class ServeApp:
         agent = payload["agent"]
         if not _is_int(agent) or not (0 <= agent < inst.n):
             raise ServeError(400, f"agent must be an int in [0, {inst.n})")
-        concept = _concept_of(payload.get("concept", "BGE"))
+        try:
+            concept = Concept.parse(payload.get("concept", "BGE"))
+        except ValueError as exc:
+            raise ServeError(400, str(exc)) from None
         if concept not in BEST_RESPONSE_CONCEPTS:
             raise ServeError(
                 400,
@@ -597,7 +594,7 @@ class ServeApp:
         with self._lock:
             body: dict[str, Any] = {
                 **self.engines.stats(),
-                **engine_cache_info(),
+                "engine_builds": _ENGINE_BUILDS.value,
                 "response_cache_entries": len(self._responses),
                 "response_hits": self.response_hits,
                 "response_misses": self.response_misses,

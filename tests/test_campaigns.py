@@ -540,6 +540,46 @@ class TestCli:
         with pytest.raises(SystemExit, match="not a campaign store"):
             cli_main(["report", str(tmp_path)])
 
+    GOOD_GRID = {"n": 5, "alpha": 2, "concept": "PS"}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({"kind": "tree_poa", "grids": [GOOD_GRID]}),
+            json.dumps({"name": "bad", "grids": [GOOD_GRID]}),
+            json.dumps({"name": "bad", "kind": "tree_poa"}),
+            json.dumps({"name": "bad", "kind": "tree_poa", "grids": 5}),
+            json.dumps({"name": "bad", "kind": "tree_poa", "grids": [5]}),
+            json.dumps({"name": "bad", "kind": "tree_poa", "seed": 2.7,
+                        "grids": [GOOD_GRID]}),
+            json.dumps({"name": "bad", "kind": "tree_poa",
+                        "grids": [dict(GOOD_GRID, concept="XX")]}),
+            json.dumps({"name": "bad", "kind": "tree_poa",
+                        "grids": [dict(GOOD_GRID, alpha="abc")]}),
+            json.dumps({"name": "bad", "kind": "tree_poa",
+                        "grids": [dict(GOOD_GRID, m={"$range": "abc"})]}),
+            json.dumps([{"name": "bad", "kind": "tree_poa",
+                         "grids": [GOOD_GRID]}]),
+            '{"name": "bad", "kind": ',
+            None,  # no spec file at all
+        ],
+        ids=[
+            "missing-name", "missing-kind", "missing-grids", "grids-int",
+            "grid-not-object", "float-seed", "unknown-concept", "bad-alpha",
+            "bad-range", "top-level-list", "broken-json", "missing-file",
+        ],
+    )
+    def test_malformed_spec_is_one_line_and_leaves_no_store(
+        self, tmp_path, text
+    ):
+        spec_path = tmp_path / "spec.json"
+        if text is not None:
+            spec_path.write_text(text)
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit, match="^bad campaign spec "):
+            cli_main(["run", str(spec_path), "--store", str(store), "--quiet"])
+        assert not store.exists()
+
 
 # -- new runner kinds + reducers (traffic / constructions / ladder / fits) ---
 

@@ -54,11 +54,11 @@ from repro.core.state import GameState
 from repro.core.traffic import TrafficMatrix
 from repro.dynamics.movegen import move_pool
 from repro.dynamics.schedulers import random_improvement_scheduler
-from repro.graphs import bridges as bridges_mod
 from repro.graphs import distances as distances_mod
 from repro.graphs.distances import DistanceMatrix, apsp_matrix
 from repro.graphs.generation import random_connected_gnp, random_tree
 
+from tests.meters import meter
 from tests.reference import best_sequential, dynamics_trace
 
 UNREACHABLE = 10**6
@@ -181,7 +181,7 @@ class TestTrajectoryCrossValidation:
             rng = random.Random(offset + seed)
             graph = start_graph(family, rng)
             dm = DistanceMatrix(graph, UNREACHABLE)
-            rebuilds_at_start = bridges_mod.BRIDGE_REBUILDS
+            rebuilds_at_start = meter("repro_engine_bridge_rebuilds_total")
             assert dm.bridges() == naive_bridges(graph)
             for _ in range(STEPS):
                 if random_step(dm, graph, rng) is None:
@@ -195,7 +195,8 @@ class TestTrajectoryCrossValidation:
                 assert_endpoint_arrays_consistent(dm)
             # incrementality: zero chain-decomposition rebuilds after the
             # one build at materialisation
-            assert bridges_mod.BRIDGE_REBUILDS == rebuilds_at_start
+            rebuilds = meter("repro_engine_bridge_rebuilds_total")
+            assert rebuilds == rebuilds_at_start
 
     def test_undo_restores_bridges_and_totals(self):
         for seed in range(25):
@@ -381,10 +382,10 @@ def assert_totals_track_naive(graph: nx.Graph, valuation, rng: random.Random):
     with exactly one full pass for the engine."""
     dm = DistanceMatrix(graph, UNREACHABLE)
     dm.bind_valuation(valuation)
-    rebuilds_before = distances_mod.totals_rebuild_count()
+    rebuilds_before = meter("repro_engine_totals_rebuilds_total")
     expected, _ = naive_valued_totals(graph, valuation)
     assert (dm.totals() == expected).all()
-    assert distances_mod.totals_rebuild_count() == rebuilds_before + 1
+    assert meter("repro_engine_totals_rebuilds_total") == rebuilds_before + 1
     for _ in range(STEPS):
         if random_step(dm, graph, rng) is None:
             continue
@@ -394,7 +395,7 @@ def assert_totals_track_naive(graph: nx.Graph, valuation, rng: random.Random):
         if valuation.aggregate == "max":
             assert (dm.max_counts() == expected_counts).all()
     # incrementality: exactly one full pass per engine
-    assert distances_mod.totals_rebuild_count() == rebuilds_before + 1
+    assert meter("repro_engine_totals_rebuilds_total") == rebuilds_before + 1
 
 
 class TestValuedTotalsCrossValidation:
@@ -476,7 +477,7 @@ class TestWeightedTotalsCrossValidation:
             )
             state = GameState(graph, alpha, traffic=traffic)
             state.dist  # materialise so apply() hands the engine off
-            rebuilds_before = distances_mod.totals_rebuild_count()
+            rebuilds_before = meter("repro_engine_totals_rebuilds_total")
             for _ in range(6):
                 move = TestCostCrossValidation._random_move(state, rng)
                 if move is None:
@@ -492,7 +493,8 @@ class TestWeightedTotalsCrossValidation:
                     expected_social += expected
                 assert state.social_cost() == expected_social
             # a trajectory pays at most one full pass (zero if no move)
-            assert distances_mod.totals_rebuild_count() <= rebuilds_before + 1
+            rebuilds = meter("repro_engine_totals_rebuilds_total")
+            assert rebuilds <= rebuilds_before + 1
 
 
 class TestModelTotalsCrossValidation:
@@ -533,7 +535,7 @@ class TestModelTotalsCrossValidation:
                 graph, alpha, traffic=traffic, cost_model=cost_model_for(kind)
             )
             state.dist  # materialise so apply() hands the engine off
-            rebuilds_before = distances_mod.totals_rebuild_count()
+            rebuilds_before = meter("repro_engine_totals_rebuilds_total")
             for _ in range(6):
                 move = TestCostCrossValidation._random_move(state, rng)
                 if move is None:
@@ -551,7 +553,8 @@ class TestModelTotalsCrossValidation:
                     expected_social += expected
                 assert state.social_cost() == expected_social
             # modeled trajectories pay at most one full pass
-            assert distances_mod.totals_rebuild_count() <= rebuilds_before + 1
+            rebuilds = meter("repro_engine_totals_rebuilds_total")
+            assert rebuilds <= rebuilds_before + 1
 
 
 # -- spy counters: the maintenance is genuinely incremental -----------------
@@ -560,43 +563,43 @@ class TestModelTotalsCrossValidation:
 class TestBridgeSpies:
     def test_exactly_one_build_at_materialisation(self):
         graph = random_connected_gnp(9, 0.3, random.Random(5))
-        before = bridges_mod.bridge_rebuild_count()
+        before = meter("repro_engine_bridge_rebuilds_total")
         dm = DistanceMatrix(graph, UNREACHABLE)
-        assert bridges_mod.bridge_rebuild_count() == before + 1
+        assert meter("repro_engine_bridge_rebuilds_total") == before + 1
         rng = random.Random(6)
         for _ in range(20):
             random_step(dm, graph, rng)
         dm.bridges()
         dm.is_forest
-        assert bridges_mod.bridge_rebuild_count() == before + 1
+        assert meter("repro_engine_bridge_rebuilds_total") == before + 1
 
     def test_additions_and_bridge_removals_never_sweep(self):
         """Only non-bridge removals pay the component-local sweep."""
         graph = clique(4)
         graph.add_edges_from([(3, 4), (4, 5)])
         dm = DistanceMatrix(graph, UNREACHABLE)
-        sweeps = bridges_mod.bridge_sweep_count()
+        sweeps = meter("repro_engine_bridge_sweeps_total")
         dm.apply_remove(4, 5)  # bridge: O(1) delta
         dm.apply_add(4, 5)  # reconnect: O(1) delta
         dm.apply_add(2, 4)  # closes a cycle: vectorised side test
         dm.apply_add(0, 5)  # another cycle
-        assert bridges_mod.bridge_sweep_count() == sweeps
+        assert meter("repro_engine_bridge_sweeps_total") == sweeps
         dm.apply_remove(0, 1)  # non-bridge: the one sweeping case
-        assert bridges_mod.bridge_sweep_count() == sweeps + 1
+        assert meter("repro_engine_bridge_sweeps_total") == sweeps + 1
 
     def test_bridge_removal_never_enters_bfs_repair(self):
         """Regression: general-graph bridge removals take the split path."""
         graph = clique(5)  # cyclic core: is_forest shortcuts cannot apply
         graph.add_edges_from([(4, 5), (5, 6), (6, 7)])
         dm = DistanceMatrix(graph, UNREACHABLE)
-        repairs = distances_mod.remove_bfs_repair_count()
+        repairs = meter("repro_engine_remove_bfs_repairs_total")
         for u, v in ((6, 7), (5, 6), (4, 5)):
             dm.apply_remove(u, v)
             fresh = apsp_matrix(graph, UNREACHABLE)
             assert (dm.matrix == fresh).all()
-        assert distances_mod.remove_bfs_repair_count() == repairs
+        assert meter("repro_engine_remove_bfs_repairs_total") == repairs
         dm.apply_remove(0, 1)  # non-bridge: the counted block repair
-        assert distances_mod.remove_bfs_repair_count() == repairs + 1
+        assert meter("repro_engine_remove_bfs_repairs_total") == repairs + 1
 
     def test_speculative_bridge_queries_run_no_bfs(self, monkeypatch):
         """rows_after_remove & friends on a bridge are pure matrix reads."""
@@ -943,16 +946,16 @@ class TestSwapScanIsMutationFree:
             before = dm.matrix.copy()
             spies = (
                 dm._version,
-                bridges_mod.bridge_sweep_count(),
-                distances_mod.remove_bfs_repair_count(),
+                meter("repro_engine_bridge_sweeps_total"),
+                meter("repro_engine_remove_bfs_repairs_total"),
             )
             first = find_improving_swap(state)
             swaps = list(improving_moves(state, Concept.BSWE))
             moves = list(improving_moves(state, Concept.BGE))
             assert (
                 dm._version,
-                bridges_mod.bridge_sweep_count(),
-                distances_mod.remove_bfs_repair_count(),
+                meter("repro_engine_bridge_sweeps_total"),
+                meter("repro_engine_remove_bfs_repairs_total"),
             ) == spies
             assert (dm.matrix == before).all()
             assert first == next(improving_moves(state, Concept.BSWE), None)
@@ -1145,43 +1148,28 @@ class TestEndpointArrayCache:
         assert_endpoint_arrays_consistent(dm)
 
 
-# -- backend arms x batch sweep: whole-trajectory fuzz ------------------------
+# -- batch sweep vs the sequential oracle: whole-trajectory fuzz -------------
 
 
 class TestBackendAndBatchTrajectoryFuzz:
-    """Whole best-response trajectories are bit-identical across every
-    registered backend arm and between the batched sweep and the
-    per-candidate sequential oracle (``tests/reference.py``).
+    """Whole best-response trajectories are bit-identical between the
+    batched sweep and the per-candidate sequential oracle
+    (``tests/reference.py``).
 
-    The reference leg is (numpy arm, batched); every other
-    (arm, batching) combination must reproduce its move sequence, social
-    cost trace and final graph exactly — 40 uniform + 15 weighted + 15
-    modeled seeded trajectories per combination (>= 140 trajectories
-    with numpy alone, >= 280 when the numba arm registers), on top of
-    the engine-level trajectory fuzz above."""
+    The sequential leg must reproduce the batched leg's move sequence,
+    social cost trace and final graph exactly — 40 uniform + 15 weighted
+    + 15 modeled seeded trajectories per leg (140 trajectories), on top
+    of the engine-level trajectory fuzz above."""
 
     SEEDS = {"uniform": 40, "weighted": 15, "modeled": 15}
 
     @pytest.mark.parametrize("regime", ("uniform", "weighted", "modeled"))
     def test_trajectories_bit_identical(self, regime, monkeypatch):
-        from repro import _backend
-
-        batched = SpeculativeEvaluator.best
         seeds = range(self.SEEDS[regime])
-        reference = None
-        for arm in _backend.available_backends():
-            with _backend.use_backend(arm):
-                for batching in (True, False):
-                    monkeypatch.setattr(
-                        SpeculativeEvaluator, "best",
-                        batched if batching else best_sequential,
-                    )
-                    traces = [dynamics_trace(s, regime) for s in seeds]
-                    if reference is None:
-                        reference = (arm, batching, traces)
-                        continue
-                    for seed, trace in zip(seeds, traces):
-                        assert trace == reference[2][seed], (
-                            f"({arm}, batching={batching}) diverges from "
-                            f"{reference[:2]} at seed {seed}"
-                        )
+        batched = [dynamics_trace(s, regime) for s in seeds]
+        monkeypatch.setattr(SpeculativeEvaluator, "best", best_sequential)
+        for seed in seeds:
+            assert dynamics_trace(seed, regime) == batched[seed], (
+                f"the sequential sweep diverges from the batched one at "
+                f"seed {seed}"
+            )

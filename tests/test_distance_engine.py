@@ -18,9 +18,10 @@ from repro.core.moves import AddEdge, RemoveEdge, Swap
 from repro.core.state import GameState
 from repro.dynamics.engine import run_dynamics
 from repro.equilibria.registry import check
-from repro.graphs import distances
 from repro.graphs.distances import DistanceMatrix, apsp_matrix
 from repro.graphs.generation import random_connected_gnp, random_tree
+
+from tests.meters import meter
 
 UNREACHABLE = 10**6
 
@@ -267,18 +268,18 @@ class TestGameStateApply:
 
 class TestOneBuildPerTrajectory:
     def test_run_dynamics_builds_apsp_once(self):
-        before = distances.APSP_BUILDS
+        before = meter("repro_engine_apsp_builds_total")
         result = run_dynamics(
             nx.path_graph(8), 1, Concept.PS, max_rounds=100
         )
         assert result.rounds > 0  # the trajectory really moved
-        assert distances.APSP_BUILDS - before == 1
+        assert meter("repro_engine_apsp_builds_total") - before == 1
 
     def test_bge_dynamics_with_swaps_builds_apsp_once(self):
         start = random_connected_gnp(9, 0.25, random.Random(3))
-        before = distances.APSP_BUILDS
+        before = meter("repro_engine_apsp_builds_total")
         result = run_dynamics(start, 2, Concept.BGE, max_rounds=60)
-        assert distances.APSP_BUILDS - before == 1
+        assert meter("repro_engine_apsp_builds_total") - before == 1
         fresh = apsp_matrix(result.final.graph, result.final.m_constant)
         assert (result.final.dist_matrix == fresh).all()
 

@@ -30,6 +30,7 @@ from repro.equilibria.strong import (
 )
 from repro.graphs.generation import all_connected_graphs
 
+from tests.meters import meter
 from tests.reference import naive_cost
 
 ALPHAS = [Fraction(1, 2), 1, 2, Fraction(7, 2), 6]
@@ -256,11 +257,11 @@ class TestFoldGateOnGeneralGraphs:
             all_bridges = all(
                 state.dist.is_bridge(u, v) for u, v in removable
             )
-            before = strong.dfs_path_counts()
+            fold = meter("repro_strong_fold_dfs_runs_total")
+            engine = meter("repro_strong_engine_dfs_runs_total")
             strong._dfs_coalition_space(spec, coalition, removable, addable)
-            after = strong.dfs_path_counts()
-            fold_delta = after[0] - before[0]
-            engine_delta = after[1] - before[1]
+            fold_delta = meter("repro_strong_fold_dfs_runs_total") - fold
+            engine_delta = meter("repro_strong_engine_dfs_runs_total") - engine
             if all_bridges:
                 # the gate must never refuse a splittable coalition
                 assert (fold_delta, engine_delta) == (1, 0), coalition

@@ -7,10 +7,10 @@ The load-bearing guarantees under test:
   histograms with the fixed log-spaced bucket edges, deterministic
   exposition text, and a hard error on re-registering a name as a
   different kind;
-* every legacy module-global spy (``distances.APSP_BUILDS`` & co) still
-  reads correctly through its PEP 562 alias, agreeing exactly with the
-  module's accessor functions, so the pre-existing spy tests and any
-  external reader keep working unchanged;
+* every engine spy is read by its registry series name
+  (``repro_engine_apsp_builds_total`` & co), the one read path that
+  ``/metricsz`` and perfbench share, and every series perfbench reads
+  is registered;
 * telemetry never alters result bytes: a campaign run with tracing on
   produces records and a report byte-identical to a run with tracing
   off, and a :class:`ServeApp` answers byte-identically under both
@@ -25,9 +25,12 @@ The load-bearing guarantees under test:
 from __future__ import annotations
 
 import http.client
+import importlib.util
 import json
 import threading
+from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from repro.campaigns import CampaignSpec, CampaignStore, run_campaign
@@ -45,6 +48,8 @@ from repro.obs import metrics, trace
 from repro.serve import ServeApp
 from repro.serve import cache as serve_cache
 from repro.serve.http import start_server_in_thread
+
+from tests.meters import meter
 
 PATH_5 = [[0, 1], [1, 2], [2, 3], [3, 4]]
 
@@ -194,32 +199,29 @@ class TestRender:
         assert not any(k.startswith("t_seconds") for k in snap)
 
 
-# -- legacy spy aliases ------------------------------------------------------
+# -- spies by series name ----------------------------------------------------
 
 
 class TestSpyAliases:
-    """Module attribute == accessor function, for every migrated spy."""
+    """Every engine spy moves its registry series, the one read path."""
 
     def test_distance_engine_spies(self):
         graph = random_connected_gnp(10, 0.3, __import__("random").Random(1))
-        before = (distances.APSP_BUILDS, distances.TOTALS_REBUILDS)
-        DistanceMatrix(graph, 10**7).totals()
-        assert distances.APSP_BUILDS == distances.apsp_build_count()
-        assert distances.APSP_BUILDS >= before[0] + 1
-        assert distances.TOTALS_REBUILDS == distances.totals_rebuild_count()
-        assert distances.TOTALS_REBUILDS >= before[1] + 1
-        assert (
-            distances.REMOVE_BFS_REPAIRS
-            == distances.remove_bfs_repair_count()
+        before = (
+            meter("repro_engine_apsp_builds_total"),
+            meter("repro_engine_totals_rebuilds_total"),
         )
+        DistanceMatrix(graph, 10**7).totals()
+        assert meter("repro_engine_apsp_builds_total") >= before[0] + 1
+        assert meter("repro_engine_totals_rebuilds_total") >= before[1] + 1
+        assert meter("repro_engine_remove_bfs_repairs_total") >= 0
 
     def test_bridge_spies(self):
         graph = random_connected_gnp(8, 0.4, __import__("random").Random(2))
-        before = bridges.BRIDGE_REBUILDS
+        before = meter("repro_engine_bridge_rebuilds_total")
         DistanceMatrix(graph, 10**7).is_bridge(*next(iter(graph.edges)))
-        assert bridges.BRIDGE_REBUILDS == bridges.bridge_rebuild_count()
-        assert bridges.BRIDGE_REBUILDS >= before + 1
-        assert bridges.BRIDGE_SWEEPS == bridges.bridge_sweep_count()
+        assert meter("repro_engine_bridge_rebuilds_total") >= before + 1
+        assert meter("repro_engine_bridge_sweeps_total") >= 0
 
     def test_canonical_cache_spies(self):
         import networkx as nx
@@ -234,34 +236,57 @@ class TestSpyAliases:
         assert misses == 1 and hits == 1 and size == 1
 
     def test_strong_dfs_spies(self):
-        fold, engine = strong.dfs_path_counts()
-        assert (strong.FOLD_DFS_RUNS, strong.ENGINE_DFS_RUNS) == (
-            fold,
-            engine,
+        series = (
+            "repro_strong_fold_dfs_runs_total",
+            "repro_strong_engine_dfs_runs_total",
         )
+        before = sum(meter(name) for name in series)
+        strong.is_k_strong_equilibrium(GameState(nx.cycle_graph(5), 2), 2)
+        assert sum(meter(name) for name in series) > before
 
     def test_speculative_evaluations_spy(self):
         graph = random_connected_gnp(6, 0.4, __import__("random").Random(3))
         spec = speculative.SpeculativeEvaluator(GameState(graph, 2))
-        before = speculative.EVALUATIONS
+        before = meter("repro_engine_evaluations_total")
         spec.note_evaluations(3)
         spec.note_evaluation()
-        assert speculative.EVALUATIONS == before + 4
-        assert speculative.EVALUATIONS == speculative.evaluation_count()
+        assert meter("repro_engine_evaluations_total") == before + 4
 
     def test_serve_engine_builds_spy(self):
-        before = serve_cache.ENGINE_BUILDS
-        serve_cache.note_engine_build()
-        assert serve_cache.ENGINE_BUILDS == before + 1
-        assert (
-            serve_cache.engine_cache_info()["engine_builds"]
-            == serve_cache.ENGINE_BUILDS
-        )
+        before = meter("repro_serve_engine_builds_total")
+        ServeApp().handle("classify", {"edges": PATH_5, "alpha": 2})
+        assert meter("repro_serve_engine_builds_total") == before + 1
 
     def test_unknown_attribute_still_raises(self):
         for module in (distances, bridges, strong, speculative, serve_cache):
             with pytest.raises(AttributeError):
                 module.NOT_A_SPY
+
+    def test_mistyped_series_raises(self):
+        with pytest.raises(KeyError):
+            meter("repro_engine_apsp_build_total")
+
+
+class TestBenchmarkSeries:
+    """perfbench reads its per-layer counters by series name, so a
+    renamed series would read 0 there without any error."""
+
+    def test_every_series_perfbench_reads_is_registered(self):
+        path = Path(__file__).parent.parent / "perfbench" / "layers.py"
+        loader = importlib.util.spec_from_file_location("_layers", path)
+        layers = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(layers)  # imports nothing from repro
+        import repro.campaigns  # noqa: F401
+        import repro.dynamics  # noqa: F401
+        import repro.serve  # noqa: F401
+
+        series = list(layers._COUNTERS.values()) + [
+            name for pair in layers._RATIOS.values() for name in pair
+        ]
+        assert len(series) == 15
+        registered = set(metrics.REGISTRY.snapshot())
+        registered |= set(ServeApp().registry.snapshot())
+        assert [name for name in series if name not in registered] == []
 
 
 # -- trace spans -------------------------------------------------------------

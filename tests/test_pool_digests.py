@@ -28,7 +28,6 @@ import random
 
 import pytest
 
-from repro.core import speculative
 from repro.core.concepts import Concept
 from repro.core.costmodel import MaxCost
 from repro.core.speculative import SpeculativeEvaluator
@@ -42,6 +41,7 @@ from repro.dynamics.schedulers import (
 )
 from repro.graphs.generation import random_connected_gnp
 
+from tests.meters import meter
 from tests.reference import trace_start
 from tests.test_regime_digests import TRACE_REGIMES, TRACE_SEEDS
 
@@ -77,10 +77,10 @@ FAMILIES = {"small": small_inputs, "n120": n120_inputs}
 
 def _reduce(spec, moves):
     """``((move, cost_deltas, improving), evaluations)`` of ``spec.best``."""
-    before = speculative.evaluation_count()
+    before = meter("repro_engine_evaluations_total")
     before_spec = spec.evaluations
     chosen = spec.best(moves)
-    counted = speculative.evaluation_count() - before
+    counted = meter("repro_engine_evaluations_total") - before
     assert counted == spec.evaluations - before_spec
     if chosen is None:
         return None, counted

@@ -25,18 +25,26 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import tracemalloc
 from fractions import Fraction
 
 import networkx as nx
 import pytest
 
 from repro.analysis.search import classify_full_ladder
-from repro.campaigns import CampaignSpec, CampaignStore, run_campaign
+from repro.campaigns import (
+    CampaignSpec,
+    CampaignStore,
+    render_report,
+    run_campaign,
+)
 from repro.campaigns.spec import from_jsonable
+from repro.core.concepts import Concept
 from repro.core.state import GameState
 from repro.serve import EngineCache, MaterialisedViews, ServeApp
-from repro.serve import cache as serve_cache
 from repro.serve.http import start_server_in_thread
+
+from tests.meters import meter
 
 PATH_5 = [[0, 1], [1, 2], [2, 3], [3, 4]]
 PATH_6 = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]
@@ -82,18 +90,18 @@ class TestEngineSharing:
     def test_relabelled_instances_share_one_engine(self):
         app = ServeApp()
         perm = [3, 5, 0, 2, 4, 1]
-        before = serve_cache.ENGINE_BUILDS
+        before = meter("repro_serve_engine_builds_total")
         status, first = app.handle(
             "classify", {"edges": PATH_6, "alpha": 3}
         )
         assert status == 200
-        assert serve_cache.ENGINE_BUILDS == before + 1
+        assert meter("repro_serve_engine_builds_total") == before + 1
         status, second = app.handle(
             "classify", {"edges": _relabel(PATH_6, perm), "alpha": 3}
         )
         assert status == 200
         # the isomorphic copy built nothing: one resident engine, one hit
-        assert serve_cache.ENGINE_BUILDS == before + 1
+        assert meter("repro_serve_engine_builds_total") == before + 1
         stats = app.engines.stats()
         assert stats["engines_resident"] == 1 and stats["hits"] == 1
         assert second["engine"] == first["engine"]
@@ -127,9 +135,10 @@ class TestEngineSharing:
     def test_cache_bytes_zero_disables_every_cache(self):
         app = ServeApp(cache_bytes=0)
         payload = {"edges": PATH_5, "alpha": 2}
-        before = serve_cache.ENGINE_BUILDS
+        before = meter("repro_serve_engine_builds_total")
         bodies = [app.handle("classify", dict(payload))[1] for _ in range(2)]
-        assert serve_cache.ENGINE_BUILDS == before + 2  # rebuilt both times
+        # rebuilt both times
+        assert meter("repro_serve_engine_builds_total") == before + 2
         assert app.engines.stats()["engines_resident"] == 0
         assert [b["cached"] for b in bodies] == [False, False]
         assert _minus_cached(bodies[0]) == _minus_cached(bodies[1])
@@ -287,6 +296,22 @@ class TestClassify:
                 assert status == 400, (endpoint, regime)
                 assert fragment in body["error"], (endpoint, body["error"])
 
+    def test_huge_n_without_edges_is_refused_before_building(self):
+        # a connected graph on n nodes needs n - 1 edges, so a 40-byte
+        # request must not allocate a graph of n nodes before its 400
+        app = ServeApp()
+        payload = {"edges": [], "n": 200_000, "alpha": 2}
+        tracemalloc.start()
+        try:
+            for endpoint, extra in (("classify", {}), ("best_response", {"agent": 0})):
+                status, body = app.handle(endpoint, {**payload, **extra})
+                assert status == 400, endpoint
+                assert body["error"] == "graph must be connected"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
     def test_unknown_endpoint_is_404(self):
         app = ServeApp()
         status, body = app.handle("nope", {})
@@ -360,10 +385,40 @@ class TestBestResponse:
         assert status == 400 and "agent" in body["error"]
         status, body = app.handle("best_response", dict(base, concept="PS"))
         assert status == 400 and "agent" in body["error"]
-        status, body = app.handle(
-            "best_response", dict(base, agent=0, concept="XX")
+
+    @pytest.mark.parametrize("entry", ["serve", "spec", "aggregate"])
+    def test_unknown_concept_reads_the_same_everywhere(self, entry):
+        """serve, campaign specs and reports share one concept parser."""
+        expected = (
+            "unknown concept 'XX'; expected one of "
+            f"{sorted(Concept.__members__)}"
         )
-        assert status == 400 and "unknown concept" in body["error"]
+        if entry == "serve":
+            status, body = ServeApp().handle(
+                "best_response",
+                {"edges": PATH_5, "alpha": 2, "agent": 0, "concept": "XX"},
+            )
+            assert status == 400 and body["error"] == expected
+            return
+        grid = {"n": 5, "alpha": 2, "concept": "PS"}
+        report = {
+            "reducer": "poa_table",
+            "options": {
+                "n": 5, "alphas": [2],
+                "columns": [{"header": "PoA", "concept": "XX"}],
+            },
+        }
+        if entry == "spec":
+            grid["concept"] = "XX"
+        spec = CampaignSpec(
+            name="concepts", kind="tree_poa", grids=(grid,), report=report
+        )
+        with pytest.raises(ValueError) as caught:
+            if entry == "spec":
+                spec.trials()
+            else:
+                render_report(spec, CampaignStore(None))
+        assert str(caught.value).endswith(expected)
 
 
 # -- poa views ---------------------------------------------------------------

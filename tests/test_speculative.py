@@ -42,10 +42,10 @@ from repro.equilibria.strong import (
     probe_coalition_moves,
 )
 from repro.equilibria.swap import swap_gains
-from repro.graphs import distances
 from repro.graphs.distances import DistanceMatrix, single_source_distances
 from repro.graphs.generation import random_connected_gnp, random_tree
 
+from tests.meters import meter
 from tests.reference import (
     naive_cost,
     reference_find_improving_coalition_move,
@@ -212,11 +212,11 @@ class TestKernelExactness:
     def test_evaluation_counter(self):
         state = GameState(nx.path_graph(5), 2)
         spec = SpeculativeEvaluator(state)
-        before = distances.apsp_build_count()
+        before = meter("repro_engine_apsp_builds_total")
         spec.evaluate(AddEdge(0, 4))
         spec.move_improves(RemoveEdge(1, 2))
         assert spec.evaluations == 2
-        assert distances.apsp_build_count() == before  # no rebuilds
+        assert meter("repro_engine_apsp_builds_total") == before  # no rebuilds
 
 
 class TestIncrementalTotals:
@@ -249,9 +249,9 @@ class TestIncrementalTotals:
         rng = random.Random(42)
         graph = random_connected_gnp(12, 0.3, rng)
         dm = DistanceMatrix(graph, UNREACHABLE)
-        before = distances.totals_rebuild_count()
+        before = meter("repro_engine_totals_rebuilds_total")
         dm.totals()  # materialise: exactly one full re-sum
-        assert distances.totals_rebuild_count() - before == 1
+        assert meter("repro_engine_totals_rebuilds_total") - before == 1
         moves_done = 0
         tokens = []
         while moves_done < 100:
@@ -275,7 +275,7 @@ class TestIncrementalTotals:
             assert dm.total(probe) == int(dm.matrix[probe].sum())
             assert (dm.totals() == dm.matrix.sum(axis=1)).all()
         # ... and none of the 100 moves triggered a full re-sum
-        assert distances.totals_rebuild_count() - before == 1
+        assert meter("repro_engine_totals_rebuilds_total") - before == 1
 
     def test_totals_snapshot_is_stable_across_apply(self):
         dm = DistanceMatrix(nx.cycle_graph(7), UNREACHABLE)
@@ -292,24 +292,24 @@ class TestSearchersUseEngine:
     def test_bne_search_no_apsp_rebuilds(self):
         state = GameState(random_connected_gnp(9, 0.3, random.Random(3)), 2)
         state.dist  # materialise (one build)
-        before = distances.apsp_build_count()
+        before = meter("repro_engine_apsp_builds_total")
         find_improving_neighborhood_move(state, max_evaluations=500_000)
-        assert distances.apsp_build_count() == before
+        assert meter("repro_engine_apsp_builds_total") == before
 
     def test_coalition_search_no_apsp_rebuilds(self):
         state = GameState(nx.cycle_graph(7), 3)
         state.dist
-        before = distances.apsp_build_count()
+        before = meter("repro_engine_apsp_builds_total")
         find_improving_coalition_move(state, 3)
-        assert distances.apsp_build_count() == before
+        assert meter("repro_engine_apsp_builds_total") == before
 
     def test_probes_no_apsp_rebuilds(self):
         state = GameState(nx.path_graph(9), 1)
         state.dist
-        before = distances.apsp_build_count()
+        before = meter("repro_engine_apsp_builds_total")
         probe_neighborhood_moves(state, 5, samples=200)
         probe_coalition_moves(state, 5, max_coalition_size=3, samples=200)
-        assert distances.apsp_build_count() == before
+        assert meter("repro_engine_apsp_builds_total") == before
 
 
 ALPHA_GRID = [Fraction(1, 2), 1, 2, Fraction(7, 2), 6]
