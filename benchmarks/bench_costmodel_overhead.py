@@ -1,11 +1,9 @@
 """Perf: pluggable cost-model overhead vs the seed linear path.
 
 Every cost runs through the state's valuation — ``LinearCost`` binds
-the paper's plain row sums, non-linear models make the engine's one
-maintained per-row vector ``totals()[u] = sum_v W[u, v] * f(d(u, v))``
-(or the max aggregate) through every ``apply_*`` / ``undo`` and evaluate
-kernel candidates through the ``f``-lookup table.  This benchmark times
-the regimes on identical workloads:
+the paper's plain row sums, non-linear models value rows as
+``sum_v W[u, v] * f(d(u, v))`` through the ``f``-lookup table.  This
+benchmark times the regimes on identical workloads:
 
 * ``linear_dispatch_sweep`` — best-response rounds (scan the priced BGE
   move pool, :func:`~repro.dynamics.movegen.move_pool`, and reduce it,
@@ -13,89 +11,32 @@ the regimes on identical workloads:
   ``LinearCost`` state vs the unmodeled state: the two bind the same
   valuation and run the very same arithmetic;
 * ``ftable_sweep`` — the same rounds on a ``ConvexCost(2)`` state: the
-  per-round price of the ``f``-table lookups;
-* ``ftable_trajectory`` — replay one random add/remove trajectory
-  maintaining incremental totals under a convex valuation vs the
-  uniform plain row sums;
-* ``max_trajectory`` — the same trajectory under the max aggregate's
-  max-with-counts maintenance.
+  per-round price of the ``f``-table lookups.
 
 The tracked metric is ``speedup = base_seconds / modeled_seconds``
 (< 1 means the model costs more); the design target is at most
-**1.15x** per best-response round for the linear dispatch and the
-f-table sweep.  Committed quick-mode baselines in
+**1.15x** per best-response round.  Committed quick-mode baselines in
 ``benchmarks/baselines/BENCH_costmodel_overhead.json`` are gated by
 ``benchmarks/check_regression.py``.
 
 Set ``REPRO_BENCH_QUICK=1`` for the scaled-down CI sizes.
 """
 
-import json
 import os
 import random
 import time
-from fractions import Fraction
 
 from repro.analysis.tables import render_table
 from repro.core.concepts import Concept
-from repro.core.costmodel import ConvexCost, LinearCost, MaxCost, Valuation
+from repro.core.costmodel import ConvexCost, LinearCost
 from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
 from repro.dynamics.movegen import move_pool
-from repro.graphs.distances import DistanceMatrix
 from repro.graphs.generation import random_connected_gnp
 
 from _harness import RESULTS_DIR, emit, once, write_bench_json
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-UNREACHABLE = 10**7
-
-
-def _trajectory(graph, count, rng):
-    ops = []
-    work = graph.copy()
-    n = work.number_of_nodes()
-    while len(ops) < count:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u == v:
-            continue
-        if work.has_edge(u, v):
-            if work.degree(u) <= 1 or work.degree(v) <= 1:
-                continue
-            work.remove_edge(u, v)
-            ops.append(("remove", u, v))
-        else:
-            work.add_edge(u, v)
-            ops.append(("add", u, v))
-    return ops
-
-
-def _valuation(model, n):
-    return Valuation(
-        table=model.table(n),
-        sentinel=model.unreachable_cost(n, Fraction(6), n - 1),
-        aggregate=model.aggregate,
-    )
-
-
-def _time_trajectory(graph, ops, model, repeats):
-    n = graph.number_of_nodes()
-    best = float("inf")
-    for _ in range(repeats):
-        working = graph.copy()
-        start = time.perf_counter()
-        dm = DistanceMatrix(working, UNREACHABLE)
-        if model is not None:
-            dm.bind_valuation(_valuation(model, n))
-        dm.totals()  # materialise the maintained vector being timed
-        for op, u, v in ops:
-            if op == "add":
-                dm.apply_add(u, v)
-            else:
-                dm.apply_remove(u, v)
-        checksum = int(dm.totals().sum())
-        best = min(best, time.perf_counter() - start)
-    return best, checksum
 
 
 def _time_sweeps(state, sweeps):
@@ -109,17 +50,10 @@ def _time_sweeps(state, sweeps):
 
 def study():
     n = 40 if QUICK else 90
-    moves = 40 if QUICK else 80
     sweeps = 6 if QUICK else 20
-    repeats = 3
 
     rng = random.Random(21)
     graph = random_connected_gnp(n, 0.12, rng)
-
-    ops = _trajectory(graph, moves, random.Random(23))
-    uniform_s, _ = _time_trajectory(graph, ops, None, repeats)
-    convex_s, _ = _time_trajectory(graph, ops, ConvexCost(2), repeats)
-    max_s, _ = _time_trajectory(graph, ops, MaxCost(), repeats)
 
     plain_state = GameState(graph, 6)
     linear_state = GameState(graph, 6, cost_model=LinearCost())
@@ -146,22 +80,6 @@ def study():
             "modeled_seconds": sweep_convex_s,
             "overhead": sweep_convex_s / sweep_plain_s,
             "speedup": sweep_plain_s / sweep_convex_s,
-        },
-        "ftable_trajectory": {
-            "n": n,
-            "moves": moves,
-            "base_seconds": uniform_s,
-            "modeled_seconds": convex_s,
-            "overhead": convex_s / uniform_s,
-            "speedup": uniform_s / convex_s,
-        },
-        "max_trajectory": {
-            "n": n,
-            "moves": moves,
-            "base_seconds": uniform_s,
-            "modeled_seconds": max_s,
-            "overhead": max_s / uniform_s,
-            "speedup": uniform_s / max_s,
         },
     }
     rows = [
@@ -191,8 +109,7 @@ def test_costmodel_overhead(benchmark):
         ),
     )
     for name, stats in payload.items():
-        # the design target is 1.15x for the sweeps; the hard in-test
-        # ceiling leaves headroom for noisy runners and the heavier
-        # max-with-counts maintenance — the committed baseline (gated by
+        # the design target is 1.15x; the hard in-test ceiling leaves
+        # headroom for noisy runners — the committed baseline (gated by
         # check_regression.py) tracks the real numbers
         assert stats["overhead"] < 2.5, (name, stats)

@@ -53,7 +53,7 @@ def baseline_neighborhood_search(state, max_add, max_remove):
     for center in range(state.n):
         neighbors = sorted(state.graph.neighbors(center))
         willing = willing_partners(state, center)
-        center_dist = state.dist.total(center)
+        center_dist = state.dist_cost(center)
         slack = center_dist - (state.n - 1)
         remove_cap = min(len(neighbors), max_remove)
         add_cap = min(len(willing), max_add)
@@ -102,7 +102,7 @@ def _baseline_powerset(items):
 
 def baseline_coalition_search(state, coalitions):
     """The old k-BSE search: adjacency rebuild + Python BFS per member."""
-    base_dist = {u: state.dist.total(u) for u in range(state.n)}
+    base_dist = {u: state.dist_cost(u) for u in range(state.n)}
     base_adjacency = [set() for _ in range(state.n)]
     for u, v in state.graph.edges:
         base_adjacency[u].add(v)

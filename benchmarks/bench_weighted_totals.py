@@ -1,14 +1,9 @@
-"""Perf: weighted-totals maintenance overhead vs the uniform engine.
+"""Perf: demand-weighted pricing overhead vs the uniform game.
 
-Under a demand-weighted valuation the engine's maintained per-row
-vector is ``totals()[u] = sum_v W[u, v] * d(u, v)`` through every
-``apply_*`` / ``undo``, and the speculative kernel evaluates candidates
-with weighted row values instead of plain row sums.  This benchmark
-times both regimes on identical workloads:
+Under a demand-weighted valuation every row value is
+``sum_v W[u, v] * d(u, v)`` instead of a plain row sum.  This benchmark
+times both regimes on one workload:
 
-* ``engine_trajectory`` — replay one random add/remove trajectory
-  maintaining incremental totals (uniform) vs incremental weighted
-  totals (a demand-weighted valuation bound);
 * ``kernel_sweep`` — best-response rounds on the same graph, uniform vs
   weighted state: scan the priced BGE move pool
   (:func:`~repro.dynamics.movegen.move_pool`, every candidate priced
@@ -24,63 +19,21 @@ gated by ``benchmarks/check_regression.py``.
 Set ``REPRO_BENCH_QUICK=1`` for the scaled-down CI sizes.
 """
 
-import json
 import os
 import random
 import time
 
 from repro.analysis.tables import render_table
 from repro.core.concepts import Concept
-from repro.core.costmodel import Valuation
 from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
 from repro.core.traffic import TrafficMatrix
 from repro.dynamics.movegen import move_pool
-from repro.graphs.distances import DistanceMatrix
 from repro.graphs.generation import random_connected_gnp
 
 from _harness import RESULTS_DIR, emit, once, write_bench_json
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-UNREACHABLE = 10**7
-
-
-def _trajectory(graph, count, rng):
-    ops = []
-    work = graph.copy()
-    n = work.number_of_nodes()
-    while len(ops) < count:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u == v:
-            continue
-        if work.has_edge(u, v):
-            if work.degree(u) <= 1 or work.degree(v) <= 1:
-                continue
-            work.remove_edge(u, v)
-            ops.append(("remove", u, v))
-        else:
-            work.add_edge(u, v)
-            ops.append(("add", u, v))
-    return ops
-
-
-def _time_trajectory(graph, ops, weights, repeats):
-    best = float("inf")
-    for _ in range(repeats):
-        working = graph.copy()
-        start = time.perf_counter()
-        dm = DistanceMatrix(working, UNREACHABLE)
-        if weights is not None:
-            dm.bind_valuation(Valuation(weights))
-        dm.totals()  # materialise the maintained vector being timed
-        for op, u, v in ops:
-            if op == "add":
-                dm.apply_add(u, v)
-            else:
-                dm.apply_remove(u, v)
-        checksum = int(dm.totals().sum())
-        best = min(best, time.perf_counter() - start)
-    return best, checksum
 
 
 def _time_sweeps(state, sweeps):
@@ -94,17 +47,10 @@ def _time_sweeps(state, sweeps):
 
 def study():
     n = 40 if QUICK else 90
-    moves = 40 if QUICK else 80
     sweeps = 6 if QUICK else 20
-    repeats = 3
 
     rng = random.Random(21)
     graph = random_connected_gnp(n, 0.12, rng)
-    demands = TrafficMatrix.random_demands(n, seed=5, high=4).weights
-
-    ops = _trajectory(graph, moves, random.Random(23))
-    uniform_s, _ = _time_trajectory(graph, ops, None, repeats)
-    weighted_s, _ = _time_trajectory(graph, ops, demands, repeats)
 
     uniform_state = GameState(graph, 6)
     weighted_state = GameState(
@@ -114,14 +60,6 @@ def study():
     sweep_weighted_s = _time_sweeps(weighted_state, sweeps)
 
     payload = {
-        "engine_trajectory": {
-            "n": n,
-            "moves": moves,
-            "uniform_seconds": uniform_s,
-            "weighted_seconds": weighted_s,
-            "overhead": weighted_s / uniform_s,
-            "speedup": uniform_s / weighted_s,
-        },
         "kernel_sweep": {
             "n": n,
             "edges": graph.number_of_edges(),
@@ -154,7 +92,7 @@ def test_weighted_totals(benchmark):
         render_table(
             ["workload", "n", "uniform ms", "weighted ms", "overhead"],
             rows,
-            title="Weighted-totals maintenance vs the uniform engine "
+            title="Demand-weighted pricing vs the uniform game "
             "(target <= 1.3x per round)",
         ),
     )

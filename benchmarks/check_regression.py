@@ -32,13 +32,12 @@ TRACKED = {
     "BENCH_distance_engine": ("families", "speedup"),
     "BENCH_dynamics_rounds": ("rounds", "speedup"),
     "BENCH_equilibria_search": ("workloads", "speedup"),
-    # weighted-traffic overhead: speedup = uniform/weighted seconds, so
-    # the 0.7 tolerance on a ~0.9 baseline caps the weighted engine at
-    # ~1.6x of uniform — well past the 1.3x design target
+    # weighted-traffic overhead: speedup = uniform/weighted seconds per
+    # best-response sweep, so the 0.7 tolerance on a ~0.9 baseline caps
+    # weighted pricing at ~1.6x of uniform — well past the 1.3x target
     "BENCH_weighted_totals": ("workloads", "speedup"),
     # cost-model overhead: speedup = base/modeled seconds on identical
-    # workloads (LinearCost dispatch, f-table sweeps/trajectories, the
-    # max aggregate's max-with-counts maintenance)
+    # best-response sweeps (LinearCost dispatch, f-table lookups)
     "BENCH_costmodel_overhead": ("workloads", "speedup"),
     # serve warm-engine cache vs cold rebuilds on a replayed request
     # trace (speedup = cold/warm seconds at the ServeApp.handle layer)

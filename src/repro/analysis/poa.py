@@ -267,6 +267,6 @@ def re_upper_bound_via_prop_3_1(state: GameState) -> Fraction:
             "Proposition 3.1 bounds the uniform linear game; weighted or "
             "modeled states have no closed-form RE bound"
         )
-    totals = state.dist.totals()
+    totals = state.totals()
     best = min(int(value) for value in totals)
     return proposition_3_1_bound(state.n, state.alpha, best)

@@ -36,6 +36,7 @@ from pathlib import Path
 from repro.campaigns.aggregate import render_report
 from repro.campaigns.executor import RunStats, TrialOutcome, run_campaign
 from repro.campaigns.leases import LeaseManager
+from repro.campaigns.runners import runnable_trials
 from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import CampaignStore, merge_shards
 
@@ -65,7 +66,7 @@ def _open_store_dir(path: str) -> CampaignStore:
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         spec = CampaignSpec.load(args.spec)
-        spec.trials()  # expand before a store directory exists
+        runnable_trials(spec)  # expand and check before any store exists
     except (ValueError, TypeError, OSError) as exc:
         raise SystemExit(f"bad campaign spec {args.spec}: {exc}") from None
     store_dir = Path(args.store) if args.store else _default_store(spec)

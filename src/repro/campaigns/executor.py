@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.campaigns.leases import LeaseManager, chunk_id
-from repro.campaigns.runners import execute_trial
+from repro.campaigns.runners import execute_trial, runnable_trials
 from repro.campaigns.spec import CampaignSpec, Trial
 from repro.campaigns.store import CampaignStore
 from repro.obs import metrics as _obs
@@ -191,13 +191,13 @@ def run_campaign(
     partition and **must agree across cooperating hosts** (the default
     is derived from the spec, so omitting it everywhere always agrees).
     """
+    trials = runnable_trials(spec)  # ValueError before the store is touched
     if store is None:
         store = CampaignStore(None)
     store.save_spec(spec)
 
     stats = RunStats()
     started = time.perf_counter()
-    trials = spec.trials()
     stats.total = len(trials)
 
     skip = set(store.completed_keys())

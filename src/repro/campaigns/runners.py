@@ -1,11 +1,11 @@
 """Trial runners: how one cell of a campaign grid is executed.
 
 Each runner is a plain function ``(params, base_seed) -> result dict``
-registered under a *kind* name; :func:`execute_trial` dispatches a
-:class:`~repro.campaigns.spec.Trial` to its runner inside a worker
-process.  Results must be exact (``Fraction`` where the quantity is
-exact) and JSON-encodable through
-:func:`repro.campaigns.spec.to_jsonable`.
+registered under a *kind* name with the axes it reads; :func:`execute_trial`
+checks a :class:`~repro.campaigns.spec.Trial` against that registration
+and dispatches it to its runner inside a worker process.  Results must
+be exact (``Fraction`` where the quantity is exact) and JSON-encodable
+through :func:`repro.campaigns.spec.to_jsonable`.
 
 Determinism contract: a runner's randomness, if any, is derived from the
 campaign's base seed and the trial's own parameters through
@@ -19,38 +19,72 @@ import functools
 from typing import Any, Callable, Mapping
 
 from repro._rng import coerce_rng, derive_seed, trial_seed
+from repro.campaigns.spec import CampaignSpec, Trial, _is_int
 from repro.core.concepts import Concept
 
-__all__ = ["RUNNERS", "execute_trial", "runner", "scheduler_by_name"]
+__all__ = [
+    "RUNNERS", "execute_trial", "runnable_trials", "runner",
+    "scheduler_by_name",
+]
 
 Runner = Callable[[Mapping[str, Any], int], dict[str, Any]]
 
-RUNNERS: dict[str, Runner] = {}
+#: kind -> (runner, the axes it reads)
+RUNNERS: dict[str, tuple[Runner, frozenset[str]]] = {}
+
+#: axes that hold a JSON integer wherever they appear: a float, a string
+#: or a bool is refused, never truncated by ``int()``
+INT_AXES = frozenset(
+    "n m k i index max_rounds max_coalition_size probe_samples "
+    "max_certificates".split()
+)
 
 
-def runner(kind: str) -> Callable[[Runner], Runner]:
-    """Register a trial runner under ``kind``."""
+def runner(kind: str, axes: str) -> Callable[[Runner], Runner]:
+    """Register ``kind``'s runner; it reads only ``axes`` (space-separated)."""
 
     def register(fn: Runner) -> Runner:
         if kind in RUNNERS:
             raise ValueError(f"duplicate runner kind {kind!r}")
-        RUNNERS[kind] = fn
+        RUNNERS[kind] = (fn, frozenset(axes.split()))
         return fn
 
     return register
+
+
+def _validate(kind: str, params: Mapping[str, Any]) -> Runner:
+    """The runner of ``kind``; ``ValueError`` for an unknown kind, an axis
+    it does not read or a non-integer integer axis."""
+    if kind not in RUNNERS:
+        raise ValueError(
+            f"unknown trial kind {kind!r}; known: {sorted(RUNNERS)}"
+        )
+    run, axes = RUNNERS[kind]
+    unknown = sorted(set(params) - axes)
+    if unknown:
+        raise ValueError(
+            f"{kind} trials take no {unknown} axis; known: {sorted(axes)}"
+        )
+    for axis in sorted(INT_AXES.intersection(params)):
+        value = params[axis]
+        if value is not None and not _is_int(value):
+            raise ValueError(f"{kind} axis {axis!r} must be an int: {value!r}")
+    return run
+
+
+def runnable_trials(spec: CampaignSpec) -> list[Trial]:
+    """``spec``'s trials, each checked against its runner."""
+    trials = spec.trials()
+    for trial in trials:
+        _validate(trial.kind, trial.params)
+    return trials
 
 
 def execute_trial(
     kind: str, params: Mapping[str, Any], base_seed: int
 ) -> dict[str, Any]:
     """Run one trial and return its result dict (raises on failure)."""
-    try:
-        run = RUNNERS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown trial kind {kind!r}; known: {sorted(RUNNERS)}"
-        ) from None
-    return run(params, base_seed)
+    return _validate(kind, params)(params, base_seed)
 
 
 def scheduler_by_name(name: str):
@@ -90,9 +124,6 @@ POA_KINDS: dict[str, tuple[str, str | None, bool]] = {
     "generalized_poa": ("trees", "costmodel", False),
     "exact_poa": ("graphs", None, True),
 }
-POA_AXES = frozenset(
-    {"n", "alpha", "concept", "k", "family", "m", "traffic", "costmodel"}
-)
 
 
 def _witness_payload(witness, traffic=None) -> dict[str, Any]:
@@ -140,27 +171,19 @@ def run_poa(
     of their trials has exactly one spelling (``{"model": "uniform"}`` /
     ``{"model": "linear"}`` for the paper's game).  ``exact_poa``
     results carry the worst witness as a canonical-key digest plus edge
-    list.  Any other parameter raises.  Deterministic; the base seed is
-    unused.
+    list.  Deterministic; the base seed is unused.
     """
     from repro.analysis.poa import family_poa
     from repro.core.costmodel import costmodel_from_spec
     from repro.core.traffic import traffic_from_spec
 
     family, required, certified = POA_KINDS[kind]
-    unknown = sorted(set(params) - POA_AXES)
-    if unknown:
-        raise ValueError(
-            f"{kind} trials take no {unknown} axis; "
-            f"known: {sorted(POA_AXES)}"
-        )
     if required is not None and params.get(required) is None:
         raise ValueError(
             f"{kind} trials need an explicit {required!r} spec "
             '({"model": "uniform"} / {"model": "linear"} is the paper\'s game)'
         )
-    n = int(params["n"])
-    m = params.get("m")
+    n = params["n"]
     traffic = traffic_from_spec(params.get("traffic"), n)
     result = family_poa(
         params.get("family", family),
@@ -168,7 +191,7 @@ def run_poa(
         params["alpha"],
         _concept(params),
         params.get("k"),
-        m=None if m is None else int(m),
+        m=params.get("m"),
         traffic=traffic,
         cost_model=costmodel_from_spec(params.get("costmodel"), n),
     )
@@ -182,10 +205,12 @@ def run_poa(
 
 
 for _kind in POA_KINDS:
-    runner(_kind)(functools.partial(run_poa, _kind))
+    runner(_kind, "n alpha concept k family m traffic costmodel")(
+        functools.partial(run_poa, _kind)
+    )
 
 
-@runner("conjecture_hunt")
+@runner("conjecture_hunt", "n alpha max_certificates")
 def run_conjecture_hunt(
     params: Mapping[str, Any], base_seed: int
 ) -> dict[str, Any]:
@@ -197,9 +222,9 @@ def run_conjecture_hunt(
     from repro.analysis.search import exhaustive_conjecture_sweep
 
     sweep = exhaustive_conjecture_sweep(
-        int(params["n"]),
+        params["n"],
         params["alpha"],
-        max_certificates=int(params.get("max_certificates", 5)),
+        max_certificates=params.get("max_certificates", 5),
     )
     return {
         "candidates": sweep.candidates,
@@ -229,7 +254,7 @@ def _figure_registry():
     }
 
 
-@runner("constructions")
+@runner("constructions", "figure k i")
 def run_constructions(
     params: Mapping[str, Any], base_seed: int
 ) -> dict[str, Any]:
@@ -255,9 +280,9 @@ def run_constructions(
     if name == "figure7":
         kwargs = {}
         if params.get("k") is not None:
-            kwargs["k"] = int(params["k"])
+            kwargs["k"] = params["k"]
         if params.get("i") is not None:
-            kwargs["i"] = int(params["i"])
+            kwargs["i"] = params["i"]
         fig = build(**kwargs)
     else:
         fig = build()
@@ -275,7 +300,10 @@ def run_constructions(
     }
 
 
-@runner("ladder_classify")
+@runner(
+    "ladder_classify",
+    "n alpha index start p costmodel max_coalition_size probe_samples",
+)
 def run_ladder_classify(
     params: Mapping[str, Any], base_seed: int
 ) -> dict[str, Any]:
@@ -300,8 +328,8 @@ def run_ladder_classify(
     from repro.core.state import GameState
     from repro.graphs.generation import random_connected_gnp, random_tree
 
-    n = int(params["n"])
-    index = int(params["index"])
+    n = params["n"]
+    index = params["index"]
     start = params.get("start", "tree")
     alpha = params["alpha"]
     cost_model = costmodel_from_spec(params.get("costmodel"), n)
@@ -315,9 +343,9 @@ def run_ladder_classify(
     state = GameState(graph, alpha, cost_model=cost_model)
     reports = classify_full_ladder(
         state,
-        max_coalition_size=int(params.get("max_coalition_size", 3)),
+        max_coalition_size=params.get("max_coalition_size", 3),
         seed=derive_seed(base_seed, "ladder-probe", n, str(alpha), start, index),
-        probe_samples=int(params.get("probe_samples", 2000)),
+        probe_samples=params.get("probe_samples", 2000),
     )
     headline = (
         {"rho": state.rho()}
@@ -338,7 +366,9 @@ def run_ladder_classify(
     }
 
 
-@runner("dynamics")
+@runner(
+    "dynamics", "n alpha concept index scheduler max_rounds traffic costmodel"
+)
 def run_dynamics_trial(
     params: Mapping[str, Any], base_seed: int
 ) -> dict[str, Any]:
@@ -368,9 +398,9 @@ def run_dynamics_trial(
     from repro.graphs.generation import random_tree
 
     concept = _concept(params)
-    n = int(params["n"])
-    index = int(params["index"])
-    max_rounds = int(params.get("max_rounds", 2000))
+    n = params["n"]
+    index = params["index"]
+    max_rounds = params.get("max_rounds", 2000)
     scheduler = scheduler_by_name(params.get("scheduler", "first"))
     traffic = traffic_from_spec(params.get("traffic"), n)
     cost_model = costmodel_from_spec(params.get("costmodel"), n)

@@ -88,6 +88,8 @@ def integer_root(value: int, k: int) -> int:
         raise ValueError("integer roots need a non-negative radicand")
     if value == 0 or k == 1:
         return value
+    if value.bit_length() <= k:
+        return 1  # 1 <= value < 2**k
     root = 1 << -(-value.bit_length() // k)
     while True:
         below = ((k - 1) * root + value // root ** (k - 1)) // k
@@ -96,14 +98,22 @@ def integer_root(value: int, k: int) -> int:
         root = below
 
 
+#: Largest radicand, in bits, a :class:`ConcaveCost` table may root.  An
+#: int64 table has radicands below ``2**(63 q)``, so every one with an
+#: exponent denominator ``q <= 63`` passes; a root at the cap takes <1 ms.
+_MAX_RADICAND_BITS = 4096
+
+
+def _int64_overflow() -> ValueError:
+    return ValueError("cost table values exceed int64 (exact arithmetic)")
+
+
 def _int64_table(values) -> np.ndarray:
     """Exact integer table values as int64 (``ValueError`` past int64)."""
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
-        raise ValueError(
-            "cost table values exceed int64 (exact arithmetic)"
-        ) from None
+        raise _int64_overflow() from None
 
 
 def _validate_table(table: np.ndarray) -> np.ndarray:
@@ -229,6 +239,14 @@ class ConcaveCost(CostModel):
 
     def table(self, n: int) -> np.ndarray:
         p, q = self.exponent.numerator, self.exponent.denominator
+        # ceil(log2 x) = (x - 1).bit_length() bounds the largest radicand
+        # scale**q * (n - 1)**p before it is formed
+        bits = q * (self.scale - 1).bit_length() + p * (n - 2).bit_length()
+        if bits >= _MAX_RADICAND_BITS:
+            raise ValueError(
+                f"concave cost table radicands exceed {_MAX_RADICAND_BITS} "
+                "bits (exact int64 arithmetic)"
+            )
         values = [
             integer_root(self.scale**q * d**p, q) for d in range(n)
         ]
@@ -257,6 +275,12 @@ class ConvexCost(CostModel):
         self.scale = int(scale)
 
     def table(self, n: int) -> np.ndarray:
+        # scale * top**exponent is at least 2**(s + exponent * t): decide
+        # the overflow before forming any power
+        top = n - 1
+        s, t = self.scale.bit_length() - 1, top.bit_length() - 1
+        if top and s + self.exponent * t >= 63:
+            raise _int64_overflow()
         values = [self.scale * d**self.exponent for d in range(n)]
         return _validate_table(_int64_table(values))
 

@@ -112,14 +112,10 @@ def all_strictly_improve(
 def max_agent_cost(state: GameState) -> Fraction:
     """``max_u cost(u)`` — the quantity of Lemma 3.17.
 
-    Reads :meth:`GameState.dist_cost`, so every regime maximises its own
+    Reads :meth:`GameState.totals`, so every regime maximises its own
     valued costs.
     """
-    degrees = state.degrees()
-    best: Fraction | None = None
-    for u in range(state.n):
-        value = state.alpha * int(degrees[u]) + state.dist_cost(u)
-        if best is None or value > best:
-            best = value
-    assert best is not None
-    return best
+    return max(
+        state.alpha * int(degree) + int(value)
+        for degree, value in zip(state.degrees(), state.totals())
+    )

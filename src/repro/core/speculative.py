@@ -15,8 +15,8 @@ Contract (extends the PR-1 engine contract):
 * **undo-token discipline** — every speculation scope collects its tokens
   and undoes them in strict LIFO order on exit, including on exceptions
   and early returns; a scope never leaks a token, so the shared matrix,
-  graph, CSR cache and totals are bit-exactly restored no matter how the
-  caller unwinds.  Scopes nest freely (nested tokens are younger, hence
+  graph, CSR cache and bridge set are bit-exactly restored no matter how
+  the caller unwinds.  Scopes nest freely (nested tokens are younger, hence
   undone first), which lets searchers amortise a shared edge-removal
   prefix across many candidate add-sets.
 * **exactness per move type** — additions update by the outer-min
@@ -44,15 +44,16 @@ Contract (extends the PR-1 engine contract):
   real and the evaluator must be rebuilt.  ``best`` refuses to run
   inside an active scope.
 * **one valuation** — every "distance total" above is a row value under
-  the state's :class:`~repro.core.costmodel.Valuation`,
-  ``agg_v W[u, v] * f(d(u, v))`` (base snapshots, live reads, batch
-  kernels and :class:`Fold` totals alike): hypothetical distance rows
-  are mapped at the aggregation boundary, so the add identity and the
-  bridge split are untouched.  The pruning floor is the valuation's
-  ``floors()`` (``n - 1`` in the paper's game, demand mass times
-  ``f(1)``, max-weight times ``f(1)`` for max aggregates), sound because
-  ``f`` is monotone: removals only grow distances, hence only grow
-  values.  The paper's game values rows by plain row sums.
+  the state's :class:`~repro.core.costmodel.Valuation`, read off the live
+  matrix (the engine keeps no value): ``agg_v W[u, v] * f(d(u, v))`` for
+  base snapshots, live reads, batch kernels and :class:`Fold` totals
+  alike.  Hypothetical rows are mapped at the aggregation boundary, so
+  the add identity and the bridge split are untouched.  The pruning
+  floor is the valuation's ``floors()`` (``n - 1`` in the paper's game,
+  demand mass times ``f(1)``, max-weight times ``f(1)`` for max
+  aggregates), sound because ``f`` is monotone: removals only grow
+  distances, hence only grow values.  The paper's game values rows by
+  plain row sums.
 
 The ``repro_engine_evaluations_total`` spy counts candidate evaluations
 so tests can assert that a refactored searcher inspects exactly the same
@@ -130,14 +131,11 @@ class SpeculativeEvaluator:
         #: the state's bound value algebra: every distance total below is
         #: a row value under it (plain row sums in the paper's game)
         self.valuation = state.valuation
-        # plain-int snapshots: row values read straight off the matrix (no
-        # forced materialisation of the engine's incremental totals) and
-        # the adjacency dict the engine mutates in place, so per-candidate
-        # queries cost a handful of C-level ops
+        # plain-int snapshots: the base row values and the adjacency dict
+        # the engine mutates in place, so per-candidate queries cost a
+        # handful of C-level ops
         self._adj = self.graph._adj
-        self._base_totals = self.valuation.rows_value(
-            self.engine.matrix
-        ).tolist()
+        self._base_totals = state.totals().tolist()
         # no value total can ever drop below the valuation's floor (every
         # destination at distance >= 1, f monotone): n - 1 in the paper's
         # game, the demand mass under traffic, mass * f(1) under a model

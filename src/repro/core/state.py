@@ -97,7 +97,6 @@ class GameState:
         """Cached all-pairs distances (``M`` for disconnected pairs)."""
         if self._dist is None:
             self._dist = DistanceMatrix(self.graph, self.m_constant)
-            self._dist.bind_valuation(self.valuation)
         return self._dist
 
     @property
@@ -143,10 +142,14 @@ class GameState:
         ``f = id``: linear; max aggregate under :class:`MaxCost`).
 
         Unreachable agents carry ``M`` per unit of demand (the model's
-        ``F`` sentinel under a cost table).  Served by the engine's
-        incrementally maintained totals of the bound :attr:`valuation`.
+        ``F`` sentinel under a cost table), read off the live distance row
+        through :attr:`valuation` (the speculated row inside a scope).
         """
-        return self.dist.total(u)
+        return self.valuation.row_value(u, self.dist.matrix[u])
+
+    def totals(self) -> np.ndarray:
+        """All agents' :meth:`dist_cost`: one pass over the live matrix."""
+        return self.valuation.rows_value(self.dist.matrix)
 
     def cost(self, u: int) -> Fraction:
         """``cost(u) = buy(u) + dist(u)``."""
@@ -154,7 +157,7 @@ class GameState:
 
     def social_cost(self) -> Fraction:
         """``sum_u cost(u) = 2 * alpha * m + sum_u dist(u)``."""
-        total_dist = int(self.dist.totals().sum())
+        total_dist = int(self.totals().sum())
         return 2 * self.alpha * self.graph.number_of_edges() + total_dist
 
     def optimum_cost(self) -> Fraction:

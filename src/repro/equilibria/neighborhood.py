@@ -22,10 +22,10 @@ Candidate evaluation runs on the
 :class:`~repro.core.speculative.SpeculativeEvaluator` kernel: each removal
 subset is applied to the cached distance engine **once** and amortised
 (via nested LIFO undo scopes) across every addition subset tried on top of
-it, and each candidate's verdict is read from incrementally maintained
-degree/total deltas — no per-candidate graph copies and no per-candidate
-BFS.  The search performs zero full APSP builds beyond the one that
-materialised the state's matrix.
+it, and each candidate's verdict is read from the live degrees and row
+values against the evaluator's base snapshot — no per-candidate graph
+copies and no per-candidate BFS.  The search performs zero full APSP
+builds beyond the one that materialised the state's matrix.
 
 If the remaining space exceeds ``max_evaluations`` the checker raises
 :class:`SearchBudgetExceeded` rather than silently answering — callers fall

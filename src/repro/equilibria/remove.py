@@ -66,7 +66,7 @@ class RemovalPricer:
             valuation.aggregate == "sum"
             or int(state.dist.matrix[0].max()) < state.n
         )
-        self.base = state.dist.totals().tolist()
+        self.base = state.totals().tolist()
         # an integer loss is below alpha iff it is below ceil(alpha)
         self.bound = math.ceil(state.alpha)
 

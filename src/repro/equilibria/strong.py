@@ -85,8 +85,13 @@ def find_improving_coalition_move(
 
     Candidates are evaluated on the speculative kernel: each removal
     subset is applied once and shared across its addition subsets, then
-    rolled back through LIFO undo tokens.
+    rolled back through LIFO undo tokens.  A size below 1 raises
+    ``ValueError``: it would search nothing and call every state stable.
     """
+    if max_coalition_size < 1:
+        raise ValueError(
+            f"max_coalition_size must be >= 1, got {max_coalition_size}"
+        )
     if coalitions is None:
         nodes = range(state.n)
         coalitions = itertools.chain.from_iterable(
@@ -321,8 +326,13 @@ def probe_coalition_moves(
     A returned move is a certified violation; ``None`` proves nothing.
     ``rng`` may be a ``random.Random``, an integer seed, or ``None``
     (seed 0), so probe verdicts are reproducible end-to-end.  Sampled
-    candidates are evaluated on the speculative kernel.
+    candidates are evaluated on the speculative kernel.  A size below 1
+    raises ``ValueError``.
     """
+    if max_coalition_size < 1:
+        raise ValueError(
+            f"max_coalition_size must be >= 1, got {max_coalition_size}"
+        )
     rng = coerce_rng(rng)
     nodes = list(range(state.n))
     spec = SpeculativeEvaluator(state)

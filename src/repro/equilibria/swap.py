@@ -20,8 +20,7 @@ two exact strategies:
   the bridge split, or the changed block repaired by a min-plus product
   of cached entries), then :class:`SwapPricer` prices every candidate
   ``w`` by the one-edge-add identity under the state's valuation — no
-  search, no engine mutation, no bridge sweep and no totals shift
-  anywhere in the scan.
+  search, no engine mutation and no bridge sweep anywhere in the scan.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ class SwapPricer:
 
     def __init__(self, state: GameState):
         self.state = state
-        self.totals = state.dist.totals()
+        self.totals = state.totals()
         self.threshold = strict_gt_threshold(state.alpha)
         self.adjacency = adjacency_bool(state.graph)
 

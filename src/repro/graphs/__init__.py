@@ -11,7 +11,6 @@ from repro.graphs.distances import (
     dist_vector_after_add,
     is_connected,
     removed_edge_dist_vector,
-    total_distances,
 )
 from repro.graphs.trees import RootedTree, one_medians, tree_split_masks
 from repro.graphs.canonical import (
@@ -66,7 +65,6 @@ __all__ = [
     "random_connected_gnp",
     "random_tree",
     "removed_edge_dist_vector",
-    "total_distances",
     "tree_layer_keys",
     "tree_split_masks",
 ]

@@ -83,32 +83,10 @@ identity above.  A removal costs ``O(|A_v| * |boundary| * |A_u|)`` for
 the block on top of ``O(|A_u | A_v| * n)`` for its rows — never wrong,
 merely slower when both sides are large.
 
-Per-row totals (``totals()`` / ``total(u)``) are maintained
-**incrementally** alongside the matrix: the first query pays one full
-``O(n^2)`` pass (counted by ``repro_engine_totals_rebuilds_total``), after
-which every ``apply_*`` and ``undo`` shifts the affected entries from the
-same row patches it already records — ``O(|affected| * n)`` per mutation,
-never a full re-sum.  Because the matrix is symmetric and every changed
-entry has an endpoint among the patched rows, the shift
-
-    ``totals += delta.sum(axis=0)``
-    ``totals[rows] += delta.sum(axis=1) - delta[:, rows].sum(axis=1)``
-
-(with ``delta`` the patched rows' new-minus-old values) is exact.
-
-The totals are plain row sums ``sum_v d(u, v)`` until a **valuation** is
-bound (:meth:`DistanceMatrix.bind_valuation`, a
-:class:`repro.core.costmodel.Valuation`); then they are
-``agg_v W[u, v] * f(d(u, v))``.  For a sum the shift above runs on the
-entry-wise value delta ``f(new) - f(old)``, weighted entry-wise by the
-demand matrix when one is bound (``d`` is symmetric, ``W`` need not
-be).  For a max the engine keeps each row's max *with its multiplicity*:
-a patched entry above the cached max raises it outright, one at the max
-bumps the count, and only a row whose count drains to zero pays a fresh
-``O(n)`` row scan.  Sentinel entries are exact here too: real distances
-are at most ``n - 1`` and the sentinel is at least ``n``, so ``d >= n``
-identifies unreachable pairs and maps them to the valuation's own value
-sentinel.
+The engine is **distance-only**: agent values are read off the live
+matrix through the game's :class:`repro.core.costmodel.Valuation`
+(:meth:`repro.core.state.GameState.totals`), so a read inside a
+speculation scope sees the speculated graph.
 """
 
 from __future__ import annotations
@@ -143,7 +121,6 @@ __all__ = [
     "is_connected",
     "removed_edge_dist_vector",
     "single_source_distances",
-    "total_distances",
 ]
 
 #: Number of full APSP builds since import — a test/benchmark spy used to
@@ -153,15 +130,6 @@ __all__ = [
 #: other spies.
 _APSP_BUILDS = obs.counter(
     "repro_engine_apsp_builds_total", "full APSP matrix builds"
-)
-
-#: Full O(n^2) rebuilds of the per-row totals (plain sums or the bound
-#: valuation's aggregates) — a spy used to assert that totals are
-#: maintained incrementally along move trajectories (one rebuild at
-#: materialisation, then zero; max-row rescans triggered by a drained
-#: count are incremental maintenance and do not count).
-_TOTALS_REBUILDS = obs.counter(
-    "repro_engine_totals_rebuilds_total", "full totals row-sum rebuilds"
 )
 
 #: ``apply_remove`` calls on non-bridges (the block repair) — a spy used
@@ -347,15 +315,6 @@ def component_labels(graph: nx.Graph) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def total_distances(dist: np.ndarray) -> np.ndarray:
-    """Per-node total distance cost ``dist(u) = sum_v d(u, v)``.
-
-    Safe in int64: ``GameState`` guarantees ``n * M`` fits (see
-    :func:`repro._alpha.big_m` and :func:`repro._alpha.fits_int64`).
-    """
-    return dist.sum(axis=1)
-
-
 def dist_vector_after_add(dist: np.ndarray, u: int, v: int) -> np.ndarray:
     """Distances from ``u`` after adding edge ``uv``: ``min(d_u, 1 + d_v)``."""
     return np.minimum(dist[u], 1 + dist[v])
@@ -425,12 +384,10 @@ class DistanceMatrix:
       changed rows from a min-plus block of cached entries (exact and
       search-free in both cases);
     * :meth:`apply_swap` composes the two;
-    * :meth:`undo` rolls any of them back bit-exactly (LIFO order);
-    * per-row ``totals()`` are maintained incrementally through all of the
-      above (one full row-sum at first query, shifts afterwards).
+    * :meth:`undo` rolls any of them back bit-exactly (LIFO order).
 
     Speculative *queries* that never touch the matrix are also provided:
-    ``row_after_add`` and ``matrix_after_remove`` (from the matrix alone)
+    ``matrix_after_remove`` (from the matrix alone)
     and ``rows_after_remove_from`` (the same patch, or BFS with the edge
     masked out of the traversal for the rows of ``u`` and ``v`` alone).
 
@@ -452,9 +409,6 @@ class DistanceMatrix:
             )
         self._graph = graph
         self._csr: csr_matrix | None = None
-        self._totals: np.ndarray | None = None
-        self._valuation = None  # None: plain row sums (the paper's game)
-        self._counts: np.ndarray | None = None  # max aggregates only
         self._version = 0
         # the exact bridge set powers the search-free split removal path on
         # any graph; built once here (chain decomposition), then maintained
@@ -469,164 +423,6 @@ class DistanceMatrix:
 
     def row(self, u: int) -> np.ndarray:
         return self.matrix[u]
-
-    def total(self, u: int) -> int:
-        """Agent ``u``'s value from the incrementally maintained totals:
-        ``sum_v d(u, v)``, or ``agg_v W[u, v] * f(d(u, v))`` under a
-        bound valuation."""
-        return int(self._totals_live()[u])
-
-    def totals(self) -> np.ndarray:
-        """Per-node totals as a *snapshot copy* (safe across ``apply_*``).
-
-        The first call pays one full pass over the matrix (spy-counted by
-        ``repro_engine_totals_rebuilds_total``); every later call is an
-        ``O(n)`` copy because ``apply_*`` / ``undo`` shift the cached
-        vector in place instead of re-summing the matrix.
-        """
-        return self._totals_live().copy()
-
-    def bind_valuation(self, valuation) -> None:
-        """Value every row through ``valuation`` from now on.
-
-        ``valuation`` is duck-typed (the engine must not import
-        ``repro.core``): a :class:`repro.core.costmodel.Valuation`, whose
-        ``values(dist)`` maps a distance array through ``f`` (sentinel
-        distances to the value sentinel), ``weights`` is ``None`` or an
-        int64 ``(n, n)`` demand matrix and ``aggregate`` is ``"sum"`` or
-        ``"max"``.  The caller (normally
-        :func:`~repro.core.costmodel.bind_valuation` via
-        :class:`repro.core.state.GameState`) owns the int64 headroom.  A
-        ``uniform_linear`` valuation keeps the plain row sums.  Binding a
-        different valuation drops the cached totals.
-        """
-        if valuation is not None and valuation.uniform_linear:
-            valuation = None
-        if valuation is self._valuation:
-            return
-        weights = getattr(valuation, "weights", None)
-        table = getattr(valuation, "table", None)
-        if (weights is not None and weights.shape != (self.n, self.n)) or (
-            table is not None and table.size != self.n
-        ):
-            raise ValueError(f"valuation does not match the engine's n={self.n}")
-        self._valuation = valuation
-        self._totals = None
-        self._counts = None
-
-    def max_counts(self) -> np.ndarray:
-        """Per-row multiplicity of the max value (max aggregates only).
-
-        A test accessor: cross-validation asserts the maintained counts
-        match a naive recount at every trajectory step.
-        """
-        if self._counts is None:
-            raise RuntimeError("no max-aggregate valuation materialised")
-        return self._counts.copy()
-
-    def _totals_live(self) -> np.ndarray:
-        if self._totals is None:
-            _TOTALS_REBUILDS.inc()
-            valuation = self._valuation
-            if valuation is None:
-                self._totals = self.matrix.sum(axis=1)
-            elif valuation.aggregate == "max":
-                values = self._weighted_values(self.matrix)
-                self._totals = values.max(axis=1)
-                self._counts = (values == self._totals[:, None]).sum(axis=1)
-            else:
-                self._totals = self._weighted_values(self.matrix).sum(axis=1)
-        return self._totals
-
-    def _weighted_values(self, rows: np.ndarray, index=slice(None)):
-        """``W[index] * f(rows)`` entry-wise under the bound valuation
-        (``index`` picks the demand rows aligned with ``rows``)."""
-        valuation = self._valuation
-        values = valuation.values(rows)
-        if valuation.weights is not None:
-            values = values * valuation.weights[index]
-        return values
-
-    def _shift_totals(self, rows: np.ndarray, old: np.ndarray) -> None:
-        """Shift the cached totals by the change ``matrix[rows] - old``.
-
-        Exact because the matrix is symmetric and every changed entry has
-        at least one endpoint among ``rows`` (the patch invariant of
-        ``apply_add`` / ``apply_remove``), and ``f`` of a symmetric matrix
-        is symmetric, so the value delta ``f(new) - f(old)`` inherits the
-        same coverage.  For a **sum**, column ``y`` gains
-        ``sum_{x in rows} W[y, x] * delta[x, y]`` and each patched row
-        additionally gains its own weighted row delta minus the
-        patched-column part already counted (demands may be asymmetric,
-        only distances must be symmetric).  A **max** keeps each row's max
-        with its multiplicity: only entries in the patched columns changed
-        for an unpatched row, so a new value above the cached max raises
-        it (the fresh count reads off the patched columns alone), equal
-        values adjust the count, and only a row whose count drains to
-        zero — or a patched row — is rescanned.  The update is symmetric
-        in old/new, so :meth:`undo` drives it with the pre-restore values
-        as ``old`` and lands bit-exactly.
-        """
-        totals = self._totals
-        if totals is None:
-            return
-        valuation = self._valuation
-        new = self.matrix[rows]
-        if valuation is None:
-            delta = new - old
-            totals += delta.sum(axis=0)
-            totals[rows] += delta.sum(axis=1) - delta[:, rows].sum(axis=1)
-            return
-        fnew = valuation.values(new)
-        fold = valuation.values(old)
-        weights = valuation.weights
-        if valuation.aggregate == "sum":
-            delta = fnew - fold
-            if weights is None:
-                totals += delta.sum(axis=0)
-                totals[rows] += delta.sum(axis=1) - delta[:, rows].sum(axis=1)
-            else:
-                totals += (weights[:, rows] * delta.T).sum(axis=1)
-                totals[rows] += (weights[rows] * delta).sum(axis=1) - (
-                    weights[np.ix_(rows, rows)] * delta[:, rows]
-                ).sum(axis=1)
-            return
-        counts = self._counts
-        # per-row weighted values of the changed entries, column view:
-        # vnew_cols[y, j] = W[y, rows[j]] * f(d'(y, rows[j]))
-        if weights is None:
-            vnew_cols = fnew.T
-            vold_cols = fold.T
-        else:
-            vnew_cols = weights[:, rows] * fnew.T
-            vold_cols = weights[:, rows] * fold.T
-        colmax = vnew_cols.max(axis=1)
-        raised = colmax > totals
-        at_max = totals[:, None]
-        stay_counts = (
-            counts
-            - (vold_cols == at_max).sum(axis=1)
-            + (vnew_cols == at_max).sum(axis=1)
-        )
-        rescan = ~raised & (stay_counts <= 0)
-        # patched rows changed wholesale (their row is the patch itself):
-        # recompute them outright rather than reasoning per-column
-        rescan[rows] = True
-        update = raised & ~rescan
-        if update.any():
-            # every unpatched entry of an updated row is <= the old max
-            # < colmax, so the new max and its count live in the patched
-            # columns alone
-            totals[update] = colmax[update]
-            counts[update] = (vnew_cols[update] == colmax[update, None]).sum(
-                axis=1
-            )
-        keep = ~raised & ~rescan
-        counts[keep] = stay_counts[keep]
-        if rescan.any():
-            values = self._weighted_values(self.matrix[rescan], rescan)
-            totals[rescan] = values.max(axis=1)
-            counts[rescan] = (values == totals[rescan, None]).sum(axis=1)
 
     def eccentricity(self, u: int) -> int:
         return int(self.matrix[u].max())
@@ -667,9 +463,6 @@ class DistanceMatrix:
     def add_gain(self, u: int, v: int) -> int:
         """Distance-cost gain for ``u`` when edge ``uv`` is added."""
         return added_edge_dist_gain(self.matrix, u, v)
-
-    def row_after_add(self, u: int, v: int) -> np.ndarray:
-        return dist_vector_after_add(self.matrix, u, v)
 
     def _bridge_sides(self, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
         """Side masks of bridge ``uv``'s cut, read off the cached matrix.
@@ -886,7 +679,6 @@ class DistanceMatrix:
                 _RowPatch(rows=changed_rows, old=matrix[changed_rows].copy()),
             )
             np.minimum(matrix, candidate, out=matrix)
-            self._shift_totals(changed_rows, patches[0].old)
         # invalidate rather than patch the CSR: speculative add/undo cycles
         # never pay for sparse arithmetic, and the token restores the cache
         csr_before = self._csr
@@ -917,7 +709,6 @@ class DistanceMatrix:
         patches = (_RowPatch(rows=rows, old=matrix[rows]),)
         matrix[rows] = new
         matrix[:, rows] = new.T
-        self._shift_totals(rows, patches[0].old)
         csr_before = self._csr
         self._graph.remove_edge(u, v)
         self._csr = None
@@ -968,10 +759,8 @@ class DistanceMatrix:
                 f"token for {token.version_after})"
             )
         for patch in reversed(token.patches):
-            current = self.matrix[patch.rows]  # fancy index: already a copy
             self.matrix[patch.rows, :] = patch.old
             self.matrix[:, patch.rows] = patch.old.T
-            self._shift_totals(patch.rows, current)
         for op, u, v in token.inverse_ops:
             if op == "add":
                 self._graph.add_edge(u, v)

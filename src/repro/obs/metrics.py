@@ -17,7 +17,7 @@ Spies reachable from concurrent serve threads:
 * ``repro_canonical_cache_hits_total`` / ``_misses_total`` — every
   request canonicalises before touching the cache, on the calling
   thread;
-* ``repro_engine_apsp_builds_total``, ``repro_engine_totals_rebuilds_total``,
+* ``repro_engine_apsp_builds_total``,
   ``repro_engine_remove_bfs_repairs_total``,
   ``repro_engine_bridge_rebuilds_total`` and
   ``repro_engine_bridge_sweeps_total`` — engine builds and speculative

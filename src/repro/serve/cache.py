@@ -8,8 +8,8 @@ isomorphism-invariant over the labelled weighted pair) plus the exact
 copies of the same instance share a single cached engine (the
 materialised :class:`~repro.core.state.GameState` with its incremental
 :class:`~repro.graphs.distances.DistanceMatrix`): the expensive APSP
-build, bridge set and maintained totals are paid once per isomorphism
-class, not once per request.
+build and bridge set are paid once per isomorphism class, not once per
+request.
 
 Eviction is least-recently-used under a byte budget (the dominant term
 is the ``n x n`` int64 distance matrix; the estimate below charges the
@@ -55,8 +55,8 @@ _CACHE_EVICTIONS = _obs.counter(
 def estimate_engine_bytes(state: GameState) -> int:
     """Resident-byte estimate of one warm engine.
 
-    Charges the distance matrix, its CSR/bridge/totals side structures
-    (~2x the matrix in practice) and the demand matrix; the fixed term
+    Charges the distance matrix, its CSR/bridge side structures (~2x the
+    matrix in practice) and the demand matrix; the fixed term
     covers the graph object and bookkeeping.  An estimate is enough —
     the budget bounds growth, it is not an allocator.
     """

@@ -163,7 +163,7 @@ class _Instance:
             # sizes and int64 headroom of the whole regime, before any
             # key or engine is built from it
             bind_valuation(n, self.alpha, self.traffic, self.cost_model)
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
             raise ServeError(400, f"bad alpha/traffic/costmodel: {exc}") from None
 
         regime = json.dumps(
@@ -561,7 +561,7 @@ class ServeApp:
             )
         try:
             hit = self.views.lookup(kind, params)
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
             raise ServeError(400, f"bad trial params: {exc}") from None
         if hit is None:
             raise ServeError(

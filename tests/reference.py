@@ -151,7 +151,7 @@ def reference_find_improving_neighborhood_move(
                 f"center {center}: deg={len(neighbors)}, "
                 f"willing={len(willing)} exceeds budget {max_evaluations}"
             )
-        center_dist = state.dist.total(center)
+        center_dist = state.dist_cost(center)
         slack = center_dist - (state.n - 1)
         remove_cap = len(neighbors) if max_remove is None else max_remove
         add_cap = len(willing) if max_add is None else min(max_add, len(willing))
@@ -216,7 +216,7 @@ def reference_find_improving_coalition_move(
             itertools.combinations(nodes, size)
             for size in range(1, min(max_coalition_size, state.n) + 1)
         )
-    base_dist = {u: state.dist.total(u) for u in range(state.n)}
+    base_dist = {u: state.dist_cost(u) for u in range(state.n)}
     base_adjacency = [set() for _ in range(state.n)]
     for u, v in state.graph.edges:
         base_adjacency[u].add(v)

@@ -114,7 +114,7 @@ class TestKernelEquivalence:
         for seed in range(12):
             state = random_state(2000 + seed, regime)
             spec = SpeculativeEvaluator(state)
-            base = state.dist.totals().tolist()
+            base = state.totals().tolist()
             for u, v in state.graph.edges:
                 rows = state.dist.rows_after_remove_from(u, v, (u, v))
                 losses = batch.batch_remove_losses(
@@ -136,7 +136,7 @@ class TestKernelEquivalence:
         for seed in range(12):
             state = random_state(3000 + seed, regime)
             spec = SpeculativeEvaluator(state)
-            totals = state.dist.totals()
+            totals = state.totals()
             for u, v in state.graph.edges:
                 removed = state.dist.matrix_after_remove(u, v)
                 gains = batch.batch_swap_deltas(

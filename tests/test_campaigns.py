@@ -562,11 +562,33 @@ class TestCli:
                          "grids": [GOOD_GRID]}]),
             '{"name": "bad", "kind": ',
             None,  # no spec file at all
+            json.dumps({"name": "bad", "kind": "tree_poaa",
+                        "grids": [GOOD_GRID]}),
+            json.dumps({"name": "bad", "kind": "tree_poa",
+                        "grids": [dict(GOOD_GRID, nn=5)]}),
+            json.dumps({"name": "bad", "kind": "ladder_classify",
+                        "grids": [{"n": 5, "alpha": 2, "index": 0,
+                                   "probe_sample": 10}]}),
+            json.dumps({"name": "bad", "kind": "dynamics",
+                        "grids": [{"n": 5, "alpha": 2, "concept": "PS",
+                                   "index": 0, "max_round": 5}]}),
+            json.dumps({"name": "bad", "kind": "conjecture_hunt",
+                        "grids": [{"n": 4, "alpha": 2,
+                                   "max_certificate": 1}]}),
+            json.dumps({"name": "bad", "kind": "tree_poa",
+                        "grids": [dict(GOOD_GRID, n=5.5)]}),
+            json.dumps({"name": "bad", "kind": "tree_poa",
+                        "grids": [dict(GOOD_GRID, n="5")]}),
+            json.dumps({"name": "bad", "kind": "tree_poa",
+                        "grids": [dict(GOOD_GRID, n=True)]}),
         ],
         ids=[
             "missing-name", "missing-kind", "missing-grids", "grids-int",
             "grid-not-object", "float-seed", "unknown-concept", "bad-alpha",
             "bad-range", "top-level-list", "broken-json", "missing-file",
+            "unknown-kind", "unknown-poa-axis", "ladder-probe-sample",
+            "dynamics-max-round", "hunt-max-certificate", "float-n",
+            "string-n", "bool-n",
         ],
     )
     def test_malformed_spec_is_one_line_and_leaves_no_store(
@@ -579,6 +601,34 @@ class TestCli:
         with pytest.raises(SystemExit, match="^bad campaign spec "):
             cli_main(["run", str(spec_path), "--store", str(store), "--quiet"])
         assert not store.exists()
+
+    @pytest.mark.parametrize(
+        "kind,grid",
+        [
+            ("tree_poaa", GOOD_GRID),
+            ("dynamics", {"n": 5, "alpha": 2, "concept": "PS", "index": 0,
+                          "max_round": 5}),
+            ("tree_poa", dict(GOOD_GRID, n=5.5)),
+            ("tree_poa", dict(GOOD_GRID, k=True)),
+        ],
+        ids=["unknown-kind", "unread-axis", "float-n", "bool-k"],
+    )
+    def test_unrunnable_trials_raise_before_the_store(
+        self, tmp_path, kind, grid
+    ):
+        from repro.campaigns.runners import execute_trial
+
+        spec = CampaignSpec.from_dict(
+            {"name": "bad", "kind": kind, "grids": [grid]}
+        )
+        (trial,) = spec.trials()
+        with pytest.raises(ValueError):
+            execute_trial(trial.kind, trial.params, base_seed=0)
+        store = CampaignStore(tmp_path / "store")
+        with pytest.raises(ValueError):
+            run_campaign(spec, store)
+        assert store.load_spec() is None
+        assert not list(store.root.iterdir())
 
 
 # -- new runner kinds + reducers (traffic / constructions / ladder / fits) ---

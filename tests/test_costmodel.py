@@ -15,7 +15,7 @@ Four arms lock the generalized engine down:
   lower bound for monotone ``f`` (and tight on the star center).
 * **Guards** — every linear-by-definition quantity raises on modeled
   states instead of silently comparing against the wrong optimum, and
-  malformed models / bindings fail fast.
+  malformed models and valuations fail fast.
 """
 
 from __future__ import annotations
@@ -51,12 +51,11 @@ from repro.dynamics.engine import run_dynamics
 from repro.dynamics.movegen import improving_moves
 from repro.dynamics.schedulers import random_improvement_scheduler
 from repro.equilibria.registry import check
-from repro.graphs.distances import DistanceMatrix, apsp_matrix
+from repro.graphs.distances import apsp_matrix
 from repro.graphs.generation import random_connected_gnp, random_tree
 
 from tests.reference import evaluate_rows_only
 
-UNREACHABLE = 10**6
 
 NONLINEAR_MODELS = (
     ConcaveCost(Fraction(1, 2)),
@@ -486,19 +485,6 @@ class TestModeledGuards:
     def test_cost_model_type_checked(self):
         with pytest.raises(TypeError):
             GameState(nx.path_graph(4), Fraction(2), cost_model="concave")
-
-    def test_bind_mismatches_fail_fast(self):
-        dm = DistanceMatrix(nx.path_graph(5), UNREACHABLE)
-        model = ConvexCost(2)
-        with pytest.raises(ValueError, match="n=5"):
-            dm.bind_valuation(Valuation(table=model.table(4), sentinel=10**9))
-        with pytest.raises(ValueError, match="n=5"):
-            dm.bind_valuation(
-                Valuation(weights=TrafficMatrix.uniform(4).weights)
-            )
-        dm.bind_valuation(Valuation(table=model.table(5), sentinel=10**9))
-        with pytest.raises(RuntimeError):
-            dm.max_counts()  # sum aggregate maintains no counts
 
     def test_valuation_validates_table_sentinel_and_aggregate(self):
         model = ConvexCost(2)

@@ -8,14 +8,13 @@ constructions), asserting **bit-exact agreement at every step** between
 * the in-place :class:`~repro.graphs.distances.DistanceMatrix` and a fresh
   APSP of the mutated graph (whose Python arm is itself pinned to scipy
   below),
-* the incrementally maintained ``totals()`` and a fresh row sum,
-* the same ``totals()`` under every bound valuation (linear, concave,
-  convex and max cost models, with and without demand matrices) and a
-  fresh per-entry recomputation — including the max-aggregate's
-  maintained multiplicity counts — with the ``TOTALS_REBUILDS`` spy
-  proving exactly one full pass per engine and zero along trajectories,
-  plus weighted and modeled per-agent costs along ``GameState.apply``
-  chains vs naive recomputation,
+* the row values read off the live matrix (``Valuation.rows_value``)
+  and a fresh row sum,
+* the same row values under every valuation (linear, concave, convex
+  and max cost models, with and without demand matrices) and a fresh
+  per-entry recomputation, along trajectories and after undo, plus
+  weighted and modeled per-agent costs along ``GameState.apply`` chains
+  vs naive recomputation,
 * the incrementally maintained bridge set and a from-scratch naive
   recompute (edge is a bridge iff deleting it disconnects its endpoints —
   re-derived by BFS per edge, independent of the chain decomposition),
@@ -48,6 +47,7 @@ from repro._alpha import fits_int64
 from repro._backend import exact_int_fill
 from repro.constructions.basic import clique, complete_binary_tree, cycle, star
 from repro.core.concepts import Concept
+from repro.core.costmodel import UNIFORM_LINEAR, Valuation
 from repro.core.moves import AddEdge, RemoveEdge, Swap
 from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
@@ -189,7 +189,9 @@ class TestTrajectoryCrossValidation:
                 fresh = apsp_matrix(graph, UNREACHABLE)
                 assert (dm.matrix == fresh).all()
                 assert dm.matrix.dtype == np.int64
-                assert (dm.totals() == fresh.sum(axis=1)).all()
+                assert (
+                    UNIFORM_LINEAR.rows_value(dm.matrix) == fresh.sum(axis=1)
+                ).all()
                 assert dm.bridges() == naive_bridges(graph)
                 assert dm.is_forest == nx.is_forest(graph)
                 assert_endpoint_arrays_consistent(dm)
@@ -204,7 +206,7 @@ class TestTrajectoryCrossValidation:
             graph = start_graph(FAMILIES[seed % len(FAMILIES)], rng)
             dm = DistanceMatrix(graph, UNREACHABLE)
             matrix_before = dm.matrix.copy()
-            totals_before = dm.totals()
+            totals_before = UNIFORM_LINEAR.rows_value(dm.matrix)
             bridges_before = dm.bridges()
             forest_before = dm.is_forest
             edges_before = sorted(map(sorted, graph.edges))
@@ -216,7 +218,8 @@ class TestTrajectoryCrossValidation:
             for token in reversed(tokens):
                 dm.undo(token)
             assert (dm.matrix == matrix_before).all()
-            assert (dm.totals() == totals_before).all()
+            totals_after = UNIFORM_LINEAR.rows_value(dm.matrix)
+            assert (totals_after == totals_before).all()
             assert dm.bridges() == bridges_before
             assert dm.is_forest == forest_before
             assert sorted(map(sorted, graph.edges)) == edges_before
@@ -243,7 +246,9 @@ class TestTrajectoryCrossValidation:
                 dm.apply_remove(u, v)
             fresh = apsp_matrix(graph, UNREACHABLE)
             assert (dm.matrix == fresh).all()
-            assert (dm.totals() == fresh.sum(axis=1)).all()
+            assert (
+                UNIFORM_LINEAR.rows_value(dm.matrix) == fresh.sum(axis=1)
+            ).all()
             assert dm.bridges() == naive_bridges(graph)
 
 
@@ -338,15 +343,15 @@ def valuation_for(kind: str, n: int, weights):
 
 
 def naive_valued_totals(graph: nx.Graph, valuation, unreachable=UNREACHABLE):
-    """Per-row values (and max multiplicities) from scratch.
+    """Per-row values from scratch.
 
     Pure-Python per-entry loops over a fresh APSP — shares no vector
-    code with ``Valuation.values`` or the engine's shift maintenance.
+    code with ``Valuation.values`` or ``Valuation.rows_value``.
     """
     fresh = apsp_matrix(graph, unreachable)
     n = fresh.shape[0]
     table = valuation.table
-    totals, counts = [], []
+    totals = []
     for u in range(n):
         values = []
         for v in range(n):
@@ -357,17 +362,9 @@ def naive_valued_totals(graph: nx.Graph, valuation, unreachable=UNREACHABLE):
                 f = int(table[d]) if d < n else int(valuation.sentinel)
             w = 1 if valuation.weights is None else int(valuation.weights[u, v])
             values.append(w * f)
-        if valuation.aggregate == "max":
-            top = max(values)
-            totals.append(top)
-            counts.append(sum(1 for value in values if value == top))
-        else:
-            totals.append(sum(values))
-            counts.append(0)
-    return (
-        np.array(totals, dtype=np.int64),
-        np.array(counts, dtype=np.int64),
-    )
+        aggregate = max if valuation.aggregate == "max" else sum
+        totals.append(aggregate(values))
+    return np.array(totals, dtype=np.int64)
 
 
 VALUATION_CASES = [
@@ -376,32 +373,24 @@ VALUATION_CASES = [
 
 
 def assert_totals_track_naive(graph: nx.Graph, valuation, rng: random.Random):
-    """Bind ``valuation`` to a fresh engine on ``graph`` and walk ``STEPS``
-    random moves, checking ``totals()`` (and the max-with-counts
-    multiplicities) against :func:`naive_valued_totals` after every one,
-    with exactly one full pass for the engine."""
+    """Walk ``STEPS`` random moves of a fresh engine on ``graph``, checking
+    the row values ``valuation`` reads off the live matrix against
+    :func:`naive_valued_totals` after every one."""
     dm = DistanceMatrix(graph, UNREACHABLE)
-    dm.bind_valuation(valuation)
-    rebuilds_before = meter("repro_engine_totals_rebuilds_total")
-    expected, _ = naive_valued_totals(graph, valuation)
-    assert (dm.totals() == expected).all()
-    assert meter("repro_engine_totals_rebuilds_total") == rebuilds_before + 1
+    expected = naive_valued_totals(graph, valuation)
+    assert (valuation.rows_value(dm.matrix) == expected).all()
     for _ in range(STEPS):
         if random_step(dm, graph, rng) is None:
             continue
-        expected, expected_counts = naive_valued_totals(graph, valuation)
-        assert (dm.totals() == expected).all()
-        assert dm.totals().dtype == np.int64
-        if valuation.aggregate == "max":
-            assert (dm.max_counts() == expected_counts).all()
-    # incrementality: exactly one full pass per engine
-    assert meter("repro_engine_totals_rebuilds_total") == rebuilds_before + 1
+        totals = valuation.rows_value(dm.matrix)
+        assert (totals == naive_valued_totals(graph, valuation)).all()
+        assert totals.dtype == np.int64
 
 
 class TestValuedTotalsCrossValidation:
     """Undo under every valuation — plain, demand-weighted, the concave /
-    convex / max models with and without demands — restores ``totals()``
-    and the max-with-counts multiplicities."""
+    convex / max models with and without demands — restores the row
+    values, which match the naive recount."""
 
     @pytest.mark.parametrize("kind,weighted", VALUATION_CASES)
     def test_undo_restores_totals_and_counts(self, kind, weighted):
@@ -412,11 +401,7 @@ class TestValuedTotalsCrossValidation:
             weights = demand_matrix(n, seed + 1) if weighted else None
             valuation = valuation_for(kind, n, weights)
             dm = DistanceMatrix(graph, UNREACHABLE)
-            dm.bind_valuation(valuation)
-            before = dm.totals()
-            counts_before = (
-                dm.max_counts() if valuation.aggregate == "max" else None
-            )
+            before = valuation.rows_value(dm.matrix)
             tokens = []
             for _ in range(STEPS):
                 token = random_step(dm, graph, rng)
@@ -424,17 +409,15 @@ class TestValuedTotalsCrossValidation:
                     tokens.append(token)
             for token in reversed(tokens):
                 dm.undo(token)
-            assert (dm.totals() == before).all()
-            if counts_before is not None:
-                assert (dm.max_counts() == counts_before).all()
+            after = valuation.rows_value(dm.matrix)
+            assert (after == before).all()
+            assert (after == naive_valued_totals(graph, valuation)).all()
 
 
 class TestWeightedTotalsCrossValidation:
     """Demand-weighted linear totals vs a per-entry recompute every step."""
 
     def test_wtotals_match_naive_along_trajectories(self):
-        from repro.core.costmodel import UNIFORM_LINEAR
-
         for seed in range(25):
             rng = random.Random(100_000 + seed)
             graph = start_graph(FAMILIES[seed % len(FAMILIES)], rng)
@@ -450,19 +433,17 @@ class TestWeightedTotalsCrossValidation:
 
     def test_asymmetric_demands_stay_exact(self):
         """Only the *distance* matrix is symmetric; W need not be."""
-        from repro.core.costmodel import Valuation
-
         rng = random.Random(7)
         graph = random_connected_gnp(9, 0.35, rng)
         weights = np.arange(81, dtype=np.int64).reshape(9, 9).copy()
         np.fill_diagonal(weights, 0)
         dm = DistanceMatrix(graph, UNREACHABLE)
-        dm.bind_valuation(Valuation(weights))
-        dm.totals()
+        valuation = Valuation(weights)
         for _ in range(15):
             random_step(dm, graph, rng)
             fresh = apsp_matrix(graph, UNREACHABLE)
-            assert (dm.totals() == (fresh * weights).sum(axis=1)).all()
+            expected = (fresh * weights).sum(axis=1)
+            assert (valuation.rows_value(dm.matrix) == expected).all()
 
     def test_weighted_costs_match_naive_along_apply_chains(self):
         for seed in range(20):
@@ -477,7 +458,6 @@ class TestWeightedTotalsCrossValidation:
             )
             state = GameState(graph, alpha, traffic=traffic)
             state.dist  # materialise so apply() hands the engine off
-            rebuilds_before = meter("repro_engine_totals_rebuilds_total")
             for _ in range(6):
                 move = TestCostCrossValidation._random_move(state, rng)
                 if move is None:
@@ -492,9 +472,6 @@ class TestWeightedTotalsCrossValidation:
                     assert state.cost(agent) == expected
                     expected_social += expected
                 assert state.social_cost() == expected_social
-            # a trajectory pays at most one full pass (zero if no move)
-            rebuilds = meter("repro_engine_totals_rebuilds_total")
-            assert rebuilds <= rebuilds_before + 1
 
 
 class TestModelTotalsCrossValidation:
@@ -517,8 +494,7 @@ class TestModelTotalsCrossValidation:
     def test_modeled_costs_match_naive_along_apply_chains(self):
         """``GameState(cost_model=...)`` costs vs per-entry recompute.
 
-        Covers concave / convex / max with and without a demand matrix;
-        one full pass per chain, zero along the moves.
+        Covers concave / convex / max with and without a demand matrix.
         """
         for seed in range(24):
             rng = random.Random(150_000 + seed)
@@ -535,13 +511,12 @@ class TestModelTotalsCrossValidation:
                 graph, alpha, traffic=traffic, cost_model=cost_model_for(kind)
             )
             state.dist  # materialise so apply() hands the engine off
-            rebuilds_before = meter("repro_engine_totals_rebuilds_total")
             for _ in range(6):
                 move = TestCostCrossValidation._random_move(state, rng)
                 if move is None:
                     break
                 state = state.apply(move)
-                expected_totals, _ = naive_valued_totals(
+                expected_totals = naive_valued_totals(
                     state.graph, state.valuation
                 )
                 expected_social = Fraction(0)
@@ -552,9 +527,6 @@ class TestModelTotalsCrossValidation:
                     assert state.cost(agent) == expected
                     expected_social += expected
                 assert state.social_cost() == expected_social
-            # modeled trajectories pay at most one full pass
-            rebuilds = meter("repro_engine_totals_rebuilds_total")
-            assert rebuilds <= rebuilds_before + 1
 
 
 # -- spy counters: the maintenance is genuinely incremental -----------------
@@ -871,7 +843,6 @@ class TestBlockRepairFuzz:
             n = graph.number_of_nodes()
             rng = random.Random(n * 31 + graph.number_of_edges())
             dm = DistanceMatrix(graph, sentinel)
-            dm.totals()  # materialised, so apply/undo shift them
             edges = list(graph.edges)
             if n > 60:
                 edges = rng.sample(edges, 8)
@@ -892,10 +863,14 @@ class TestBlockRepairFuzz:
                 assert (got == fresh[sources]).all()
                 token = dm.apply_remove(u, v)
                 assert (dm.matrix == fresh).all()
-                assert (dm.totals() == fresh.sum(axis=1)).all()
+                assert (
+                    UNIFORM_LINEAR.rows_value(dm.matrix) == fresh.sum(axis=1)
+                ).all()
                 dm.undo(token)
                 assert (dm.matrix == before).all()
-                assert (dm.totals() == before.sum(axis=1)).all()
+                assert (
+                    UNIFORM_LINEAR.rows_value(dm.matrix) == before.sum(axis=1)
+                ).all()
                 checked += 1
         assert checked >= 500
 
@@ -942,7 +917,6 @@ class TestSwapScanIsMutationFree:
         for state in _swap_states():
             assert not nx.is_forest(state.graph)
             dm = state.dist
-            dm.totals()
             before = dm.matrix.copy()
             spies = (
                 dm._version,

@@ -1,6 +1,7 @@
 """Tests for the one-call stability profile (repro.equilibria.diagnose)."""
 
 import networkx as nx
+import pytest
 
 from repro.core.concepts import Concept
 from repro.core.state import GameState
@@ -67,3 +68,25 @@ class TestDiagnose:
         assert reports[Concept.BNE].stable
         assert not reports[Concept.BSE].stable  # 2-coalition breaks it
         assert validate_certificate(state, reports[Concept.BSE].certificate)
+
+
+@pytest.mark.parametrize("size", (0, -2))
+@pytest.mark.parametrize("entry", ("diagnose", "check", "execute_trial"))
+def test_coalition_sizes_below_one_are_refused(entry, size):
+    """A coalition has a member: a smaller bound searched nothing and
+    called every state stable (every tree a k-BSE at k = 0)."""
+    from repro.campaigns.runners import execute_trial
+    from repro.equilibria.registry import check
+
+    state = GameState(nx.path_graph(6), 1)
+    calls = {
+        "diagnose": lambda: diagnose(state, max_coalition_size=size),
+        "check": lambda: check(state, Concept.BSE, k=size),
+        "execute_trial": lambda: execute_trial(
+            "tree_poa",
+            {"n": 6, "alpha": 1, "concept": Concept.BSE, "k": size},
+            base_seed=0,
+        ),
+    }
+    with pytest.raises(ValueError, match="max_coalition_size"):
+        calls[entry]()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.costmodel import UNIFORM_LINEAR
 from repro.graphs.distances import (
     DistanceMatrix,
     added_edge_dist_gain,
@@ -213,7 +214,7 @@ class TestRemoval:
 class TestDistanceMatrixClass:
     def test_totals_and_diameter(self):
         dm = DistanceMatrix(nx.path_graph(4), UNREACHABLE)
-        assert dm.total(0) == 1 + 2 + 3
+        assert UNIFORM_LINEAR.rows_value(dm.matrix)[0] == 1 + 2 + 3
         assert dm.diameter() == 3
         assert dm.eccentricity(1) == 2
 

@@ -207,13 +207,9 @@ class TestSpyAliases:
 
     def test_distance_engine_spies(self):
         graph = random_connected_gnp(10, 0.3, __import__("random").Random(1))
-        before = (
-            meter("repro_engine_apsp_builds_total"),
-            meter("repro_engine_totals_rebuilds_total"),
-        )
-        DistanceMatrix(graph, 10**7).totals()
-        assert meter("repro_engine_apsp_builds_total") >= before[0] + 1
-        assert meter("repro_engine_totals_rebuilds_total") >= before[1] + 1
+        before = meter("repro_engine_apsp_builds_total")
+        DistanceMatrix(graph, 10**7)
+        assert meter("repro_engine_apsp_builds_total") >= before + 1
         assert meter("repro_engine_remove_bfs_repairs_total") >= 0
 
     def test_bridge_spies(self):

@@ -30,6 +30,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.search import classify_full_ladder
 from repro.campaigns import (
@@ -312,11 +313,153 @@ class TestClassify:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
 
+    @pytest.mark.parametrize(
+        "costmodel",
+        [
+            {"model": "convex", "exponent": 10**12},
+            {"model": "concave", "exponent": "999999/1000000"},
+        ],
+        ids=["convex-1e12", "concave-999999/1000000"],
+    )
+    def test_huge_exponent_is_refused_before_building_the_table(
+        self, costmodel
+    ):
+        # the table's size is decided from bit lengths: no power of the
+        # exponent's size (nor a root of one) is ever formed
+        app = ServeApp()
+        payload = {"edges": PATH_5, "alpha": 2, "costmodel": costmodel}
+        tracemalloc.start()
+        try:
+            status, body = app.handle("classify", payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 400, body
+        assert "int64" in body["error"]
+        assert peak < 4 * 2**20, peak
+
     def test_unknown_endpoint_is_404(self):
         app = ServeApp()
         status, body = app.handle("nope", {})
         assert status == 404
         assert "classify" in body["endpoints"]
+
+
+# -- fuzz: every answer is a 200 or a 4xx, and repeats agree ----------------
+
+_JUNK = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["1/0", "abc", "999999/1000000", [], [1, "x"], {}]),
+)
+_ALPHAS = st.one_of(
+    st.integers(1, 9), st.sampled_from(["1/2", "2/3", 0.5, 2.5, 0, -1])
+)
+_CONCEPTS = st.sampled_from(["RE", "BAE", "PS", "BSWE", "BGE", "BNE", "nope"])
+
+
+def _costmodels(n):
+    return st.one_of(
+        st.sampled_from([{"model": "linear"}, {"model": "max"}]),
+        st.builds(
+            lambda exponent, scale: {
+                "model": "concave", "exponent": exponent, "scale": scale,
+            },
+            st.sampled_from(["1/2", "2/3", "1/1000000", "999999/1000000"]),
+            st.integers(1, 3),
+        ),
+        st.builds(
+            lambda exponent: {"model": "convex", "exponent": exponent},
+            st.sampled_from([1, 2, 3, 10**12, 1e300]),
+        ),
+        st.builds(
+            lambda values: {"model": "table", "values": [0] + sorted(values)},
+            st.lists(st.integers(1, 20), min_size=n - 1, max_size=n + 1),
+        ),
+    )
+
+
+def _traffics(n):
+    return st.one_of(
+        st.just({"model": "uniform"}),
+        st.builds(
+            lambda weights: {"model": "gravity", "weights": weights},
+            st.lists(st.integers(0, 5), min_size=n, max_size=n),
+        ),
+        st.builds(
+            lambda seed, high: {"model": "random", "seed": seed, "high": high},
+            st.integers(0, 9),
+            st.integers(1, 4),
+        ),
+    )
+
+
+@st.composite
+def _requests(draw):
+    """One request on ``n <= 6`` nodes (a random tree plus chords), valid
+    or with one field replaced by junk."""
+    endpoint = draw(st.sampled_from(["classify", "best_response", "poa"]))
+    n = draw(st.integers(1, 6))
+    regime = {"traffic": _traffics(n), "costmodel": _costmodels(n)}
+    if endpoint == "poa":
+        params = draw(
+            st.fixed_dictionaries(
+                {"n": st.just(n), "alpha": _ALPHAS, "concept": _CONCEPTS},
+                optional={
+                    "k": st.integers(-2, 3),
+                    "m": st.integers(0, 8),
+                    "family": st.sampled_from(["trees", "graphs"]),
+                    **regime,
+                },
+            )
+        )
+        kind = draw(st.sampled_from(["tree_poa", "exact_poa", "nope"]))
+        payload = {"kind": kind, "params": params}
+    else:
+        edges = [[draw(st.integers(0, v - 1)), v] for v in range(1, n)]
+        node = st.integers(0, n - 1)
+        chords = draw(st.lists(st.tuples(node, node), max_size=5))
+        edges += [[u, v] for u, v in chords if u != v]
+        extra = (
+            {"max_coalition_size": st.integers(-2, 4),
+             "probe_samples": st.integers(-1, 20)}
+            if endpoint == "classify"
+            else {"concept": _CONCEPTS}
+        )
+        payload = draw(
+            st.fixed_dictionaries(
+                {"edges": st.just(edges), "alpha": _ALPHAS},
+                optional={**regime, **extra},
+            )
+        )
+        if endpoint == "best_response":
+            payload["agent"] = draw(st.integers(-1, n))
+    if draw(st.booleans()):
+        # one field, possibly inside a regime spec, replaced by junk
+        top = payload["params"] if endpoint == "poa" else payload
+        targets = [top] + [v for v in top.values() if isinstance(v, dict)]
+        target = draw(st.sampled_from(targets))
+        target[draw(st.sampled_from(sorted(target) + ["n"]))] = draw(_JUNK)
+    return endpoint, payload
+
+
+class TestFuzz:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(request=_requests())
+    def test_handle_answers_200_or_4xx_and_repeats_agree(self, request):
+        endpoint, payload = request
+        app = ServeApp()
+        status, body = app.handle(endpoint, payload)
+        assert status in (200, 400, 404), (payload, body)
+        again_status, again = app.handle(endpoint, payload)
+        assert again_status == status
+        assert _minus_cached(again) == _minus_cached(body)
 
 
 # -- best_response -----------------------------------------------------------

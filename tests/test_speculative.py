@@ -1,4 +1,4 @@
-"""Tests for the speculative evaluation kernel and incremental totals.
+"""Tests for the speculative evaluation kernel and live row values.
 
 Four contracts are pinned here:
 
@@ -6,9 +6,8 @@ Four contracts are pinned here:
   bit-identical to from-scratch recomputation for every move type, and
   every speculation scope (including nested and exception-unwound ones)
   restores the engine exactly;
-* ``DistanceMatrix`` totals are maintained incrementally — one full
-  row-sum at materialisation, zero re-sums along a 100-move trajectory
-  (spy-counted);
+* row values read off the live ``DistanceMatrix`` match fresh row sums
+  along apply / undo trajectories;
 * the refactored BNE / coalition searchers perform no full APSP builds
   beyond the one that materialises the state's matrix (spy-counted) and
   raise :class:`SearchBudgetExceeded` at exactly the same budget
@@ -23,6 +22,7 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
+from repro.core.costmodel import UNIFORM_LINEAR
 from repro.core.moves import (
     AddEdge,
     CoalitionMove,
@@ -42,7 +42,11 @@ from repro.equilibria.strong import (
     probe_coalition_moves,
 )
 from repro.equilibria.swap import swap_gains
-from repro.graphs.distances import DistanceMatrix, single_source_distances
+from repro.graphs.distances import (
+    DistanceMatrix,
+    apsp_matrix,
+    single_source_distances,
+)
 from repro.graphs.generation import random_connected_gnp, random_tree
 
 from tests.meters import meter
@@ -219,13 +223,19 @@ class TestKernelExactness:
         assert meter("repro_engine_apsp_builds_total") == before  # no rebuilds
 
 
+def assert_totals_fresh(dm: DistanceMatrix, graph: nx.Graph) -> None:
+    """Row values off the live matrix equal a fresh APSP's row sums."""
+    fresh = apsp_matrix(graph, UNREACHABLE).sum(axis=1)
+    assert (UNIFORM_LINEAR.rows_value(dm.matrix) == fresh).all()
+
+
 class TestIncrementalTotals:
     def test_totals_match_fresh_sums_along_trajectory(self):
         for seed in range(15):
             rng = random.Random(seed)
             graph = random_connected_gnp(rng.randint(3, 9), 0.4, rng)
             dm = DistanceMatrix(graph, UNREACHABLE)
-            assert (dm.totals() == dm.matrix.sum(axis=1)).all()
+            assert_totals_fresh(dm, graph)
             tokens = []
             for _ in range(12):
                 edges = list(graph.edges)
@@ -239,51 +249,34 @@ class TestIncrementalTotals:
                     tokens.append(dm.apply_add(*rng.choice(non_edges)))
                 elif edges:
                     tokens.append(dm.apply_remove(*rng.choice(edges)))
-                assert (dm.totals() == dm.matrix.sum(axis=1)).all()
+                assert_totals_fresh(dm, graph)
             for token in reversed(tokens):
                 dm.undo(token)
-                assert (dm.totals() == dm.matrix.sum(axis=1)).all()
+                assert_totals_fresh(dm, graph)
 
-    def test_no_full_resum_along_100_move_trajectory(self):
-        """Spy-counted: one row-sum at materialisation, then shifts only."""
-        rng = random.Random(42)
-        graph = random_connected_gnp(12, 0.3, rng)
-        dm = DistanceMatrix(graph, UNREACHABLE)
-        before = meter("repro_engine_totals_rebuilds_total")
-        dm.totals()  # materialise: exactly one full re-sum
-        assert meter("repro_engine_totals_rebuilds_total") - before == 1
-        moves_done = 0
-        tokens = []
-        while moves_done < 100:
-            edges = list(graph.edges)
-            non_edges = [
-                (u, v)
-                for u in graph
-                for v in graph
-                if u < v and not graph.has_edge(u, v)
-            ]
-            choice = rng.random()
-            if (choice < 0.45 and non_edges) or not edges:
-                tokens.append(dm.apply_add(*rng.choice(non_edges)))
-            elif choice < 0.8 or not tokens:
-                tokens.append(dm.apply_remove(*rng.choice(edges)))
-            else:
-                dm.undo(tokens.pop())
-            moves_done += 1
-            # every totals read along the way stays exact ...
-            probe = rng.randrange(12)
-            assert dm.total(probe) == int(dm.matrix[probe].sum())
-            assert (dm.totals() == dm.matrix.sum(axis=1)).all()
-        # ... and none of the 100 moves triggered a full re-sum
-        assert meter("repro_engine_totals_rebuilds_total") - before == 1
+    def test_state_reads_stay_live_across_reused_versions(self):
+        """``dist_cost`` and ``totals()`` read the live matrix: a
+        speculated move shows, and so does a different move applied after
+        an undo (it reuses the engine's version number)."""
+        state = GameState(nx.path_graph(6), 2)
+        spec = SpeculativeEvaluator(state)
+        base = state.totals()
+        for move in (AddEdge(0, 5), AddEdge(0, 3)):
+            with spec.speculate(move):
+                graph = move.apply(nx.path_graph(6))
+                fresh = apsp_matrix(graph, state.m_constant).sum(axis=1)
+                assert (state.totals() == fresh).all()
+                assert state.dist_cost(0) == fresh[0]
+        assert (state.totals() == base).all()
 
     def test_totals_snapshot_is_stable_across_apply(self):
         dm = DistanceMatrix(nx.cycle_graph(7), UNREACHABLE)
-        snapshot = dm.totals()
+        snapshot = UNIFORM_LINEAR.rows_value(dm.matrix)
         token = dm.apply_remove(0, 1)
-        assert (snapshot != dm.totals()).any()  # live totals moved on
+        live = UNIFORM_LINEAR.rows_value(dm.matrix)
+        assert (snapshot != live).any()  # live totals moved on
         dm.undo(token)
-        assert (snapshot == dm.totals()).all()
+        assert (snapshot == UNIFORM_LINEAR.rows_value(dm.matrix)).all()
 
 
 class TestSearchersUseEngine:
@@ -404,8 +397,8 @@ class TestSwapGainsRegression:
             single_source_distances(graph, new, unreachable).sum()
         )
         return (
-            state.dist.total(actor) - actor_after,
-            state.dist.total(new) - new_after,
+            state.dist_cost(actor) - actor_after,
+            state.dist_cost(new) - new_after,
         )
 
     def test_bit_identical_on_random_graphs(self):
