@@ -34,7 +34,9 @@ import sys
 from pathlib import Path
 
 from repro.campaigns.aggregate import render_report
-from repro.campaigns.executor import RunStats, TrialOutcome, run_campaign
+from repro.campaigns.executor import (
+    RunStats, TrialOutcome, check_run_options, run_campaign,
+)
 from repro.campaigns.leases import LeaseManager
 from repro.campaigns.runners import runnable_trials
 from repro.campaigns.spec import CampaignSpec
@@ -90,8 +92,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         host_id = args.host_id or default_host_id()
     elif args.host_id:
         raise SystemExit("--host-id only makes sense with --claim")
+    try:
+        # every flag is checked before the store directory exists
+        check_run_options(args.chunk_size, args.max_trials, args.lease_ttl)
+        store = CampaignStore(store_dir, host_id=host_id)
+    except ValueError as exc:
+        raise SystemExit(f"bad run flags: {exc}") from None
 
-    with CampaignStore(store_dir, host_id=host_id) as store:
+    with store:
         try:
             stats = run_campaign(
                 spec,

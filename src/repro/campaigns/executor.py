@@ -52,7 +52,10 @@ from repro.campaigns.store import CampaignStore
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 
-__all__ = ["RunStats", "TrialOutcome", "claim_chunk_size", "run_campaign"]
+__all__ = [
+    "RunStats", "TrialOutcome", "check_run_options", "claim_chunk_size",
+    "run_campaign",
+]
 
 _TRIALS_OK = _obs.counter(
     "repro_campaign_trials_total", "finished trials by status",
@@ -93,10 +96,6 @@ class RunStats:
     raced: int = 0  # trials found already done after a claim landed
     elapsed: float = 0.0
     outcomes: list[TrialOutcome] = field(default_factory=list)
-
-    @property
-    def completed_after(self) -> int:
-        return self.skipped + self.executed - self.failed
 
 
 ProgressFn = Callable[[TrialOutcome, "RunStats"], None]
@@ -152,6 +151,21 @@ def claim_chunk_size(total: int) -> int:
     return max(1, min(32, -(-total // 64)))
 
 
+def check_run_options(
+    chunk_size: int | None = None,
+    max_trials: int | None = None,
+    lease_ttl: float = 60.0,
+) -> None:
+    """``ValueError`` for a chunk size below 1, a negative trial cap or a
+    lease TTL that is not positive (:func:`run_campaign`'s limits)."""
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
+    if max_trials is not None and max_trials < 0:
+        raise ValueError(f"max trials must be >= 0, got {max_trials}")
+    if not lease_ttl > 0:
+        raise ValueError(f"lease ttl must be positive, got {lease_ttl}")
+
+
 def _record(store: CampaignStore, outcome: TrialOutcome) -> None:
     store.append(
         key=outcome.key,
@@ -191,7 +205,9 @@ def run_campaign(
     partition and **must agree across cooperating hosts** (the default
     is derived from the spec, so omitting it everywhere always agrees).
     """
-    trials = runnable_trials(spec)  # ValueError before the store is touched
+    # ValueError before the store is touched
+    check_run_options(chunk_size, max_trials, lease_ttl)
+    trials = runnable_trials(spec)
     if store is None:
         store = CampaignStore(None)
     store.save_spec(spec)

@@ -19,7 +19,9 @@ import functools
 from typing import Any, Callable, Mapping
 
 from repro._rng import coerce_rng, derive_seed, trial_seed
-from repro.campaigns.spec import CampaignSpec, Trial, _is_int
+from repro.campaigns.spec import (
+    INT_AXES, CampaignSpec, Trial, check_fields, check_int,
+)
 from repro.core.concepts import Concept
 
 __all__ = [
@@ -31,13 +33,6 @@ Runner = Callable[[Mapping[str, Any], int], dict[str, Any]]
 
 #: kind -> (runner, the axes it reads)
 RUNNERS: dict[str, tuple[Runner, frozenset[str]]] = {}
-
-#: axes that hold a JSON integer wherever they appear: a float, a string
-#: or a bool is refused, never truncated by ``int()``
-INT_AXES = frozenset(
-    "n m k i index max_rounds max_coalition_size probe_samples "
-    "max_certificates".split()
-)
 
 
 def runner(kind: str, axes: str) -> Callable[[Runner], Runner]:
@@ -54,21 +49,20 @@ def runner(kind: str, axes: str) -> Callable[[Runner], Runner]:
 
 def _validate(kind: str, params: Mapping[str, Any]) -> Runner:
     """The runner of ``kind``; ``ValueError`` for an unknown kind, an axis
-    it does not read or a non-integer integer axis."""
+    it does not read or an integer axis (``INT_AXES``) that is not an int
+    or falls below its minimum."""
     if kind not in RUNNERS:
         raise ValueError(
             f"unknown trial kind {kind!r}; known: {sorted(RUNNERS)}"
         )
     run, axes = RUNNERS[kind]
-    unknown = sorted(set(params) - axes)
-    if unknown:
-        raise ValueError(
-            f"{kind} trials take no {unknown} axis; known: {sorted(axes)}"
-        )
-    for axis in sorted(INT_AXES.intersection(params)):
-        value = params[axis]
-        if value is not None and not _is_int(value):
-            raise ValueError(f"{kind} axis {axis!r} must be an int: {value!r}")
+    check_fields(params, axes, f"{kind} axes")
+    for axis in sorted(INT_AXES.keys() & params.keys()):
+        if params[axis] is not None:
+            try:
+                check_int(axis, params[axis])
+            except ValueError as exc:
+                raise ValueError(f"{kind} axis {exc}") from None
     return run
 
 

@@ -26,14 +26,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from hashlib import blake2b
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro._alpha import as_alpha
 from repro.core.concepts import Concept
 
 __all__ = [
     "CampaignSpec",
+    "INT_AXES",
     "Trial",
+    "check_fields",
+    "check_int",
     "from_jsonable",
     "to_jsonable",
     "trial_key",
@@ -134,6 +137,46 @@ class Trial:
 def _is_int(value: Any) -> bool:
     """A JSON integer: ``bool`` is an ``int`` subclass, but not one."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: integer axes and their least value (``None``: any int).  Campaign
+#: runners and serve requests both read it, so a float, a string or a
+#: bool is refused, never truncated by ``int()``, and a count cannot be
+#: negative on either side
+INT_AXES: dict[str, int | None] = {
+    "n": None,
+    "m": None,
+    "k": None,
+    "i": None,
+    "index": None,
+    "max_rounds": 0,
+    "max_coalition_size": 1,
+    "probe_samples": 0,
+    "max_certificates": 0,
+}
+
+
+def check_int(name: str, value: Any) -> Any:
+    """``value`` itself if it is a JSON integer at least ``name``'s
+    :data:`INT_AXES` minimum; ``ValueError`` naming ``name`` otherwise."""
+    least = INT_AXES.get(name)
+    if not _is_int(value) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name!r} must be an int{bound}, got {value!r}")
+    return value
+
+
+def check_fields(given: Iterable[str], known: Iterable[str], what: str) -> None:
+    """``ValueError`` naming every entry of ``given`` outside ``known``.
+
+    The one unknown-field check: spec fields, runner axes and serve
+    request bodies go through it, so a misspelt name is refused, never
+    silently defaulted.
+    """
+    known = set(known)
+    unknown = sorted(set(given) - known)
+    if unknown:
+        raise ValueError(f"unknown {what} {unknown}; known: {sorted(known)}")
 
 
 def _range_values(axis: str, bounds: Any) -> list[int]:
@@ -296,11 +339,11 @@ class CampaignSpec:
         """A spec from its dict form; ``ValueError`` names a bad field."""
         if not isinstance(payload, Mapping):
             raise ValueError("a campaign spec must be a JSON object")
-        unknown = set(payload) - {
-            "name", "description", "kind", "seed", "grids", "report",
-        }
-        if unknown:
-            raise ValueError(f"unknown campaign spec fields: {sorted(unknown)}")
+        check_fields(
+            payload,
+            ("name", "description", "kind", "seed", "grids", "report"),
+            "campaign spec fields",
+        )
         for name in ("name", "kind"):
             if not isinstance(payload.get(name), str) or not payload[name]:
                 raise ValueError(f"'{name}' must be a non-empty string")

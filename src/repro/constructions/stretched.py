@@ -54,9 +54,6 @@ class StretchedTree:
         """``depth(T) = k * depth(B)``."""
         return self.k * self.d
 
-    def binary_layer(self, heap_index: int) -> int:
-        return heap_index.bit_length() - 1
-
 
 def stretched_binary_tree(d: int, k: int) -> StretchedTree:
     """Build the stretched binary tree with parameters ``d`` and ``k >= 1``.

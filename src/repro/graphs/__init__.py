@@ -9,7 +9,6 @@ from repro.graphs.distances import (
     apsp_matrix,
     component_labels,
     dist_vector_after_add,
-    is_connected,
     removed_edge_dist_vector,
 )
 from repro.graphs.trees import RootedTree, one_medians, tree_split_masks
@@ -58,7 +57,6 @@ __all__ = [
     "enumerate_connected_graphs",
     "enumerate_labelled_trees",
     "enumerate_trees",
-    "is_connected",
     "key_of_masks",
     "max_edge_count",
     "one_medians",

@@ -45,7 +45,7 @@ words.  :func:`decode_key` inverts both forms exactly.
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import networkx as nx
 import numpy as np
@@ -392,16 +392,3 @@ def decode_key(key: bytes) -> tuple[nx.Graph, np.ndarray | None]:
     ]
     weights = np.array(flat, dtype=np.int64).reshape(n, n)
     return graph, weights
-
-
-def _edges_of_key(key: bytes) -> Iterator[tuple[int, int]]:
-    """Edge iterator of a structural key without building an nx.Graph."""
-    n = key[0]
-    bit_bytes = (n * (n - 1) // 2 + 7) // 8
-    bits = int.from_bytes(key[1 : 1 + bit_bytes], "big")
-    position = n * (n - 1) // 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            position -= 1
-            if (bits >> position) & 1:
-                yield i, j

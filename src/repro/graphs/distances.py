@@ -118,7 +118,6 @@ __all__ = [
     "added_edge_dist_gain",
     "component_labels",
     "dist_vector_after_add",
-    "is_connected",
     "removed_edge_dist_vector",
     "single_source_distances",
 ]
@@ -299,11 +298,6 @@ def single_source_distances(
         dist[source] = 0
         return dist
     return _rows_from_csr(adjacency_csr(graph), source, unreachable)
-
-
-def is_connected(graph: nx.Graph) -> bool:
-    """Connectivity via one BFS (works on canonical graphs of any size)."""
-    return nx.is_connected(graph)
 
 
 def component_labels(graph: nx.Graph) -> np.ndarray:

@@ -164,9 +164,6 @@ class RootedTree:
             path.append(above)
         return path
 
-    def nodes_at_layer(self, layer: int) -> list[int]:
-        return [node for node, level in self.layer.items() if level == layer]
-
     def iter_edges_oriented(self) -> Iterator[tuple[int, int]]:
         """Tree edges as ``(parent, child)`` pairs."""
         for node in self.order[1:]:

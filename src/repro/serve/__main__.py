@@ -27,19 +27,40 @@ from repro.serve.service import ServeApp
 from repro.serve.views import MaterialisedViews
 
 
+def _bounded_int(low: int, high: int | None = None):
+    """An argparse type: an int in ``[low, high]`` (``high=None``: no cap)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low or (high is not None and value > high):
+            span = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(
+                f"must be an int {span}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
         description="Always-on query service over warm game engines.",
     )
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8080)
     parser.add_argument(
-        "--cache-bytes", type=int, default=256 * 1024 * 1024,
+        "--port", type=_bounded_int(0, 65535), default=8080,
+        help="TCP port (0 picks a free one)",
+    )
+    parser.add_argument(
+        "--cache-bytes", type=_bounded_int(0), default=256 * 1024 * 1024,
         help="warm-engine byte budget (0 disables caching)",
     )
     parser.add_argument(
-        "--threads", type=int, default=4,
+        "--threads", type=_bounded_int(1), default=4,
         help="worker threads for request handling",
     )
     parser.add_argument(

@@ -23,6 +23,11 @@ the materialised campaign views, and answers four endpoints:
     and the Prometheus text exposition of the :mod:`repro.obs`
     registries.
 
+Each endpoint declares the request fields it reads (``_endpoint``, as
+campaign runners register their axes); any other field answers 400 and
+names it, so a misspelt ``traffic`` or ``concept`` is never answered
+for the default game.
+
 Label discipline: every graph query is mapped onto its canonical
 representative before touching an engine.  The request's labelling
 ``sigma`` (:func:`repro.graphs.canonical.canonical_labelling`) carries
@@ -43,14 +48,14 @@ import threading
 import time
 from collections import OrderedDict, deque
 from hashlib import blake2b
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import networkx as nx
 import numpy as np
 
 from repro._alpha import as_alpha
 from repro.analysis.search import classify_full_ladder
-from repro.campaigns.spec import to_jsonable
+from repro.campaigns.spec import _is_int, check_fields, check_int, to_jsonable
 from repro.core.concepts import Concept
 from repro.core.costmodel import bind_valuation, costmodel_from_spec
 from repro.core.moves import AddEdge, RemoveEdge, Swap
@@ -97,19 +102,29 @@ class ServeError(Exception):
         self.message = message
 
 
-def _is_int(value: Any) -> bool:
-    """A JSON integer: ``bool`` is an ``int`` subclass, but not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _int_param(payload: Mapping[str, Any], name: str, default: int) -> int:
+    """An integer field, bounded below as the campaign axis of that name."""
+    try:
+        return check_int(name, payload.get(name, default))
+    except ValueError as exc:
+        raise ServeError(400, str(exc)) from None
 
 
-def _int_param(
-    payload: Mapping[str, Any], name: str, default: int, minimum=None
-) -> int:
-    value = payload.get(name, default)
-    if not _is_int(value) or (minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ServeError(400, f"'{name}' must be an int{bound}, got {value!r}")
-    return value
+#: endpoint -> (handler, the request fields it reads)
+_ENDPOINTS: dict[str, tuple[Callable[..., dict[str, Any]], frozenset[str]]] = {}
+
+#: the request fields :class:`_Instance` reads
+_INSTANCE_FIELDS = "edges n alpha traffic costmodel"
+
+
+def _endpoint(name: str, fields: str = "") -> Callable:
+    """Register ``name``'s handler; it reads only ``fields`` (space-separated)."""
+
+    def register(fn: Callable[..., dict[str, Any]]) -> Callable:
+        _ENDPOINTS[name] = (fn, frozenset(fields.split()))
+        return fn
+
+    return register
 
 
 class _Instance:
@@ -439,15 +454,18 @@ class ServeApp:
 
     # -- endpoints -----------------------------------------------------------
 
+    @_endpoint(
+        "classify", f"{_INSTANCE_FIELDS} max_coalition_size seed probe_samples"
+    )
     def _classify(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         raw_key = self._raw_key("classify", payload)
         cached = self._cached_response(raw_key, count_miss=False)
         if cached is not None:
             return cached
         inst = _Instance(payload)
-        max_coalition = _int_param(payload, "max_coalition_size", 3, minimum=1)
+        max_coalition = _int_param(payload, "max_coalition_size", 3)
         seed = _int_param(payload, "seed", 0)
-        probe_samples = _int_param(payload, "probe_samples", 2000, minimum=0)
+        probe_samples = _int_param(payload, "probe_samples", 2000)
         key = self._response_key(
             "classify", inst,
             {
@@ -496,6 +514,7 @@ class ServeApp:
         self._remember_response(key, raw_key, body=body)
         return body
 
+    @_endpoint("best_response", f"{_INSTANCE_FIELDS} agent concept")
     def _best_response(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         raw_key = self._raw_key("best_response", payload)
         cached = self._cached_response(raw_key, count_miss=False)
@@ -552,6 +571,7 @@ class ServeApp:
         self._remember_response(key, raw_key, body=body)
         return body
 
+    @_endpoint("poa", "kind params")
     def _poa(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         kind = payload.get("kind")
         params = payload.get("params")
@@ -584,12 +604,14 @@ class ServeApp:
             "result": to_jsonable(hit["result"]),
         }
 
+    @_endpoint("healthz")
     def _healthz(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         return {
             "status": "ok",
             "uptime_s": round(time.monotonic() - self.started, 3),
         }
 
+    @_endpoint("statsz")
     def _statsz(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         with self._lock:
             body: dict[str, Any] = {
@@ -607,6 +629,7 @@ class ServeApp:
             }
         return body
 
+    @_endpoint("metricsz")
     def _metricsz(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         """The Prometheus text exposition of both registries.
 
@@ -621,29 +644,22 @@ class ServeApp:
 
     # -- dispatch ------------------------------------------------------------
 
-    _HANDLERS = {
-        "classify": _classify,
-        "best_response": _best_response,
-        "poa": _poa,
-        "healthz": _healthz,
-        "statsz": _statsz,
-        "metricsz": _metricsz,
-    }
-
     def handle(
         self, endpoint: str, payload: Mapping[str, Any] | None = None
     ) -> tuple[int, dict[str, Any]]:
         """Answer one request: ``(http status, json-safe body)``.
 
         Thread-safe; never raises — client mistakes come back as 4xx
-        bodies, anything unexpected as a 500 with the exception text.
+        bodies (a field the endpoint does not read is one), anything
+        unexpected as a 500 with the exception text.
         """
-        handler = self._HANDLERS.get(endpoint)
-        if handler is None:
+        if endpoint not in _ENDPOINTS:
             return 404, {
                 "error": f"unknown endpoint {endpoint!r}",
-                "endpoints": sorted(self._HANDLERS),
+                "endpoints": sorted(_ENDPOINTS),
             }
+        handler, fields = _ENDPOINTS[endpoint]
+        payload = payload or {}
         with self._lock:
             stats = self._endpoints.get(endpoint)
             if stats is None:
@@ -653,7 +669,11 @@ class ServeApp:
         started = time.perf_counter()
         with _trace.span("serve.request", endpoint=endpoint) as sp:
             try:
-                body = handler(self, payload or {})
+                try:
+                    check_fields(payload, fields, f"{endpoint} fields")
+                except ValueError as exc:
+                    raise ServeError(400, str(exc)) from None
+                body = handler(self, payload)
                 status = 200
             except ServeError as exc:
                 status, body = exc.status, {"error": exc.message}

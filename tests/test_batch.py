@@ -24,7 +24,7 @@ from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
 from repro.core.traffic import TrafficMatrix
 from repro.dynamics.movegen import move_pool
-from repro.graphs.generation import random_connected_gnp
+from repro.graphs.generation import random_connected_gnp, random_tree
 
 from tests.reference import add_gain_pair, best_sequential
 
@@ -176,8 +176,6 @@ class TestKernelEquivalence:
 
     def test_tree_pools_match_per_candidate(self):
         """Trees of the paper's game price swaps in closed form."""
-        from repro.graphs.generation import random_tree
-
         for seed in range(10):
             rng = random.Random(seed)
             tree = random_tree(rng.randint(5, 12), rng)
@@ -235,6 +233,39 @@ class TestSweepBest:
                     assert batched[1].cost_deltas == sequential[1].cost_deltas
                     assert batched[1].improving == sequential[1].improving
                     assert batched[1].total_delta == sequential[1].total_delta
+
+    @pytest.mark.parametrize(
+        "family", ["gnp_bge", "lollipop_bge", "tree_ps", "gnp_bge_weighted"]
+    )
+    def test_matches_sequential_along_rounds(self, family):
+        """Six best-improvement rounds at n = 24..30, the winner applied
+        after each: the pool reduction and the sequential sweep agree on
+        the move and its deltas every round."""
+        graph, alpha, concept, traffic = {
+            "gnp_bge": (
+                random_connected_gnp(30, 0.1, random.Random(23)), 3,
+                Concept.BGE, None,
+            ),
+            # a clique with a pendant path: cyclic, with real bridges
+            "lollipop_bge": (nx.lollipop_graph(12, 12), 2, Concept.BGE, None),
+            "tree_ps": (
+                random_tree(30, random.Random(29)), 2, Concept.PS, None,
+            ),
+            "gnp_bge_weighted": (
+                random_connected_gnp(30, 0.1, random.Random(23)), 3,
+                Concept.BGE, TrafficMatrix.random_demands(30, seed=23, high=5),
+            ),
+        }[family]
+        state = GameState(graph, alpha, traffic=traffic)
+        for _ in range(6):
+            pool = move_pool(state, concept)
+            spec = SpeculativeEvaluator(state)
+            batched = spec.best(pool)
+            sequential = best_sequential(spec, list(pool))
+            assert batched is not None and sequential is not None
+            assert batched[0] == sequential[0]
+            assert batched[1].cost_deltas == sequential[1].cost_deltas
+            state = state.apply(batched[0])
 
     def test_explicit_lists_price_per_candidate(self):
         rng = random.Random(5)

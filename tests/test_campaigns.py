@@ -581,6 +581,18 @@ class TestCli:
                         "grids": [dict(GOOD_GRID, n="5")]}),
             json.dumps({"name": "bad", "kind": "tree_poa",
                         "grids": [dict(GOOD_GRID, n=True)]}),
+            json.dumps({"name": "bad", "kind": "ladder_classify",
+                        "grids": [{"n": 5, "alpha": 2, "index": 0,
+                                   "probe_samples": -5}]}),
+            json.dumps({"name": "bad", "kind": "ladder_classify",
+                        "grids": [{"n": 5, "alpha": 2, "index": 0,
+                                   "max_coalition_size": 0}]}),
+            json.dumps({"name": "bad", "kind": "dynamics",
+                        "grids": [{"n": 5, "alpha": 2, "concept": "PS",
+                                   "index": 0, "max_rounds": -1}]}),
+            json.dumps({"name": "bad", "kind": "conjecture_hunt",
+                        "grids": [{"n": 4, "alpha": 2,
+                                   "max_certificates": -1}]}),
         ],
         ids=[
             "missing-name", "missing-kind", "missing-grids", "grids-int",
@@ -588,7 +600,9 @@ class TestCli:
             "bad-range", "top-level-list", "broken-json", "missing-file",
             "unknown-kind", "unknown-poa-axis", "ladder-probe-sample",
             "dynamics-max-round", "hunt-max-certificate", "float-n",
-            "string-n", "bool-n",
+            "string-n", "bool-n", "negative-probe-samples",
+            "zero-max-coalition-size", "negative-max-rounds",
+            "negative-max-certificates",
         ],
     )
     def test_malformed_spec_is_one_line_and_leaves_no_store(
@@ -601,6 +615,45 @@ class TestCli:
         with pytest.raises(SystemExit, match="^bad campaign spec "):
             cli_main(["run", str(spec_path), "--store", str(store), "--quiet"])
         assert not store.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "2", "--chunk-size", "-3"],
+            ["--max-trials", "-1"],
+            ["--claim", "--lease-ttl", "-5"],
+            ["--claim", "--host-id", "a/b"],
+        ],
+        ids=["chunk-size", "max-trials", "lease-ttl", "host-id"],
+    )
+    def test_bad_run_flags_are_one_line_and_leave_no_store(
+        self, tmp_path, flags
+    ):
+        spec = tiny_spec(grids=({"n": 5, "alpha": [2, 3, 4], "concept": "PS"},))
+        spec_path = tmp_path / "spec.json"
+        spec.save(spec_path)
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(
+                ["run", str(spec_path), "--store", str(store), "--quiet",
+                 *flags]
+            )
+        message = str(exit_info.value.code)
+        assert message.startswith("bad run flags: ") and "\n" not in message
+        assert not store.exists()
+
+    @pytest.mark.parametrize(
+        "limits",
+        [{"chunk_size": 0}, {"max_trials": -1}, {"lease_ttl": 0}],
+        ids=["chunk-size", "max-trials", "lease-ttl"],
+    )
+    def test_bad_run_limits_raise_before_the_spec_is_saved(
+        self, tmp_path, limits
+    ):
+        store = CampaignStore(tmp_path / "store")
+        with pytest.raises(ValueError):
+            run_campaign(tiny_spec(), store, **limits)
+        assert store.load_spec() is None
 
     @pytest.mark.parametrize(
         "kind,grid",

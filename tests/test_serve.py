@@ -297,6 +297,30 @@ class TestClassify:
                 assert status == 400, (endpoint, regime)
                 assert fragment in body["error"], (endpoint, body["error"])
 
+    @pytest.mark.parametrize(
+        "endpoint,extra,field",
+        [
+            ("best_response",
+             {"agent": 0, "trafic": {"model": "gravity",
+                                     "weights": [1, 2, 3, 4, 5]}},
+             "trafic"),
+            ("best_response", {"agent": 0, "concpet": "RE"}, "concpet"),
+            ("classify", {"probe_sample": 10}, "probe_sample"),
+            ("classify", {"max_coalition": 2}, "max_coalition"),
+        ],
+        ids=["trafic", "concpet", "probe_sample", "max_coalition"],
+    )
+    def test_fields_the_endpoint_does_not_read_are_refused(
+        self, endpoint, extra, field
+    ):
+        """A misspelt field is a 400 naming it, never an answer for the
+        default game."""
+        status, body = ServeApp().handle(
+            endpoint, {"edges": PATH_5, "alpha": 2, **extra}
+        )
+        assert status == 400, body
+        assert f"[{field!r}]" in body["error"]
+
     def test_huge_n_without_edges_is_refused_before_building(self):
         # a connected graph on n nodes needs n - 1 edges, so a 40-byte
         # request must not allocate a graph of n nodes before its 400
@@ -666,6 +690,24 @@ class TestIntrospection:
 
 
 class TestHttp:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--cache-bytes", "-1"],
+            ["--port", "99999"],
+            ["--port", "-1"],
+            ["--threads", "0"],
+        ],
+        ids=["negative-cache-bytes", "port-too-large", "negative-port",
+             "zero-threads"],
+    )
+    def test_bad_flags_are_refused_by_the_parser(self, flags):
+        from repro.serve.__main__ import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(flags)
+        assert exit_info.value.code == 2
+
     def test_round_trip_keep_alive_and_clean_shutdown(self, layered_views):
         spec, store, views = layered_views
         port, stop = start_server_in_thread(ServeApp(views=views))

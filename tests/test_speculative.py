@@ -331,6 +331,36 @@ class TestSearcherEquivalence:
                 theirs = reference_find_improving_coalition_move(state, 3)
                 assert (ours is None) == (theirs is None), (seed, alpha)
 
+    @pytest.mark.parametrize("family", ["path", "tree"])
+    def test_capped_bne_verdicts_on_stable_trees(self, family):
+        """At n = 24 every removal disconnects and alpha = 260 tops any
+        addition gain, so both searchers walk the whole capped space
+        (two partners added, two dropped) and call the tree stable."""
+        graph = (
+            nx.path_graph(24)
+            if family == "path"
+            else random_tree(24, random.Random(5))
+        )
+        state = GameState(graph, 260)
+        caps = {"max_add": 2, "max_remove": 2, "max_evaluations": 50_000_000}
+        assert find_improving_neighborhood_move(state, **caps) is None
+        assert reference_find_improving_neighborhood_move(state, **caps) is None
+
+    def test_sampled_coalition_verdicts_on_a_stable_tree(self):
+        """100 seeded 3-coalitions of a 52-node tree at alpha = 3000:
+        both searchers walk every coalition's whole move space."""
+        rng = random.Random(9)
+        state = GameState(random_tree(52, rng), 3000)
+        coalitions = [
+            tuple(sorted(rng.sample(range(52), 3))) for _ in range(100)
+        ]
+        budget = {"coalitions": coalitions, "max_evaluations": 500_000_000}
+        assert find_improving_coalition_move(state, 3, **budget) is None
+        assert (
+            reference_find_improving_coalition_move(state, 3, **budget)
+            is None
+        )
+
     def test_bne_budget_thresholds_identical(self):
         """SearchBudgetExceeded fires at exactly the same budgets."""
         state = GameState(nx.star_graph(12), Fraction(1, 2))
