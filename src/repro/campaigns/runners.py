@@ -25,7 +25,7 @@ from repro.campaigns.spec import (
 from repro.core.concepts import Concept
 
 __all__ = [
-    "RUNNERS", "execute_trial", "runnable_trials", "runner",
+    "RUNNERS", "check_trial", "execute_trial", "runnable_trials", "runner",
     "scheduler_by_name",
 ]
 
@@ -47,10 +47,13 @@ def runner(kind: str, axes: str) -> Callable[[Runner], Runner]:
     return register
 
 
-def _validate(kind: str, params: Mapping[str, Any]) -> Runner:
+def check_trial(kind: str, params: Mapping[str, Any]) -> Runner:
     """The runner of ``kind``; ``ValueError`` for an unknown kind, an axis
     it does not read or an integer axis (``INT_AXES``) that is not an int
-    or falls below its minimum."""
+    or falls below its minimum.
+
+    The one trial check: campaign specs and serve's ``poa`` queries both
+    go through it."""
     if kind not in RUNNERS:
         raise ValueError(
             f"unknown trial kind {kind!r}; known: {sorted(RUNNERS)}"
@@ -70,7 +73,7 @@ def runnable_trials(spec: CampaignSpec) -> list[Trial]:
     """``spec``'s trials, each checked against its runner."""
     trials = spec.trials()
     for trial in trials:
-        _validate(trial.kind, trial.params)
+        check_trial(trial.kind, trial.params)
     return trials
 
 
@@ -78,7 +81,7 @@ def execute_trial(
     kind: str, params: Mapping[str, Any], base_seed: int
 ) -> dict[str, Any]:
     """Run one trial and return its result dict (raises on failure)."""
-    return _validate(kind, params)(params, base_seed)
+    return check_trial(kind, params)(params, base_seed)
 
 
 def scheduler_by_name(name: str):

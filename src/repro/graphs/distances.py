@@ -125,8 +125,8 @@ __all__ = [
 #: Number of full APSP builds since import — a test/benchmark spy used to
 #: assert that a dynamics trajectory pays for exactly one build.  Lives in
 #: the :mod:`repro.obs` registry (thread-safe increments — engine builds
-#: race under the serve thread pool), read by its series name, as are the
-#: other spies.
+#: race across serve's connection threads), read by its series name, as
+#: are the other spies.
 _APSP_BUILDS = obs.counter(
     "repro_engine_apsp_builds_total", "full APSP matrix builds"
 )

@@ -4,7 +4,7 @@ Every engine spy is a :class:`Counter` in the process-wide
 :data:`REGISTRY`, read by its series name — through
 ``REGISTRY.snapshot()`` in-process or ``/metricsz`` over HTTP.  Plain
 module-global ints would lose updates: ``repro.serve`` runs the engine
-from a ``ThreadPoolExecutor``, and a CPython ``int`` increment is a
+on one thread per connection, and a CPython ``int`` increment is a
 read-modify-write that can interleave (the GIL serialises bytecodes,
 not statements).  The ``EngineCache`` per-entry ``RLock`` protects one
 engine's *matrix*, not the counters the engine code updates along the

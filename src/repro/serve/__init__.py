@@ -18,9 +18,9 @@ from a long-lived process that keeps engines warm:
 * :mod:`repro.serve.service` — the transport-free application object
   (parse request, consult caches, run checkers/kernel, account stats).
   Everything testable lives here.
-* :mod:`repro.serve.http` — a minimal asyncio HTTP/1.1 layer (stdlib
-  only) putting the service on a socket; cold misses run on a bounded
-  thread pool so the event loop keeps accepting while engines build.
+* :mod:`repro.serve.http` — the stdlib threading HTTP/1.1 server
+  putting the service on a socket; each connection is read on its own
+  thread, so other connections are answered while an engine builds.
 
 Run it::
 

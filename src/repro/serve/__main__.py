@@ -3,12 +3,13 @@
 ::
 
     python -m repro.serve [--host H] [--port P] [--cache-bytes N]
-                          [--threads N] [--views STORE_DIR ...]
+                          [--views STORE_DIR ...]
 
 ``--views`` registers campaign store directories whose results back the
 ``poa`` endpoint; repeat it per store.  ``--cache-bytes 0`` disables the
 warm-engine registry (every request builds cold — the benchmark's
-baseline arm).  SIGTERM/SIGINT shut the loop down cleanly.
+baseline arm).  A host or port that cannot be bound is one stderr line
+and exit status 1.  SIGTERM/SIGINT shut the server down cleanly.
 
 Observability: ``GET /metricsz`` exposes the :mod:`repro.obs` registries
 in Prometheus text format; setting ``REPRO_TRACE=<path>`` before start
@@ -18,11 +19,10 @@ streams trace spans (one JSON line per request / engine build) there.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import signal
 import sys
 
-from repro.serve.http import serve_forever
+from repro.serve.http import ServeServer
 from repro.serve.service import ServeApp
 from repro.serve.views import MaterialisedViews
 
@@ -60,10 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="warm-engine byte budget (0 disables caching)",
     )
     parser.add_argument(
-        "--threads", type=_bounded_int(1), default=4,
-        help="worker threads for request handling",
-    )
-    parser.add_argument(
         "--views", action="append", default=[], metavar="STORE_DIR",
         help="campaign store to materialise for the poa endpoint "
         "(repeatable)",
@@ -71,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _main(args: argparse.Namespace) -> int:
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     views = MaterialisedViews()
     for root in args.views:
         info = views.add_store(root)
@@ -81,24 +78,24 @@ async def _main(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     app = ServeApp(cache_bytes=args.cache_bytes, views=views)
-    shutdown = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(sig, shutdown.set)
-
-    def ready(port: int) -> None:
-        print(f"serving on http://{args.host}:{port}", file=sys.stderr)
-
-    await serve_forever(
-        app, args.host, args.port, threads=args.threads,
-        ready=ready, shutdown=shutdown,
-    )
+    try:
+        server = ServeServer(app, args.host, args.port)
+    except OSError as exc:
+        print(
+            f"cannot serve on {args.host}:{args.port}: {exc}", file=sys.stderr
+        )
+        return 1
+    # SIGTERM ends serve_forever at once, as SIGINT does
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        with server:
+            port = server.server_address[1]
+            print(f"serving on http://{args.host}:{port}", file=sys.stderr)
+            server.serve_forever()
+    except KeyboardInterrupt:
+        pass
     print("shut down cleanly", file=sys.stderr)
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    return asyncio.run(_main(build_parser().parse_args(argv)))
 
 
 if __name__ == "__main__":

@@ -1,32 +1,30 @@
-"""A minimal asyncio HTTP/1.1 layer over :class:`~repro.serve.service.ServeApp`.
+"""The stdlib HTTP/1.1 layer over :class:`~repro.serve.service.ServeApp`.
 
-Stdlib only: ``asyncio`` streams parse requests, JSON bodies go to
-:meth:`ServeApp.handle` on a bounded :class:`ThreadPoolExecutor` (cold
-engine builds and ladder classifications are CPU work — running them off
-the event loop keeps ``/healthz`` responsive while a miss materialises),
-and answers come back as ``application/json``.  Keep-alive is supported
-so a replayed trace pays one TCP handshake.
+:class:`http.server.ThreadingHTTPServer` reads each connection on its
+own daemon thread, which calls :meth:`ServeApp.handle` directly, so
+``/healthz`` answers while another connection waits on a cold engine
+build.  The threads share one interpreter lock: they interleave rather
+than run in parallel.  Keep-alive is supported so a replayed trace pays
+one TCP handshake.
 
-Routing is trivial: ``POST /<endpoint>`` and ``GET /<endpoint>`` both
-dispatch to ``ServeApp.handle(endpoint, body)``; GETs carry an empty
-payload, which is all the introspection endpoints need.
-
-``start_server_in_thread`` runs the whole loop on a daemon thread and
-returns the bound port plus a stopper — the test- and benchmark-facing
-entry point.
+``POST /<endpoint>`` and ``GET /<endpoint>`` both dispatch to
+``ServeApp.handle(endpoint, body)``; GETs carry an empty payload, which
+is all the introspection endpoints need.  Every client mistake the
+transport sees (a malformed request line or body, a method other than
+GET and POST) answers a JSON 400 and closes the connection.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable
 
 from repro.serve.service import ServeApp
 
-__all__ = ["serve_forever", "start_server_in_thread"]
+__all__ = ["ServeServer", "start_server_in_thread"]
 
 _MAX_BODY = 8 * 1024 * 1024  # bytes; a polite bound, not a schema
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 500: "Error"}
@@ -51,187 +49,91 @@ def _render(status: int, body: dict[str, Any]) -> bytes:
     return head + payload
 
 
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> tuple[str, str, dict[str, Any], bool] | None:
-    """Parse one request: ``(method, path, body, keep_alive)``.
+class _Handler(BaseHTTPRequestHandler):
+    """One connection: its requests are answered in order on its thread."""
 
-    Returns ``None`` on a cleanly closed connection; raises
-    ``ValueError`` on a malformed request (the caller answers 400 and
-    closes).
-    """
-    try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
-        return None
-    if not line:
-        return None
-    parts = line.decode("latin-1").split()
-    if len(parts) != 3:
-        raise ValueError(f"malformed request line {line!r}")
-    method, path, _version = parts
+    protocol_version = "HTTP/1.1"  # keep-alive unless "Connection: close"
 
-    headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = raw.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-
-    length = int(headers.get("content-length", 0) or 0)
-    if length < 0 or length > _MAX_BODY:
-        raise ValueError(f"unreasonable content-length {length}")
-    body: dict[str, Any] = {}
-    if length:
-        raw_body = await reader.readexactly(length)
+    def handle(self) -> None:
         try:
-            decoded = json.loads(raw_body)
+            super().handle()
+        except ConnectionError:
+            pass  # the client went away mid-request
+
+    def do_POST(self) -> None:
+        try:
+            body = self._body()
+        except ValueError as exc:
+            self.send_error(400, str(exc))
+            return
+        endpoint = self.path.lstrip("/").split("?", 1)[0]
+        self.wfile.write(_render(*self.server.app.handle(endpoint, body)))
+
+    do_GET = do_POST
+
+    def _body(self) -> dict[str, Any]:
+        length = int(self.headers.get("Content-Length") or 0)
+        if length < 0 or length > _MAX_BODY:
+            raise ValueError(f"unreasonable content-length {length}")
+        if not length:
+            return {}
+        try:
+            body = json.loads(self.rfile.read(length))
         except json.JSONDecodeError as exc:
             raise ValueError(f"request body is not JSON: {exc}") from None
-        if not isinstance(decoded, dict):
+        if not isinstance(body, dict):
             raise ValueError("request body must be a JSON object")
-        body = decoded
-    keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-    return method, path, body, keep_alive
+        return body
 
-
-async def _handle_connection(
-    app: ServeApp,
-    pool: ThreadPoolExecutor,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-) -> None:
-    loop = asyncio.get_running_loop()
-    try:
-        while True:
-            try:
-                request = await _read_request(reader)
-            except (ValueError, asyncio.IncompleteReadError) as exc:
-                writer.write(_render(400, {"error": str(exc)}))
-                await writer.drain()
-                break
-            if request is None:
-                break
-            method, path, body, keep_alive = request
-            endpoint = path.lstrip("/").split("?", 1)[0]
-            if method not in ("GET", "POST"):
-                status, answer = 400, {
-                    "error": f"unsupported method {method}"
-                }
-            else:
-                status, answer = await loop.run_in_executor(
-                    pool, app.handle, endpoint, body
-                )
-            writer.write(_render(status, answer))
-            await writer.drain()
-            if not keep_alive:
-                break
-    except ConnectionError:
-        pass
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except ConnectionError:
-            pass
-
-
-async def serve_forever(
-    app: ServeApp,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    threads: int = 4,
-    ready: Callable[[int], None] | None = None,
-    shutdown: asyncio.Event | None = None,
-) -> None:
-    """Accept connections until ``shutdown`` is set (or forever).
-
-    ``ready`` is called with the actually bound port once listening —
-    pass ``port=0`` to let the OS pick one.
-    """
-    pool = ThreadPoolExecutor(
-        max_workers=max(1, threads), thread_name_prefix="serve"
-    )
-    connections: set[asyncio.Task] = set()
-
-    async def _on_connect(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
     ) -> None:
-        task = asyncio.current_task()
-        connections.add(task)
-        try:
-            await _handle_connection(app, pool, reader, writer)
-        except asyncio.CancelledError:
-            # shutdown cancelled an idle keep-alive connection: that is
-            # the clean path, not an error to surface
-            writer.close()
-        finally:
-            connections.discard(task)
+        # the stdlib's own refusals (a malformed request line or header:
+        # 400, 414, 431; an unknown method: 501) are client mistakes too
+        self.close_connection = True
+        self.wfile.write(_render(400, {"error": message or "bad request"}))
 
-    server = await asyncio.start_server(_on_connect, host, port)
-    bound = server.sockets[0].getsockname()[1]
-    if ready is not None:
-        ready(bound)
-    try:
-        async with server:
-            if shutdown is None:
-                await server.serve_forever()
-            else:
-                await shutdown.wait()
-    finally:
-        # idle keep-alive connections would otherwise dangle past the loop
-        for task in list(connections):
-            task.cancel()
-        await asyncio.gather(*connections, return_exceptions=True)
-        pool.shutdown(wait=False)
+    def log_message(self, format: str, *args: Any) -> None:
+        pass  # no per-request stderr line
+
+
+class ServeServer(ThreadingHTTPServer):
+    """``app`` on ``(host, port)``: one daemon thread per connection.
+
+    Binds on construction, so a busy port or an unresolvable host
+    raises :class:`OSError` here; ``port=0`` lets the OS pick one
+    (read it back from ``server_address[1]``).
+    """
+
+    allow_reuse_address = True  # a restart rebinds a port in TIME_WAIT
+    daemon_threads = True  # an idle keep-alive client never blocks exit
+
+    def __init__(self, app: ServeApp, host: str, port: int):
+        self.app = app
+        # the host's first address picks IPv4 or IPv6 ("" is any address)
+        self.address_family = socket.getaddrinfo(
+            host or None, port, type=socket.SOCK_STREAM,
+            flags=socket.AI_PASSIVE,
+        )[0][0]
+        super().__init__((host, port), _Handler)
 
 
 def start_server_in_thread(
-    app: ServeApp,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    threads: int = 4,
+    app: ServeApp, host: str = "127.0.0.1", port: int = 0
 ) -> tuple[int, Callable[[], None]]:
-    """Run the server on a daemon thread; returns ``(port, stop)``.
+    """Serve from a daemon thread; returns ``(port, stop)``.
 
-    ``stop()`` shuts the loop down and joins the thread — tests and the
-    QPS benchmark wrap the whole lifetime in ``try/finally stop()``.
+    ``stop()`` ends the accept loop, closes the listening socket and
+    joins the thread — tests and the QPS benchmark wrap the whole
+    lifetime in ``try/finally stop()``.
     """
-    started = threading.Event()
-    bound: list[int] = []
-    loop_holder: list[asyncio.AbstractEventLoop] = []
-    stop_event_holder: list[asyncio.Event] = []
-
-    def _run() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        loop_holder.append(loop)
-        stop_event = asyncio.Event()
-        stop_event_holder.append(stop_event)
-
-        def _ready(value: int) -> None:
-            bound.append(value)
-            started.set()
-
-        try:
-            loop.run_until_complete(
-                serve_forever(
-                    app, host, port, threads,
-                    ready=_ready, shutdown=stop_event,
-                )
-            )
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=_run, name="serve-loop", daemon=True)
+    server = ServeServer(app, host, port)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    if not started.wait(timeout=30):
-        raise RuntimeError("serve loop failed to start")
 
     def stop() -> None:
-        loop = loop_holder[0]
-        loop.call_soon_threadsafe(stop_event_holder[0].set)
+        server.shutdown()
+        server.server_close()
         thread.join(timeout=30)
 
-    return bound[0], stop
+    return server.server_address[1], stop

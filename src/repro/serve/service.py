@@ -36,9 +36,9 @@ agent ids and moves into canonical space; answers travel back through
 requests, while responses — which speak the requester's labels — are
 cached per (instance, labelling, parameters) fingerprint.
 
-Everything here is synchronous and transport-free; the asyncio HTTP
-layer (:mod:`repro.serve.http`) calls :meth:`ServeApp.handle` from a
-bounded worker pool.
+Everything here is synchronous and transport-free; the HTTP layer
+(:mod:`repro.serve.http`) calls :meth:`ServeApp.handle` on one thread
+per connection, so requests on different connections interleave.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ import numpy as np
 
 from repro._alpha import as_alpha
 from repro.analysis.search import classify_full_ladder
+from repro.campaigns.runners import check_trial
 from repro.campaigns.spec import _is_int, check_fields, check_int, to_jsonable
 from repro.core.concepts import Concept
 from repro.core.costmodel import bind_valuation, costmodel_from_spec
@@ -213,6 +214,19 @@ class _Instance:
         ).hexdigest()
 
 
+#: a request's canonical labelling ``sigma`` and its inverse
+_Labelling = tuple[tuple[int, ...], list[int]]
+
+
+def _labelling_of(inst: _Instance) -> _Labelling:
+    """The request's canonical labelling ``sigma`` and its inverse."""
+    sigma = canonical_labelling(inst.graph, inst.traffic)
+    inv = [0] * inst.n
+    for u, c in enumerate(sigma):
+        inv[c] = u
+    return sigma, inv
+
+
 def _move_payload(move: Any, inv: list[int]) -> dict[str, Any]:
     """A move in the *requester's* labels (canonical -> original)."""
     if isinstance(move, RemoveEdge):
@@ -352,34 +366,37 @@ class ServeApp:
             entry = self.engines.get(inst.digest)
         if entry is not None:
             return entry
-        state = self._build_state(inst)
+        state, labelling = self._build_state(inst)
         with self._lock:
             # a racing thread may have inserted meanwhile; keep its entry
             # (and its sigma memo) rather than replacing a warm engine
             current = self.engines._entries.get(inst.digest)
             if current is not None:
                 return current
-            return self.engines.put(inst.digest, state)
+            entry = self.engines.put(inst.digest, state)
+            # no other thread sees the entry before the lock is released
+            entry.sigma_cache[inst.fingerprint] = labelling
+            return entry
 
-    def _build_state(self, inst: _Instance) -> GameState:
-        """Materialise the canonical engine for one instance (cold path)."""
+    def _build_state(self, inst: _Instance) -> tuple[GameState, _Labelling]:
+        """Materialise the canonical engine for one instance (cold path),
+        with the request's labelling ``(sigma, inverse)`` it was built by."""
         _ENGINE_BUILDS.inc()
         with _trace.span(
             "serve.engine_build", digest=inst.digest, n=inst.n
         ):
             return self._build_state_inner(inst)
 
-    def _build_state_inner(self, inst: _Instance) -> GameState:
-        sigma = canonical_labelling(inst.graph, inst.traffic)
+    def _build_state_inner(
+        self, inst: _Instance
+    ) -> tuple[GameState, _Labelling]:
+        sigma, inv = _labelling_of(inst)
         relabelled = nx.empty_graph(inst.n)
         relabelled.add_edges_from(
             (sigma[u], sigma[v]) for u, v in inst.graph.edges
         )
         traffic = None
         if inst.traffic is not None:
-            inv = [0] * inst.n
-            for u, c in enumerate(sigma):
-                inv[c] = u
             traffic = TrafficMatrix(
                 inst.traffic.weights[np.ix_(inv, inv)]
             )
@@ -388,19 +405,14 @@ class ServeApp:
             cost_model=inst.cost_model,
         )
         state.dist.matrix  # materialise the APSP while we are cold
-        return state
+        return state, (sigma, inv)
 
-    def _labelling(
-        self, entry: CachedEngine, inst: _Instance
-    ) -> tuple[tuple[int, ...], list[int]]:
+    def _labelling(self, entry: CachedEngine, inst: _Instance) -> _Labelling:
         """(sigma, inverse) for this request's labels, memoised per engine."""
         memo = entry.sigma_cache.get(inst.fingerprint)
         if memo is not None:
             return memo
-        sigma = canonical_labelling(inst.graph, inst.traffic)
-        inv = [0] * inst.n
-        for u, c in enumerate(sigma):
-            inv[c] = u
+        sigma, inv = _labelling_of(inst)
         if len(entry.sigma_cache) >= 64:
             entry.sigma_cache.pop(next(iter(entry.sigma_cache)))
         entry.sigma_cache[inst.fingerprint] = (sigma, inv)
@@ -580,6 +592,8 @@ class ServeApp:
                 400, "'kind' (str) and 'params' (object) are required"
             )
         try:
+            # a kind or axis no runner reads never matches a trial
+            check_trial(kind, params)
             hit = self.views.lookup(kind, params)
         except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
             raise ServeError(400, f"bad trial params: {exc}") from None

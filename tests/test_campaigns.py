@@ -184,14 +184,14 @@ class TestStore:
         assert result == CampaignStore(tmp_path / "store").result(trial.key)
 
     def test_duplicate_ok_record_is_refused(self, tmp_path):
-        store = CampaignStore(tmp_path / "store")
         args = dict(
             kind="tree_poa", params={"n": 6}, status="ok",
             result={"poa": Fraction(1)}, error=None, elapsed=0.1,
         )
-        store.append(key="k1", **args)
-        with pytest.raises(ValueError, match="duplicate ok record"):
+        with CampaignStore(tmp_path / "store") as store:
             store.append(key="k1", **args)
+            with pytest.raises(ValueError, match="duplicate ok record"):
+                store.append(key="k1", **args)
 
     def test_torn_final_line_is_tolerated_and_rerun(self, tmp_path):
         spec = tiny_spec(grids=({"n": 6, "alpha": [2, 3], "concept": "PS"},))
@@ -202,10 +202,10 @@ class TestStore:
         lines = path.read_text().splitlines(keepends=True)
         # simulate a SIGKILL mid-append: last record only half written
         path.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
-        reopened = CampaignStore(store_dir)
-        assert reopened.corrupt_lines == 1
-        assert len(reopened.completed_keys()) == 1
-        stats = run_campaign(spec, reopened)
+        with CampaignStore(store_dir) as reopened:
+            assert reopened.corrupt_lines == 1
+            assert len(reopened.completed_keys()) == 1
+            stats = run_campaign(spec, reopened)
         assert stats.skipped == 1 and stats.executed == 1
         final = CampaignStore(store_dir)
         assert final.corrupt_lines == 1  # the torn line stays, ignored
@@ -238,7 +238,8 @@ class TestStore:
         assert "must be positive" in record["error"]
         # default resume retries the error; --no-retry-errors skips it
         assert run_campaign(spec, reopened, retry_errors=False).executed == 0
-        retried = run_campaign(spec, CampaignStore(store_dir))
+        with CampaignStore(store_dir) as store:
+            retried = run_campaign(spec, store)
         assert retried.executed == 1 and retried.failed == 1
 
     def test_store_refuses_foreign_campaign(self, tmp_path):
@@ -894,8 +895,9 @@ class TestNewRunnerKinds:
         )
         serial = CampaignStore(tmp_path / "serial")
         pooled = CampaignStore(tmp_path / "pooled")
-        run_campaign(spec, serial, workers=1)
-        run_campaign(spec, pooled, workers=2)
+        with serial, pooled:
+            run_campaign(spec, serial, workers=1)
+            run_campaign(spec, pooled, workers=2)
         assert _comparable_records(serial) == _comparable_records(pooled)
         assert render_report(spec, serial) == render_report(spec, pooled)
 

@@ -16,8 +16,11 @@ The load-bearing guarantees under test:
   evicts LRU engines;
 * ``poa`` resolves exact and layered (``m``-aggregated) cells against
   materialised campaign views, spelling-invariantly;
-* the asyncio HTTP layer round-trips all of the above over a real
-  socket, keep-alive included, and shuts down cleanly.
+* the HTTP layer round-trips all of the above over a real socket,
+  keep-alive included, answers ``/healthz`` while another connection
+  waits inside ``handle``, answers client mistakes with a JSON 400 and
+  shuts down cleanly; ``python -m repro.serve`` reports an address it
+  cannot bind in one line.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import struct
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -43,6 +48,8 @@ from repro.campaigns.spec import from_jsonable
 from repro.core.concepts import Concept
 from repro.core.state import GameState
 from repro.serve import EngineCache, MaterialisedViews, ServeApp
+from repro.serve import service
+from repro.serve.__main__ import build_parser, main
 from repro.serve.http import start_server_in_thread
 
 from tests.meters import meter
@@ -660,6 +667,24 @@ class TestPoaViews:
         )
         assert status == 404
 
+    @pytest.mark.parametrize(
+        "kind, params, named",
+        [
+            ("exact_poa", {"concpet": "PS"}, "concpet"),
+            ("exact_poa", {"concept": "PS", "famly": "graphs"}, "famly"),
+            ("nope", {"concept": "PS"}, "nope"),
+        ],
+        ids=["misspelt-axis", "extra-axis", "unknown-kind"],
+    )
+    def test_queries_no_runner_reads_are_refused(
+        self, layered_views, kind, params, named
+    ):
+        _, _, views = layered_views
+        app = ServeApp(views=views)
+        cell = {"family": "graphs", "n": 5, "alpha": 2, **params}
+        status, body = app.handle("poa", {"kind": kind, "params": cell})
+        assert status == 400 and named in body["error"]
+
 
 # -- introspection -----------------------------------------------------------
 
@@ -696,14 +721,10 @@ class TestHttp:
             ["--cache-bytes", "-1"],
             ["--port", "99999"],
             ["--port", "-1"],
-            ["--threads", "0"],
         ],
-        ids=["negative-cache-bytes", "port-too-large", "negative-port",
-             "zero-threads"],
+        ids=["negative-cache-bytes", "port-too-large", "negative-port"],
     )
     def test_bad_flags_are_refused_by_the_parser(self, flags):
-        from repro.serve.__main__ import build_parser
-
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(flags)
         assert exit_info.value.code == 2
@@ -790,3 +811,120 @@ class TestHttp:
             conn.close()
         finally:
             stop()
+
+    def test_unresolvable_host_is_one_line(self, monkeypatch, capsys):
+        resolve = socket.getaddrinfo
+
+        def getaddrinfo(host, *args, **kwargs):
+            if host == "no-such-host.invalid":
+                raise socket.gaierror(
+                    socket.EAI_NONAME, "Name or service not known"
+                )
+            return resolve(host, *args, **kwargs)
+
+        # the resolver is stubbed so that no name server is asked
+        monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+        assert main(["--host", "no-such-host.invalid", "--port", "0"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "no-such-host.invalid" in err
+
+    def test_busy_port_is_one_line(self, capsys):
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            assert main(["--port", str(port)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert str(port) in err
+
+    def test_healthz_answers_while_another_connection_blocks(
+        self, monkeypatch
+    ):
+        entered, release = threading.Event(), threading.Event()
+
+        def blocking(app, payload):
+            entered.set()
+            release.wait(timeout=30)
+            return {"released": True}
+
+        monkeypatch.setitem(
+            service._ENDPOINTS, "classify", (blocking, frozenset())
+        )
+        answers = []
+
+        def classify():
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            conn.request("POST", "/classify", "{}")
+            response = conn.getresponse()
+            answers.append((response.status, json.loads(response.read())))
+            conn.close()
+
+        port, stop = start_server_in_thread(ServeApp())
+        client = threading.Thread(target=classify, daemon=True)
+        try:
+            client.start()
+            assert entered.wait(timeout=10)
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+            conn.close()
+            assert not answers  # the first connection is still waiting
+        finally:
+            release.set()
+            client.join(timeout=30)
+            stop()
+        assert not client.is_alive()
+        assert answers == [(200, {"released": True})]
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"PUT /classify HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
+            b"NONSENSE\r\n\r\n",
+        ],
+        ids=["put", "malformed-request-line"],
+    )
+    def test_client_mistakes_are_a_json_400(self, request_bytes):
+        port, stop = start_server_in_thread(ServeApp())
+        try:
+            with socket.create_connection(("127.0.0.1", port), 30) as client:
+                client.sendall(request_bytes)
+                response = http.client.HTTPResponse(client)
+                response.begin()
+                assert response.status == 400
+                assert response.getheader("Content-Type") == (
+                    "application/json"
+                )
+                assert json.loads(response.read())["error"]
+        finally:
+            stop()
+
+    def test_a_client_resetting_mid_request_leaves_no_traceback(
+        self, capfd
+    ):
+        port, stop = start_server_in_thread(ServeApp())
+        before = set(threading.enumerate())
+        try:
+            client = socket.create_connection(("127.0.0.1", port), 30)
+            client.sendall(
+                b"POST /classify HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"
+            )
+            # linger 0: close() sends a reset, so the server's read fails
+            client.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            client.close()
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().status == 200
+            conn.close()
+        finally:
+            stop()
+        for thread in set(threading.enumerate()) - before:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert "Traceback" not in capfd.readouterr().err
