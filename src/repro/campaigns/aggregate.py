@@ -44,7 +44,6 @@ Built-in reducers:
 from __future__ import annotations
 
 import functools
-import statistics
 from fractions import Fraction
 from typing import Any, Callable, Mapping
 
@@ -344,46 +343,10 @@ def convergence_stats(
         if not runs:
             continue
         params = dict(identity)
-        # final_rho is only present for uniform-linear trials; final_quality
-        # is present on every new record and falls back to final_rho on
-        # records written before the quality column existed (uniform-only,
-        # where the two are bit-identical)
-        rhos = [
-            result["final_rho"]
-            for _, result in runs
-            if "final_rho" in result
-        ]
-        qualities = [
-            result.get("final_quality", result.get("final_rho"))
-            for _, result in runs
-        ]
-        out.append(
-            (
-                params,
-                ConvergenceStats(
-                    concept=Concept.parse(params["concept"]),
-                    runs=len(runs),
-                    converged=sum(r["converged"] for _, r in runs),
-                    cycled=sum(r["cycled"] for _, r in runs),
-                    mean_rounds=statistics.fmean(
-                        r["rounds"] for _, r in runs
-                    ),
-                    mean_final_rho=(
-                        statistics.fmean(float(rho) for rho in rhos)
-                        if rhos
-                        else None
-                    ),
-                    worst_final_rho=float(max(rhos)) if rhos else None,
-                    mean_start_instability=statistics.fmean(
-                        float(r["start_instability"]) for _, r in runs
-                    ),
-                    mean_final_quality=statistics.fmean(
-                        float(q) for q in qualities
-                    ),
-                    worst_final_quality=float(max(qualities)),
-                ),
-            )
+        stats = ConvergenceStats.from_runs(
+            Concept.parse(params["concept"]), [result for _, result in runs]
         )
+        out.append((params, stats))
     return out
 
 

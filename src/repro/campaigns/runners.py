@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Mapping
 
-from repro._rng import coerce_rng, derive_seed, trial_seed
+from repro._rng import coerce_rng, derive_seed
 from repro.campaigns.spec import (
     INT_AXES, CampaignSpec, Trial, check_fields, check_int,
 )
@@ -369,64 +369,24 @@ def run_ladder_classify(
 def run_dynamics_trial(
     params: Mapping[str, Any], base_seed: int
 ) -> dict[str, Any]:
-    """One seeded improving-move dynamics run from a random tree.
-
-    Mirrors one index of
-    :func:`repro.dynamics.convergence.convergence_study` exactly: the
-    per-run rng is ``coerce_rng(trial_seed(base_seed, index))`` (the
-    study's historical formula), the start tree is drawn first, then the
-    stability factor of the start is measured, then the dynamics run —
-    so a campaign over ``index: range(runs)`` aggregates to the very
-    same :class:`~repro.dynamics.convergence.ConvergenceStats`.
+    """One seeded improving-move dynamics run from a random tree: index
+    ``index`` of :func:`repro.dynamics.convergence.convergence_study`
+    (:func:`~repro.dynamics.convergence.convergence_run`), so a campaign
+    over ``index: range(runs)`` aggregates to the very same
+    :class:`~repro.dynamics.convergence.ConvergenceStats`.
 
     ``traffic`` / ``costmodel`` spec params run the weighted or
-    generalized game.  Every trial reports ``final_quality``
-    (:func:`repro.core.optimum.quality_ratio` — clique/star-relative,
-    == rho for uniform-linear) and ``final_social_cost``; ``final_rho``
-    is only present in the uniform-linear regime, where the closed-form
-    optimum applies.
+    generalized game.
     """
     from repro.core.costmodel import costmodel_from_spec
-    from repro.core.optimum import quality_ratio
-    from repro.core.state import GameState
     from repro.core.traffic import traffic_from_spec
-    from repro.dynamics.engine import run_dynamics
-    from repro.equilibria.approximate import stability_factor
-    from repro.graphs.generation import random_tree
+    from repro.dynamics.convergence import convergence_run
 
-    concept = _concept(params)
     n = params["n"]
-    index = params["index"]
-    max_rounds = params.get("max_rounds", 2000)
-    scheduler = scheduler_by_name(params.get("scheduler", "first"))
-    traffic = traffic_from_spec(params.get("traffic"), n)
-    cost_model = costmodel_from_spec(params.get("costmodel"), n)
-
-    rng = coerce_rng(trial_seed(base_seed, index))
-    start = random_tree(n, rng)
-    start_state = GameState(
-        start, params["alpha"], traffic=traffic, cost_model=cost_model
+    return convergence_run(
+        _concept(params), n, params["alpha"], base_seed, params["index"],
+        max_rounds=params.get("max_rounds", 2000),
+        scheduler=scheduler_by_name(params.get("scheduler", "first")),
+        traffic=traffic_from_spec(params.get("traffic"), n),
+        cost_model=costmodel_from_spec(params.get("costmodel"), n),
     )
-    instability = stability_factor(start_state, concept)
-    result = run_dynamics(
-        start,
-        params["alpha"],
-        concept,
-        scheduler=scheduler,
-        max_rounds=max_rounds,
-        rng=rng,
-        traffic=traffic,
-        cost_model=cost_model,
-    )
-    final = result.final
-    out = {
-        "converged": bool(result.converged),
-        "cycled": bool(result.cycled),
-        "rounds": int(result.rounds),
-        "final_social_cost": final.social_cost(),
-        "final_quality": quality_ratio(final),
-        "start_instability": instability,
-    }
-    if final.valuation.uniform_linear:
-        out["final_rho"] = final.rho()
-    return out

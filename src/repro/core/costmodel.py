@@ -57,7 +57,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro._alpha import big_m, fits_int64
-from repro.core.traffic import TrafficMatrix
+from repro.core.traffic import TrafficMatrix, _int_field
 
 __all__ = [
     "ConcaveCost",
@@ -232,10 +232,10 @@ class ConcaveCost(CostModel):
         )
         if not 0 < exponent <= 1:
             raise ValueError("a concave exponent must lie in (0, 1]")
-        if int(scale) < 1:
-            raise ValueError("scale must be a positive integer")
         self.exponent = exponent
-        self.scale = int(scale)
+        self.scale = _int_field("scale", scale)
+        if self.scale < 1:
+            raise ValueError("scale must be a positive integer")
 
     def table(self, n: int) -> np.ndarray:
         p, q = self.exponent.numerator, self.exponent.denominator
@@ -267,12 +267,12 @@ class ConvexCost(CostModel):
     kind = "convex"
 
     def __init__(self, exponent: int = 2, scale: int = 1):
-        if int(exponent) < 1:
+        self.exponent = _int_field("exponent", exponent)
+        self.scale = _int_field("scale", scale)
+        if self.exponent < 1:
             raise ValueError("a convex exponent must be an integer >= 1")
-        if int(scale) < 1:
+        if self.scale < 1:
             raise ValueError("scale must be a positive integer")
-        self.exponent = int(exponent)
-        self.scale = int(scale)
 
     def table(self, n: int) -> np.ndarray:
         # scale * top**exponent is at least 2**(s + exponent * t): decide
@@ -316,7 +316,9 @@ class TableCost(CostModel):
     kind = "table"
 
     def __init__(self, values: Sequence[int]):
-        self.values = _validate_table(_int64_table(list(values)))
+        self.values = _validate_table(
+            _int64_table([_int_field("values", value) for value in values])
+        )
 
     def table(self, n: int) -> np.ndarray:
         if self.values.size < n:

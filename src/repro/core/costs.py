@@ -71,21 +71,6 @@ def social_cost(state: GameState) -> Fraction:
     return state.social_cost()
 
 
-def dist_totals_after(
-    state: GameState, graph_after, agents: list[int]
-) -> dict[int, int]:
-    """Distance totals for several agents in a mutated graph (one BFS each).
-
-    Valued under the state's valuation, so a checker can never mix a
-    weighted or non-linear state with plain row sums.
-    """
-    result = {}
-    for agent in agents:
-        vector = single_source_distances(graph_after, agent, state.m_constant)
-        result[agent] = state.valuation.row_value(agent, vector)
-    return result
-
-
 def strictly_improves(
     state: GameState, graph_after, u: int
 ) -> bool:

@@ -44,6 +44,7 @@ demand mass, instead of skipping them.
 
 from __future__ import annotations
 
+from numbers import Integral, Real
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -75,6 +76,17 @@ def _exact_ints(values) -> np.ndarray:
             "demands must be integers within int64 (exact arithmetic)"
         ) from None
     return exact
+
+
+def _int_field(name: str, value) -> int:
+    """An integer spec field as an int: an integral float is taken
+    exactly, while a bool or a value with a fraction part raises
+    ``ValueError`` naming ``name`` instead of truncating."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name!r} takes integers only, got {value!r}")
 
 
 def _as_demand_array(values, n: int | None = None) -> np.ndarray:
@@ -183,7 +195,7 @@ class TrafficMatrix:
     ) -> "TrafficMatrix":
         """Hub-and-spoke demands: pairs touching a hub carry
         ``hub_demand``, spoke-to-spoke pairs carry ``spoke_demand``."""
-        hub_list = sorted({int(h) for h in hubs})
+        hub_list = sorted({_int_field("hubs", h) for h in hubs})
         for hub in hub_list:
             if not 0 <= hub < n:
                 raise ValueError(f"hub {hub} outside 0..{n - 1}")
@@ -213,9 +225,10 @@ class TrafficMatrix:
         one-to-many regime (spoke-to-spoke demand is zero, so e.g.
         dropping a leaf that serves no source can be improving).
         """
-        return cls.hub_spoke(n, sources, hub_demand=1, spoke_demand=0)._with_spec(
-            {"model": "broadcast", "sources": sorted({int(s) for s in sources})}
-        )
+        source_list = sorted({_int_field("sources", s) for s in sources})
+        return cls.hub_spoke(
+            n, source_list, hub_demand=1, spoke_demand=0
+        )._with_spec({"model": "broadcast", "sources": source_list})
 
     @classmethod
     def random_demands(
@@ -228,13 +241,20 @@ class TrafficMatrix:
         ``density < 1`` zeroes pairs independently (exercising the
         zero-demand regime).
         """
-        high = int(_exact_ints(high))
+        high = _int_field("high", high)
         if not fits_int64(high):
             raise ValueError(
                 f"random demand bound high={high} too large for exact "
                 "int64 arithmetic"
             )
-        rng = coerce_rng(int(seed))
+        if (
+            isinstance(density, bool)
+            or not isinstance(density, Real)
+            or not 0 <= density <= 1
+        ):
+            raise ValueError(f"density must lie in [0, 1], got {density!r}")
+        seed = _int_field("seed", seed)
+        rng = coerce_rng(seed)
         matrix = np.zeros((n, n), dtype=np.int64)
         for u in range(n):
             for v in range(u + 1, n):
@@ -248,7 +268,7 @@ class TrafficMatrix:
             matrix,
             spec={
                 "model": "random",
-                "seed": int(seed),
+                "seed": seed,
                 "high": high,
                 "density": float(density),
             },

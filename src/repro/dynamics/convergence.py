@@ -21,8 +21,7 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable
+from typing import Any, Callable, Mapping, Sequence
 
 import networkx as nx
 
@@ -36,7 +35,7 @@ from repro.core.traffic import TrafficMatrix
 from repro.dynamics.engine import run_dynamics
 from repro.dynamics.schedulers import Scheduler, first_improvement_scheduler
 
-__all__ = ["ConvergenceStats", "convergence_study"]
+__all__ = ["ConvergenceStats", "convergence_run", "convergence_study"]
 
 
 @dataclass(frozen=True)
@@ -56,9 +55,92 @@ class ConvergenceStats:
     mean_final_quality: float | None = None
     worst_final_quality: float | None = None
 
-    @property
-    def convergence_rate(self) -> float:
-        return self.converged / self.runs
+    @classmethod
+    def from_runs(
+        cls, concept: Concept, runs: Sequence[Mapping[str, Any]]
+    ) -> "ConvergenceStats":
+        """The aggregate of :func:`convergence_run` results, in index order.
+
+        ``final_rho`` is present only for uniform-linear runs; a record
+        without ``final_quality`` (written before that column existed,
+        uniform only, where the two are bit-identical) falls back to its
+        ``final_rho``.
+        """
+        rhos = [run["final_rho"] for run in runs if "final_rho" in run]
+        qualities = [
+            run.get("final_quality", run.get("final_rho")) for run in runs
+        ]
+        return cls(
+            concept=concept,
+            runs=len(runs),
+            converged=sum(run["converged"] for run in runs),
+            cycled=sum(run["cycled"] for run in runs),
+            mean_rounds=statistics.fmean(run["rounds"] for run in runs),
+            mean_final_rho=(
+                statistics.fmean(float(rho) for rho in rhos) if rhos else None
+            ),
+            worst_final_rho=float(max(rhos)) if rhos else None,
+            mean_start_instability=statistics.fmean(
+                float(run["start_instability"]) for run in runs
+            ),
+            mean_final_quality=statistics.fmean(float(q) for q in qualities),
+            worst_final_quality=float(max(qualities)),
+        )
+
+
+def convergence_run(
+    concept: Concept,
+    n: int,
+    alpha: AlphaLike,
+    seed: int,
+    index: int,
+    max_rounds: int = 2000,
+    scheduler: Scheduler = first_improvement_scheduler,
+    start_factory: Callable[[random.Random], nx.Graph] | None = None,
+    traffic: TrafficMatrix | None = None,
+    cost_model: CostModel | None = None,
+) -> dict[str, Any]:
+    """Run ``index`` of a seeded dynamics ensemble.
+
+    The per-run rng is ``coerce_rng(trial_seed(seed, index))``; the start
+    (a random tree unless ``start_factory`` draws another) is drawn
+    first, then the stability factor of the start is measured, then the
+    dynamics run.  The campaign ``dynamics`` runner returns this dict, so
+    a campaign over ``index: range(runs)`` aggregates to the very same
+    :class:`ConvergenceStats` as :func:`convergence_study`.
+
+    Every run reports ``final_quality``
+    (:func:`repro.core.optimum.quality_ratio`) and ``final_social_cost``;
+    ``final_rho`` only in the uniform-linear regime, where the
+    closed-form optimum applies.
+    """
+    # imported here to avoid the dynamics <-> equilibria package cycle
+    from repro.equilibria.approximate import stability_factor
+    from repro.graphs.generation import random_tree
+
+    rng = coerce_rng(trial_seed(seed, index))
+    start = start_factory(rng) if start_factory else random_tree(n, rng)
+    start_state = GameState(
+        start, alpha, traffic=traffic, cost_model=cost_model
+    )
+    instability = stability_factor(start_state, concept)
+    result = run_dynamics(
+        start, alpha, concept,
+        scheduler=scheduler, max_rounds=max_rounds, rng=rng,
+        traffic=traffic, cost_model=cost_model,
+    )
+    final = result.final
+    out = {
+        "converged": bool(result.converged),
+        "cycled": bool(result.cycled),
+        "rounds": int(result.rounds),
+        "final_social_cost": final.social_cost(),
+        "final_quality": quality_ratio(final),
+        "start_instability": instability,
+    }
+    if final.valuation.uniform_linear:
+        out["final_rho"] = final.rho()
+    return out
 
 
 def convergence_study(
@@ -80,51 +162,15 @@ def convergence_study(
     the rho fields are then ``None`` and the quality fields carry the
     clique/star-relative headline instead.
     """
-    # imported here to avoid the dynamics <-> equilibria package cycle
-    from repro.equilibria.approximate import stability_factor
-    from repro.graphs.generation import random_tree
-
-    if start_factory is None:
-        start_factory = lambda rng: random_tree(n, rng)  # noqa: E731
-    converged = 0
-    cycled = 0
-    rounds: list[int] = []
-    rhos: list[Fraction] = []
-    qualities: list[Fraction] = []
-    instabilities: list[float] = []
-    for index in range(runs):
-        # the shared per-run seed formula (repro._rng.trial_seed) keeps
-        # campaign-sharded dynamics trials bit-identical to this loop
-        rng = coerce_rng(trial_seed(seed, index))
-        start = start_factory(rng)
-        start_state = GameState(
-            start, alpha, traffic=traffic, cost_model=cost_model
-        )
-        instabilities.append(
-            float(stability_factor(start_state, concept))
-        )
-        result = run_dynamics(
-            start, alpha, concept,
-            scheduler=scheduler, max_rounds=max_rounds, rng=rng,
-            traffic=traffic, cost_model=cost_model,
-        )
-        converged += result.converged
-        cycled += result.cycled
-        rounds.append(result.rounds)
-        qualities.append(quality_ratio(result.final))
-        if result.final.valuation.uniform_linear:
-            rhos.append(result.final.rho())
-    return ConvergenceStats(
-        concept=concept,
-        runs=runs,
-        converged=converged,
-        cycled=cycled,
-        mean_rounds=statistics.fmean(rounds),
-        mean_final_rho=(
-            statistics.fmean(float(r) for r in rhos) if rhos else None
-        ),
-        worst_final_rho=float(max(rhos)) if rhos else None,
-        mean_start_instability=statistics.fmean(instabilities),
-        mean_final_quality=statistics.fmean(float(q) for q in qualities),
-        worst_final_quality=float(max(qualities)),
+    return ConvergenceStats.from_runs(
+        concept,
+        [
+            convergence_run(
+                concept, n, alpha, seed, index,
+                max_rounds=max_rounds, scheduler=scheduler,
+                start_factory=start_factory,
+                traffic=traffic, cost_model=cost_model,
+            )
+            for index in range(runs)
+        ],
     )

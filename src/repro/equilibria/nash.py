@@ -67,10 +67,6 @@ class EdgeAssignment:
             if who == agent
         )
 
-    def owned_by_others(self, agent: int) -> list[tuple[int, int]]:
-        """Edges that persist regardless of ``agent``'s strategy."""
-        return [edge for edge, who in self.owner.items() if who != agent]
-
 
 def _kept_neighbors(assignment: EdgeAssignment, agent: int) -> frozenset[int]:
     """Neighbors of ``agent`` whose edge persists under any deviation

@@ -50,7 +50,7 @@ def removal_loss(state: GameState, actor: int, other: int) -> int:
     """Distance-cost (row value) increase for ``actor`` when edge
     ``actor-other`` goes."""
     value = state.valuation.row_value
-    after = state.dist.row_after_remove(actor, other)
+    after = state.dist.rows_after_remove_from(actor, other, (actor,))[0]
     return value(actor, after) - value(actor, state.dist.row(actor))
 
 

@@ -4,12 +4,9 @@ from repro.graphs.bridges import BridgeSet, component_bridges
 from repro.graphs.distances import (
     DistanceMatrix,
     UndoToken,
-    added_edge_dist_gain,
     adjacency_bool,
     apsp_matrix,
     component_labels,
-    dist_vector_after_add,
-    removed_edge_dist_vector,
 )
 from repro.graphs.trees import RootedTree, one_medians, tree_split_masks
 from repro.graphs.canonical import (
@@ -40,7 +37,6 @@ __all__ = [
     "DistanceMatrix",
     "RootedTree",
     "UndoToken",
-    "added_edge_dist_gain",
     "adjacency_bool",
     "all_connected_graphs",
     "all_trees",
@@ -53,7 +49,6 @@ __all__ = [
     "component_labels",
     "connected_graph_layer",
     "decode_key",
-    "dist_vector_after_add",
     "enumerate_connected_graphs",
     "enumerate_labelled_trees",
     "enumerate_trees",
@@ -62,7 +57,6 @@ __all__ = [
     "one_medians",
     "random_connected_gnp",
     "random_tree",
-    "removed_edge_dist_vector",
     "tree_layer_keys",
     "tree_split_masks",
 ]

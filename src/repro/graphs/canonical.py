@@ -30,11 +30,12 @@ n <= 10 graphs the exact sweeps enumerate:
    subtrees and are branched once (this collapses cliques, stars and
    complete multipartite cells to a single branch).
 
-Keys are **memoised** per graph content (:func:`canonical_key` — the
-sweeps ask for the same family repeatedly); :func:`canonical_cache_info`
-exposes hit/miss counters in the spy idiom of the engine modules, and
-:func:`key_of_masks` is the cache-free core the layered enumerator feeds
-adjacency bitmasks directly.
+Keys are **memoised** per labelled input together with the labelling
+the same search found (:func:`canonical_key` and
+:func:`canonical_labelling` read one entry, so an input is searched
+once); :func:`canonical_cache_info` exposes hit/miss counters in the spy
+idiom of the engine modules, and :func:`key_of_masks` is the cache-free
+core the layered enumerator feeds adjacency bitmasks directly.
 
 Key format (``bytes``): ``[n]`` + the upper-triangle adjacency bits of
 the canonical labelling packed big-endian; weighted keys append the
@@ -67,18 +68,19 @@ _MAX_KEY_NODES = 255  # one header byte; the sweeps live at n <= 10
 
 # -- memoisation (spy-counted, like the engine's rebuild counters) -----------
 
+#: labelled input ``(n, masks, demands)`` -> ``(key, sigma)``
 _CACHE: dict = {}
 _CACHE_MAX = 1 << 16
 _HITS = _obs.counter(
-    "repro_canonical_cache_hits_total", "canonical-key memo hits"
+    "repro_canonical_cache_hits_total", "canonical-form memo hits"
 )
 _MISSES = _obs.counter(
-    "repro_canonical_cache_misses_total", "canonical-key memo misses"
+    "repro_canonical_cache_misses_total", "canonical-form memo misses"
 )
 
 
 def canonical_cache_info() -> tuple[int, int, int]:
-    """``(hits, misses, size)`` of the canonical-key memo."""
+    """``(hits, misses, size)`` of the canonical-form memo."""
     return _HITS.value, _MISSES.value, len(_CACHE)
 
 
@@ -252,7 +254,7 @@ def _minimise(
 ) -> tuple[tuple, list[int]]:
     """The lexicographically minimal candidate and its discrete colouring.
 
-    Shared core of :func:`key_of_masks` and :func:`canonical_labelling`:
+    Shared core of :func:`key_of_masks` and the canonical-form memo:
     returns ``(candidate, colors)`` where ``colors[u]`` is vertex ``u``'s
     canonical position in the winning labelling.
     """
@@ -301,14 +303,9 @@ def _serialise(n: int, candidate, weighted: bool) -> bytes:
     return key
 
 
-def canonical_key(graph: nx.Graph, traffic=None) -> bytes:
-    """Memoised canonical key of ``graph`` (jointly with ``traffic``).
-
-    ``traffic`` may be a :class:`repro.core.traffic.TrafficMatrix`, a raw
-    square matrix, or ``None`` for the purely structural key.  Two calls
-    return equal keys **iff** the (graph, demands) structures are
-    isomorphic under a common relabelling.
-    """
+def _canonical_form(graph: nx.Graph, traffic) -> tuple[bytes, tuple[int, ...]]:
+    """``(key, sigma)`` of one labelled input, memoised on its adjacency
+    masks and demands: one search per distinct input."""
     n = graph.number_of_nodes()
     adj = masks_of_graph(graph)
     weights = None
@@ -325,11 +322,23 @@ def canonical_key(graph: nx.Graph, traffic=None) -> bytes:
         _HITS.inc()
         return cached
     _MISSES.inc()
-    key = key_of_masks(n, adj, weights)
+    best, colors = _minimise(n, adj, weights)
+    form = (_serialise(n, best, weights is not None), tuple(colors))
     if len(_CACHE) >= _CACHE_MAX:
         _CACHE.clear()
-    _CACHE[memo] = key
-    return key
+    _CACHE[memo] = form
+    return form
+
+
+def canonical_key(graph: nx.Graph, traffic=None) -> bytes:
+    """Memoised canonical key of ``graph`` (jointly with ``traffic``).
+
+    ``traffic`` may be a :class:`repro.core.traffic.TrafficMatrix`, a raw
+    square matrix, or ``None`` for the purely structural key.  Two calls
+    return equal keys **iff** the (graph, demands) structures are
+    isomorphic under a common relabelling.
+    """
+    return _canonical_form(graph, traffic)[0]
 
 
 def canonical_graph(graph: nx.Graph, traffic=None) -> nx.Graph:
@@ -355,18 +364,7 @@ def canonical_labelling(graph: nx.Graph, traffic=None) -> tuple[int, ...]:
     class: map the query through ``sigma``, answer on the canonical
     instance, and map the answer back through ``sigma``'s inverse.
     """
-    n = graph.number_of_nodes()
-    adj = masks_of_graph(graph)
-    weights = None
-    if traffic is not None:
-        weights = _weights_tuple(getattr(traffic, "weights", traffic))
-        if len(weights) != n:
-            raise ValueError(
-                f"demand matrix is {len(weights)}x{len(weights)}, "
-                f"graph has {n} nodes"
-            )
-    _, colors = _minimise(n, adj, weights)
-    return tuple(colors)
+    return _canonical_form(graph, traffic)[1]
 
 
 def decode_key(key: bytes) -> tuple[nx.Graph, np.ndarray | None]:

@@ -115,10 +115,7 @@ __all__ = [
     "adjacency_bool",
     "adjacency_csr",
     "apsp_matrix",
-    "added_edge_dist_gain",
     "component_labels",
-    "dist_vector_after_add",
-    "removed_edge_dist_vector",
     "single_source_distances",
 ]
 
@@ -309,37 +306,6 @@ def component_labels(graph: nx.Graph) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def dist_vector_after_add(dist: np.ndarray, u: int, v: int) -> np.ndarray:
-    """Distances from ``u`` after adding edge ``uv``: ``min(d_u, 1 + d_v)``."""
-    return np.minimum(dist[u], 1 + dist[v])
-
-
-def added_edge_dist_gain(dist: np.ndarray, u: int, v: int) -> int:
-    """Strict decrease of ``dist(u)`` caused by adding edge ``uv``.
-
-    Always non-negative.  The symmetric gain for ``v`` is obtained by
-    swapping the arguments.
-    """
-    improvement = dist[u] - (1 + dist[v])
-    return int(improvement[improvement > 0].sum())
-
-
-def removed_edge_dist_vector(
-    graph: nx.Graph, u: int, v: int, unreachable: int
-) -> np.ndarray:
-    """Distances from ``u`` after removing edge ``uv`` (one fresh BFS).
-
-    The graph is restored before returning.
-    """
-    if not graph.has_edge(u, v):
-        raise ValueError(f"edge {u}-{v} not in graph")
-    graph.remove_edge(u, v)
-    try:
-        return single_source_distances(graph, u, unreachable)
-    finally:
-        graph.add_edge(u, v)
-
-
 @dataclass(frozen=True)
 class _RowPatch:
     """Old values of a set of matrix rows (columns follow by symmetry)."""
@@ -384,6 +350,9 @@ class DistanceMatrix:
     ``matrix_after_remove`` (from the matrix alone)
     and ``rows_after_remove_from`` (the same patch, or BFS with the edge
     masked out of the traversal for the rows of ``u`` and ``v`` alone).
+    They answer distances only; what a move is worth to an agent is read
+    through the game's valuation (:func:`repro.equilibria.add.add_gain`,
+    :func:`repro.equilibria.remove.removal_loss`, :mod:`repro.core.batch`).
 
     ``unreachable`` must be at least ``n`` (so it exceeds every real
     distance) and satisfy ``fits_int64`` (headroom for ``2M + 1`` in the
@@ -453,10 +422,6 @@ class DistanceMatrix:
         return int(self.matrix.max())
 
     # -- speculative queries (matrix untouched) -----------------------------
-
-    def add_gain(self, u: int, v: int) -> int:
-        """Distance-cost gain for ``u`` when edge ``uv`` is added."""
-        return added_edge_dist_gain(self.matrix, u, v)
 
     def _bridge_sides(self, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
         """Side masks of bridge ``uv``'s cut, read off the cached matrix.
@@ -583,16 +548,6 @@ class DistanceMatrix:
             self._csr_without(u, v), sources, self.unreachable
         )
 
-    def rows_after_remove(self, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of ``u`` and ``v`` in ``G - uv`` (bridge read or one BFS
-        from each endpoint; see :meth:`rows_after_remove_from`)."""
-        rows = self.rows_after_remove_from(u, v, (u, v))
-        return rows[0], rows[1]
-
-    def row_after_remove(self, u: int, v: int) -> np.ndarray:
-        """Distances from ``u`` after removing edge ``uv``."""
-        return self.rows_after_remove_from(u, v, (u,))[0]
-
     def matrix_after_remove(self, u: int, v: int) -> np.ndarray:
         """Full APSP matrix of ``G - uv`` as a fresh array: the cached
         matrix with the patch of :meth:`_removal_rows` written as rows and
@@ -606,11 +561,6 @@ class DistanceMatrix:
         removed[rows] = new
         removed[:, rows] = new.T
         return removed
-
-    def remove_loss(self, u: int, v: int) -> int:
-        """Distance-cost increase for ``u`` when edge ``uv`` is removed."""
-        after = self.row_after_remove(u, v)
-        return int((after - self.matrix[u]).sum())
 
     # -- cached CSR adjacency ----------------------------------------------
 

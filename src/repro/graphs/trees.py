@@ -16,7 +16,7 @@ BFS (see :func:`tree_split_masks`).
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import networkx as nx
 import numpy as np
@@ -139,13 +139,6 @@ class RootedTree:
             stack.extend(self._children[current])
         return result
 
-    def subtree_mask(self, node: int) -> np.ndarray:
-        """Boolean membership vector of ``T_node`` (nodes must be 0..n-1)."""
-        mask = np.zeros(self.n, dtype=bool)
-        for member in self.subtree_nodes(node):
-            mask[member] = True
-        return mask
-
     def subtree_depth(self, node: int) -> int:
         """``depth(T_node) = max {dist(node, v) : v in T_node}``."""
         base = self.layer[node]
@@ -156,18 +149,6 @@ class RootedTree:
         members = self.subtree_nodes(node)
         subtree = self.graph.subgraph(members).copy()
         return one_medians(subtree)
-
-    def path_to_root(self, node: int) -> list[int]:
-        """``node, parent(node), ..., root``."""
-        path = [node]
-        while (above := self._parent[path[-1]]) is not None:
-            path.append(above)
-        return path
-
-    def iter_edges_oriented(self) -> Iterator[tuple[int, int]]:
-        """Tree edges as ``(parent, child)`` pairs."""
-        for node in self.order[1:]:
-            yield self._parent[node], node
 
 
 def tree_split_masks(

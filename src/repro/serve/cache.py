@@ -1,15 +1,18 @@
 """Warm-engine registry: LRU over canonical instance keys, byte-budgeted.
 
 One *instance* of the service's query surface is ``(graph, W, alpha,
-cost_model)``.  Its cache identity is the BLAKE2b digest of the PR-8
-joint canonical key (:func:`repro.graphs.canonical.canonical_key` —
+cost_model)``.  Its cache identity is the BLAKE2b digest of the joint
+canonical key (:func:`repro.graphs.canonical.canonical_key` —
 isomorphism-invariant over the labelled weighted pair) plus the exact
 ``alpha`` and the cost-model spec, so two requests about relabelled
 copies of the same instance share a single cached engine (the
 materialised :class:`~repro.core.state.GameState` with its incremental
 :class:`~repro.graphs.distances.DistanceMatrix`): the expensive APSP
 build and bridge set are paid once per isomorphism class, not once per
-request.
+request.  An entry holds the canonical state only; each request brings
+its own labelling onto it (:class:`repro.serve.service.ServeApp` parses
+it with the digest, from the canonical-form memo of
+:mod:`repro.graphs.canonical`).
 
 Eviction is least-recently-used under a byte budget (the dominant term
 is the ``n x n`` int64 distance matrix; the estimate below charges the
@@ -73,9 +76,6 @@ class CachedEngine:
 
     digest: str
     state: GameState  # canonically labelled (graph and demand matrix)
-    # labelling memo: request fingerprint -> (sigma, sigma inverse), so a
-    # repeated representative pays the individualisation search once
-    sigma_cache: dict = field(default_factory=dict)
     # engine queries mutate the shared distance matrix speculatively;
     # concurrent requests on one entry serialise here
     lock: threading.RLock = field(default_factory=threading.RLock)

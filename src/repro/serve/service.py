@@ -29,12 +29,14 @@ names it, so a misspelt ``traffic`` or ``concept`` is never answered
 for the default game.
 
 Label discipline: every graph query is mapped onto its canonical
-representative before touching an engine.  The request's labelling
-``sigma`` (:func:`repro.graphs.canonical.canonical_labelling`) carries
-agent ids and moves into canonical space; answers travel back through
-``sigma``'s inverse.  Engines are therefore shared across *isomorphic*
-requests, while responses — which speak the requester's labels — are
-cached per (instance, labelling, parameters) fingerprint.
+representative before touching an engine.  Parsing a request finds, in
+one canonical search, the engine digest and the request's labelling
+``sigma`` (:func:`repro.graphs.canonical.canonical_labelling`), which
+carries agent ids and moves into canonical space; answers travel back
+through ``sigma``'s inverse.  Engines are therefore shared across
+*isomorphic* requests, while responses — which speak the requester's
+labels — are cached per (endpoint, digest, ``sigma``, parameters), which
+fixes the labelled request.
 
 Everything here is synchronous and transport-free; the HTTP layer
 (:mod:`repro.serve.http`) calls :meth:`ServeApp.handle` on one thread
@@ -129,11 +131,12 @@ def _endpoint(name: str, fields: str = "") -> Callable:
 
 
 class _Instance:
-    """One parsed graph query: the game plus its canonical identity."""
+    """One parsed graph query: the game, its canonical identity and its
+    labelling ``sigma`` (with the inverse ``inv``) onto that instance."""
 
     __slots__ = (
         "graph", "n", "alpha", "traffic", "cost_model",
-        "digest", "fingerprint",
+        "digest", "sigma", "inv",
     )
 
     def __init__(self, payload: Mapping[str, Any]):
@@ -196,35 +199,16 @@ class _Instance:
             sort_keys=True,
             separators=(",", ":"),
         ).encode()
-        # isomorphism-invariant engine identity ...
+        # one search: the labelling, then the key from the same memo entry
+        self.sigma = canonical_labelling(self.graph, self.traffic)
+        self.inv = [0] * n
+        for u, c in enumerate(self.sigma):
+            self.inv[c] = u
+        # isomorphism-invariant engine identity
         self.digest = blake2b(
             canonical_key(self.graph, self.traffic) + b"\x00" + regime,
             digest_size=16,
         ).hexdigest()
-        # ... and the labelled request identity (for sigma memoisation and
-        # the response cache, whose answers speak these labels)
-        weights = (
-            self.traffic.weights.tobytes()
-            if self.traffic is not None
-            else b""
-        )
-        self.fingerprint = blake2b(
-            repr(sorted(pairs)).encode() + b"\x00" + weights + b"\x00" + regime,
-            digest_size=16,
-        ).hexdigest()
-
-
-#: a request's canonical labelling ``sigma`` and its inverse
-_Labelling = tuple[tuple[int, ...], list[int]]
-
-
-def _labelling_of(inst: _Instance) -> _Labelling:
-    """The request's canonical labelling ``sigma`` and its inverse."""
-    sigma = canonical_labelling(inst.graph, inst.traffic)
-    inv = [0] * inst.n
-    for u, c in enumerate(sigma):
-        inv[c] = u
-    return sigma, inv
 
 
 def _move_payload(move: Any, inv: list[int]) -> dict[str, Any]:
@@ -366,57 +350,37 @@ class ServeApp:
             entry = self.engines.get(inst.digest)
         if entry is not None:
             return entry
-        state, labelling = self._build_state(inst)
+        state = self._build_state(inst)
         with self._lock:
             # a racing thread may have inserted meanwhile; keep its entry
-            # (and its sigma memo) rather than replacing a warm engine
+            # rather than replacing a warm engine
             current = self.engines._entries.get(inst.digest)
             if current is not None:
                 return current
-            entry = self.engines.put(inst.digest, state)
-            # no other thread sees the entry before the lock is released
-            entry.sigma_cache[inst.fingerprint] = labelling
-            return entry
+            return self.engines.put(inst.digest, state)
 
-    def _build_state(self, inst: _Instance) -> tuple[GameState, _Labelling]:
-        """Materialise the canonical engine for one instance (cold path),
-        with the request's labelling ``(sigma, inverse)`` it was built by."""
+    def _build_state(self, inst: _Instance) -> GameState:
+        """Materialise the canonical engine for one instance (cold path)."""
         _ENGINE_BUILDS.inc()
         with _trace.span(
             "serve.engine_build", digest=inst.digest, n=inst.n
         ):
-            return self._build_state_inner(inst)
-
-    def _build_state_inner(
-        self, inst: _Instance
-    ) -> tuple[GameState, _Labelling]:
-        sigma, inv = _labelling_of(inst)
-        relabelled = nx.empty_graph(inst.n)
-        relabelled.add_edges_from(
-            (sigma[u], sigma[v]) for u, v in inst.graph.edges
-        )
-        traffic = None
-        if inst.traffic is not None:
-            traffic = TrafficMatrix(
-                inst.traffic.weights[np.ix_(inv, inv)]
+            sigma = inst.sigma
+            relabelled = nx.empty_graph(inst.n)
+            relabelled.add_edges_from(
+                (sigma[u], sigma[v]) for u, v in inst.graph.edges
             )
-        state = GameState(
-            relabelled, inst.alpha, traffic=traffic,
-            cost_model=inst.cost_model,
-        )
-        state.dist.matrix  # materialise the APSP while we are cold
-        return state, (sigma, inv)
-
-    def _labelling(self, entry: CachedEngine, inst: _Instance) -> _Labelling:
-        """(sigma, inverse) for this request's labels, memoised per engine."""
-        memo = entry.sigma_cache.get(inst.fingerprint)
-        if memo is not None:
-            return memo
-        sigma, inv = _labelling_of(inst)
-        if len(entry.sigma_cache) >= 64:
-            entry.sigma_cache.pop(next(iter(entry.sigma_cache)))
-        entry.sigma_cache[inst.fingerprint] = (sigma, inv)
-        return sigma, inv
+            traffic = None
+            if inst.traffic is not None:
+                traffic = TrafficMatrix(
+                    inst.traffic.weights[np.ix_(inst.inv, inst.inv)]
+                )
+            state = GameState(
+                relabelled, inst.alpha, traffic=traffic,
+                cost_model=inst.cost_model,
+            )
+            state.dist.matrix  # materialise the APSP while we are cold
+            return state
 
     # -- response cache ------------------------------------------------------
 
@@ -424,7 +388,7 @@ class ServeApp:
         self, endpoint: str, inst: _Instance, params: Mapping[str, Any]
     ) -> str:
         tail = json.dumps(dict(params), sort_keys=True, separators=(",", ":"))
-        return f"{endpoint}|{inst.fingerprint}|{tail}"
+        return f"{endpoint}|{inst.digest}|{inst.sigma}|{tail}"
 
     @staticmethod
     def _raw_key(endpoint: str, payload: Mapping[str, Any]) -> str:
@@ -492,7 +456,6 @@ class ServeApp:
             return cached
         entry = self._engine_for(inst)
         with entry.lock:
-            sigma, inv = self._labelling(entry, inst)
             reports = classify_full_ladder(
                 entry.state,
                 max_coalition_size=max_coalition,
@@ -506,7 +469,7 @@ class ServeApp:
                 "exhaustive": report.exhaustive,
                 "note": report.note,
                 "certificate": (
-                    _move_payload(report.certificate, inv)
+                    _move_payload(report.certificate, inst.inv)
                     if report.certificate is not None
                     else None
                 ),
@@ -559,8 +522,7 @@ class ServeApp:
             return cached
         entry = self._engine_for(inst)
         with entry.lock:
-            sigma, inv = self._labelling(entry, inst)
-            actor = sigma[agent]
+            actor = inst.sigma[agent]
             # the actor-filtered argmin of the priced pool: the actor's
             # own cost delta, first best in pool order
             pool = 0
@@ -576,7 +538,7 @@ class ServeApp:
             "engine": inst.digest,
             "pool": pool,
             "best_responding": best is None,
-            "move": _move_payload(best, inv) if best is not None else None,
+            "move": _move_payload(best, inst.inv) if best is not None else None,
             "cost_delta": str(best_delta) if best_delta is not None else None,
             "cached": False,
         }

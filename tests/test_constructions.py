@@ -27,6 +27,7 @@ from repro.constructions.stretched import (
     stretched_tree_star,
 )
 from repro.core.state import GameState
+from repro.equilibria.add import add_gain
 from repro.equilibria.pairwise import is_pairwise_stable
 from repro.graphs.trees import RootedTree, is_tree
 
@@ -89,7 +90,7 @@ class TestSpiders:
             state = GameState(graph, 1)
             tip_a = leg_length  # last node of leg 0
             tip_b = 2 * leg_length
-            gain = state.dist.add_gain(tip_a, tip_b)
+            gain = add_gain(state, tip_a, tip_b)
             assert gain == tip_to_tip_gain(leg_length)
 
     @pytest.mark.parametrize("alpha", [4, 9, 25, 100, 400])

@@ -574,7 +574,7 @@ class TestBridgeSpies:
         assert meter("repro_engine_remove_bfs_repairs_total") == repairs + 1
 
     def test_speculative_bridge_queries_run_no_bfs(self, monkeypatch):
-        """rows_after_remove & friends on a bridge are pure matrix reads."""
+        """Removal queries on a bridge are pure matrix reads."""
         graph = clique(4)
         graph.add_edges_from([(3, 4), (4, 5)])
         dm = DistanceMatrix(graph, UNREACHABLE)
@@ -589,12 +589,8 @@ class TestBridgeSpies:
 
         monkeypatch.setattr(distances_mod, "_bfs_row_py", boom)
         monkeypatch.setattr(distances_mod, "_rows_from_csr", boom)
-        row_u, row_v = dm.rows_after_remove(3, 4)
+        row_u, row_v = dm.rows_after_remove_from(3, 4, (3, 4))
         assert (row_u == fresh[3]).all() and (row_v == fresh[4]).all()
-        assert (dm.remove_loss(3, 4), dm.remove_loss(4, 3)) == (
-            int((fresh[3] - dm.matrix[3]).sum()),
-            int((fresh[4] - dm.matrix[4]).sum()),
-        )
         assert (dm.matrix_after_remove(3, 4) == fresh).all()
 
 
@@ -750,7 +746,8 @@ class TestAffectedSourceFilter:
                 assert (dm.matrix_after_remove(u, v) == fresh).all()
                 assert bfs_sources == []
                 # endpoint-only requests stay one or two plain BFS
-                assert (dm.row_after_remove(u, v) == fresh[u]).all()
+                row_u = dm.rows_after_remove_from(u, v, (u,))[0]
+                assert (row_u == fresh[u]).all()
                 assert bfs_sources == [u]
                 bfs_sources.clear()
                 pair = dm.rows_after_remove_from(u, v, (v, u, v))
@@ -963,7 +960,7 @@ class TestDispatchArmsAgree:
                 trace.append(dm.matrix.copy())
             # speculative queries exercise both query arms too
             edge = next(e for e in work.edges if not dm.is_bridge(*e))
-            trace.append(np.stack(dm.rows_after_remove(*edge)))
+            trace.append(dm.rows_after_remove_from(*edge, edge))
             trace.append(dm.rows_after_remove_from(*edge, range(n)))
             results[arm] = trace
         for arm in ("scipy", "default"):

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.costmodel import UNIFORM_LINEAR
+from repro.core.state import GameState
+from repro.equilibria.add import add_gain
+from repro.equilibria.remove import removal_loss
 from repro.graphs.distances import (
     DistanceMatrix,
-    added_edge_dist_gain,
     apsp_matrix,
     canonical_labels,
     component_labels,
-    dist_vector_after_add,
-    removed_edge_dist_vector,
     single_source_distances,
 )
 from repro.graphs.generation import random_connected_gnp
@@ -156,8 +156,9 @@ class TestIncrementalAdd:
     @given(connected_graphs())
     @settings(max_examples=40, deadline=None)
     def test_add_identity_is_exact(self, graph):
-        """min(d_u, 1 + d_v) equals a fresh BFS after adding uv."""
-        dist = apsp_matrix(graph, UNREACHABLE)
+        """apply_add's row min(d_u, 1 + d_v) equals a fresh BFS after
+        adding uv."""
+        dm = DistanceMatrix(graph.copy(), UNREACHABLE)
         non_edges = [
             (u, v)
             for u in graph
@@ -165,16 +166,18 @@ class TestIncrementalAdd:
             if u < v and not graph.has_edge(u, v)
         ]
         for u, v in non_edges[:5]:
-            predicted = dist_vector_after_add(dist, u, v)
+            token = dm.apply_add(u, v)
             mutated = graph.copy()
             mutated.add_edge(u, v)
             actual = single_source_distances(mutated, u, UNREACHABLE)
-            assert (predicted == actual).all()
+            assert (dm.row(u) == actual).all()
+            dm.undo(token)
 
     @given(connected_graphs())
     @settings(max_examples=30, deadline=None)
     def test_gain_matches_recomputation(self, graph):
-        dist = apsp_matrix(graph, UNREACHABLE)
+        state = GameState(graph, 1)
+        dist = state.dist_matrix
         non_edges = [
             (u, v)
             for u in graph
@@ -186,29 +189,31 @@ class TestIncrementalAdd:
             mutated.add_edge(u, v)
             recomputed = single_source_distances(mutated, u, UNREACHABLE)
             expected = int(dist[u].sum() - recomputed.sum())
-            assert added_edge_dist_gain(dist, u, v) == expected
+            assert add_gain(state, u, v) == expected
 
     def test_gain_nonnegative(self):
-        dist = apsp_matrix(nx.path_graph(6), UNREACHABLE)
-        assert added_edge_dist_gain(dist, 0, 5) > 0
-        assert added_edge_dist_gain(dist, 0, 2) >= 0
+        state = GameState(nx.path_graph(6), 1)
+        assert add_gain(state, 0, 5) > 0
+        assert add_gain(state, 0, 2) >= 0
 
 
 class TestRemoval:
     @given(connected_graphs())
     @settings(max_examples=30, deadline=None)
     def test_removal_vector_matches_recomputation(self, graph):
+        dm = DistanceMatrix(graph, UNREACHABLE)
         for u, v in list(graph.edges)[:5]:
-            predicted = removed_edge_dist_vector(graph, u, v, UNREACHABLE)
+            predicted = dm.rows_after_remove_from(u, v, (u,))[0]
             mutated = graph.copy()
             mutated.remove_edge(u, v)
             actual = single_source_distances(mutated, u, UNREACHABLE)
             assert (predicted == actual).all()
-            assert graph.has_edge(u, v)  # graph restored
+            assert graph.has_edge(u, v)  # graph untouched
 
     def test_missing_edge_rejected(self):
+        dm = DistanceMatrix(nx.path_graph(3), UNREACHABLE)
         with pytest.raises(ValueError):
-            removed_edge_dist_vector(nx.path_graph(3), 0, 2, UNREACHABLE)
+            dm.rows_after_remove_from(0, 2, (0,))
 
 
 class TestDistanceMatrixClass:
@@ -219,14 +224,14 @@ class TestDistanceMatrixClass:
         assert dm.eccentricity(1) == 2
 
     def test_remove_loss_on_cycle(self):
-        dm = DistanceMatrix(nx.cycle_graph(5), UNREACHABLE)
+        state = GameState(nx.cycle_graph(5), 1)
         # breaking one edge turns the 5-cycle into a path: 6 -> 10
-        assert dm.remove_loss(0, 1) == 4
+        assert removal_loss(state, 0, 1) == 4
 
     def test_add_gain_on_path_ends(self):
-        dm = DistanceMatrix(nx.path_graph(5), UNREACHABLE)
+        state = GameState(nx.path_graph(5), 1)
         # closing the path into a cycle: dist(0) drops from 10 to 6
-        assert dm.add_gain(0, 4) == 4
+        assert add_gain(state, 0, 4) == 4
 
 
 class TestComponents:

@@ -8,6 +8,7 @@ import pytest
 from repro.core.concepts import Concept
 from repro.core.state import GameState
 from repro.equilibria.add import (
+    add_gain,
     find_improving_bilateral_add,
     is_bilateral_add_equilibrium,
 )
@@ -70,7 +71,7 @@ class TestExtremePrices:
         """At alpha exactly equal to a gain, strictness blocks the move."""
         # path ends of P6: each gains exactly 2+... compute: adding 0-5
         state = GameState(nx.path_graph(6), 1)
-        gain = state.dist.add_gain(0, 5)
+        gain = add_gain(state, 0, 5)
         boundary = GameState(nx.path_graph(6), gain)
         assert is_bilateral_add_equilibrium(boundary)
         below = GameState(nx.path_graph(6), Fraction(gain) - Fraction(1, 2))

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.state import GameState
 from repro.equilibria.add import (
+    add_gain,
     find_improving_bilateral_add,
     find_improving_unilateral_add,
     is_bilateral_add_equilibrium,
@@ -138,8 +139,8 @@ class TestUnilateralAddEquilibrium:
         move = find_improving_unilateral_add(state)
         assert move is not None
         gain = max(
-            state.dist.add_gain(move.u, move.v),
-            state.dist.add_gain(move.v, move.u),
+            add_gain(state, move.u, move.v),
+            add_gain(state, move.v, move.u),
         )
         assert gain > state.alpha
 

@@ -16,6 +16,7 @@ from repro.core.costs import all_strictly_improve
 from repro.core.moves import NeighborhoodMove
 from repro.core.state import GameState
 from repro.equilibria.add import (
+    add_gain,
     is_bilateral_add_equilibrium,
     is_unilateral_add_equilibrium,
 )
@@ -192,12 +193,12 @@ class TestFigure8:
 
     def test_a1_buys_towards_hub(self, fig, state):
         """a1's solo gain from the edge to d dwarfs alpha."""
-        gain = state.dist.add_gain(fig.node("a1"), fig.node("d"))
+        gain = add_gain(state, fig.node("a1"), fig.node("d"))
         assert gain > state.alpha
 
     def test_d_would_not_reciprocate(self, fig, state):
         """d's own gain from that edge stays below alpha (paper: 'connecting
         to a only reduces its distance cost by 2')."""
-        gain = state.dist.add_gain(fig.node("d"), fig.node("a1"))
+        gain = add_gain(state, fig.node("d"), fig.node("a1"))
         assert gain == 2
         assert gain < state.alpha

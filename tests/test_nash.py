@@ -44,10 +44,6 @@ class TestEdgeAssignment:
         with pytest.raises(ValueError):
             bad.validate(graph)
 
-    def test_owned_by_others(self):
-        assignment = EdgeAssignment.from_pairs([(0, 1), (2, 1)])
-        assert assignment.owned_by_others(0) == [(1, 2)]
-
 
 class TestStrategyCost:
     def test_current_strategy_reproduces_graph_cost(self):

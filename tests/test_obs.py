@@ -27,6 +27,9 @@ from __future__ import annotations
 import http.client
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -283,6 +286,22 @@ class TestBenchmarkSeries:
         registered = set(metrics.REGISTRY.snapshot())
         registered |= set(ServeApp().registry.snapshot())
         assert [name for name in series if name not in registered] == []
+
+    def test_every_name_the_tracer_wraps_exists(self):
+        """perfbench's traced runs look their wrap points up with
+        ``getattr``, so a deleted or renamed one would crash every traced
+        workload; install them all in a fresh interpreter."""
+        root = Path(__file__).parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), str(root / "perfbench")]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import tracing; tracing.install(tracing.Tracer())"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 # -- trace spans -------------------------------------------------------------

@@ -11,9 +11,11 @@ The load-bearing guarantees under test:
 * ``best_response`` prices moves with the speculative kernel (an exact
   hand-checked delta) and reports ``best_responding`` consistently with
   ``classify``'s stable verdicts;
-* the response cache serves byte-identical repeats; ``cache_bytes=0``
-  disables every cache (the benchmark's cold arm); a tiny byte budget
-  evicts LRU engines;
+* a request runs at most one canonical search; the response cache
+  serves byte-identical repeats and respellings of one labelled
+  request; ``cache_bytes=0`` disables every cache (the benchmark's cold
+  arm); a tiny byte budget evicts LRU engines;
+* regime specs refuse integer fields they would truncate (400);
 * ``poa`` resolves exact and layered (``m``-aggregated) cells against
   materialised campaign views, spelling-invariantly;
 * the HTTP layer round-trips all of the above over a real socket,
@@ -46,7 +48,10 @@ from repro.campaigns import (
 )
 from repro.campaigns.spec import from_jsonable
 from repro.core.concepts import Concept
+from repro.core.costmodel import ConvexCost, costmodel_from_spec
 from repro.core.state import GameState
+from repro.core.traffic import TrafficMatrix, traffic_from_spec
+from repro.graphs import canonical
 from repro.serve import EngineCache, MaterialisedViews, ServeApp
 from repro.serve import service
 from repro.serve.__main__ import build_parser, main
@@ -118,6 +123,38 @@ class TestEngineSharing:
         # ...but the answers are fresh computations per labelling, not a
         # response-cache hit (responses speak the requester's labels)
         assert second["cached"] is False
+
+    def test_each_request_runs_at_most_one_canonical_search(
+        self, monkeypatch
+    ):
+        """The digest and the labelling come from one memo entry: a cold
+        or relabelled request searches once, a repeat not at all."""
+        searches = []
+        search = canonical._minimise
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(canonical, "_minimise", counted)
+        canonical.canonical_cache_clear()
+        app = ServeApp()
+        cold = {"edges": PATH_6, "alpha": 3}
+        relabelled = {"edges": _relabel(PATH_6, [3, 5, 0, 2, 4, 1]), "alpha": 3}
+        counts = []
+        for payload in (cold, relabelled, cold):
+            before = len(searches)
+            status, _ = app.handle("classify", dict(payload))
+            assert status == 200
+            counts.append(len(searches) - before)
+        assert counts == [1, 1, 0]
+        graph = nx.wheel_graph(7)
+        before = len(searches)
+        key = canonical.canonical_key(graph)
+        sigma = canonical.canonical_labelling(graph)
+        assert len(searches) == before + 1
+        relabelled_graph = nx.relabel_nodes(graph, dict(enumerate(sigma)))
+        assert canonical.canonical_key(relabelled_graph) == key
 
     def test_distinct_regimes_get_distinct_engines(self):
         app = ServeApp()
@@ -207,6 +244,14 @@ class TestClassify:
         )
         assert respelled["cached"] is True
         assert _minus_cached(respelled) == _minus_cached(first)
+        # so is the same labelled graph with every pair and the edge
+        # order reversed: (digest, sigma) fixes the labelled request
+        _, reversed_pairs = app.handle(
+            "classify",
+            {"edges": [[v, u] for u, v in reversed(PATH_5)], "alpha": 2},
+        )
+        assert reversed_pairs["cached"] is True
+        assert _minus_cached(reversed_pairs) == _minus_cached(first)
 
     def test_bad_requests_are_client_errors(self):
         app = ServeApp()
@@ -368,6 +413,50 @@ class TestClassify:
         assert status == 400, body
         assert "int64" in body["error"]
         assert peak < 4 * 2**20, peak
+
+    @pytest.mark.parametrize(
+        "field,spec,name",
+        [
+            ("costmodel", {"model": "convex", "exponent": 2.5}, "exponent"),
+            ("costmodel", {"model": "convex", "exponent": True}, "exponent"),
+            ("costmodel", {"model": "convex", "scale": 1.9}, "scale"),
+            ("costmodel", {"model": "concave", "scale": 2.7}, "scale"),
+            ("costmodel", {"model": "table", "values": [0, 1.5, 2, 3, 4]},
+             "values"),
+            ("traffic", {"model": "hub_spoke", "hubs": [1.5]}, "hubs"),
+            ("traffic", {"model": "broadcast", "sources": [0.9]}, "sources"),
+            ("traffic", {"model": "random", "seed": 1.5}, "seed"),
+            ("traffic", {"model": "random", "seed": 1, "density": 7},
+             "density"),
+            ("traffic", {"model": "random", "seed": 1, "density": -1},
+             "density"),
+        ],
+        ids=[
+            "exponent-2.5", "exponent-true", "convex-scale-1.9",
+            "concave-scale-2.7", "table-1.5", "hubs-1.5", "sources-0.9",
+            "seed-1.5", "density-7", "density--1",
+        ],
+    )
+    def test_regime_fields_are_refused_not_truncated(self, field, spec, name):
+        """A non-integral or bool integer field, or a density outside
+        [0, 1], is refused by the constructor both serve and the campaign
+        runners build through — never answered for a truncated game."""
+        build = {"costmodel": costmodel_from_spec, "traffic": traffic_from_spec}
+        with pytest.raises(ValueError, match=name):
+            build[field](spec, 5)
+        status, body = ServeApp().handle(
+            "classify", {"edges": PATH_5, "alpha": 2, field: spec}
+        )
+        assert status == 400, body
+        assert name in body["error"]
+
+    def test_integral_floats_in_regime_fields_are_taken_exactly(self):
+        convex = costmodel_from_spec({"model": "convex", "exponent": 2.0}, 5)
+        assert convex == ConvexCost(2)
+        assert convex.spec["exponent"] == 2
+        hubs = traffic_from_spec({"model": "hub_spoke", "hubs": [1.0]}, 5)
+        assert hubs == TrafficMatrix.hub_spoke(5, [1])
+        assert hubs.spec["hubs"] == [1]
 
     def test_unknown_endpoint_is_404(self):
         app = ServeApp()

@@ -102,17 +102,11 @@ class TestRootedTree:
     def test_subtree_nodes_and_mask(self):
         tree = RootedTree(nx.path_graph(5), root=0)
         assert sorted(tree.subtree_nodes(3)) == [3, 4]
-        mask = tree.subtree_mask(3)
-        assert mask.sum() == 2 and mask[3] and mask[4]
 
     def test_subtree_depth(self):
         tree = RootedTree(nx.path_graph(6), root=0)
         assert tree.subtree_depth(2) == 3
         assert tree.subtree_depth(5) == 0
-
-    def test_path_to_root(self):
-        tree = RootedTree(nx.path_graph(4), root=0)
-        assert tree.path_to_root(3) == [3, 2, 1, 0]
 
     def test_rejects_non_tree(self):
         with pytest.raises(ValueError):
@@ -160,10 +154,6 @@ class TestRootedTree:
     def test_subtree_one_medians(self):
         tree = RootedTree(nx.path_graph(7), root=0)
         assert tree.subtree_one_medians(2) == [4]
-
-    def test_oriented_edges(self):
-        tree = RootedTree(nx.path_graph(3), root=0)
-        assert sorted(tree.iter_edges_oriented()) == [(0, 1), (1, 2)]
 
 
 class TestSubtreeSizes:
