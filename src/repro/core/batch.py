@@ -11,6 +11,14 @@ priced by the kernels below (:func:`batch_add_gains`,
 through the state's :class:`~repro.core.costmodel.Valuation` in every
 cost regime.
 
+The swap kernel prices only the partners it is handed: the swap scan
+(:mod:`repro.equilibria.swap`) admits a partner ``w`` of an actor only
+where the add-gain matrix of :func:`batch_add_gains` bounds both gains
+past their thresholds.  For each candidate the kernel values the actor's
+post-swap row, and the partner's row only where the actor gains at least
+1, so it returns ``(ws, gains_actor, gains_partner)`` over those
+candidates alone; the partner threshold stays with the scan.
+
 A :class:`MovePool` holds one state's runs for one move space; iterating
 it yields their moves in scan order, lazily.  :func:`sweep_best` reduces
 the prices instead: the first argmin within each run (the alpha buy term
@@ -78,27 +86,46 @@ def batch_remove_losses(
     return after_u - base[u], after_v - base[v]
 
 
-def batch_swap_deltas(valuation, removed: np.ndarray, totals: np.ndarray, ends):
-    """Distance gains of every swap partner of a dropped edge ``ends``.
+def batch_swap_deltas(
+    valuation, removed: np.ndarray, totals: np.ndarray, ends, partners
+):
+    """Distance gains of the candidate swap partners of a dropped edge.
 
-    ``removed`` is the exact APSP matrix of ``G - uv`` and ``totals`` the
-    base row values.  For each end ``actor`` (in the order of ``ends``)
-    returns ``(gains_actor, gains_partner)`` over every node ``w``: the
-    gains of ``actor`` and ``w`` when ``actor`` reattaches to ``w``, by
-    the one-edge-add identity on ``removed``.
+    ``removed`` is the exact APSP matrix of ``G - uv`` for ``ends =
+    (u, v)``, ``totals`` the base row values and ``partners`` one
+    ascending array of candidate partners per end.  For each end
+    ``actor`` (in the order of ``ends``) returns ``(ws, gains_actor,
+    gains_partner)``: the candidates ``ws`` whose actor gain is at least
+    1, with the gains of ``actor`` and ``w`` when ``actor`` reattaches to
+    ``w``, by the one-edge-add identity on ``removed``.  Only the actor's
+    rows of every candidate and the partner rows of the kept ones are
+    valued.
     """
-    step = removed + 1
-    gains = []
-    for actor in ends:
-        # row w: actor's new distances min(rm[actor], 1 + rm[w]) ...
-        actor_rows = np.minimum(removed[actor], step)
-        # ... and w's new distances min(rm[w], 1 + rm[actor])
-        partner_rows = np.minimum(removed, step[actor])
-        gains.append((
-            int(totals[actor]) - valuation.rows_value(actor_rows, actor),
-            totals - valuation.rows_value(partner_rows),
-        ))
-    return gains
+    n = len(removed)
+    priced = []
+    for actor, ws in zip(ends, partners):
+        if not ws.size:  # no candidate: nothing to value
+            priced.append((ws, ws, ws))
+            continue
+        # row w: actor's new distances min(rm[actor], 1 + rm[w]),
+        # as 1 + min(rm[actor] - 1, rm[w]) so no shifted copy is made
+        rows = removed[ws]
+        np.minimum(rows, removed[actor] - 1, out=rows)
+        if valuation.uniform_linear:
+            after = rows.sum(axis=1) + n
+        else:
+            rows += 1
+            after = valuation.rows_value(rows, actor)
+        gains_actor = int(totals[actor]) - after
+        keep = gains_actor >= 1
+        ws, gains_actor = ws[keep], gains_actor[keep]
+        # row w: w's new distances min(rm[w], 1 + rm[actor])
+        rows = removed[ws]
+        np.minimum(rows, removed[actor] + 1, out=rows)
+        priced.append(
+            (ws, gains_actor, totals[ws] - valuation.rows_value(rows, ws))
+        )
+    return priced
 
 
 # -- priced runs --------------------------------------------------------------

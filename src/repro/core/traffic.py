@@ -58,10 +58,29 @@ __all__ = [
 ]
 
 
-def _exact_ints(values) -> np.ndarray:
+def _refuse_bools(name: str, values) -> None:
+    """Raise ``ValueError`` naming ``name`` for a bool at any depth of
+    ``values``: ``np.asarray([True, 2])`` is already an integer array, so
+    the check runs on the values before any cast."""
+    if isinstance(values, (bool, np.bool_)):
+        raise ValueError(f"{name!r} takes integers only, got {values!r}")
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.bool_:
+            raise ValueError(f"{name!r} takes integers only, got booleans")
+        if values.dtype == object:
+            for item in values.flat:
+                _refuse_bools(name, item)
+    elif isinstance(values, (list, tuple)):
+        for item in values:
+            _refuse_bools(name, item)
+
+
+def _exact_ints(values, name: str) -> np.ndarray:
     """``values`` as int64, refusing anything that is not an integer in
-    int64 range — a float like ``1.5`` raises instead of truncating, and
-    ``1e19`` or ``2**63`` instead of wrapping."""
+    int64 range — a bool raises naming ``name``, a float like ``1.5``
+    raises instead of truncating, and ``1e19`` or ``2**63`` instead of
+    wrapping."""
+    _refuse_bools(name, values)
     array = np.asarray(values)
     if np.issubdtype(array.dtype, np.signedinteger):
         return array.astype(np.int64)
@@ -89,8 +108,8 @@ def _int_field(name: str, value) -> int:
     raise ValueError(f"{name!r} takes integers only, got {value!r}")
 
 
-def _as_demand_array(values, n: int | None = None) -> np.ndarray:
-    array = np.asarray(values)
+def _as_demand_array(values, name: str, n: int | None = None) -> np.ndarray:
+    array = _exact_ints(values, name)
     if array.ndim != 2 or array.shape[0] != array.shape[1]:
         raise ValueError("a demand matrix must be square")
     if n is not None and array.shape[0] != n:
@@ -98,7 +117,6 @@ def _as_demand_array(values, n: int | None = None) -> np.ndarray:
             f"demand matrix is {array.shape[0]}x{array.shape[0]}, "
             f"expected {n}x{n}"
         )
-    array = _exact_ints(array)
     if (array < 0).any():
         raise ValueError("demands must be non-negative")
     array = array.copy()
@@ -108,7 +126,7 @@ def _as_demand_array(values, n: int | None = None) -> np.ndarray:
 
 
 def _demand_vector(weights, what: str) -> np.ndarray:
-    vector = _exact_ints(list(weights))
+    vector = _exact_ints(list(weights), "weights")
     if vector.ndim != 1:
         raise ValueError(f"{what} weights must be a flat sequence")
     if (vector < 0).any():
@@ -130,7 +148,7 @@ class TrafficMatrix:
     __slots__ = ("weights", "n", "_spec", "_is_uniform")
 
     def __init__(self, weights, spec: Mapping[str, Any] | None = None):
-        self.weights = _as_demand_array(weights)
+        self.weights = _as_demand_array(weights, "weights")
         self.n = int(self.weights.shape[0])
         if self.n == 0:
             raise ValueError("a traffic matrix needs at least one agent")
@@ -149,7 +167,7 @@ class TrafficMatrix:
     @classmethod
     def from_pairs(cls, matrix) -> "TrafficMatrix":
         """Explicit per-pair demands (any square non-negative int matrix)."""
-        array = _as_demand_array(matrix)
+        array = _as_demand_array(matrix, "rows")
         return cls(
             array,
             spec={"model": "explicit", "rows": array.tolist()},
@@ -200,7 +218,10 @@ class TrafficMatrix:
             if not 0 <= hub < n:
                 raise ValueError(f"hub {hub} outside 0..{n - 1}")
         hub_demand, spoke_demand = (
-            int(value) for value in _exact_ints([hub_demand, spoke_demand])
+            int(_exact_ints(value, name))
+            for name, value in (
+                ("hub_demand", hub_demand), ("spoke_demand", spoke_demand),
+            )
         )
         matrix = np.full((n, n), spoke_demand, dtype=np.int64)
         mask = np.zeros(n, dtype=bool)

@@ -23,8 +23,12 @@ checkers' own scans — :func:`~repro.equilibria.remove.removal_runs`,
 :func:`~repro.equilibria.swap.swap_runs` — emit every improving move with
 the exact deltas they computed to find it, so a pool and its checker can
 never disagree and nothing prices a move twice.  The BGE pool prices each
-edge's removals and swaps off one post-removal matrix.  Compound moves
-(BNE, BSE) come from the searchers on the speculative kernel.
+edge's removals and swaps off one post-removal matrix, and builds one
+add-gain matrix ``G`` per scan
+(:func:`~repro.equilibria.add.pairwise_add_gains`): the swap pricer reads
+it as the bound that admits swap partners, and the addition run prices
+off the same array.  Compound moves (BNE, BSE) come from the searchers
+on the speculative kernel.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from repro.core.batch import MovePool
 from repro.core.concepts import Concept
 from repro.core.moves import Move
 from repro.core.state import GameState
-from repro.equilibria.add import addition_runs
+from repro.equilibria.add import addition_runs, pairwise_add_gains
 from repro.equilibria.neighborhood import (
     SearchBudgetExceeded,
     find_improving_neighborhood_move,
@@ -56,17 +60,21 @@ def _folded_runs(state: GameState):
     """The BGE space: removals, then additions, then swaps, priced.
 
     Each edge's post-removal matrix prices its removals and its swap
-    partners alike; the swap runs wait until the additions are out.  On
-    a tree with every demand positive no removal improves, so the swap
-    scan runs on its own (in closed form in the paper's game).
+    partners alike; the swap runs wait until the additions are out.  The
+    add-gain matrix is built at the first swap pricing, so a consumer
+    that stops at the first edge's removal never pays for it, and the
+    addition run reuses it.  On a tree with every demand positive no
+    removal improves, so the swap scan runs on its own (in closed form
+    in the paper's game).
     """
     if state.valuation.full_support and state.is_tree():
-        yield from addition_runs(state)
-        yield from swap_runs(state)
+        gains = pairwise_add_gains(state)
+        yield from addition_runs(state, gains)
+        yield from swap_runs(state, gains)
         return
     dm = state.dist
     removals = RemovalPricer(state)
-    pricer = SwapPricer(state)
+    pricer = None
     swaps = []
     # a snapshot of the edges: consumers may speculate between yields
     for a, b in list(state.graph.edges):
@@ -75,8 +83,11 @@ def _folded_runs(state: GameState):
             run = removals.price(a, b, removed[[a, b]])
             if run is not None:
                 yield run
+        if pricer is None:
+            pricer = SwapPricer(state)
         swaps.extend(pricer.runs(a, b, removed))
-    yield from addition_runs(state)
+    gains = None if pricer is None else pricer.add_gains
+    yield from addition_runs(state, gains)
     yield from swaps
 
 

@@ -11,6 +11,10 @@ computation — exact at any size we run.
   gain strictly more than ``alpha``.
 * **unilateral AE** (Section 2 reference): agent ``u`` alone pays, so a
   single gain above ``alpha`` already breaks stability.
+
+The gain matrix ``G`` of :func:`pairwise_add_gains` also bounds every
+swap's gains (:mod:`repro.equilibria.swap`), so a scan that prices both
+builds it once and hands it to :func:`addition_runs` and the swap scan.
 """
 
 from __future__ import annotations
@@ -61,12 +65,16 @@ def pairwise_add_gains(state: GameState) -> np.ndarray:
     return gains
 
 
-def addition_runs(state: GameState) -> Iterator[Additions]:
+def addition_runs(
+    state: GameState, gains: np.ndarray | None = None
+) -> Iterator[Additions]:
     """The mutually improving additions, ascending, priced by the gain
-    matrix: at most one run.  Existing edges carry zero gain, below any
+    matrix ``gains`` of :func:`pairwise_add_gains` (built here when not
+    given): at most one run.  Existing edges carry zero gain, below any
     threshold."""
     threshold = strict_gt_threshold(state.alpha)
-    gains = pairwise_add_gains(state)
+    if gains is None:
+        gains = pairwise_add_gains(state)
     mutual = (gains >= threshold) & (gains.T >= threshold)
     us, vs = np.nonzero(np.triu(mutual, k=1))
     if us.size:

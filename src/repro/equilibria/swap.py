@@ -18,9 +18,34 @@ two exact strategies:
   cached :class:`~repro.graphs.distances.DistanceMatrix` as a fresh array
   (:meth:`~repro.graphs.distances.DistanceMatrix.matrix_after_remove`:
   the bridge split, or the changed block repaired by a min-plus product
-  of cached entries), then :class:`SwapPricer` prices every candidate
-  ``w`` by the one-edge-add identity under the state's valuation — no
-  search, no engine mutation and no bridge sweep anywhere in the scan.
+  of cached entries), then :class:`SwapPricer` prices the admitted
+  candidates ``w`` by the one-edge-add identity under the state's
+  valuation — no search, no engine mutation and no bridge sweep anywhere
+  in the scan.
+
+**The add-gain bound.**  Let ``G[x, y]`` be ``x``'s gain from adding
+``xy`` to the current graph (:func:`~repro.equilibria.add.pairwise_add_gains`).
+A swap of actor ``a`` from ``b`` to ``w`` gains at most ``G[a, w]`` for
+``a`` and at most ``G[w, a]`` for ``w``:
+
+* in ``G - ab`` every distance is at least its value in ``G``, the
+  sentinel ``M`` of an unreachable pair included;
+* every valuation is monotone in distance: ``f`` is non-decreasing, the
+  value sentinel ``F`` lies above every table value, every demand ``W``
+  is non-negative, and the aggregate is a sum or a max;
+* so ``a``'s post-swap row ``min(rm[a], 1 + rm[w])`` on the post-removal
+  matrix ``rm`` is entry-wise at least its row ``min(d[a], 1 + d[w])``
+  after adding ``aw`` to ``G``, and is worth at least as much; against
+  the same base value that gives ``gain_actor <= G[a, w]``, and the same
+  argument on ``w``'s row gives ``gain_w <= G[w, a]``;
+* every quantity is an exact integer, so the bound needs no tolerance.
+
+A swap improves only with ``gain_actor >= 1`` and ``gain_w >=
+strict_gt_threshold(alpha)``, so the pricer admits as partners of ``a``
+only the free nodes ``w`` (not ``a``, not adjacent to ``a``) with
+``G[a, w] >= 1`` and ``G[w, a]`` at or above that threshold, and skips
+an edge whose two ends admit none.  One ``G`` serves the whole scan: the
+BGE pool shares it with its addition run.
 """
 
 from __future__ import annotations
@@ -34,7 +59,7 @@ from repro.core import batch
 from repro.core.batch import Swaps
 from repro.core.moves import Swap
 from repro.core.state import GameState
-from repro.graphs.distances import adjacency_bool
+from repro.equilibria.add import pairwise_add_gains
 from repro.graphs.trees import tree_split_masks
 
 __all__ = [
@@ -47,26 +72,46 @@ __all__ = [
 
 
 class SwapPricer:
-    """Prices every swap partner of one dropped edge, both directions,
-    on the edge's post-removal matrix."""
+    """Prices the admitted swap partners of one dropped edge, both
+    directions, on the edge's post-removal matrix.
 
-    def __init__(self, state: GameState):
+    ``add_gains`` is the state's add-gain matrix ``G`` of
+    :func:`~repro.equilibria.add.pairwise_add_gains`, built here when not
+    given; each actor's candidates are the partners the add-gain bound
+    admits (module docstring).  ``G`` is zero on the diagonal and on
+    existing edges, below both thresholds, so only free partners pass."""
+
+    def __init__(self, state: GameState, add_gains: np.ndarray | None = None):
         self.state = state
         self.totals = state.totals()
         self.threshold = strict_gt_threshold(state.alpha)
-        self.adjacency = adjacency_bool(state.graph)
+        if add_gains is None:
+            add_gains = pairwise_add_gains(state)
+        self.add_gains = add_gains
+        admitted = (add_gains >= 1) & (add_gains.T >= self.threshold)
+        self.candidates = [np.flatnonzero(row) for row in admitted]
+
+    def wanted(self, a: int, b: int) -> bool:
+        """Whether a swap dropping ``ab`` can improve at all."""
+        return bool(self.candidates[a].size or self.candidates[b].size)
 
     def runs(self, a: int, b: int, removed: np.ndarray) -> list[Swaps]:
         """The improving swaps dropping ``ab``, given ``G - ab``'s APSP."""
-        gains = batch.batch_swap_deltas(
-            self.state.valuation, removed, self.totals, (a, b)
+        if not self.wanted(a, b):
+            return []
+        priced = batch.batch_swap_deltas(
+            self.state.valuation, removed, self.totals, (a, b),
+            (self.candidates[a], self.candidates[b]),
         )
         runs = []
-        for (actor, old), (gain_actor, gain_w) in zip(((a, b), (b, a)), gains):
-            viable = (gain_actor >= 1) & (gain_w >= self.threshold)
-            viable[actor] = False
-            viable &= ~self.adjacency[actor]  # old is still adjacent
-            runs.extend(_swaps(actor, old, gain_actor, gain_w, viable))
+        for (actor, old), (ws, gain_actor, gain_w) in zip(
+            ((a, b), (b, a)), priced
+        ):
+            viable = gain_w >= self.threshold
+            if viable.any():
+                runs.append(Swaps(
+                    actor, old, ws[viable], gain_actor[viable], gain_w[viable]
+                ))
         return runs
 
 
@@ -118,7 +163,9 @@ def _tree_runs(state: GameState) -> Iterator[Swaps]:
             yield from _swaps(actor, old, gain_actor, gain_w, viable)
 
 
-def swap_runs(state: GameState) -> Iterator[Swaps]:
+def swap_runs(
+    state: GameState, add_gains: np.ndarray | None = None
+) -> Iterator[Swaps]:
     """Every mutually improving swap (exact), priced, edge by edge in
     graph order, both directions of an edge, partners ascending.
 
@@ -126,16 +173,18 @@ def swap_runs(state: GameState) -> Iterator[Swaps]:
     abandoned at any point.  Trees of the paper's game take the
     closed-form evaluation; every other state takes the general
     engine-backed path (on trees every edge is a bridge, so it needs no
-    search there either).
+    search there either), priced under the add-gain bound of
+    ``add_gains`` (:class:`SwapPricer` builds it when not given).
     """
     if state.valuation.uniform_linear and state.is_tree():
         # the closed form vectorises over uniform linear side sums
         yield from _tree_runs(state)
         return
     dm = state.dist
-    pricer = SwapPricer(state)
+    pricer = SwapPricer(state, add_gains)
     for a, b in list(state.graph.edges):
-        yield from pricer.runs(a, b, dm.matrix_after_remove(a, b))
+        if pricer.wanted(a, b):
+            yield from pricer.runs(a, b, dm.matrix_after_remove(a, b))
 
 
 def find_improving_swap(state: GameState) -> Swap | None:

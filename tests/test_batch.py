@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import _backend
+from repro._alpha import strict_gt_threshold
 from repro.core import batch
 from repro.core.concepts import Concept
 from repro.core.costmodel import costmodel_from_spec
@@ -45,6 +46,10 @@ def make_state(graph: nx.Graph, alpha, regime: str, seed: int) -> GameState:
         graph.remove_edges_from(list(graph.edges(0)))
         model = costmodel_from_spec({"model": "max"}, n)
         return GameState(graph, alpha, cost_model=model)
+    if regime == "sparse":
+        # about half the pairs at zero demand
+        traffic = TrafficMatrix.random_demands(n, seed, high=5, density=0.5)
+        return GameState(graph, alpha, traffic=traffic)
     traffic = TrafficMatrix.random_demands(n, seed=seed, high=5)
     if regime == "weighted":
         return GameState(graph, alpha, traffic=traffic)
@@ -60,6 +65,24 @@ def random_state(seed: int, regime: str, alpha=None) -> GameState:
     graph = random_connected_gnp(rng.randint(5, 11), 0.2 + rng.random() * 0.4, rng)
     drawn = Fraction(rng.randint(1, 9), rng.choice((1, 2)))
     return make_state(graph, drawn if alpha is None else alpha, regime, seed)
+
+
+def free_partners(state: GameState, actor: int) -> np.ndarray:
+    """Every node ``actor`` could swap an edge onto, ascending."""
+    return np.array([
+        w for w in range(state.n)
+        if w != actor and not state.graph.has_edge(actor, w)
+    ], dtype=np.intp)
+
+
+def every_swap(state: GameState) -> list[Swap]:
+    """Every swap, both directions of every edge."""
+    return [
+        Swap(actor=actor, old=old, new=new)
+        for u, v in state.graph.edges
+        for actor, old in ((u, v), (v, u))
+        for new in free_partners(state, actor).tolist()
+    ]
 
 
 def all_swaps(state: GameState) -> list[Swap]:
@@ -132,34 +155,79 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_swap_deltas_match_per_candidate(self, regime):
+        """Handed every free partner, the kernel keeps exactly those the
+        actor gains from, with the per-candidate gains, and the kept
+        partners at the threshold are the improving swaps; the BSwE pool,
+        priced only where the add-gain bound admits, lists every
+        improving swap."""
         checked = 0
         for seed in range(12):
             state = random_state(3000 + seed, regime)
             spec = SpeculativeEvaluator(state)
             totals = state.totals()
+            threshold = strict_gt_threshold(state.alpha)
             for u, v in state.graph.edges:
                 removed = state.dist.matrix_after_remove(u, v)
-                gains = batch.batch_swap_deltas(
-                    state.valuation, removed, totals, (u, v)
-                )
                 # both directions: the actor keeps one end, drops the other
-                for (actor, old), (gain_actor, gain_new) in zip(
-                    ((u, v), (v, u)), gains
+                ends = ((u, v), (v, u))
+                free = [free_partners(state, actor) for actor, _ in ends]
+                priced = batch.batch_swap_deltas(
+                    state.valuation, removed, totals, (u, v), free
+                )
+                for (actor, old), ws, (kept, gain_actor, gain_new) in zip(
+                    ends, free, priced
                 ):
-                    for new in range(state.n):
-                        if new == old or new == actor or state.graph.has_edge(
-                            actor, new
-                        ):
-                            continue
-                        move = Swap(actor=actor, old=old, new=new)
-                        (_, actor_delta), (_, new_delta) = spec.evaluate(
-                            move
-                        ).cost_deltas
-                        assert -int(gain_actor[new]) == actor_delta
-                        assert -int(gain_new[new]) == new_delta - spec.alpha
+                    expected, improving = {}, set()
+                    for new in ws.tolist():
+                        evaluation = spec.evaluate(
+                            Swap(actor=actor, old=old, new=new)
+                        )
+                        (_, actor_delta), (_, new_delta) = (
+                            evaluation.cost_deltas
+                        )
+                        if actor_delta <= -1:
+                            expected[new] = (
+                                -actor_delta, spec.alpha - new_delta
+                            )
+                        if evaluation.improving:
+                            improving.add(new)
+                    assert kept.tolist() == sorted(expected)
+                    assert [
+                        (int(a), int(w)) for a, w in zip(gain_actor, gain_new)
+                    ] == [expected[new] for new in kept.tolist()]
+                    viable = kept[gain_new >= threshold]
+                    assert set(viable.tolist()) == improving
             for alpha in ALPHAS[:2]:
                 state = random_state(3000 + seed, regime, alpha)
                 checked += assert_pool_priced_exactly(state, Concept.BSWE)
+                spec = SpeculativeEvaluator(state)
+                improving = [
+                    move for move in every_swap(state)
+                    if spec.evaluate(move).improving
+                ]
+                assert sorted(move_pool(state, Concept.BSWE), key=repr) == (
+                    sorted(improving, key=repr)
+                )
+        assert checked
+
+    @pytest.mark.parametrize("regime", REGIMES + ("sparse",))
+    def test_swap_gains_bounded_by_add_gains(self, regime):
+        """A swap gains each of its two agents at most what adding the
+        new edge to the current graph gains them (the bound the swap scan
+        admits partners by), in every regime, zero demands included."""
+        checked = 0
+        for seed in range(12):
+            state = random_state(3200 + seed, regime)
+            spec = SpeculativeEvaluator(state)
+            for swap in every_swap(state):
+                actor, new = swap.actor, swap.new
+                add_actor, add_new = add_gain_pair(spec, actor, new)
+                (_, actor_delta), (_, new_delta) = spec.evaluate(
+                    swap
+                ).cost_deltas
+                assert -actor_delta <= add_actor, swap
+                assert spec.alpha - new_delta <= add_new, swap
+                checked += 1
         assert checked
 
     @pytest.mark.parametrize("regime", REGIMES)

@@ -366,15 +366,16 @@ class TestByteIdentity:
         spec = tiny_campaign_spec()
 
         def run(root):
-            store = CampaignStore(root)
-            run_campaign(spec, store)
-            identities = sorted(
-                json.dumps(
-                    _record_identity(store.record_for(t.key)), sort_keys=True
+            with CampaignStore(root) as store:
+                run_campaign(spec, store)
+                identities = sorted(
+                    json.dumps(
+                        _record_identity(store.record_for(t.key)),
+                        sort_keys=True,
+                    )
+                    for t in spec.trials()
                 )
-                for t in spec.trials()
-            )
-            return identities, render_report(spec, store)
+                return identities, render_report(spec, store)
 
         trace.disable_trace()
         plain_ids, plain_report = run(tmp_path / "off")
@@ -395,13 +396,14 @@ class TestByteIdentity:
         spec = tiny_campaign_spec()
 
         def run(root):
-            run_campaign(spec, CampaignStore(root, host_id="h0"), claim=True)
+            with CampaignStore(root, host_id="h0") as store:
+                run_campaign(spec, store, claim=True)
             merge_shards(root, prune=True)
-            store = CampaignStore(root)
-            return (
-                (root / "results.jsonl").read_bytes().count(b"\n"),
-                render_report(spec, store),
-            )
+            with CampaignStore(root) as store:
+                return (
+                    (root / "results.jsonl").read_bytes().count(b"\n"),
+                    render_report(spec, store),
+                )
 
         trace.disable_trace()
         plain_lines, plain_report = run(tmp_path / "off")
@@ -496,12 +498,12 @@ class TestCli:
     def finished_store(self, tmp_path):
         spec = tiny_campaign_spec()
         root = tmp_path / "store"
-        store = CampaignStore(root)
-        trace.enable_trace(root / "trace.jsonl")
-        try:
-            run_campaign(spec, store)
-        finally:
-            trace.disable_trace()
+        with CampaignStore(root) as store:
+            trace.enable_trace(root / "trace.jsonl")
+            try:
+                run_campaign(spec, store)
+            finally:
+                trace.disable_trace()
         return root
 
     def test_status_reports_per_kind(self, finished_store, capsys):
@@ -513,8 +515,8 @@ class TestCli:
     def test_status_reports_per_shard_records(self, tmp_path, capsys):
         spec = tiny_campaign_spec()
         root = tmp_path / "claimed"
-        store = CampaignStore(root, host_id="host-a")
-        run_campaign(spec, store, claim=True)
+        with CampaignStore(root, host_id="host-a") as store:
+            run_campaign(spec, store, claim=True)
         code = cli_main(["status", str(root)])
         out = capsys.readouterr().out
         assert code == 0
@@ -524,7 +526,8 @@ class TestCli:
     def test_status_eta_for_partial_run(self, tmp_path, capsys):
         spec = tiny_campaign_spec()
         root = tmp_path / "partial"
-        run_campaign(spec, CampaignStore(root), max_trials=2)
+        with CampaignStore(root) as store:
+            run_campaign(spec, store, max_trials=2)
         code = cli_main(["status", str(root)])
         out = capsys.readouterr().out
         assert code == 3  # pending work remains
@@ -543,7 +546,8 @@ class TestCli:
     def test_profile_without_trace_sink(self, tmp_path, capsys):
         spec = tiny_campaign_spec()
         root = tmp_path / "untraced"
-        run_campaign(spec, CampaignStore(root))
+        with CampaignStore(root) as store:
+            run_campaign(spec, store)
         code = cli_main(["profile", str(root)])
         out = capsys.readouterr().out
         assert code == 0

@@ -19,17 +19,24 @@ The small family is 15 seeds of each trace regime of
 n = 120 family is seeds 1-3 of the dynamics benchmark inputs:
 ``G(120, 0.05)`` redrawn to 465-475 edges at ``alpha = 3``, once in the
 paper's game and once under gravity weights 1..4 with a max aggregate.
+The n = 60 family is seeds 1-2 of ``random_connected_gnp(60, 7.8 / 59)``
+at ``alpha = 3`` in four regimes: gravity demands under the linear cost,
+random demands under ``ConvexCost(2)``, sparse random demands under
+``ConcaveCost(1/2)`` and ``MaxCost`` without demands.  They reach the
+valued arm of the swap kernel, and the sum and zero-demand cases of its
+add-gain bound, at a scale the other two families do not.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from repro.core.concepts import Concept
-from repro.core.costmodel import MaxCost
+from repro.core.costmodel import ConcaveCost, ConvexCost, LinearCost, MaxCost
 from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
 from repro.core.traffic import TrafficMatrix
@@ -72,7 +79,25 @@ def n120_inputs():
             yield graph, 3, traffic, cost_model
 
 
-FAMILIES = {"small": small_inputs, "n120": n120_inputs}
+def n60_inputs():
+    """Seeds 1-2 at n = 60, four regimes each (see the module docstring)."""
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        graph = random_connected_gnp(60, 7.8 / 59, rng)
+        weights = [rng.randint(1, 4) for _ in range(60)]
+        for traffic, cost_model in (
+            (TrafficMatrix.gravity(weights), LinearCost()),
+            (TrafficMatrix.random_demands(60, seed, high=5), ConvexCost(2)),
+            (
+                TrafficMatrix.random_demands(60, seed, density=0.5),
+                ConcaveCost(Fraction(1, 2)),
+            ),
+            (None, MaxCost()),
+        ):
+            yield graph, 3, traffic, cost_model
+
+
+FAMILIES = {"small": small_inputs, "n120": n120_inputs, "n60": n60_inputs}
 
 
 def _reduce(spec, moves):
@@ -172,6 +197,9 @@ POOL_DIGESTS = {
     "n120": (
         "cf495164989bffad3bd732aad5613dd19d14abc9c4e6344abee6584f347a2130"
     ),
+    "n60": (
+        "15a19d4135cfcc1ed9800fa056525d75090e9255ed47e4ad2d4f2bca191a0bc5"
+    ),
 }
 
 BEST_DIGESTS = {
@@ -180,6 +208,9 @@ BEST_DIGESTS = {
     ),
     "n120": (
         "d6c54985316a82d8db49bd558fd5a8ecb7fde5e4e9058012f8a58fe5a2706203"
+    ),
+    "n60": (
+        "dd0059912d0631edc945fe9ca1052433710cf7ed8917d3b5c8d5dd7cd0619a40"
     ),
 }
 

@@ -430,11 +430,19 @@ class TestClassify:
              "density"),
             ("traffic", {"model": "random", "seed": 1, "density": -1},
              "density"),
+            ("traffic", {"model": "gravity", "weights": [True, 2, 1, 1, 1]},
+             "weights"),
+            ("traffic", {"model": "explicit",
+                         "rows": [[0, True, 1, 1, 1]] + [[1] * 5] * 4},
+             "rows"),
+            ("traffic", {"model": "hub_spoke", "hubs": [0],
+                         "hub_demand": True}, "hub_demand"),
         ],
         ids=[
             "exponent-2.5", "exponent-true", "convex-scale-1.9",
             "concave-scale-2.7", "table-1.5", "hubs-1.5", "sources-0.9",
-            "seed-1.5", "density-7", "density--1",
+            "seed-1.5", "density-7", "density--1", "gravity-weight-true",
+            "rows-true", "hub-demand-true",
         ],
     )
     def test_regime_fields_are_refused_not_truncated(self, field, spec, name):

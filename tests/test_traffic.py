@@ -169,6 +169,16 @@ class TestTrafficMatrix:
             (lambda: TrafficMatrix.gravity([-1, -2, 3]), "non-negative"),
             (lambda: TrafficMatrix.gravity([-1, -2]), "non-negative"),
             (lambda: TrafficMatrix.per_agent([1, -2, 3]), "non-negative"),
+            # a bool is no demand, at any depth and as a numpy bool too
+            (lambda: TrafficMatrix.per_agent([1, np.True_, 2]), "'weights'"),
+            (
+                lambda: TrafficMatrix.from_pairs(np.ones((3, 3), dtype=bool)),
+                "'rows'",
+            ),
+            (
+                lambda: TrafficMatrix.hub_spoke(4, [0], spoke_demand=False),
+                "'spoke_demand'",
+            ),
         ):
             with pytest.raises(ValueError, match=match):
                 build()
