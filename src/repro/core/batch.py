@@ -101,7 +101,6 @@ def batch_swap_deltas(
     rows of every candidate and the partner rows of the kept ones are
     valued.
     """
-    n = len(removed)
     priced = []
     for actor, ws in zip(ends, partners):
         if not ws.size:  # no candidate: nothing to value
@@ -111,12 +110,8 @@ def batch_swap_deltas(
         # as 1 + min(rm[actor] - 1, rm[w]) so no shifted copy is made
         rows = removed[ws]
         np.minimum(rows, removed[actor] - 1, out=rows)
-        if valuation.uniform_linear:
-            after = rows.sum(axis=1) + n
-        else:
-            rows += 1
-            after = valuation.rows_value(rows, actor)
-        gains_actor = int(totals[actor]) - after
+        rows += 1
+        gains_actor = int(totals[actor]) - valuation.rows_value(rows, actor)
         keep = gains_actor >= 1
         ws, gains_actor = ws[keep], gains_actor[keep]
         # row w: w's new distances min(rm[w], 1 + rm[actor])

@@ -13,8 +13,9 @@ computation — exact at any size we run.
   single gain above ``alpha`` already breaks stability.
 
 The gain matrix ``G`` of :func:`pairwise_add_gains` also bounds every
-swap's gains (:mod:`repro.equilibria.swap`), so a scan that prices both
-builds it once and hands it to :func:`addition_runs` and the swap scan.
+swap's gains (:mod:`repro.equilibria.swap`), so a scan or a checker that
+prices both builds it once and hands it to :func:`addition_runs` (or the
+finders below) and the swap scan.
 """
 
 from __future__ import annotations
@@ -81,13 +82,15 @@ def addition_runs(
         yield Additions(us, vs, gains[us, vs], gains[vs, us])
 
 
-def find_improving_bilateral_add(state: GameState) -> AddEdge | None:
+def find_improving_bilateral_add(
+    state: GameState, gains: np.ndarray | None = None
+) -> AddEdge | None:
     """First mutually improving edge addition, or ``None`` (exact).
 
-    The gain matrix prices every pair exactly, so its first mutual pair
-    is the certificate.
+    The gain matrix (``gains``, built here when not given) prices every
+    pair exactly, so its first mutual pair is the certificate.
     """
-    for run in addition_runs(state):
+    for run in addition_runs(state, gains):
         return next(iter(run))
     return None
 
@@ -97,15 +100,19 @@ def is_bilateral_add_equilibrium(state: GameState) -> bool:
     return find_improving_bilateral_add(state) is None
 
 
-def find_improving_unilateral_add(state: GameState) -> AddEdge | None:
+def find_improving_unilateral_add(
+    state: GameState, gains: np.ndarray | None = None
+) -> AddEdge | None:
     """First unilaterally improving addition (only the buyer pays).
 
     A buyer ``u`` improves iff her distance gain strictly exceeds
-    ``alpha``, so the gain matrix's first pair with either gain past the
-    threshold is the certificate.
+    ``alpha``, so the first pair of the gain matrix ``gains`` (built
+    here when not given) with either gain past the threshold is the
+    certificate.
     """
     threshold = strict_gt_threshold(state.alpha)
-    gains = pairwise_add_gains(state)
+    if gains is None:
+        gains = pairwise_add_gains(state)
     either = (gains >= threshold) | (gains.T >= threshold)
     candidates = np.argwhere(np.triu(either, k=1))
     if not candidates.size:

@@ -14,6 +14,7 @@ from repro.core.state import GameState
 from repro.equilibria.add import (
     find_improving_bilateral_add,
     find_improving_unilateral_add,
+    pairwise_add_gains,
 )
 from repro.equilibria.certificates import StabilityReport
 from repro.equilibria.neighborhood import (
@@ -67,8 +68,10 @@ def diagnose(
     """
     rng = coerce_rng(seed)
     removal = find_improving_removal(state)
-    addition = find_improving_bilateral_add(state)
-    swap = find_improving_swap(state)
+    # one add-gain matrix prices both addition checks and bounds the swaps
+    gains = pairwise_add_gains(state)
+    addition = find_improving_bilateral_add(state, gains)
+    swap = find_improving_swap(state, gains)
 
     reports = {
         Concept.RE: _report_from(removal),
@@ -77,7 +80,7 @@ def diagnose(
         Concept.BSWE: _report_from(swap),
         Concept.BGE: _report_from(removal or addition or swap),
         Concept.UNILATERAL_AE: _report_from(
-            find_improving_unilateral_add(state)
+            find_improving_unilateral_add(state, gains)
         ),
         Concept.BNE: _budgeted(
             lambda: find_improving_neighborhood_move(state),

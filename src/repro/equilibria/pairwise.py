@@ -8,14 +8,18 @@
 Both are intersections of exact polynomial checkers, hence exact.  The
 component finders are the priced scans behind the move pools (engine
 queries, no mutation), so a composite verdict here and a single-concept
-verdict or pool elsewhere can never disagree.
+verdict or pool elsewhere can never disagree.  The BGE check builds the
+add-gain matrix once, for its addition check and its swap scan alike.
 """
 
 from __future__ import annotations
 
 from repro.core.moves import Move
 from repro.core.state import GameState
-from repro.equilibria.add import find_improving_bilateral_add
+from repro.equilibria.add import (
+    find_improving_bilateral_add,
+    pairwise_add_gains,
+)
 from repro.equilibria.remove import find_improving_removal
 from repro.equilibria.swap import find_improving_swap
 
@@ -42,10 +46,14 @@ def is_pairwise_stable(state: GameState) -> bool:
 
 def find_greedy_violation(state: GameState) -> Move | None:
     """An improving removal, addition or swap, or ``None`` (exact BGE)."""
-    pairwise = find_pairwise_violation(state)
-    if pairwise is not None:
-        return pairwise
-    return find_improving_swap(state)
+    removal = find_improving_removal(state)
+    if removal is not None:
+        return removal
+    gains = pairwise_add_gains(state)
+    addition = find_improving_bilateral_add(state, gains)
+    if addition is not None:
+        return addition
+    return find_improving_swap(state, gains)
 
 
 def is_bilateral_greedy_equilibrium(state: GameState) -> bool:

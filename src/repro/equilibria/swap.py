@@ -45,7 +45,9 @@ strict_gt_threshold(alpha)``, so the pricer admits as partners of ``a``
 only the free nodes ``w`` (not ``a``, not adjacent to ``a``) with
 ``G[a, w] >= 1`` and ``G[w, a]`` at or above that threshold, and skips
 an edge whose two ends admit none.  One ``G`` serves the whole scan: the
-BGE pool shares it with its addition run.
+BGE pool shares it with its addition run, and the BGE checker and
+:func:`~repro.equilibria.diagnose.diagnose` hand the ``G`` of their
+addition checks to :func:`find_improving_swap`.
 """
 
 from __future__ import annotations
@@ -187,10 +189,13 @@ def swap_runs(
             yield from pricer.runs(a, b, dm.matrix_after_remove(a, b))
 
 
-def find_improving_swap(state: GameState) -> Swap | None:
-    """First mutually improving swap of :func:`swap_runs`, or ``None``
-    (exact)."""
-    run = next(swap_runs(state), None)
+def find_improving_swap(
+    state: GameState, add_gains: np.ndarray | None = None
+) -> Swap | None:
+    """First mutually improving swap of :func:`swap_runs` (under the
+    add-gain matrix ``add_gains``, built when needed and not given), or
+    ``None`` (exact)."""
+    run = next(swap_runs(state, add_gains), None)
     return None if run is None else run.move(0)
 
 

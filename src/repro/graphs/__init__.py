@@ -4,7 +4,6 @@ from repro.graphs.bridges import BridgeSet, component_bridges
 from repro.graphs.distances import (
     DistanceMatrix,
     UndoToken,
-    adjacency_bool,
     apsp_matrix,
     component_labels,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "DistanceMatrix",
     "RootedTree",
     "UndoToken",
-    "adjacency_bool",
     "all_connected_graphs",
     "all_trees",
     "apsp_matrix",

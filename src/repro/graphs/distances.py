@@ -112,7 +112,6 @@ from repro.obs import trace as _trace
 __all__ = [
     "DistanceMatrix",
     "UndoToken",
-    "adjacency_bool",
     "adjacency_csr",
     "apsp_matrix",
     "component_labels",
@@ -166,17 +165,6 @@ def canonical_labels(graph: nx.Graph) -> nx.Graph:
         ordered = sorted(graph.nodes, key=str)
     mapping = {node: index for index, node in enumerate(ordered)}
     return nx.relabel_nodes(graph, mapping, copy=True)
-
-
-def adjacency_bool(graph: nx.Graph) -> np.ndarray:
-    """Dense boolean adjacency matrix (shared by the swap searchers)."""
-    n = _require_canonical(graph)
-    dense = np.zeros((n, n), dtype=bool)
-    if graph.number_of_edges():
-        edges = np.asarray(graph.edges, dtype=np.int64)
-        dense[edges[:, 0], edges[:, 1]] = True
-        dense[edges[:, 1], edges[:, 0]] = True
-    return dense
 
 
 def adjacency_csr(graph: nx.Graph) -> csr_matrix:

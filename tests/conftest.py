@@ -14,6 +14,13 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: long-running test (deselect with -m 'not slow')"
     )
+    # a file or socket a test leaves open fails that test: its
+    # ResourceWarning is raised inside a finaliser, and pytest reports
+    # the unraisable exception as a warning
+    config.addinivalue_line("filterwarnings", "error::ResourceWarning")
+    config.addinivalue_line(
+        "filterwarnings", "error::pytest.PytestUnraisableExceptionWarning"
+    )
 
 
 @pytest.fixture

@@ -44,6 +44,21 @@ class TestDiagnose:
                             Concept.BSWE, Concept.BGE):
                 assert reports[concept].stable == check(state, concept)
 
+    def test_one_add_gain_matrix_per_profile(self, monkeypatch):
+        """BAE, BSwE and unilateral AE read one shared ``G``."""
+        from repro.core import batch
+
+        builds = []
+        kernel = batch.batch_add_gains
+
+        def counted(*args):
+            builds.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(batch, "batch_add_gains", counted)
+        diagnose(GameState(nx.cycle_graph(6), 5))
+        assert len(builds) == 1
+
     def test_budget_fallback_flags_non_exhaustive(self):
         """A 40-leaf star at alpha = 1/2 overflows the BNE budget; the
         probing fallback must label its verdict non-exhaustive."""

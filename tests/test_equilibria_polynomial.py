@@ -198,6 +198,23 @@ class TestComposites:
                 is_bilateral_greedy_equilibrium(state) == naive_is_bge(state)
             ), (sorted(state.graph.edges), state.alpha)
 
+    def test_bge_check_builds_one_add_gain_matrix(self, monkeypatch):
+        """The addition check and the swap scan share one ``G``."""
+        from repro.core import batch
+
+        state = GameState(nx.cycle_graph(6), 5)  # pairwise stable, cyclic
+        assert is_pairwise_stable(state)
+        builds = []
+        kernel = batch.batch_add_gains
+
+        def counted(*args):
+            builds.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(batch, "batch_add_gains", counted)
+        is_bilateral_greedy_equilibrium(state)
+        assert len(builds) == 1
+
     def test_star_stable_for_everything(self):
         """Footnote 6: for alpha >= 1 the star is stable for all concepts."""
         for alpha in (1, 2, 10, 1000):
