@@ -15,25 +15,41 @@ campaign-level resume — and **all labelled trees** modulo the joint
 ``(tree, W)`` symmetries of a demand matrix, which settles the weighted
 tree PoA exactly rather than over one representative per unlabelled
 class.
+
+The scan prices RE, BAE and PS in one numpy kernel per stack of
+classes (:func:`repro.equilibria.stack.price_stack`): a layer's stack is
+unpacked straight from its canonical keys, every other family is
+stacked from edge lists, and no class builds a ``GameState``, a distance
+engine or a bridge set.  BGE, BSE and k-BSE (``k >= 2``) run their
+checker on the kernel's PS-stable classes only, because each of those
+checkers makes every single removal and every mutual addition.  Every
+other concept (BSwE, BNE, 1-BSE, unilateral AE) builds a state and runs
+its checker per class.  Either way the reduction keeps the per-instance
+order: the witness is the first worst equilibrium in family order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import networkx as nx
+import numpy as np
 
 from repro._alpha import AlphaLike, as_alpha
 from repro.analysis.bounds import proposition_3_1_bound
 from repro.constructions.basic import almost_complete_dary_tree
 from repro.core.concepts import Concept
-from repro.core.costmodel import CostModel
+from repro.core.costmodel import CostModel, bind_valuation
 from repro.core.costs import max_agent_cost
+from repro.core.optimum import optimum_cost
 from repro.core.state import GameState
 from repro.core.traffic import TrafficMatrix
 from repro.equilibria.registry import check
+from repro.equilibria.stack import price_stack, stack_size
+from repro.graphs.canonical import adjacency_stack, decode_key
+from repro.graphs.distances import canonical_labels
 from repro.graphs.generation import all_connected_graphs, all_trees
 
 __all__ = [
@@ -117,30 +133,138 @@ def family_graphs(
         return enumerate_labelled_trees(n, traffic)
     if m is None:
         return all_connected_graphs(n)
+    return (decode_key(key)[0] for key in _layer_keys(n, m))
+
+
+def _layer_keys(n: int, m: int) -> Sequence[bytes]:
     # imported at call time, so a wrapper installed on the enumerator
     # module (perfbench's tracer) sees every layer
-    from repro.graphs.canonical import decode_key
     from repro.graphs.enumerate import connected_graph_layer
 
-    return (decode_key(key)[0] for key in connected_graph_layer(n, m))
+    return connected_graph_layer(n, m)
 
 
-def _verdicts(
-    graphs: Iterable[nx.Graph],
+#: concepts the stacked kernel decides outright (with ``k`` unset)
+_STACKED = {
+    Concept.RE: "remove",
+    Concept.BAE: "add",
+    Concept.PS: "pairwise",
+}
+#: concepts whose checkers make every single removal and every mutual
+#: addition, so only a PS-stable class can pass them (BSE is n-BSE)
+_PS_GATED = (Concept.BGE, Concept.BSE)
+
+
+@dataclass(frozen=True)
+class _Priced:
+    """One run of a family's classes, in family order, all with
+    ``edges`` edges: their value totals, verdicts and graphs."""
+
+    edges: int
+    totals: np.ndarray
+    stable: np.ndarray
+    graph: Callable[[int], nx.Graph]
+
+
+def _stacks(
+    family: str, n: int, m: int | None, traffic: TrafficMatrix | None
+) -> Iterator[tuple[np.ndarray, Callable[[int], nx.Graph]]]:
+    """The family as adjacency stacks of at most :func:`stack_size`
+    graphs with equal edge counts, in family order, each with the graph
+    behind every row.  A layer is unpacked straight from its keys;
+    every other family is stacked from edge lists (its graphs are
+    labelled ``0..n-1``)."""
+    size = stack_size(n)
+    if family == "graphs" and m is not None:
+        keys = _layer_keys(n, m)
+        for start in range(0, len(keys), size):
+            chunk = keys[start : start + size]
+            yield adjacency_stack(chunk), (
+                lambda i, chunk=chunk: decode_key(chunk[i])[0]
+            )
+        return
+    chunk: list[nx.Graph] = []
+    for graph in family_graphs(family, n, m, traffic):
+        if chunk and (
+            len(chunk) == size
+            or graph.number_of_edges() != chunk[0].number_of_edges()
+        ):
+            yield _stack_of(chunk, n), chunk.__getitem__
+            chunk = []
+        chunk.append(graph)
+    if chunk:
+        yield _stack_of(chunk, n), chunk.__getitem__
+
+
+def _stack_of(graphs: Sequence[nx.Graph], n: int) -> np.ndarray:
+    stack = np.zeros((len(graphs), n, n), dtype=bool)
+    for i, graph in enumerate(graphs):
+        edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+        stack[i, edges[:, 0], edges[:, 1]] = True
+    return stack | stack.transpose(0, 2, 1)
+
+
+def _priced(
+    family: str,
+    n: int,
+    m: int | None,
     alpha: Fraction,
     concept: Concept,
     k: int | None,
     traffic: TrafficMatrix | None,
     cost_model: CostModel | None,
-) -> Iterator[tuple[GameState, bool]]:
-    """The one PoA scan: every candidate's state and its verdict.
+) -> Iterator[_Priced]:
+    """The one PoA scan: every candidate's value total and verdict.
 
-    ``check`` is read from this module's globals on every call, the
-    point where perfbench's tracer wraps it.
+    RE, BAE and PS (``k`` unset) come from :func:`price_stack`, one
+    stack at a time.  BGE, BSE and k-BSE with ``k >= 2`` also run their
+    checker, on the PS-stable classes only: their checkers make every
+    single removal and every mutual addition, so a class that fails PS
+    fails them too.  Every other concept builds a state and runs its
+    checker per class.  ``check`` is read from this module's globals on
+    every call, the point where perfbench's tracer wraps it.
     """
-    for graph in graphs:
-        state = GameState(graph, alpha, traffic=traffic, cost_model=cost_model)
-        yield state, check(state, concept, k=k)
+    gated = concept in _PS_GATED if k is None else k >= 2
+    if not gated and (k is not None or concept not in _STACKED):
+        for graph in family_graphs(family, n, m, traffic):
+            state = GameState(
+                graph, alpha, traffic=traffic, cost_model=cost_model
+            )
+            stable = check(state, concept, k=k)
+            yield _Priced(
+                state.graph.number_of_edges(),
+                np.array([state.totals().sum()]),
+                np.array([stable]),
+                lambda _, graph=state.graph: graph,
+            )
+        return
+    game = None
+    for adjacency, graph_of in _stacks(family, n, m, traffic):
+        if game is None:  # after the family's own input checks
+            if alpha <= 0:
+                raise ValueError("alpha must be positive")
+            game = bind_valuation(n, alpha, traffic, cost_model)
+        prices = price_stack(adjacency, alpha, *game)
+        if gated:
+            stable = prices.pairwise
+            for i in np.flatnonzero(stable):
+                state = GameState(
+                    graph_of(i), alpha, traffic=traffic, cost_model=cost_model
+                )
+                stable[i] = check(state, concept, k=k)
+        else:
+            stable = getattr(prices, _STACKED[concept])
+        yield _Priced(
+            int(adjacency[0].sum()) // 2,
+            prices.totals,
+            stable,
+            lambda i, graph_of=graph_of: canonical_labels(graph_of(i)),
+        )
+
+
+def _rho(n: int, alpha: Fraction, cost: Fraction) -> Fraction:
+    """``rho`` of a social cost, as ``GameState.rho`` computes it."""
+    return Fraction(1) if n == 1 else cost / optimum_cost(n, alpha)
 
 
 def family_poa(
@@ -158,12 +282,13 @@ def family_poa(
 
     ``family``, ``m`` and ``traffic`` select the graphs
     (:func:`family_graphs`); ``traffic`` and ``cost_model`` select the
-    game.  With neither, ``rho()`` is computed for equilibria only; with
-    either, every candidate's social cost enters the family minimum (see
-    :class:`PoAResult`).  With ``TrafficMatrix.uniform(n)`` and a linear
-    or absent cost model, the family-relative ratio reproduces the
-    uniform PoA whenever the closed-form optimum lies inside the family
-    (for trees: ``alpha >= 1``, where the optimum is the star).
+    game.  With neither, the ratio is the worst equilibrium's ``rho()``;
+    with either, every candidate's social cost enters the family minimum
+    (see :class:`PoAResult`).  With ``TrafficMatrix.uniform(n)`` and a
+    linear or absent cost model, the family-relative ratio reproduces
+    the uniform PoA whenever the closed-form optimum lies inside the
+    family (for trees: ``alpha >= 1``, where the optimum is the star).
+    The witness is the first worst equilibrium in family order.
     """
     price = as_alpha(alpha)
     relative = traffic is not None or cost_model is not None
@@ -172,28 +297,35 @@ def family_poa(
     witness: nx.Graph | None = None
     equilibria = 0
     candidates = 0
-    for state, stable in _verdicts(
-        family_graphs(family, n, m, traffic),
-        price, concept, k, traffic, cost_model,
+    for run in _priced(
+        family, n, m, price, concept, k, traffic, cost_model
     ):
-        candidates += 1
+        # one edge count per run: costs order like value totals, and
+        # argmin / argmax pick the first class of a tie
+        buy = 2 * price * run.edges
+        candidates += run.totals.size
         if relative:
-            cost = state.social_cost()
+            cost = buy + int(run.totals.min())
             if best is None or cost < best:
                 best = cost
-        if not stable:
+        kept = np.flatnonzero(run.stable)
+        if not kept.size:
             continue
-        equilibria += 1
-        value = cost if relative else state.rho()
-        if worst is None or value > worst:
-            worst = value
-            witness = state.graph.copy()
+        equilibria += kept.size
+        top = int(kept[np.argmax(run.totals[kept])])
+        cost = buy + int(run.totals[top])
+        if worst is None or cost > worst:
+            worst = cost
+            witness = run.graph(top)
+    poa = None
+    if worst is not None:
+        poa = worst / best if relative else _rho(n, price, worst)
     return PoAResult(
         n=n,
         alpha=price,
         concept=concept,
         k=k,
-        poa=worst if not relative or worst is None else worst / best,
+        poa=poa,
         witness=witness,
         equilibria=equilibria,
         candidates=candidates,
@@ -227,13 +359,15 @@ def worst_equilibria(
     trees_only: bool = True,
 ) -> list[tuple[Fraction, nx.Graph]]:
     """The ``top`` worst equilibria (ratio, graph), descending."""
-    graphs = family_graphs("trees" if trees_only else "graphs", n)
+    price = as_alpha(alpha)
+    family = "trees" if trees_only else "graphs"
     scored = [
-        (state.rho(), state.graph.copy())
-        for state, stable in _verdicts(
-            graphs, as_alpha(alpha), concept, k, None, None
+        (
+            _rho(n, price, 2 * price * run.edges + int(run.totals[i])),
+            run.graph(i),
         )
-        if stable
+        for run in _priced(family, n, None, price, concept, k, None, None)
+        for i in np.flatnonzero(run.stable)
     ]
     scored.sort(key=lambda item: item[0], reverse=True)
     return scored[:top]

@@ -40,7 +40,9 @@ core the layered enumerator feeds adjacency bitmasks directly.
 Key format (``bytes``): ``[n]`` + the upper-triangle adjacency bits of
 the canonical labelling packed big-endian; weighted keys append the
 canonically permuted demand matrix as ``n**2`` big-endian ``uint64``
-words.  :func:`decode_key` inverts both forms exactly.
+words.  :func:`decode_key` inverts both forms exactly, and
+:func:`adjacency_stack` unpacks a run of structural keys on one node
+count into one boolean adjacency array.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ import numpy as np
 from repro.obs import metrics as _obs
 
 __all__ = [
+    "adjacency_stack",
     "canonical_cache_clear",
     "canonical_cache_info",
     "canonical_graph",
@@ -390,3 +393,28 @@ def decode_key(key: bytes) -> tuple[nx.Graph, np.ndarray | None]:
     ]
     weights = np.array(flat, dtype=np.int64).reshape(n, n)
     return graph, weights
+
+
+def adjacency_stack(keys: Sequence[bytes]) -> np.ndarray:
+    """The ``(len(keys), n, n)`` boolean adjacency stack of structural
+    keys on one node count ``n``, unpacked in one pass.
+
+    Row ``i`` is the graph :func:`decode_key` returns for ``keys[i]``.
+    """
+    n = keys[0][0]
+    pairs = n * (n - 1) // 2
+    width = 1 + (pairs + 7) // 8
+    packed = np.frombuffer(b"".join(keys), dtype=np.uint8)
+    if packed.size != width * len(keys) or (packed[::width] != n).any():
+        raise ValueError(
+            "an adjacency stack needs structural keys on one node count"
+        )
+    packed = packed.reshape(len(keys), width)
+    # the pair bits are the low ``pairs`` bits of the big-endian payload,
+    # pair (0, 1) first, in decode_key's (i, j > i) order
+    bits = np.unpackbits(packed[:, 1:], axis=1)[:, 8 * (width - 1) - pairs :]
+    stack = np.zeros((len(keys), n, n), dtype=bool)
+    upper, lower = np.triu_indices(n, 1)
+    stack[:, upper, lower] = bits
+    stack[:, lower, upper] = bits
+    return stack

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.traffic import TrafficMatrix
 from repro.graphs.canonical import (
+    adjacency_stack,
     canonical_cache_clear,
     canonical_cache_info,
     canonical_graph,
@@ -212,6 +213,29 @@ class TestRoundTrips:
     def test_key_of_masks_matches_graph_path(self):
         graph = nx.cycle_graph(5)
         assert key_of_masks(5, masks_of_graph(graph)) == canonical_key(graph)
+
+    def test_adjacency_stack_matches_decode_key(self):
+        # n = 1..9: no pair bits, a partial last byte, and whole bytes
+        rng = random.Random(17)
+        for n in range(1, 10):
+            keys = [
+                canonical_key(nx.gnp_random_graph(n, p, seed=rng.randint(0, 99)))
+                for p in (0.0, 0.3, 0.6, 1.0)
+            ]
+            stack = adjacency_stack(keys)
+            assert stack.shape == (4, n, n) and stack.dtype == bool
+            for row, key in zip(stack, keys):
+                decoded = nx.to_numpy_array(
+                    decode_key(key)[0], nodelist=range(n), dtype=bool
+                )
+                assert (row == decoded).all()
+
+    def test_adjacency_stack_refuses_mixed_keys(self):
+        five, six = (canonical_key(nx.path_graph(n)) for n in (5, 6))
+        weighted = canonical_key(nx.path_graph(5), TrafficMatrix.uniform(5))
+        for keys in ([five, six], [six, five], [five, weighted]):
+            with pytest.raises(ValueError, match="one node count"):
+                adjacency_stack(keys)
 
 
 class TestMemo:
