@@ -18,7 +18,8 @@ class.
 
 The scan prices RE, BAE and PS in one numpy kernel per stack of
 classes (:func:`repro.equilibria.stack.price_stack`): a layer's stack is
-unpacked straight from its canonical keys, every other family is
+unpacked straight from its canonical keys, and so is the whole
+connected family above the atlas, layer by layer; every other family is
 stacked from edge lists, and no class builds a ``GameState``, a distance
 engine or a bridge set.  BGE, BSE and k-BSE (``k >= 2``) run their
 checker on the kernel's PS-stable classes only, because each of those
@@ -50,7 +51,12 @@ from repro.equilibria.registry import check
 from repro.equilibria.stack import price_stack, stack_size
 from repro.graphs.canonical import adjacency_stack, decode_key
 from repro.graphs.distances import canonical_labels
-from repro.graphs.generation import all_connected_graphs, all_trees
+from repro.graphs.enumerate import max_edge_count
+from repro.graphs.generation import (
+    ATLAS_MAX_NODES,
+    all_connected_graphs,
+    all_trees,
+)
 
 __all__ = [
     "PoAResult",
@@ -171,17 +177,20 @@ def _stacks(
 ) -> Iterator[tuple[np.ndarray, Callable[[int], nx.Graph]]]:
     """The family as adjacency stacks of at most :func:`stack_size`
     graphs with equal edge counts, in family order, each with the graph
-    behind every row.  A layer is unpacked straight from its keys;
-    every other family is stacked from edge lists (its graphs are
+    behind every row.  A layer, and the connected graphs above the atlas
+    (their layers in edge-count order), are unpacked straight from their
+    keys; every other family is stacked from edge lists (its graphs are
     labelled ``0..n-1``)."""
     size = stack_size(n)
-    if family == "graphs" and m is not None:
-        keys = _layer_keys(n, m)
-        for start in range(0, len(keys), size):
-            chunk = keys[start : start + size]
-            yield adjacency_stack(chunk), (
-                lambda i, chunk=chunk: decode_key(chunk[i])[0]
-            )
+    if family == "graphs" and (m is not None or n > ATLAS_MAX_NODES):
+        layers = (m,) if m is not None else range(n - 1, max_edge_count(n) + 1)
+        for edges in layers:
+            keys = _layer_keys(n, edges)
+            for start in range(0, len(keys), size):
+                chunk = keys[start : start + size]
+                yield adjacency_stack(chunk), (
+                    lambda i, chunk=chunk: decode_key(chunk[i])[0]
+                )
         return
     chunk: list[nx.Graph] = []
     for graph in family_graphs(family, n, m, traffic):
@@ -346,7 +355,7 @@ def empirical_poa(
     n: int, alpha: AlphaLike, concept: Concept, k: int | None = None
 ) -> PoAResult:
     """Exact PoA of the paper's game over *all* connected graphs
-    (seconds at ``n = 8``, minutes at ``n = 9``)."""
+    (about a second at ``n = 8``, enumeration included)."""
     return family_poa("graphs", n, alpha, concept, k)
 
 

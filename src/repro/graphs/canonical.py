@@ -35,14 +35,19 @@ the same search found (:func:`canonical_key` and
 :func:`canonical_labelling` read one entry, so an input is searched
 once); :func:`canonical_cache_info` exposes hit/miss counters in the spy
 idiom of the engine modules, and :func:`key_of_masks` is the cache-free
-core the layered enumerator feeds adjacency bitmasks directly.
+core that takes adjacency bitmasks directly.  :func:`key_rows` runs the
+same structural search on a whole batch of bitmask rows at once in
+numpy, byte for byte; the layered enumerator keys every child through
+it.  A batch of one costs more than the scalar search, so single inputs
+(the memo, weighted keys, labelled trees) stay with :func:`key_of_masks`.
 
 Key format (``bytes``): ``[n]`` + the upper-triangle adjacency bits of
 the canonical labelling packed big-endian; weighted keys append the
 canonically permuted demand matrix as ``n**2`` big-endian ``uint64``
-words.  :func:`decode_key` inverts both forms exactly, and
+words.  :func:`decode_key` inverts both forms exactly,
 :func:`adjacency_stack` unpacks a run of structural keys on one node
-count into one boolean adjacency array.
+count into one boolean adjacency array, and :func:`masks_of_stack`
+packs such an array back into bitmask rows.
 """
 
 from __future__ import annotations
@@ -64,7 +69,10 @@ __all__ = [
     "canonical_labelling",
     "decode_key",
     "key_of_masks",
+    "key_rows",
     "masks_of_graph",
+    "masks_of_stack",
+    "vertex_bits",
 ]
 
 _MAX_KEY_NODES = 255  # one header byte; the sweeps live at n <= 10
@@ -399,7 +407,8 @@ def adjacency_stack(keys: Sequence[bytes]) -> np.ndarray:
     """The ``(len(keys), n, n)`` boolean adjacency stack of structural
     keys on one node count ``n``, unpacked in one pass.
 
-    Row ``i`` is the graph :func:`decode_key` returns for ``keys[i]``.
+    Row ``i`` is the graph :func:`decode_key` returns for ``keys[i]``;
+    :func:`masks_of_stack` packs it into :func:`key_rows`'s input.
     """
     n = keys[0][0]
     pairs = n * (n - 1) // 2
@@ -418,3 +427,188 @@ def adjacency_stack(keys: Sequence[bytes]) -> np.ndarray:
     stack[:, upper, lower] = bits
     stack[:, lower, upper] = bits
     return stack
+
+
+# -- batched structural keys -------------------------------------------------
+#
+# key_rows runs _minimise's search on a whole batch of graphs at once.
+# Every colouring it refines after the first round refines the degree
+# partition, so two vertices of one colour have equal degree, and for
+# sorted neighbour-colour tuples of equal length ``a < b`` holds iff a's
+# per-colour counts are lexicographically *greater* than b's.  _refine's
+# ranking of ``(colour, sorted neighbour colours)`` is therefore the
+# ranking of ``(colour, -count_0, ..., -count_{n-1})``, with the counts
+# taken as popcounts of ``adj[u] & cell[c]``; its first round, from the
+# unit colouring, ranks by degree ascending.  The search individualises
+# each member of the lowest non-singleton colour that has no earlier
+# twin in its cell (twinship is an equivalence, and twins span
+# automorphic subtrees), and the key is the minimum leaf candidate.
+
+
+def _mask_dtype(n: int) -> np.dtype:
+    """The narrowest unsigned dtype holding one ``n``-bit adjacency row."""
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if n <= 8 * np.dtype(dtype).itemsize:
+            return np.dtype(dtype)
+    raise ValueError(f"bitmask rows hold at most 64 nodes, not {n}")
+
+
+def vertex_bits(n: int) -> np.ndarray:
+    """``1 << v`` for every vertex ``v`` of an ``n``-node graph, in the
+    dtype of :func:`masks_of_stack`'s rows (the narrowest that holds
+    ``n`` bits; ``n <= 64``)."""
+    dtype = _mask_dtype(n)
+    return np.left_shift(np.ones(n, dtype=dtype), np.arange(n, dtype=dtype))
+
+
+def masks_of_stack(stack: np.ndarray) -> np.ndarray:
+    """The ``(g, n)`` adjacency bitmasks of a ``(g, n, n)`` boolean stack,
+    in :func:`masks_of_graph`'s layout (bit ``v`` of row ``u`` is ``uv``)
+    and :func:`key_rows`'s dtype."""
+    bits = vertex_bits(stack.shape[-1])
+    return (stack * bits).sum(axis=-1, dtype=bits.dtype)
+
+
+def _dense_ranks(words: Sequence[np.ndarray]) -> np.ndarray:
+    """Per row of the ``(r, n)`` arrays ``words`` (most significant
+    first), the dense rank of each entry in their lexicographic order."""
+    order = np.lexsort(words[::-1], axis=-1)
+    fresh = np.zeros(order.shape, dtype=bool)
+    for word in words:
+        ranked = np.take_along_axis(word, order, axis=1)
+        fresh[:, 1:] |= ranked[:, 1:] != ranked[:, :-1]
+    ranks = np.empty(order.shape, dtype=np.uint8)
+    np.put_along_axis(ranks, order, np.cumsum(fresh, axis=1), axis=1)
+    return ranks
+
+
+class _Refiner:
+    """_refine over rows of colourings, each of one graph's masks.
+
+    A vertex's signature ``(colour, n-1-count_0, ..., n-1-count_{n-1})``
+    is packed into fields of ``width`` bits, as many to a ``uint64``
+    word as fit, so ranking compares a few words per vertex."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.bits = vertex_bits(n)
+        width = max(1, (n - 1).bit_length())
+        per_word = 64 // width
+        # field 0 is the colour, field 1 + c the count of colour c
+        shifts = [
+            width * (per_word - 1 - field % per_word) for field in range(n + 1)
+        ]
+        words = (n + per_word) // per_word
+        self.colour_shift = np.uint64(shifts[0])
+        self.weights = np.zeros((words, n), dtype=np.uint64)
+        for colour in range(n):
+            field = colour + 1
+            self.weights[field // per_word, colour] = 1 << shifts[field]
+        # n - 1 in every count field: the counts are subtracted from it
+        self.tops = self.weights.sum(axis=1, dtype=np.uint64) * np.uint64(
+            n - 1
+        )
+
+    def cell_counts(
+        self, masks: np.ndarray, colours: np.ndarray
+    ) -> np.ndarray:
+        """``(r, n, n)`` neighbours of vertex ``u`` in colour ``c``."""
+        member = colours[:, :, None] == np.arange(self.n, dtype=np.uint8)
+        cells = (member * self.bits[:, None]).sum(
+            axis=1, dtype=self.bits.dtype
+        )
+        return np.bitwise_count(masks[:, :, None] & cells[:, None, :])
+
+    def refine(self, masks: np.ndarray, colours: np.ndarray) -> np.ndarray:
+        """Each row's colouring refined until no cell splits."""
+        colours = colours.copy()
+        active = np.arange(len(colours))
+        while active.size:
+            now = colours[active]
+            counts = self.cell_counts(masks[active], now)
+            words = [
+                top - counts @ weights
+                for top, weights in zip(self.tops, self.weights)
+            ]
+            words[0] += now.astype(np.uint64) << self.colour_shift
+            ranks = _dense_ranks(words)
+            split = ranks.max(axis=1) > now.max(axis=1)
+            active = active[split]
+            colours[active] = ranks[split]
+        return colours
+
+
+def key_rows(n: int, masks) -> np.ndarray:
+    """Structural canonical keys of a batch of ``n``-node graphs.
+
+    ``masks`` is a ``(g, n)`` array of adjacency bitmasks
+    (:func:`masks_of_graph`'s layout, ``n <= 64``).  Returns a
+    ``(g, 1 + ceil(n(n-1)/16))`` ``uint8`` array whose row ``i`` holds
+    the bytes of ``key_of_masks(n, masks[i])``: the same search, run on
+    every graph of the batch at once.
+    """
+    if not 0 < n <= 64:
+        raise ValueError(f"batched keys support 1..64 nodes, not {n}")
+    dtype = _mask_dtype(n)
+    masks = np.asarray(masks, dtype=dtype)
+    if masks.ndim != 2 or masks.shape[1] != n:
+        raise ValueError(f"key_rows needs a (g, {n}) array of row masks")
+    pairs = n * (n - 1) // 2
+    keys = np.zeros((len(masks), 1 + (pairs + 7) // 8), dtype=np.uint8)
+    keys[:, 0] = n
+    if not pairs or not len(masks):
+        return keys
+    refiner = _Refiner(n)
+    vertices = np.arange(n, dtype=np.uint8)
+    # (u, v): the rows of u and v compared without the bits of u and v,
+    # as _twins compares them; u is earlier than v in the cell
+    clear = ~(refiner.bits[:, None] | refiner.bits[None, :])
+    earlier = np.triu(np.ones((n, n), dtype=bool), 1)
+    pair_i, pair_j = np.triu_indices(n, 1)
+
+    graph = np.arange(len(masks))
+    colours = _dense_ranks([np.bitwise_count(masks)])
+    found_graph, found_bits = [], []
+    while graph.size:
+        rows = masks[graph]
+        colours = refiner.refine(rows, colours)
+        sizes = (colours[:, :, None] == vertices).sum(axis=1)
+        branching = (sizes > 1).any(axis=1)
+
+        leaf = ~branching
+        if leaf.any():
+            # position -> vertex; the candidate is the upper triangle of
+            # the permuted adjacency, pair (0, 1) first
+            perm = np.argsort(colours[leaf], axis=1)
+            permuted = np.take_along_axis(rows[leaf], perm, axis=1)
+            found_graph.append(graph[leaf])
+            found_bits.append(
+                (permuted[:, pair_i] >> perm[:, pair_j].astype(dtype)) & 1
+            )
+
+        rows, colours = rows[branching], colours[branching]
+        target = (sizes[branching] > 1).argmax(axis=1).astype(np.uint8)
+        member = colours == target[:, None]
+        twins = (rows[:, :, None] & clear) == (rows[:, None, :] & clear)
+        shadowed = (member[:, :, None] & twins & earlier).any(axis=1)
+        parent, vertex = np.nonzero(member & ~shadowed)
+        target = target[parent]
+        colours = colours[parent] + (
+            (colours[parent] >= target[:, None])
+            & (vertices != vertex[:, None])
+        )
+        colours[np.arange(len(vertex)), vertex] = target
+        graph = graph[branching][parent]
+
+    # the lexicographic minimum candidate of each graph, compared byte by
+    # byte as the key's payload (the pair bits sit in its low end)
+    found_graph = np.concatenate(found_graph)
+    found_bits = np.concatenate(found_bits)
+    padded = np.zeros((len(found_bits), 8 * (keys.shape[1] - 1)), dtype=bool)
+    padded[:, padded.shape[1] - pairs :] = found_bits
+    payload = np.packbits(padded, axis=1)
+    order = np.lexsort([*payload.T[::-1], found_graph])
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = found_graph[order[1:]] != found_graph[order[:-1]]
+    keys[:, 1:] = payload[order[first]]
+    return keys

@@ -15,30 +15,43 @@ trees, using nothing but the canonical keys of
   deduplication of all single-edge additions to layer ``m - 1``; the base
   layer ``m = n - 1`` is the tree layer.
 
-Each layer is deduplicated with a per-layer *seen set* of canonical keys
-and then **sorted by key**, so enumeration order is a pure function of
-``(n, m)`` — bit-stable across runs, machines and cache states.  Layers
-are memoised per process (the exact-PoA campaign runners revisit them
-trial by trial), and the canonical keys double as content addresses: a
-campaign trial keyed by ``(n, m)`` re-derives exactly the same graphs,
-which is what makes per-layer resume safe.
+Each layer is built from chunks of parents in numpy: a chunk's parents
+are unpacked from their keys (:func:`~repro.graphs.canonical.adjacency_stack`
+and :func:`~repro.graphs.canonical.masks_of_stack`), every child is made
+at once, the children that pass the filter below are keyed in one
+batched call (:func:`~repro.graphs.canonical.key_rows`), and the keys of
+all chunks are deduplicated and **sorted by key**, so enumeration order
+is a pure function of ``(n, m)`` — bit-stable across runs, machines and
+cache states.  A chunk holds ``LAYER_CELLS // n**4`` parents, which
+bounds the keyer's temporaries.  Layers are memoised per process (the
+exact-PoA campaign runners revisit them trial by trial), and the
+canonical keys double as content addresses: a campaign trial keyed by
+``(n, m)`` re-derives exactly the same graphs, which is what makes
+per-layer resume safe.  Each cold layer emits one ``enumerate.layer``
+trace span (:mod:`repro.obs.trace`) with the children it made, keyed
+and kept.
 
 Keys are the expensive part, so a connected-graph child ``parent + uv``
 is keyed only when ``uv`` is a *top cycle edge* of the child: no edge
 on a cycle (no non-bridge edge) has a strictly larger cheap invariant
 ``(max deg, min deg, common neighbours)``.  This is canonical
 augmentation in the sense of McKay ("Isomorph-free exhaustive
-generation", J. Algorithms 1998), used as a filter in front of the seen
-set.  No class is lost: take any graph ``c`` of the class and a cycle
-edge ``e`` of ``c`` with the largest invariant.  ``c - e`` is connected,
-so its class has a representative ``p`` in layer ``m - 1``, and adding
-the image of ``e`` under the isomorphism to ``p`` builds a copy of ``c``
-in which that edge is still a top cycle edge, so this child passes.
-Only edges whose invariant beats the new edge's pay the bitmask-BFS
-bridge test, and a child whose new edge ranks below its parent's top
-cycle edge is rejected outright (adding an edge lowers no invariant and
-breaks no cycle).  The n = 8 layers compute 17319 keys where keying
-every child took 151133, and every layer is byte-identical.
+generation", J. Algorithms 1998), used as a filter in front of the
+deduplication.  No class is lost: take any graph ``c`` of the class and
+a cycle edge ``e`` of ``c`` with the largest invariant.  ``c - e`` is
+connected, so its class has a representative ``p`` in layer ``m - 1``,
+and adding the image of ``e`` under the isomorphism to ``p`` builds a
+copy of ``c`` in which that edge is still a top cycle edge, so this
+child passes.  The filter is vectorised over a chunk.  One batched
+bitmask BFS per parent edge ``xy`` finds ``x``'s side of
+``parent - xy``: the edge is on a cycle of the parent iff that side
+holds ``y``, and it is on a cycle of ``parent + uv`` iff it is on one of
+the parent or the new edge crosses it (``u`` and ``v`` on different
+sides).  A child whose new edge ranks below its parent's top cycle edge
+is rejected before its edges are ranked (adding an edge lowers no
+invariant and breaks no cycle).  The n = 8 layers key 17385 children
+(17242 single-edge and 143 single-leaf children) where keying every
+child took 151133, and every layer is byte-identical.
 
 :func:`enumerate_labelled_trees` is the weighted counterpart: it sweeps
 all ``n**(n-2)`` Pruefer sequences and deduplicates by the **joint**
@@ -47,10 +60,11 @@ joint isomorphism class — the exact family for weighted tree PoA, where
 demands break label symmetry (under uniform demands it degenerates to
 the unlabelled tree family).
 
-Practical ceilings (pure Python, one core of a 2-core x86 container):
-connected graphs complete in ~4 s at n = 8 (11117 classes) and ~80 s
-at n = 9 (261080 classes, 381392 keys); trees are cheap through
-n ~ 16; labelled trees are feasible to n ~ 8 (262144 sequences).
+Practical ceilings (numpy, one core of a 2-core x86 container, raw
+seconds): connected graphs complete in ~0.4 s at n = 8 (11117 classes)
+and ~9-11 s at n = 9 (261080 classes, 381392 keys); the trees up to
+n = 16 take ~8 s (19320 trees at n = 16); labelled trees, keyed one by
+one, are feasible to n ~ 8 (262144 sequences).
 """
 
 from __future__ import annotations
@@ -60,10 +74,20 @@ from heapq import heappop, heappush
 from typing import Iterator, Sequence
 
 import networkx as nx
+import numpy as np
 
-from repro.graphs.canonical import canonical_key, decode_key, key_of_masks
+from repro.graphs.canonical import (
+    adjacency_stack,
+    canonical_key,
+    decode_key,
+    key_rows,
+    masks_of_stack,
+    vertex_bits,
+)
+from repro.obs import trace as _trace
 
 __all__ = [
+    "LAYER_CELLS",
     "connected_graph_layer",
     "enumerate_connected_graphs",
     "enumerate_labelled_trees",
@@ -71,6 +95,11 @@ __all__ = [
     "max_edge_count",
     "tree_layer_keys",
 ]
+
+#: cell budget of one chunk of parents: a parent has fewer than
+#: ``n**2 / 2`` children and the keyer holds ``(n, n)`` count blocks per
+#: child, so a chunk holds ``LAYER_CELLS // n**4`` parents (256 at n = 8)
+LAYER_CELLS = 1 << 20
 
 _TREE_LAYERS: dict[int, tuple[bytes, ...]] = {}
 _GRAPH_LAYERS: dict[tuple[int, int], tuple[bytes, ...]] = {}
@@ -81,23 +110,49 @@ def max_edge_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _masks_of_key(key: bytes) -> list[int]:
-    """Adjacency bitmasks straight from a structural canonical key."""
-    n = key[0]
-    bit_bytes = (n * (n - 1) // 2 + 7) // 8
-    bits = int.from_bytes(key[1 : 1 + bit_bytes], "big")
-    masks = [0] * n
-    position = n * (n - 1) // 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            position -= 1
-            if (bits >> position) & 1:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
+def _parent_chunks(parents: Sequence[bytes], n: int) -> Iterator[np.ndarray]:
+    """The adjacency stacks of the parents of an ``n``-node layer,
+    ``LAYER_CELLS // n**4`` at a time."""
+    size = max(1, LAYER_CELLS // n**4)
+    for start in range(0, len(parents), size):
+        yield adjacency_stack(parents[start : start + size])
+
+
+def _layer(
+    n: int, m: int, batches: Iterator[tuple[int, np.ndarray]]
+) -> tuple[bytes, ...]:
+    """Key every batch ``(children made, child masks)``, merge,
+    deduplicate and sort: one ``enumerate.layer`` span with the children
+    made, keyed and kept."""
+    with _trace.span("enumerate.layer", n=n, m=m) as span:
+        children = keyed = 0
+        found = []
+        for made, masks in batches:
+            children += made
+            keyed += len(masks)
+            # looked up at call time, so a wrapper sees every batch
+            found.append(key_rows(n, masks))
+        rows = np.concatenate(found)
+        # one void item per key: numpy orders them bytewise, as bytes sort
+        unique = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))))
+        layer = tuple(key.tobytes() for key in unique)
+        span.set(children=children, keyed=keyed, kept=len(layer))
+    return layer
 
 
 # -- trees -------------------------------------------------------------------
+
+
+def _leaf_children(stack: np.ndarray) -> tuple[int, np.ndarray]:
+    """Every tree a parent stack grows by hanging a new leaf ``n - 1``
+    on one of its vertices, as ``(count, masks)``."""
+    parents, size, _ = stack.shape
+    grown = np.zeros((parents, size + 1, size + 1), dtype=bool)
+    grown[:, :size, :size] = stack
+    grown = np.repeat(grown, size, axis=0)
+    rows, hub = np.arange(len(grown)), np.tile(np.arange(size), parents)
+    grown[rows, hub, size] = grown[rows, size, hub] = True
+    return len(grown), masks_of_stack(grown)
 
 
 def tree_layer_keys(n: int) -> tuple[bytes, ...]:
@@ -108,19 +163,11 @@ def tree_layer_keys(n: int) -> tuple[bytes, ...]:
     if cached is not None:
         return cached
     if n == 1:
-        layer = (key_of_masks(1, [0]),)
+        batches = iter([(1, np.zeros((1, 1), dtype=np.uint8))])
     else:
-        seen: set[bytes] = set()
-        for parent in tree_layer_keys(n - 1):
-            masks = _masks_of_key(parent)
-            masks.append(0)
-            leaf_bit = 1 << (n - 1)
-            for u in range(n - 1):
-                masks[u] |= leaf_bit
-                masks[n - 1] = 1 << u
-                seen.add(key_of_masks(n, masks))
-                masks[u] ^= leaf_bit
-        layer = tuple(sorted(seen))
+        parents = tree_layer_keys(n - 1)
+        batches = map(_leaf_children, _parent_chunks(parents, n))
+    layer = _layer(n, n - 1, batches)
     _TREE_LAYERS[n] = layer
     return layer
 
@@ -134,49 +181,87 @@ def enumerate_trees(n: int) -> Iterator[nx.Graph]:
 # -- connected graphs --------------------------------------------------------
 
 
-def _edge_invariant(n: int, masks: Sequence[int], x: int, y: int) -> int:
-    """``(max deg, min deg, common neighbours)`` of edge ``xy``, packed
-    into one int that orders like the tuple (each part is below ``n``)."""
-    big, small = masks[x].bit_count(), masks[y].bit_count()
-    if big < small:
-        big, small = small, big
-    return (big * n + small) * n + (masks[x] & masks[y]).bit_count()
+def _invariant(n: int, dx, dy, common) -> np.ndarray:
+    """``(max deg, min deg, common neighbours)`` of edges ``xy``, packed
+    into ints that order like the tuples (each part is below ``n``)."""
+    dx, dy = dx.astype(np.int32), dy.astype(np.int32)
+    return (np.maximum(dx, dy) * n + np.minimum(dx, dy)) * n + common
 
 
-def _on_cycle(masks: Sequence[int], x: int, y: int) -> bool:
-    """Is edge ``xy`` on a cycle (not a bridge)?  Bitmask BFS from ``x``
-    that never crosses ``xy`` itself."""
-    seen = 1 << x
-    frontier = masks[x] ^ (1 << y)
-    while frontier:
-        if (frontier >> y) & 1:
-            return True
-        seen |= frontier
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            reach |= masks[low.bit_length() - 1]
-        frontier = reach & ~seen
-    return False
+def _reach_without(
+    masks: np.ndarray, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """``x``'s side of ``G - xy`` as a bitmask, for every edge ``xy``:
+    ``xs`` and ``ys`` are ``(g, e)`` edge ends of the ``(g, n)`` masks
+    (:func:`~repro.graphs.canonical.masks_of_stack`'s rows).  The edge is
+    on a cycle iff its side holds ``y``.  One bitmask BFS over every edge
+    at once."""
+    bits = vertex_bits(masks.shape[1])
+    graphs = np.arange(len(masks))[:, None]
+    edges = np.arange(xs.shape[1])
+    cut = np.repeat(masks[:, None, :], xs.shape[1], axis=1)
+    cut[graphs, edges, xs] &= ~bits[ys]
+    cut[graphs, edges, ys] &= ~bits[xs]
+    reach = bits[xs]
+    while True:
+        inside = (reach[..., None] & bits) != 0
+        grown = np.bitwise_or.reduce(np.where(inside, cut, 0), axis=-1)
+        grown |= reach
+        if (grown == reach).all():
+            return reach
+        reach = grown
 
 
-def _top_cycle_invariant(n: int, masks: Sequence[int], floor: int = -1) -> int:
-    """The largest invariant of an edge on a cycle, or ``floor`` when no
-    such edge beats it (``-1``: a forest).  Only an edge that beats the
-    best so far pays the bridge test."""
-    best = floor
-    for x in range(n):
-        above = masks[x] >> (x + 1)
-        y = x
-        while above:
-            step = (above & -above).bit_length()
-            above >>= step
-            y += step
-            invariant = _edge_invariant(n, masks, x, y)
-            if invariant > best and _on_cycle(masks, x, y):
-                best = invariant
-    return best
+def _edge_children(stack: np.ndarray) -> tuple[int, np.ndarray]:
+    """The children ``parent + uv`` of a parent stack whose new edge is
+    a top cycle edge, as ``(children made, kept child masks)``."""
+    parents, n, _ = stack.shape
+    masks = masks_of_stack(stack)
+    bits = vertex_bits(n)
+    degree = np.bitwise_count(masks)
+    # every parent edge's invariant and side; the top cycle edge sets the
+    # parent's floor (-1: a forest)
+    _, xs, ys = np.nonzero(np.triu(stack, 1))
+    xs, ys = xs.reshape(parents, -1), ys.reshape(parents, -1)
+    side = _reach_without(masks, xs, ys)
+    cyclic = (side & bits[ys]) != 0
+    owner = np.arange(parents)[:, None]
+    invariant = _invariant(
+        n, degree[owner, xs], degree[owner, ys],
+        np.bitwise_count(masks[owner, xs] & masks[owner, ys]),
+    )
+    floor = np.where(cyclic, invariant, -1).max(axis=1)
+
+    # every single-edge child; adding uv lowers no invariant and breaks no
+    # cycle, so a child whose new edge ranks below its parent's top cycle
+    # edge is rejected before its edges are ranked
+    of, us, vs = np.nonzero(np.triu(~stack, 1))
+    made = len(of)
+    mine = _invariant(
+        n, degree[of, us] + 1, degree[of, vs] + 1,
+        np.bitwise_count(masks[of, us] & masks[of, vs]),
+    )
+    passed = mine >= floor[of]
+    of, us, vs, mine = of[passed], us[passed], vs[passed], mine[passed]
+    child = masks[of]
+    rows = np.arange(len(of))
+    child[rows, us] |= bits[vs]
+    child[rows, vs] |= bits[us]
+
+    # uv is on a cycle (the parent is connected) and must beat every other
+    # cycle edge of the child: a parent edge is on one iff it is on a
+    # cycle of the parent or uv crosses it (u and v on different sides)
+    degree = np.bitwise_count(child)
+    rows, ex, ey = rows[:, None], xs[of], ys[of]
+    beaten = _invariant(
+        n, degree[rows, ex], degree[rows, ey],
+        np.bitwise_count(child[rows, ex] & child[rows, ey]),
+    ) > mine[:, None]
+    crossed = ((side[of] & bits[us, None]) != 0) != (
+        (side[of] & bits[vs, None]) != 0
+    )
+    top = ~(beaten & (cyclic[of] | crossed)).any(axis=1)
+    return made, child[top]
 
 
 def connected_graph_layer(n: int, m: int) -> tuple[bytes, ...]:
@@ -195,31 +280,9 @@ def connected_graph_layer(n: int, m: int) -> tuple[bytes, ...]:
     if m == max(n - 1, 0):
         layer = tree_layer_keys(n)
     else:
-        full = (1 << n) - 1
-        seen: set[bytes] = set()
-        for parent in connected_graph_layer(n, m - 1):
-            masks = _masks_of_key(parent)
-            # adding an edge lowers no invariant and breaks no cycle, so a
-            # child whose new edge ranks below the parent's top cycle edge
-            # is rejected without a scan
-            floor = _top_cycle_invariant(n, masks)
-            for u in range(n):
-                candidates = full & ~masks[u] & ~((1 << (u + 1)) - 1)
-                while candidates:
-                    low = candidates & -candidates
-                    candidates ^= low
-                    v = low.bit_length() - 1
-                    masks[u] |= low
-                    masks[v] |= 1 << u
-                    mine = _edge_invariant(n, masks, u, v)
-                    if (
-                        mine >= floor
-                        and _top_cycle_invariant(n, masks, mine) == mine
-                    ):
-                        seen.add(key_of_masks(n, masks))
-                    masks[u] ^= low
-                    masks[v] ^= 1 << u
-        layer = tuple(sorted(seen))
+        # the module attribute, so a wrapper on it sees the recursion
+        parents = connected_graph_layer(n, m - 1)
+        layer = _layer(n, m, map(_edge_children, _parent_chunks(parents, n)))
     _GRAPH_LAYERS[(n, m)] = layer
     return layer
 

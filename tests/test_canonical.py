@@ -16,7 +16,14 @@ from repro.graphs.canonical import (
     canonical_labelling,
     decode_key,
     key_of_masks,
+    key_rows,
     masks_of_graph,
+    masks_of_stack,
+)
+from repro.graphs.enumerate import (
+    connected_graph_layer,
+    max_edge_count,
+    tree_layer_keys,
 )
 
 
@@ -236,6 +243,90 @@ class TestRoundTrips:
         for keys in ([five, six], [six, five], [five, weighted]):
             with pytest.raises(ValueError, match="one node count"):
                 adjacency_stack(keys)
+
+
+def _keyed_both_ways(n, graphs):
+    """Each graph's batched key row and its scalar key, in input order."""
+    masks = [masks_of_graph(graph) for graph in graphs]
+    rows = key_rows(n, masks)
+    assert rows.shape == (len(masks), 1 + (n * (n - 1) // 2 + 7) // 8)
+    return [bytes(row) for row in rows], [key_of_masks(n, m) for m in masks]
+
+
+def _children(n):
+    """Every child the enumerators make on ``n`` nodes: each tree on
+    ``n - 1`` nodes with a leaf ``n - 1`` hung on one vertex, and each
+    connected graph below the complete one with one edge added."""
+    children = []
+    for key in tree_layer_keys(n - 1) if n > 1 else ():
+        tree = decode_key(key)[0]
+        for u in range(n - 1):
+            child = tree.copy()
+            child.add_edge(u, n - 1)
+            children.append(child)
+    for m in range(max(n - 1, 0), max_edge_count(n)):
+        for key in connected_graph_layer(n, m):
+            graph = decode_key(key)[0]
+            for u, v in nx.non_edges(graph):
+                child = graph.copy()
+                child.add_edge(u, v)
+                children.append(child)
+    return children
+
+
+class TestBatchedKeys:
+    """key_rows runs key_of_masks's search on a whole batch at once; the
+    scalar keyer is the oracle, row by row."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_every_child_of_every_layer(self, n):
+        children = _children(n)
+        batched, scalar = _keyed_both_ways(n, children)
+        assert len(batched) == len(children) and batched == scalar
+
+    def test_seeded_random_graphs_up_to_n12(self):
+        # n = 12 puts 66 pair bits in the payload, past one int64
+        rng = random.Random(41)
+        for n in range(1, 13):
+            graphs = [
+                nx.gnp_random_graph(n, rng.random(), seed=rng.randrange(10**6))
+                for _ in range(40)
+            ]
+            batched, scalar = _keyed_both_ways(n, graphs)
+            assert batched == scalar, n
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            nx.empty_graph(9),
+            nx.complete_graph(9),
+            nx.cycle_graph(12),
+            nx.petersen_graph(),
+            nx.complete_bipartite_graph(3, 3),
+        ],
+        ids=["empty", "complete", "cycle", "petersen", "k33"],
+    )
+    def test_symmetric_graphs(self, graph):
+        n = graph.number_of_nodes()
+        relabelled = _relabel(graph, random.Random(3))
+        batched, scalar = _keyed_both_ways(n, [graph, relabelled])
+        assert batched == scalar
+        assert batched[0] == batched[1] == canonical_key(graph)
+
+    def test_masks_of_stack_matches_masks_of_graph(self):
+        keys = connected_graph_layer(6, 8)
+        masks = masks_of_stack(adjacency_stack(keys))
+        assert masks.tolist() == [
+            masks_of_graph(decode_key(key)[0]) for key in keys
+        ]
+        assert [bytes(row) for row in key_rows(6, masks)] == list(keys)
+
+    def test_empty_batch_and_bad_shapes(self):
+        assert key_rows(5, np.zeros((0, 5), dtype=np.uint8)).shape == (0, 3)
+        for n, masks in ((5, np.zeros((2, 4))), (0, np.zeros((1, 0))),
+                         (65, np.zeros((1, 65)))):
+            with pytest.raises(ValueError):
+                key_rows(n, masks)
 
 
 class TestMemo:

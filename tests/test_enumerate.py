@@ -1,14 +1,16 @@
 """Layered enumeration: exact counts, atlas cross-validation, stability."""
 
 import hashlib
+import json
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.core.concepts import Concept
 from repro.core.traffic import TrafficMatrix
-from repro.graphs.canonical import canonical_key, masks_of_graph
+from repro.graphs.canonical import canonical_key, masks_of_stack
 from repro.graphs import enumerate as enum_mod
 from repro.graphs.enumerate import (
     connected_graph_layer,
@@ -18,6 +20,7 @@ from repro.graphs.enumerate import (
     max_edge_count,
     tree_layer_keys,
 )
+from repro.obs import trace
 
 # A000055 (trees) and A001349 (connected graphs), both from n = 1
 TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
@@ -25,11 +28,14 @@ CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
 N8_LAYERS_SHA256 = (
     "e3379574b57cedb772cf61ce7ffc23e2e0932a3befc7cb26edfac4dad617d505"
 )
+N9_FAMILY_SHA256 = (
+    "fa9ff3359f4c852385d512bbfd6a11f8c38dafb5e24ee1a9e049d5c68e4c7f64"
+)
 
 
 class TestCounts:
     @pytest.mark.parametrize(
-        "n,count", list(enumerate(TREE_COUNTS[:10], start=1))
+        "n,count", list(enumerate(TREE_COUNTS, start=1))
     )
     def test_tree_counts(self, n, count):
         assert len(tree_layer_keys(n)) == count
@@ -131,15 +137,29 @@ class TestCanonicalAugmentation:
         assert count == 11117
         assert digest.hexdigest() == N8_LAYERS_SHA256
 
+    @pytest.mark.slow
+    def test_n9_family_matches_the_pinned_digest(self, monkeypatch):
+        # SHA-256 over every key of every n = 9 layer, m = 8..36 in order
+        monkeypatch.setattr(enum_mod, "_TREE_LAYERS", {})
+        monkeypatch.setattr(enum_mod, "_GRAPH_LAYERS", {})
+        digest = hashlib.sha256()
+        count = 0
+        for m in range(8, max_edge_count(9) + 1):
+            for key in connected_graph_layer(9, m):
+                digest.update(key)
+                count += 1
+        assert count == 261080
+        assert digest.hexdigest() == N9_FAMILY_SHA256
+
     def test_cold_n7_sweep_keys_few_children(self, monkeypatch):
         keyed = []
-        key_of_masks = enum_mod.key_of_masks
+        key_rows = enum_mod.key_rows
 
         def counting(n, masks):
-            keyed.append(n)
-            return key_of_masks(n, masks)
+            keyed.append(len(masks))
+            return key_rows(n, masks)
 
-        monkeypatch.setattr(enum_mod, "key_of_masks", counting)
+        monkeypatch.setattr(enum_mod, "key_rows", counting)
         monkeypatch.setattr(enum_mod, "_TREE_LAYERS", {})
         monkeypatch.setattr(enum_mod, "_GRAPH_LAYERS", {})
         total = sum(
@@ -147,8 +167,10 @@ class TestCanonicalAugmentation:
             for m in range(6, max_edge_count(7) + 1)
         )
         assert total == CONNECTED_COUNTS[6]
-        # keying every child of every parent took 8427 keys
-        assert len(keyed) < 8427 / 4
+        # keying every child of every parent took 8427 keys; the
+        # child-by-child filter keyed 1378 graph and 66 tree children
+        assert sum(keyed) < 8427 / 4
+        assert sum(keyed) == 1378 + 66
 
     def test_on_cycle_matches_networkx_bridges(self):
         rng = random.Random(31)
@@ -157,12 +179,58 @@ class TestCanonicalAugmentation:
             graph = nx.gnp_random_graph(
                 n, rng.random(), seed=rng.randrange(10**6)
             )
-            masks = masks_of_graph(graph)
+            masks = masks_of_stack(
+                nx.to_numpy_array(graph, nodelist=range(n), dtype=bool)[None]
+            )
+            edges = np.array(graph.edges, dtype=np.intp).reshape(1, -1, 2)
+            xs, ys = edges[..., 0], edges[..., 1]
+            side = enum_mod._reach_without(masks, xs, ys)
+            on_cycle = (side >> ys.astype(side.dtype)) & 1 == 1
             bridges = {frozenset(edge) for edge in nx.bridges(graph)}
-            for x, y in graph.edges:
-                assert enum_mod._on_cycle(masks, x, y) == (
-                    frozenset((x, y)) not in bridges
-                )
+            assert on_cycle[0].tolist() == [
+                frozenset((x, y)) not in bridges for x, y in graph.edges
+            ]
+            # every edge's side is x's component of G - xy
+            for (x, y), mask in zip(graph.edges, side[0].tolist()):
+                cut = graph.copy()
+                cut.remove_edge(x, y)
+                component = nx.node_connected_component(cut, x)
+                assert mask == sum(1 << v for v in component)
+
+
+class TestLayerSpans:
+    def test_one_span_per_cold_layer(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(enum_mod, "_TREE_LAYERS", {})
+        monkeypatch.setattr(enum_mod, "_GRAPH_LAYERS", {})
+        sink = tmp_path / "trace.jsonl"
+        trace.enable_trace(sink)
+        try:
+            layers = {
+                m: connected_graph_layer(6, m)
+                for m in range(5, max_edge_count(6) + 1)
+            }
+            connected_graph_layer(6, 9)  # a memo hit: no span
+        finally:
+            trace.disable_trace()
+        spans = [
+            record
+            for record in map(json.loads, sink.read_text().splitlines())
+            if record["span"] == "enumerate.layer"
+        ]
+        # the tree layers n = 1..6, then the graph layers m = 6..15
+        expected = [(n, n - 1) for n in range(1, 7)] + [
+            (6, m) for m in range(6, max_edge_count(6) + 1)
+        ]
+        assert [(span["n"], span["m"]) for span in spans] == expected
+        for span in spans:
+            keys = (
+                tree_layer_keys(span["n"])
+                if span["m"] == span["n"] - 1
+                else layers[span["m"]]
+            )
+            assert span["kept"] == len(keys)
+            assert span["kept"] <= span["keyed"] <= span["children"]
+        assert sum(span["kept"] for span in spans[5:]) == CONNECTED_COUNTS[5]
 
 
 class TestLabelledTrees:
@@ -206,6 +274,47 @@ class TestPoAIntegration:
         assert max(layer_poas) == whole.poa
         assert sum(r.equilibria for r in layers) == whole.equilibria
         assert sum(r.candidates for r in layers) == whole.candidates
+
+    def test_whole_n8_family_is_stacked_from_its_layers(self):
+        # above the atlas the whole family is its layers in edge-count
+        # order; the values are the ones the family gave when it was
+        # stacked from decoded graphs
+        from fractions import Fraction
+
+        from repro.analysis.poa import (
+            empirical_poa,
+            family_poa,
+            worst_equilibria,
+        )
+
+        n, alpha, concept = 8, 2, Concept.PS
+        whole = empirical_poa(n, alpha, concept)
+        star_of_stars = [
+            (0, 6), (1, 6), (2, 6), (3, 7), (4, 7), (5, 7), (6, 7),
+        ]
+        assert (whole.poa, whole.equilibria, whole.candidates) == (
+            Fraction(8, 7), 127, 11117,
+        )
+        assert sorted(whole.witness.edges) == star_of_stars
+        layers = [
+            family_poa("graphs", n, alpha, concept, m=m)
+            for m in range(n - 1, max_edge_count(n) + 1)
+        ]
+        first_worst = max(
+            (r for r in layers if r.poa is not None), key=lambda r: r.poa
+        )
+        assert first_worst.poa == whole.poa
+        assert sorted(first_worst.witness.edges) == star_of_stars
+        assert sum(r.equilibria for r in layers) == whole.equilibria
+        assert sum(r.candidates for r in layers) == whole.candidates
+        worst = worst_equilibria(n, alpha, concept, trees_only=False)
+        assert [(rho, sorted(graph.edges)) for rho, graph in worst] == [
+            (Fraction(8, 7), star_of_stars),
+            (Fraction(8, 7),
+             [(0, 6), (1, 7), (2, 7), (3, 4), (3, 5), (4, 6), (5, 7), (6, 7)]),
+            (Fraction(8, 7),
+             [(0, 6), (1, 6), (2, 7), (3, 7), (4, 5), (4, 6), (5, 7), (6, 7)]),
+        ]
 
     def test_exact_weighted_tree_poa_uniform_matches_representative(self):
         from repro.analysis.poa import family_poa
