@@ -20,9 +20,10 @@ from typing import Any, Callable, Mapping
 
 from repro._rng import coerce_rng, derive_seed
 from repro.campaigns.spec import (
-    INT_AXES, CampaignSpec, Trial, check_fields, check_int,
+    INT_AXES, CampaignSpec, Trial, _normalise_param, check_fields, check_int,
 )
 from repro.core.concepts import Concept
+from repro.core.costmodel import regime_from_spec
 
 __all__ = [
     "RUNNERS", "check_trial", "execute_trial", "runnable_trials", "runner",
@@ -49,8 +50,9 @@ def runner(kind: str, axes: str) -> Callable[[Runner], Runner]:
 
 def check_trial(kind: str, params: Mapping[str, Any]) -> Runner:
     """The runner of ``kind``; ``ValueError`` for an unknown kind, an axis
-    it does not read or an integer axis (``INT_AXES``) that is not an int
-    or falls below its minimum.
+    it does not read, an integer axis (``INT_AXES``) that is not an int
+    or falls below its minimum, or a ``traffic`` / ``costmodel`` that
+    :func:`~repro.core.costmodel.regime_from_spec` refuses.
 
     The one trial check: campaign specs and serve's ``poa`` queries both
     go through it."""
@@ -66,6 +68,13 @@ def check_trial(kind: str, params: Mapping[str, Any]) -> Runner:
                 check_int(axis, params[axis])
             except ValueError as exc:
                 raise ValueError(f"{kind} axis {exc}") from None
+    traffic, costmodel = params.get("traffic"), params.get("costmodel")
+    if traffic is not None or costmodel is not None:
+        try:
+            alpha = _normalise_param("alpha", params.get("alpha"))
+            regime_from_spec(params.get("n"), alpha, traffic, costmodel)
+        except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
+            raise ValueError(f"{kind} traffic/costmodel: {exc}") from None
     return run
 
 

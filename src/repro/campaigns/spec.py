@@ -198,13 +198,17 @@ def _range_values(axis: str, bounds: Any) -> list[int]:
 def _normalise_param(name: str, value: Any) -> Any:
     """Exact-type coercion for well-known axis names.
 
-    ``alpha`` always becomes a :class:`Fraction` (accepting ints, dyadic
-    floats and ``"p/q"`` strings), ``concept`` a :class:`Concept`
-    (accepting enum names or values).  Other axes pass through
-    :func:`from_jsonable` so tagged values decode and plain ones survive.
+    ``alpha`` always becomes a positive :class:`Fraction` (accepting ints,
+    dyadic floats and ``"p/q"`` strings; ``ValueError`` at or below 0),
+    ``concept`` a :class:`Concept` (accepting enum names or values).
+    Other axes pass through :func:`from_jsonable` so tagged values decode
+    and plain ones survive.
     """
     if name == "alpha":
-        return as_alpha(from_jsonable(value))
+        alpha = as_alpha(from_jsonable(value))
+        if alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
+        return alpha
     if name == "concept":
         return Concept.parse(from_jsonable(value))
     return from_jsonable(value)

@@ -57,7 +57,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro._alpha import big_m, fits_int64
-from repro.core.traffic import TrafficMatrix, _int_field
+from repro.core.traffic import TrafficMatrix, _int_field, traffic_from_spec
 
 __all__ = [
     "ConcaveCost",
@@ -71,6 +71,7 @@ __all__ = [
     "bind_valuation",
     "costmodel_from_spec",
     "integer_root",
+    "regime_from_spec",
 ]
 
 
@@ -544,6 +545,23 @@ def costmodel_from_spec(
         cost.table(n)  # fail fast if the table is too short for the game
         return cost
     raise ValueError(f"unknown cost model {model!r}")
+
+
+def regime_from_spec(
+    n: int,
+    alpha: Fraction,
+    traffic: Mapping[str, Any] | None = None,
+    costmodel: Mapping[str, Any] | None = None,
+) -> tuple[TrafficMatrix | None, CostModel | None]:
+    """The demands and cost model of one game from their JSON-able specs,
+    bound with ``alpha`` by :func:`bind_valuation`: a regime that cannot
+    be played raises here, before any key, engine or store exists.
+    Serve's instances and the campaign trial check both parse one here.
+    """
+    demands = traffic_from_spec(traffic, n)
+    cost_model = costmodel_from_spec(costmodel, n)
+    bind_valuation(n, alpha, demands, cost_model)
+    return demands, cost_model
 
 
 def _expect_keys(payload: Mapping[str, Any], allowed: set) -> None:

@@ -15,8 +15,8 @@ Contract (extends the PR-1 engine contract):
 * **undo-token discipline** — every speculation scope collects its tokens
   and undoes them in strict LIFO order on exit, including on exceptions
   and early returns; a scope never leaks a token, so the shared matrix,
-  graph, CSR cache and bridge set are bit-exactly restored no matter how
-  the caller unwinds.  Scopes nest freely (nested tokens are younger, hence
+  graph and bridge set are bit-exactly restored no matter how the caller
+  unwinds.  Scopes nest freely (nested tokens are younger, hence
   undone first), which lets searchers amortise a shared edge-removal
   prefix across many candidate add-sets.
 * **exactness per move type** — additions update by the outer-min

@@ -10,9 +10,10 @@ BGE move pools.  It keeps every improving swap's gains, one priced
 :class:`~repro.core.batch.Swaps` run per dropped edge and direction, with
 two exact strategies:
 
-* **trees of the paper's game** — removing ``uv`` splits the node set; all
-  post-swap distances are closed-form in the original APSP matrix and the
-  split masks, giving an ``O(n^2)`` vectorised evaluation per edge
+* **trees of the paper's game** — removing ``uv`` splits the node set
+  into the nodes nearer ``u`` and those nearer ``v``, both read off the
+  APSP matrix; all post-swap distances are closed-form in that matrix and
+  the split, giving an ``O(n^2)`` vectorised evaluation per edge
   (``O(n^3)`` total, no BFS);
 * **general graphs** — each edge's post-removal matrix comes from the
   cached :class:`~repro.graphs.distances.DistanceMatrix` as a fresh array
@@ -62,7 +63,6 @@ from repro.core.batch import Swaps
 from repro.core.moves import Swap
 from repro.core.state import GameState
 from repro.equilibria.add import pairwise_add_gains
-from repro.graphs.trees import tree_split_masks
 
 __all__ = [
     "SwapPricer",
@@ -145,7 +145,9 @@ def _tree_runs(state: GameState) -> Iterator[Swaps]:
     threshold = strict_gt_threshold(state.alpha)
     n = state.n
     for a, b in list(state.graph.edges):
-        mask_a, mask_b = tree_split_masks(state.graph, a, b, n)
+        # on a tree every node is one step nearer one end of ab
+        mask_a = dist[a] < dist[b]
+        mask_b = ~mask_a
         # column sums of the APSP matrix restricted to each side, per node
         sums_b = dist @ mask_b.astype(np.int64)
         sums_a = totals - sums_b

@@ -7,7 +7,7 @@ from repro.graphs.distances import (
     apsp_matrix,
     component_labels,
 )
-from repro.graphs.trees import RootedTree, one_medians, tree_split_masks
+from repro.graphs.trees import RootedTree, one_medians
 from repro.graphs.canonical import (
     canonical_cache_clear,
     canonical_cache_info,
@@ -56,5 +56,4 @@ __all__ = [
     "random_connected_gnp",
     "random_tree",
     "tree_layer_keys",
-    "tree_split_masks",
 ]

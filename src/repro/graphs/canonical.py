@@ -61,6 +61,7 @@ import numpy as np
 from repro.obs import metrics as _obs
 
 __all__ = [
+    "MAX_KEY_NODES",
     "adjacency_stack",
     "canonical_cache_clear",
     "canonical_cache_info",
@@ -68,6 +69,7 @@ __all__ = [
     "canonical_key",
     "canonical_labelling",
     "decode_key",
+    "demand_rows",
     "key_of_masks",
     "key_rows",
     "masks_of_graph",
@@ -75,7 +77,7 @@ __all__ = [
     "vertex_bits",
 ]
 
-_MAX_KEY_NODES = 255  # one header byte; the sweeps live at n <= 10
+MAX_KEY_NODES = 255  # one header byte; the sweeps live at n <= 10
 
 # -- memoisation (spy-counted, like the engine's rebuild counters) -----------
 
@@ -148,6 +150,20 @@ def _weights_tuple(weights) -> tuple[tuple[int, ...], ...]:
                 )
             row[v] = exact
     return tuple(map(tuple, rows))
+
+
+def demand_rows(traffic, n: int) -> tuple[tuple[int, ...], ...] | None:
+    """The checked ``weights`` of :func:`key_of_masks` for ``traffic``: a
+    ``TrafficMatrix``, a raw ``n x n`` matrix or ``None``."""
+    if traffic is None:
+        return None
+    weights = _weights_tuple(getattr(traffic, "weights", traffic))
+    if len(weights) != n:
+        raise ValueError(
+            f"demand matrix is {len(weights)}x{len(weights)}, "
+            f"graph has {n} nodes"
+        )
+    return weights
 
 
 # -- refinement --------------------------------------------------------------
@@ -269,8 +285,8 @@ def _minimise(
     returns ``(candidate, colors)`` where ``colors[u]`` is vertex ``u``'s
     canonical position in the winning labelling.
     """
-    if not 0 < n <= _MAX_KEY_NODES:
-        raise ValueError(f"canonical keys support 1..{_MAX_KEY_NODES} nodes")
+    if not 0 < n <= MAX_KEY_NODES:
+        raise ValueError(f"canonical keys support 1..{MAX_KEY_NODES} nodes")
     best = None
     best_colors: list[int] = []
     colors0 = _refine(n, adj, weights, [0] * n)
@@ -319,14 +335,7 @@ def _canonical_form(graph: nx.Graph, traffic) -> tuple[bytes, tuple[int, ...]]:
     masks and demands: one search per distinct input."""
     n = graph.number_of_nodes()
     adj = masks_of_graph(graph)
-    weights = None
-    if traffic is not None:
-        weights = _weights_tuple(getattr(traffic, "weights", traffic))
-        if len(weights) != n:
-            raise ValueError(
-                f"demand matrix is {len(weights)}x{len(weights)}, "
-                f"graph has {n} nodes"
-            )
+    weights = demand_rows(traffic, n)
     memo = (n, tuple(adj), weights)
     cached = _CACHE.get(memo)
     if cached is not None:

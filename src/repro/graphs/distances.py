@@ -3,10 +3,12 @@
 Graphs are ``networkx.Graph`` objects whose nodes are ``0 .. n-1``.  Distances
 live in dense ``numpy`` ``int64`` matrices; pairs in different components hold
 the game's big constant ``M`` (see :mod:`repro._alpha`), never ``inf``, so all
-arithmetic stays integral and exact.  Float results coming back from scipy are
-converted with an **exact integer fill**: finite hop counts (< ``2**53``) cast
-losslessly and the ``inf`` mask is overwritten with the exact Python integer
-sentinel afterwards, so even ``M > 2**53`` round-trips bit-exactly.
+arithmetic stays integral and exact.  This is the one module that calls
+scipy: :func:`apsp_matrix` past ``n = 34`` and :func:`component_labels`.
+Float distances coming back from scipy are converted with an **exact
+integer fill** (:func:`exact_int_fill`): finite hop counts (< ``2**53``)
+cast losslessly and the ``inf`` mask is overwritten with the exact Python
+integer sentinel afterwards, so even ``M > 2**53`` round-trips bit-exactly.
 
 The identities behind the engine:
 
@@ -36,20 +38,17 @@ The identities behind the engine:
     outside ``A_u | A_v``, or with both endpoints on one side, keep their
     distance — so ``d'(s, t) = d(s, t)`` and ``d'(t, y) = d(t, y)``.
 
-  The in-place repair (``apply_remove``), the full post-removal matrix
-  (``matrix_after_remove``) and multi-source row queries
-  (``rows_after_remove_from``) share this block repair: no search at all.
+  The in-place repair (``apply_remove``) and the full post-removal matrix
+  (``matrix_after_remove``) share this block repair: no search at all.
   When ``uv`` is a **bridge** — on *any* graph, forests being the special
   case where every edge qualifies — no such ``t`` exists: ``A_u`` and
   ``A_v`` are the two sides of the cut, read off the cached matrix
   (``d(x, u)`` vs ``d(x, v)``), and every cross pair jumps to the
-  sentinel.  Queries for the rows of ``u`` and ``v`` alone instead run
-  one or two BFS with the edge masked out, which is faster at the sizes
-  the workloads use: in pure Python over the graph's adjacency dicts
-  while the batch is small (a C-level call carries ~170us of fixed
-  overhead, see :data:`_PY_BFS_CELLS`), as one C-level call beyond.  The
-  same cell budget picks the arm of a full :func:`apsp_matrix` build, so
-  the engines of small graphs never call scipy.
+  sentinel.  Row queries (``rows_after_remove_from``) read that split
+  for a bridge; for any other edge they walk one BFS per requested
+  source in pure Python over the graph's adjacency dicts with ``uv``
+  masked out (the removal checkers ask for the rows of ``u`` and ``v``
+  alone: one or two walks).
 
 **The bridge contract.**  The engine owns an incrementally maintained
 :class:`~repro.graphs.bridges.BridgeSet`: one chain-decomposition build
@@ -71,7 +70,7 @@ cyclic graph acyclic again.
 :class:`DistanceMatrix` exposes these as in-place ``apply_add`` /
 ``apply_remove`` / ``apply_swap`` mutators.  Each returns an
 :class:`UndoToken`; calling :meth:`DistanceMatrix.undo` restores the matrix,
-the graph, and the cached CSR adjacency bit-exactly.  Tokens are strictly
+the graph and the bridge set bit-exactly.  Tokens are strictly
 LIFO (enforced by a version counter), which is exactly what schedulers need
 to speculatively evaluate a move and roll it back.  ``M`` must satisfy
 ``fits_int64(M)`` so the add-update's ``M + 1 + M`` worst case cannot
@@ -103,8 +102,6 @@ from scipy.sparse.csgraph import (
 )
 
 from repro._alpha import fits_int64
-from repro._backend import bfs_rows as _bfs_rows
-from repro._backend import exact_int_fill as _exact_int_fill
 from repro.graphs.bridges import BridgeSet
 from repro.obs import metrics as obs
 from repro.obs import trace as _trace
@@ -115,6 +112,7 @@ __all__ = [
     "adjacency_csr",
     "apsp_matrix",
     "component_labels",
+    "exact_int_fill",
     "single_source_distances",
 ]
 
@@ -210,31 +208,31 @@ def apsp_matrix(graph: nx.Graph, unreachable: int) -> np.ndarray:
         raw = shortest_path(
             adjacency_csr(graph), method="D", unweighted=True
         )
-        return _exact_int_fill(raw, unreachable)
+        return exact_int_fill(raw, unreachable)
 
 
-def _rows_from_csr(
-    adjacency: csr_matrix, sources, unreachable: int
-) -> np.ndarray:
-    """BFS distance rows for several sources in one C-level scipy call
-    (:func:`repro._backend.bfs_rows`)."""
-    return _bfs_rows(adjacency, sources, unreachable)
+def exact_int_fill(raw: np.ndarray, unreachable: int) -> np.ndarray:
+    """Convert scipy's float distances to int64 with an exact sentinel.
+
+    Finite unweighted distances are below ``2**53``, so the float cast is
+    lossless; the ``inf`` mask is then overwritten with the exact Python
+    integer (numpy raises ``OverflowError`` if it does not fit ``int64``),
+    so big-M sentinels never round-trip through float64.
+    """
+    mask = np.isinf(raw)
+    dist = np.where(mask, 0.0, raw).astype(np.int64)
+    if mask.any():
+        dist[mask] = unreachable
+    return dist
 
 
-#: A batch of BFS rows runs in pure Python while ``rows * n`` is at most
-#: this many cells, and as one C-level call on a CSR beyond.  The C-level
-#: call carries a fixed cost (masking the edge out of the CSR, scipy's
-#: validation and dijkstra setup) of ~170us, about five Python rows at
-#: n = 120.  Sweeping 640, 1200, 2400 cells and Python-only on the n = 120
-#: BGE round (``perfbench`` ``dyn-bge-n120``, 2-core x86) put 1200 (ten
-#: rows there) at the fastest, within noise of Python-only; every
-#: workload at n <= 24 (exact PoA, serve) stays in Python for any batch.
-#: The budget also covers full ``n x n`` builds in :func:`apsp_matrix`
-#: (Python up to n = 34): on G(n, p) at average degree 3 to 12 (same
-#: host) Python builds an n = 8 matrix in 40-65us against scipy's
-#: 320-540us, neither arm wins at every density from n = 34 to n = 40,
-#: and scipy does from n = 44.  Exactness is identical on both arms;
-#: ``tests/test_cross_validation.py`` forces each one.
+#: :func:`apsp_matrix` builds in pure Python while the ``n x n`` matrix
+#: has at most this many cells (n <= 34), and in C via scipy beyond.  On
+#: G(n, p) at average degree 3 to 12 (2-core x86) Python builds an n = 8
+#: matrix in 40-65us against scipy's 320-540us, neither arm wins at every
+#: density from n = 34 to n = 40, and scipy does from n = 44.  Exactness
+#: is identical on both arms; ``tests/test_cross_validation.py`` forces
+#: each one.
 _PY_BFS_CELLS = 1200
 
 
@@ -276,13 +274,10 @@ def _bfs_row_py(
 def single_source_distances(
     graph: nx.Graph, source: int, unreachable: int
 ) -> np.ndarray:
-    """BFS distances from ``source`` as an int64 vector (no Python loop)."""
+    """BFS distances from ``source`` as an int64 vector (one walk of
+    :func:`_bfs_row_py`)."""
     n = _require_canonical(graph)
-    if graph.degree(source) == 0:
-        dist = np.full(n, unreachable, dtype=np.int64)
-        dist[source] = 0
-        return dist
-    return _rows_from_csr(adjacency_csr(graph), source, unreachable)
+    return _bfs_row_py(graph._adj, source, n, unreachable)
 
 
 def component_labels(graph: nx.Graph) -> np.ndarray:
@@ -312,7 +307,6 @@ class UndoToken:
 
     patches: tuple[_RowPatch, ...]
     inverse_ops: tuple[tuple[str, int, int], ...]
-    csr_before: csr_matrix | None
     version_before: int
     version_after: int
     bridge_deltas: tuple = ()
@@ -336,8 +330,8 @@ class DistanceMatrix:
 
     Speculative *queries* that never touch the matrix are also provided:
     ``matrix_after_remove`` (from the matrix alone)
-    and ``rows_after_remove_from`` (the same patch, or BFS with the edge
-    masked out of the traversal for the rows of ``u`` and ``v`` alone).
+    and ``rows_after_remove_from`` (the bridge split, or one BFS per
+    source with the edge masked out of the traversal).
     They answer distances only; what a move is worth to an agent is read
     through the game's valuation (:func:`repro.equilibria.add.add_gain`,
     :func:`repro.equilibria.remove.removal_loss`, :mod:`repro.core.batch`).
@@ -359,7 +353,6 @@ class DistanceMatrix:
                 "unreachable sentinel too large for exact int64 arithmetic"
             )
         self._graph = graph
-        self._csr: csr_matrix | None = None
         self._version = 0
         # the exact bridge set powers the search-free split removal path on
         # any graph; built once here (chain decomposition), then maintained
@@ -493,12 +486,10 @@ class DistanceMatrix:
 
         Bridges are search-free: each source keeps its side of the cut
         and loses the far side to the sentinel, all read off the cached
-        matrix (sources in other components are unaffected).  On a
-        non-bridge, a request for the rows of ``u`` and ``v`` alone runs
-        one or two BFS with the edge masked out of the traversal; any
-        other request takes the cached rows with the columns of the
-        changed rows of :meth:`_removal_rows` patched in, with no search
-        at all.  Neither the matrix nor the graph is touched.
+        matrix (sources in other components are unaffected).  On any
+        other edge each source's row is one BFS walk (:func:`_bfs_row_py`)
+        with the edge masked out of the traversal.  Neither the matrix
+        nor the graph is touched.
         """
         if not self._graph.has_edge(u, v):
             raise ValueError(f"edge {u}-{v} not in graph")
@@ -511,29 +502,12 @@ class DistanceMatrix:
                 | np.outer(side_v[sources], side_u)
             ] = self.unreachable
             return out
-        if all(source == u or source == v for source in sources):
-            return self._bfs_without(u, v, sources)
-        # every changed entry lies in a patched column, by symmetry
-        rows, new = self._removal_rows(u, v)
-        out = self.matrix[sources]
-        out[:, rows] = new[:, sources].T
-        return out
-
-    def _bfs_without(self, u: int, v: int, sources) -> np.ndarray:
-        """BFS rows of ``sources`` in ``G - uv``, the edge masked out of
-        the traversal (the graph is untouched): pure Python over the
-        adjacency dicts up to :data:`_PY_BFS_CELLS` cells, one C-level
-        call on a masked copy of the CSR beyond."""
-        if len(sources) * self.n <= _PY_BFS_CELLS:
-            adj = self._graph._adj
-            return np.stack(
-                [
-                    _bfs_row_py(adj, source, self.n, self.unreachable, u, v)
-                    for source in sources
-                ]
-            )
-        return _rows_from_csr(
-            self._csr_without(u, v), sources, self.unreachable
+        adj = self._graph._adj
+        return np.stack(
+            [
+                _bfs_row_py(adj, source, self.n, self.unreachable, u, v)
+                for source in sources
+            ]
         )
 
     def matrix_after_remove(self, u: int, v: int) -> np.ndarray:
@@ -549,26 +523,6 @@ class DistanceMatrix:
         removed[rows] = new
         removed[:, rows] = new.T
         return removed
-
-    # -- cached CSR adjacency ----------------------------------------------
-
-    @property
-    def csr(self) -> csr_matrix:
-        """CSR adjacency of the current graph (cached across queries)."""
-        if self._csr is None:
-            self._csr = adjacency_csr(self._graph)
-        return self._csr
-
-    def _edge_csr(self, u: int, v: int) -> csr_matrix:
-        data = np.ones(2, dtype=np.int8)
-        return csr_matrix(
-            (data, ([u, v], [v, u])), shape=(self.n, self.n)
-        )
-
-    def _csr_without(self, u: int, v: int) -> csr_matrix:
-        masked = self.csr - self._edge_csr(u, v)
-        masked.eliminate_zeros()
-        return masked
 
     # -- in-place updates ---------------------------------------------------
 
@@ -611,14 +565,8 @@ class DistanceMatrix:
                 _RowPatch(rows=changed_rows, old=matrix[changed_rows].copy()),
             )
             np.minimum(matrix, candidate, out=matrix)
-        # invalidate rather than patch the CSR: speculative add/undo cycles
-        # never pay for sparse arithmetic, and the token restores the cache
-        csr_before = self._csr
-        self._csr = None
         self._graph.add_edge(u, v)
-        return self._finish(
-            patches, (("remove", u, v),), csr_before, (bridge_delta,)
-        )
+        return self._finish(patches, (("remove", u, v),), (bridge_delta,))
 
     def apply_remove(self, u: int, v: int) -> UndoToken:
         """Remove edge ``uv`` and repair the matrix in place (exact).
@@ -641,15 +589,11 @@ class DistanceMatrix:
         patches = (_RowPatch(rows=rows, old=matrix[rows]),)
         matrix[rows] = new
         matrix[:, rows] = new.T
-        csr_before = self._csr
         self._graph.remove_edge(u, v)
-        self._csr = None
         # a non-bridge removal can only promote edges of this component to
         # bridges; one local sweep re-derives them (post-removal adjacency)
         bridge_delta = self._bridges.note_remove(u, v, self._graph._adj)
-        return self._finish(
-            patches, (("add", u, v),), csr_before, (bridge_delta,)
-        )
+        return self._finish(patches, (("add", u, v),), (bridge_delta,))
 
     def apply_swap(self, actor: int, old: int, new: int) -> UndoToken:
         """Replace edge ``actor-old`` by ``actor-new`` (one undo token)."""
@@ -662,19 +606,15 @@ class DistanceMatrix:
         return UndoToken(
             patches=removal.patches + addition.patches,
             inverse_ops=addition.inverse_ops + removal.inverse_ops,
-            csr_before=removal.csr_before,
             version_before=removal.version_before,
             version_after=addition.version_after,
             bridge_deltas=removal.bridge_deltas + addition.bridge_deltas,
         )
 
-    def _finish(
-        self, patches, inverse_ops, csr_before, bridge_deltas
-    ) -> UndoToken:
+    def _finish(self, patches, inverse_ops, bridge_deltas) -> UndoToken:
         token = UndoToken(
             patches=tuple(patches),
             inverse_ops=tuple(inverse_ops),
-            csr_before=csr_before,
             version_before=self._version,
             version_after=self._version + 1,
             bridge_deltas=tuple(bridge_deltas),
@@ -700,5 +640,4 @@ class DistanceMatrix:
                 self._graph.remove_edge(u, v)
         for delta in reversed(token.bridge_deltas):
             self._bridges.revert(delta)
-        self._csr = token.csr_before
         self._version = token.version_before

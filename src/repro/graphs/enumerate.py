@@ -78,8 +78,9 @@ import numpy as np
 
 from repro.graphs.canonical import (
     adjacency_stack,
-    canonical_key,
     decode_key,
+    demand_rows,
+    key_of_masks,
     key_rows,
     masks_of_stack,
     vertex_bits,
@@ -329,7 +330,9 @@ def enumerate_labelled_trees(n: int, traffic) -> Iterator[nx.Graph]:
     keeps the first representative of each joint canonical key, so the
     family quantifies over all labelled trees exactly, modulo the
     symmetries the demand matrix actually has.  The representative keeps
-    its original labels — costs against ``traffic`` depend on them.
+    its original labels — costs against ``traffic`` depend on them.  Each
+    sequence is keyed from its bitmasks by ``key_of_masks``, past the
+    shared canonical memo, and only a kept class becomes a graph.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -339,12 +342,18 @@ def enumerate_labelled_trees(n: int, traffic) -> Iterator[nx.Graph]:
     if n == 2:
         yield nx.path_graph(2)
         return
+    weights = demand_rows(traffic, n)
     seen: set[bytes] = set()
     for sequence in itertools.product(range(n), repeat=n - 2):
-        graph = nx.empty_graph(n)
-        graph.add_edges_from(_prufer_edges(n, sequence))
-        key = canonical_key(graph, traffic)
+        edges = _prufer_edges(n, sequence)
+        masks = [0] * n
+        for u, v in edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        key = key_of_masks(n, masks, weights)
         if key in seen:
             continue
         seen.add(key)
+        graph = nx.empty_graph(n)
+        graph.add_edges_from(edges)
         yield graph

@@ -7,10 +7,11 @@ its descendants, and the fact that every non-root subtree contains at most
 ``O(n)`` and answers the structural queries the checkers and constructions
 need.
 
-Removing a tree edge splits the node set into the two components; distances
-within each side are untouched and distances across are determined by the
-reattachment point.  That makes tree swap/add evaluations exact without any
-BFS (see :func:`tree_split_masks`).
+Removing a tree edge ``uv`` splits the node set into the nodes nearer ``u``
+and those nearer ``v``; distances within each side are untouched and
+distances across are determined by the reattachment point.  That makes tree
+swap evaluations exact without any BFS (see
+:mod:`repro.equilibria.swap`).
 """
 
 from __future__ import annotations
@@ -19,14 +20,12 @@ from collections import deque
 from typing import Sequence
 
 import networkx as nx
-import numpy as np
 
 __all__ = [
     "RootedTree",
     "is_tree",
     "one_medians",
     "subtree_sizes_from",
-    "tree_split_masks",
 ]
 
 
@@ -149,27 +148,3 @@ class RootedTree:
         members = self.subtree_nodes(node)
         subtree = self.graph.subgraph(members).copy()
         return one_medians(subtree)
-
-
-def tree_split_masks(
-    tree: nx.Graph, u: int, v: int, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Component masks ``(side_u, side_v)`` after deleting tree edge ``uv``.
-
-    ``side_u[x]`` is ``True`` iff ``x`` lies in the component of ``u``.
-    Computed by one traversal from ``u`` that refuses to cross ``uv``.
-    """
-    if not tree.has_edge(u, v):
-        raise ValueError(f"edge {u}-{v} not in tree")
-    side_u = np.zeros(n, dtype=bool)
-    side_u[u] = True
-    stack = [u]
-    while stack:
-        node = stack.pop()
-        for neighbor in tree.neighbors(node):
-            if node == u and neighbor == v:
-                continue
-            if not side_u[neighbor]:
-                side_u[neighbor] = True
-                stack.append(neighbor)
-    return side_u, ~side_u

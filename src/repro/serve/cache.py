@@ -58,10 +58,12 @@ _CACHE_EVICTIONS = _obs.counter(
 def estimate_engine_bytes(state: GameState) -> int:
     """Resident-byte estimate of one warm engine.
 
-    Charges the distance matrix, its CSR/bridge side structures (~2x the
-    matrix in practice) and the demand matrix; the fixed term
-    covers the graph object and bookkeeping.  An estimate is enough —
-    the budget bounds growth, it is not an allocator.
+    Charges three matrix sizes for the distance matrix and what travels
+    with it (the bridge set, the graph's adjacency and the post-removal
+    copies a scan makes), plus the demand matrix; the fixed term covers
+    bookkeeping.  The factor is kept as it is because the estimates set
+    the eviction order, which is part of serve's behaviour.  An estimate
+    is enough — the budget bounds growth, it is not an allocator.
     """
     matrix_bytes = state.dist.matrix.nbytes
     weights_bytes = (

@@ -60,14 +60,16 @@ from repro.analysis.search import classify_full_ladder
 from repro.campaigns.runners import check_trial
 from repro.campaigns.spec import _is_int, check_fields, check_int, to_jsonable
 from repro.core.concepts import Concept
-from repro.core.costmodel import bind_valuation, costmodel_from_spec
+from repro.core.costmodel import regime_from_spec
 from repro.core.moves import AddEdge, RemoveEdge, Swap
 from repro.core.state import GameState
-from repro.core.traffic import TrafficMatrix, traffic_from_spec
+from repro.core.traffic import TrafficMatrix
 # perfbench's tracer wraps improving_moves here; best_response reduces the
 # priced pool itself
 from repro.dynamics.movegen import improving_moves, move_pool  # noqa: F401
-from repro.graphs.canonical import canonical_key, canonical_labelling
+from repro.graphs.canonical import (
+    MAX_KEY_NODES, canonical_key, canonical_labelling,
+)
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 from repro.serve.cache import CachedEngine, EngineCache
@@ -177,11 +179,9 @@ class _Instance:
             raise ServeError(400, f"bad alpha: must be positive, got {self.alpha}")
 
         try:
-            self.traffic = traffic_from_spec(payload.get("traffic"), n)
-            self.cost_model = costmodel_from_spec(payload.get("costmodel"), n)
-            # sizes and int64 headroom of the whole regime, before any
-            # key or engine is built from it
-            bind_valuation(n, self.alpha, self.traffic, self.cost_model)
+            self.traffic, self.cost_model = regime_from_spec(
+                n, self.alpha, payload.get("traffic"), payload.get("costmodel")
+            )
         except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
             raise ServeError(400, f"bad alpha/traffic/costmodel: {exc}") from None
 
@@ -553,8 +553,12 @@ class ServeApp:
             raise ServeError(
                 400, "'kind' (str) and 'params' (object) are required"
             )
+        n = params.get("n")
+        if _is_int(n) and n > MAX_KEY_NODES:  # before any n x n regime
+            raise ServeError(400, f"bad trial params: n={n} > {MAX_KEY_NODES}")
         try:
-            # a kind or axis no runner reads never matches a trial
+            # a kind or axis no runner reads never matches a trial, and a
+            # regime that cannot be played is refused, never looked up
             check_trial(kind, params)
             hit = self.views.lookup(kind, params)
         except (ValueError, TypeError, KeyError, ArithmeticError) as exc:

@@ -1,5 +1,5 @@
 """Priced move pools (`repro.core.batch`) and the exact sentinel fill of
-the scipy BFS (`repro._backend`).
+scipy's APSP (`repro.graphs.distances.exact_int_fill`).
 
 The contract under test is bit-exactness: every pricing kernel entry and
 every priced entry of a move pool must equal the per-candidate
@@ -25,6 +25,7 @@ from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
 from repro.core.traffic import TrafficMatrix
 from repro.dynamics.movegen import move_pool
+from repro.graphs.distances import exact_int_fill
 from repro.graphs.generation import random_connected_gnp, random_tree
 
 from tests.reference import add_gain_pair, best_sequential
@@ -251,6 +252,36 @@ class TestKernelEquivalence:
                 state = GameState(tree, alpha)
                 assert_pool_priced_exactly(state, Concept.BSWE)
                 assert_pool_priced_exactly(state, Concept.BGE)
+
+    def test_tree_closed_form_matches_the_engine_scan(self):
+        """The closed form's side split (``d(x, a) < d(x, b)``) gives the
+        same runs as pricing each edge on its post-removal matrix."""
+        from repro.equilibria.swap import SwapPricer, _tree_runs
+
+        def flat(runs):
+            return [
+                (run.actor, run.old, run.partners.tolist(),
+                 run.gains_actor.tolist(), run.gains_partner.tolist())
+                for run in runs
+            ]
+
+        found = 0
+        for seed in range(20):
+            rng = random.Random(4500 + seed)
+            tree = random_tree(rng.randint(2, 16), rng)
+            for alpha in (Fraction(1, 2), 1, 2, 5):
+                state = GameState(tree, alpha)
+                pricer = SwapPricer(state)
+                engine = [
+                    run
+                    for a, b in state.graph.edges
+                    for run in pricer.runs(
+                        a, b, state.dist.matrix_after_remove(a, b)
+                    )
+                ]
+                assert flat(_tree_runs(state)) == flat(engine)
+                found += len(engine)
+        assert found
 
     def test_swap_onto_existing_edge_raises(self):
         # an explicit list is priced per candidate, by apply/undo
@@ -483,6 +514,6 @@ class TestBackendRegistry:
     def test_exact_int_fill_preserves_big_sentinel(self):
         sentinel = 10**17 + 3  # not representable in float64
         raw = np.array([0.0, 2.0, np.inf])
-        filled = _backend.exact_int_fill(raw, sentinel)
+        filled = exact_int_fill(raw, sentinel)
         assert filled.dtype == np.int64
         assert filled.tolist() == [0, 2, sentinel]

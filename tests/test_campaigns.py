@@ -594,6 +594,11 @@ class TestCli:
             json.dumps({"name": "bad", "kind": "conjecture_hunt",
                         "grids": [{"n": 4, "alpha": 2,
                                    "max_certificates": -1}]}),
+            json.dumps({"name": "bad", "kind": "tree_poa",
+                        "grids": [dict(GOOD_GRID, alpha=0)]}),
+            json.dumps({"name": "bad", "kind": "weighted_poa",
+                        "grids": [dict(GOOD_GRID,
+                                       traffic={"model": "nope"})]}),
         ],
         ids=[
             "missing-name", "missing-kind", "missing-grids", "grids-int",
@@ -603,7 +608,8 @@ class TestCli:
             "dynamics-max-round", "hunt-max-certificate", "float-n",
             "string-n", "bool-n", "negative-probe-samples",
             "zero-max-coalition-size", "negative-max-rounds",
-            "negative-max-certificates",
+            "negative-max-certificates", "zero-alpha",
+            "unknown-traffic-model",
         ],
     )
     def test_malformed_spec_is_one_line_and_leaves_no_store(
@@ -616,6 +622,50 @@ class TestCli:
         with pytest.raises(SystemExit, match="^bad campaign spec "):
             cli_main(["run", str(spec_path), "--store", str(store), "--quiet"])
         assert not store.exists()
+
+    @pytest.mark.parametrize(
+        "kind, grid, field",
+        [
+            ("tree_poa", dict(GOOD_GRID, alpha=0), "alpha"),
+            ("tree_poa", dict(GOOD_GRID, alpha="-1/2"), "alpha"),
+            ("weighted_poa", dict(GOOD_GRID, traffic={"model": "nope"}),
+             "traffic"),
+            ("weighted_poa",
+             dict(GOOD_GRID, traffic={"model": "gravity",
+                                      "weights": [1, 2, 3, 4]}),
+             "traffic"),
+            ("generalized_poa", dict(GOOD_GRID, costmodel={"model": "nope"}),
+             "costmodel"),
+            ("dynamics",
+             {"n": 5, "alpha": 2, "concept": "PS", "index": 0,
+              "costmodel": {"model": "table", "values": [0, 1]}},
+             "costmodel"),
+        ],
+        ids=["zero-alpha", "negative-alpha", "unknown-traffic-model",
+             "traffic-for-4-agents", "unknown-cost-model", "short-table"],
+    )
+    def test_unplayable_regimes_fail_before_any_store(
+        self, tmp_path, kind, grid, field
+    ):
+        from repro.campaigns.runners import runnable_trials
+
+        spec = CampaignSpec.from_dict(
+            {"name": "bad", "kind": kind, "grids": [grid]}
+        )
+        with pytest.raises(ValueError, match=field):
+            runnable_trials(spec)
+        store = CampaignStore(tmp_path / "store")
+        with pytest.raises(ValueError, match=field):
+            run_campaign(spec, store)
+        assert store.load_spec() is None
+
+    def test_every_committed_spec_loads(self):
+        from repro.campaigns.runners import runnable_trials
+
+        paths = sorted(CAMPAIGNS_DIR.glob("*.json"))
+        assert len(paths) >= 10
+        for path in paths:
+            assert runnable_trials(CampaignSpec.load(path)), path.name
 
     @pytest.mark.parametrize(
         "flags",

@@ -27,9 +27,9 @@ along trajectories, bridge removals never entering the non-bridge repair
 path (even on cyclic graphs), and the priced pool reduction and the swap
 scan never mutating the engine.  The block repair of non-bridge removals
 (bit-exact against a fresh APSP on every edge of families with large or
-lopsided sides, no BFS beyond endpoint-only queries), both BFS dispatch
-arms and the reservoir-sampling random scheduler are cross-validated here
-too.
+lopsided sides, no BFS beyond the requested rows of a removal query),
+the removal walk, both arms of ``apsp_matrix`` and the
+reservoir-sampling random scheduler are cross-validated here too.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import pytest
 from scipy.sparse.csgraph import shortest_path
 
 from repro._alpha import fits_int64
-from repro._backend import exact_int_fill
 from repro.constructions.basic import clique, complete_binary_tree, cycle, star
 from repro.core.concepts import Concept
 from repro.core.costmodel import UNIFORM_LINEAR, Valuation
@@ -55,7 +54,7 @@ from repro.core.traffic import TrafficMatrix
 from repro.dynamics.movegen import move_pool
 from repro.dynamics.schedulers import random_improvement_scheduler
 from repro.graphs import distances as distances_mod
-from repro.graphs.distances import DistanceMatrix, apsp_matrix
+from repro.graphs.distances import DistanceMatrix, apsp_matrix, exact_int_fill
 from repro.graphs.generation import random_connected_gnp, random_tree
 
 from tests.meters import meter
@@ -579,7 +578,7 @@ class TestBridgeSpies:
         graph.add_edges_from([(3, 4), (4, 5)])
         dm = DistanceMatrix(graph, UNREACHABLE)
         # the reference is built first: small APSP builds run the same
-        # Python BFS the stubs below forbid
+        # Python BFS the stub below forbids
         reference = graph.copy()
         reference.remove_edge(3, 4)
         fresh = apsp_matrix(reference, UNREACHABLE)
@@ -588,7 +587,6 @@ class TestBridgeSpies:
             raise AssertionError("BFS invoked for a bridge removal query")
 
         monkeypatch.setattr(distances_mod, "_bfs_row_py", boom)
-        monkeypatch.setattr(distances_mod, "_rows_from_csr", boom)
         row_u, row_v = dm.rows_after_remove_from(3, 4, (3, 4))
         assert (row_u == fresh[3]).all() and (row_v == fresh[4]).all()
         assert (dm.matrix_after_remove(3, 4) == fresh).all()
@@ -677,33 +675,27 @@ class TestBatchSweepCrossValidation:
 
 @pytest.fixture
 def bfs_sources(monkeypatch):
-    """Every source either BFS primitive is asked for, in call order."""
+    """Every source the BFS walk is asked for, in call order."""
     seen: list[int] = []
     row_py = distances_mod._bfs_row_py
-    rows_csr = distances_mod._rows_from_csr
 
     def count_row(adj, source, *args):
         seen.append(int(source))
         return row_py(adj, source, *args)
 
-    def count_rows(adjacency, sources, unreachable):
-        seen.extend(int(source) for source in sources)
-        return rows_csr(adjacency, sources, unreachable)
-
     monkeypatch.setattr(distances_mod, "_bfs_row_py", count_row)
-    monkeypatch.setattr(distances_mod, "_rows_from_csr", count_rows)
     return seen
 
 
 def _filter_graphs():
     """Seeded graphs of every ``start_graph`` family plus G(n, p) samples
-    on both sides of the Python/C-level BFS budget (a two-row probe batch
-    flips arms at n = _PY_BFS_CELLS / 2), disconnected ones included."""
+    up to n = 602, disconnected ones included.  n = 598 and 602 sit on
+    either side of n = 600, past which a two-row removal query once left
+    the walk for a scipy call."""
     for index, family in enumerate(FAMILIES):
         for seed in range(8):
             yield start_graph(family, random.Random(170_000 + 100 * index + seed))
-    half = distances_mod._PY_BFS_CELLS // 2
-    for seed, n in enumerate((30, 60, half - 2, half + 2)):
+    for seed, n in enumerate((30, 60, 598, 602)):
         rng = random.Random(171_000 + seed)
         yield random_connected_gnp(n, 3.0 / n, rng)
         yield nx.gnp_random_graph(n, 1.5 / n, seed=rng.randrange(10**6))
@@ -711,10 +703,10 @@ def _filter_graphs():
 
 class TestAffectedSourceFilter:
     """Non-bridge removal queries equal a fresh APSP of ``G - uv`` bit for
-    bit.  Only requests for the rows of ``u`` and ``v`` alone BFS (those
-    endpoints, whose rows always change); multi-source
-    ``rows_after_remove_from``, ``matrix_after_remove`` and
-    ``apply_remove`` patch the changed block with no BFS at all."""
+    bit.  ``rows_after_remove_from`` walks exactly the requested sources,
+    in order and repeats included, with the edge masked out;
+    ``matrix_after_remove`` and ``apply_remove`` patch the changed block
+    with no BFS at all."""
 
     def test_rows_match_fresh_apsp_and_bfs_only_affected(self, bfs_sources):
         checked = 0
@@ -743,16 +735,18 @@ class TestAffectedSourceFilter:
                 rows = dm.rows_after_remove_from(u, v, sources)
                 assert rows.dtype == np.int64
                 assert (rows == fresh[sources]).all()
+                assert bfs_sources == sources
+                bfs_sources.clear()
                 assert (dm.matrix_after_remove(u, v) == fresh).all()
                 assert bfs_sources == []
-                # endpoint-only requests stay one or two plain BFS
+                # the removal checkers' requests: one or two walks
                 row_u = dm.rows_after_remove_from(u, v, (u,))[0]
                 assert (row_u == fresh[u]).all()
                 assert bfs_sources == [u]
                 bfs_sources.clear()
                 pair = dm.rows_after_remove_from(u, v, (v, u, v))
                 assert (pair == fresh[[v, u, v]]).all()
-                assert set(bfs_sources) == {u, v}
+                assert bfs_sources == [v, u, v]
                 checked += 1
         assert checked >= 100
 
@@ -937,37 +931,38 @@ class TestSwapScanIsMutationFree:
 # -- BFS dispatch arms --------------------------------------------------------
 
 
+def scipy_apsp(graph: nx.Graph) -> np.ndarray:
+    """scipy's APSP of ``graph`` with the exact sentinel fill."""
+    raw = shortest_path(
+        distances_mod.adjacency_csr(graph), method="D", unweighted=True
+    )
+    return exact_int_fill(raw, UNREACHABLE)
+
+
 class TestDispatchArmsAgree:
-    """Both BFS dispatch arms are bit-exact around the ``_PY_BFS_CELLS``
-    budget: purely a constant-factor choice."""
+    """Both arms of ``apsp_matrix`` are bit-exact around the
+    ``_PY_BFS_CELLS`` budget (purely a constant-factor choice), and the
+    removal walk is bit-exact against scipy."""
 
     @pytest.mark.parametrize("n_offset", (-2, 2))
-    def test_python_and_scipy_arms_bit_exact(self, monkeypatch, n_offset):
-        # a two-row probe batch flips arms at n = _PY_BFS_CELLS / 2
-        budget = distances_mod._PY_BFS_CELLS
-        n = budget // 2 + n_offset
+    def test_python_and_scipy_arms_bit_exact(self, n_offset):
+        # n = 598 and 602: either side of n = 600, past which a two-row
+        # removal query once left the walk for a scipy call
+        n = 600 + n_offset
         rng = random.Random(42 + n_offset)
         graph = random_connected_gnp(n, 3.0 / n, rng)
-        step_seeds = [random.Random(7).randint(0, 10**6) + i for i in range(6)]
-        results = {}
-        for arm, cells in (("python", 10**9), ("scipy", 0), ("default", budget)):
-            monkeypatch.setattr(distances_mod, "_PY_BFS_CELLS", cells)
-            work = graph.copy()
-            dm = DistanceMatrix(work, UNREACHABLE)
-            trace = []
-            for step_seed in step_seeds:
-                random_step(dm, work, random.Random(step_seed))
-                trace.append(dm.matrix.copy())
-            # speculative queries exercise both query arms too
-            edge = next(e for e in work.edges if not dm.is_bridge(*e))
-            trace.append(dm.rows_after_remove_from(*edge, edge))
-            trace.append(dm.rows_after_remove_from(*edge, range(n)))
-            results[arm] = trace
-        for arm in ("scipy", "default"):
-            for step, (left, right) in enumerate(
-                zip(results["python"], results[arm])
-            ):
-                assert (left == right).all(), f"{arm} arm disagrees at {step}"
+        dm = DistanceMatrix(graph, UNREACHABLE)
+        base_seed = random.Random(7).randint(0, 10**6)
+        for step in range(6):
+            random_step(dm, graph, random.Random(base_seed + step))
+            assert (dm.matrix == scipy_apsp(graph)).all(), f"step {step}"
+        edge = next(e for e in graph.edges if not dm.is_bridge(*e))
+        reference = graph.copy()
+        reference.remove_edge(*edge)
+        expected = scipy_apsp(reference)
+        pair = dm.rows_after_remove_from(*edge, edge)
+        assert (pair == expected[list(edge)]).all()
+        assert (dm.rows_after_remove_from(*edge, range(n)) == expected).all()
 
     @pytest.mark.parametrize("n_offset", (0, 1))
     @pytest.mark.parametrize(
@@ -988,12 +983,7 @@ class TestDispatchArmsAgree:
             )
         else:
             graph = nx.empty_graph(n)
-        expected = exact_int_fill(
-            shortest_path(
-                distances_mod.adjacency_csr(graph), method="D", unweighted=True
-            ),
-            UNREACHABLE,
-        )
+        expected = scipy_apsp(graph)
         bfs_sources.clear()
         dist = apsp_matrix(graph, UNREACHABLE)
         assert dist.dtype == np.int64

@@ -1,6 +1,7 @@
 """Layered enumeration: exact counts, atlas cross-validation, stability."""
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -10,7 +11,9 @@ import pytest
 
 from repro.core.concepts import Concept
 from repro.core.traffic import TrafficMatrix
-from repro.graphs.canonical import canonical_key, masks_of_stack
+from repro.graphs.canonical import (
+    canonical_cache_info, canonical_key, masks_of_stack,
+)
 from repro.graphs import enumerate as enum_mod
 from repro.graphs.enumerate import (
     connected_graph_layer,
@@ -258,6 +261,29 @@ class TestLabelledTrees:
     def test_trivial_sizes(self):
         assert len(list(enumerate_labelled_trees(1, None))) == 1
         assert len(list(enumerate_labelled_trees(2, None))) == 1
+
+    def test_sweep_leaves_the_canonical_memo_alone(self):
+        # each Pruefer sequence is keyed past the shared memo, so a sweep
+        # neither reads nor fills it; a memo-keyed sweep picks the same
+        # representatives in the same order
+        n = 6
+        traffic = TrafficMatrix.gravity([3, 1, 2, 1, 1, 1])
+        before = canonical_cache_info()
+        labelled = list(enumerate_labelled_trees(n, traffic))
+        assert canonical_cache_info() == before
+        seen, reference = set(), []
+        for sequence in itertools.product(range(n), repeat=n - 2):
+            graph = nx.empty_graph(n)
+            graph.add_edges_from(enum_mod._prufer_edges(n, sequence))
+            key = canonical_key(graph, traffic)
+            if key not in seen:
+                seen.add(key)
+                reference.append(list(graph.edges))
+        assert [list(graph.edges) for graph in labelled] == reference
+
+    def test_demands_for_another_size_are_refused(self):
+        with pytest.raises(ValueError, match="demand matrix is 4x4"):
+            next(enumerate_labelled_trees(5, TrafficMatrix.uniform(4)))
 
 
 class TestPoAIntegration:

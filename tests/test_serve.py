@@ -770,8 +770,23 @@ class TestPoaViews:
             ("exact_poa", {"concpet": "PS"}, "concpet"),
             ("exact_poa", {"concept": "PS", "famly": "graphs"}, "famly"),
             ("nope", {"concept": "PS"}, "nope"),
+            # cells no runner can play: refused, never looked up
+            ("exact_poa", {"concept": "PS", "alpha": 0}, "alpha"),
+            ("weighted_poa", {"concept": "PS", "traffic": {"model": "nope"}},
+             "traffic"),
+            ("weighted_poa",
+             {"concept": "PS",
+              "traffic": {"model": "gravity", "weights": [1, 2]}},
+             "traffic"),
+            ("generalized_poa",
+             {"concept": "PS", "costmodel": {"model": "nope"}}, "costmodel"),
+            ("weighted_poa",
+             {"concept": "PS", "n": 10**6, "traffic": {"model": "uniform"}},
+             "n=1000000"),
         ],
-        ids=["misspelt-axis", "extra-axis", "unknown-kind"],
+        ids=["misspelt-axis", "extra-axis", "unknown-kind", "zero-alpha",
+             "unknown-traffic-model", "traffic-for-2-agents",
+             "unknown-cost-model", "n-past-key-ceiling"],
     )
     def test_queries_no_runner_reads_are_refused(
         self, layered_views, kind, params, named

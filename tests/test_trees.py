@@ -3,7 +3,6 @@
 import random
 
 import networkx as nx
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +12,6 @@ from repro.graphs.trees import (
     is_tree,
     one_medians,
     subtree_sizes_from,
-    tree_split_masks,
 )
 
 
@@ -162,25 +160,3 @@ class TestSubtreeSizes:
         assert sizes[0] == 5
         assert all(sizes[i] == 1 for i in range(1, 5))
 
-
-class TestSplitMasks:
-    def test_path_split(self):
-        side_u, side_v = tree_split_masks(nx.path_graph(5), 1, 2, 5)
-        assert list(side_u) == [True, True, False, False, False]
-        assert list(side_v) == [False, False, True, True, True]
-
-    def test_missing_edge_rejected(self):
-        with pytest.raises(ValueError):
-            tree_split_masks(nx.path_graph(3), 0, 2, 3)
-
-    @given(random_trees())
-    @settings(max_examples=40, deadline=None)
-    def test_masks_partition_and_match_components(self, tree):
-        n = tree.number_of_nodes()
-        for u, v in list(tree.edges)[:4]:
-            side_u, side_v = tree_split_masks(tree, u, v, n)
-            assert (side_u ^ side_v).all()
-            mutated = tree.copy()
-            mutated.remove_edge(u, v)
-            component_u = nx.node_connected_component(mutated, u)
-            assert set(np.flatnonzero(side_u)) == component_u
