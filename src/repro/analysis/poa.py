@@ -20,8 +20,8 @@ The scan prices RE, BAE and PS in one numpy kernel per stack of
 classes (:func:`repro.equilibria.stack.price_stack`): a layer's stack is
 unpacked straight from its canonical keys, and so is the whole
 connected family above the atlas, layer by layer; every other family is
-stacked from edge lists, and no class builds a ``GameState``, a distance
-engine or a bridge set.  BGE, BSE and k-BSE (``k >= 2``) run their
+stacked from edge lists, and no class builds a ``GameState`` or a
+distance engine.  BGE, BSE and k-BSE (``k >= 2``) run their
 checker on the kernel's PS-stable classes only, because each of those
 checkers makes every single removal and every mutual addition.  Every
 other concept (BSwE, BNE, 1-BSE, unilateral AE) builds a state and runs

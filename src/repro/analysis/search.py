@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import networkx as nx
 
@@ -57,6 +57,37 @@ __all__ = [
     "search_nash_not_pairwise_stable",
     "search_venn_witnesses",
 ]
+
+
+def _nash_assignments(state: GameState) -> Iterator[EdgeAssignment] | None:
+    """Every edge assignment of ``state`` that is a unilateral Pure Nash
+    Equilibrium, lazily in ``itertools.product`` order over the edges'
+    feasible owners — or ``None`` when some edge has none.
+
+    An owner is feasible when its removal loss reaches ``alpha``
+    (otherwise it would drop the edge), a necessary condition that keeps
+    the product small; each surviving assignment goes through the exact
+    NE checker.
+    """
+    edges = list(state.graph.edges)
+    allowed_owners: list[list[int]] = []
+    for u, v in edges:
+        owners = [
+            endpoint
+            for endpoint, other in ((u, v), (v, u))
+            if not removal_loss(state, endpoint, other) < state.alpha
+        ]
+        if not owners:
+            return None
+        allowed_owners.append(owners)
+    assignments = (
+        EdgeAssignment.from_pairs(
+            (owner, u if owner == v else v)
+            for owner, (u, v) in zip(owner_choice, edges)
+        )
+        for owner_choice in itertools.product(*allowed_owners)
+    )
+    return (a for a in assignments if is_nash_equilibrium(state, a))
 
 
 @dataclass(frozen=True)
@@ -93,39 +124,21 @@ def search_nash_not_pairwise_stable(
                     continue
                 if not is_unilateral_add_equilibrium(state):
                     continue
-                allowed_owners: list[list[int]] = []
-                feasible = True
-                for u, v in state.graph.edges:
-                    owners = [
-                        endpoint
-                        for endpoint, other in ((u, v), (v, u))
-                        if not removal_loss(state, endpoint, other)
-                        < state.alpha
-                    ]
-                    if not owners:
-                        feasible = False
-                        break
-                    allowed_owners.append(owners)
-                if not feasible:
+                nash = _nash_assignments(state)
+                # one assignment per (graph, alpha) suffices
+                assignment = None if nash is None else next(nash, None)
+                if assignment is None:
                     continue
-                edges = list(state.graph.edges)
-                for owner_choice in itertools.product(*allowed_owners):
-                    assignment = EdgeAssignment.from_pairs(
-                        (owner, u if owner == v else v)
-                        for owner, (u, v) in zip(owner_choice, edges)
+                results.append(
+                    NashWitness(
+                        graph=state.graph.copy(),
+                        assignment=assignment,
+                        alpha=state.alpha,
+                        weak_edge=(weak.actor, weak.other),
                     )
-                    if is_nash_equilibrium(state, assignment):
-                        results.append(
-                            NashWitness(
-                                graph=state.graph.copy(),
-                                assignment=assignment,
-                                alpha=state.alpha,
-                                weak_edge=(weak.actor, weak.other),
-                            )
-                        )
-                        if len(results) >= max_results:
-                            return results
-                        break  # one assignment per (graph, alpha) suffices
+                )
+                if len(results) >= max_results:
+                    return results
     return results
 
 
@@ -186,33 +199,16 @@ def exhaustive_conjecture_sweep(
         state = GameState(graph, price)
         if not is_unilateral_add_equilibrium(state):
             continue
-        allowed_owners: list[list[int]] = []
-        feasible = True
-        for u, v in state.graph.edges:
-            owners = [
-                endpoint
-                for endpoint, other in ((u, v), (v, u))
-                if not removal_loss(state, endpoint, other) < price
-            ]
-            if not owners:
-                feasible = False
-                break
-            allowed_owners.append(owners)
-        if not feasible:
+        nash = _nash_assignments(state)
+        if nash is None:
             continue
         feasible_graphs += 1
-        edges = list(state.graph.edges)
         found_here = 0
         first_ne: EdgeAssignment | None = None
-        for owner_choice in itertools.product(*allowed_owners):
-            assignment = EdgeAssignment.from_pairs(
-                (owner, u if owner == v else v)
-                for owner, (u, v) in zip(owner_choice, edges)
-            )
-            if is_nash_equilibrium(state, assignment):
-                found_here += 1
-                if first_ne is None:
-                    first_ne = assignment
+        for assignment in nash:
+            found_here += 1
+            if first_ne is None:
+                first_ne = assignment
         if not found_here:
             continue
         ne_graphs += 1
@@ -228,7 +224,9 @@ def exhaustive_conjecture_sweep(
                     "witness_key": blake2b(
                         canonical_key(state.graph), digest_size=16
                     ).hexdigest(),
-                    "edges": sorted([int(u), int(v)] for u, v in edges),
+                    "edges": sorted(
+                        [int(u), int(v)] for u, v in state.graph.edges
+                    ),
                     "owners": sorted(
                         [int(owner), int(v if owner == u else u)]
                         for (u, v), owner in first_ne.owner.items()

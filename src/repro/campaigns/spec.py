@@ -144,7 +144,7 @@ def _is_int(value: Any) -> bool:
 #: bool is refused, never truncated by ``int()``, and a count cannot be
 #: negative on either side
 INT_AXES: dict[str, int | None] = {
-    "n": None,
+    "n": 1,
     "m": None,
     "k": None,
     "i": None,

@@ -386,7 +386,7 @@ class Valuation:
         #: every off-diagonal demand is positive (the diagonal is zero), so
         #: disconnecting anyone adds a sentinel to a sum, or lifts a finite
         #: max to one: bridges never pay (a sum, or a max on a connected
-        #: graph)
+        #: graph), and the removal scans skip trees
         self.full_support = weights is None or (
             np.count_nonzero(weights) == weights.shape[0] * (weights.shape[0] - 1)
         )

@@ -14,17 +14,15 @@ Contract (extends the PR-1 engine contract):
 
 * **undo-token discipline** — every speculation scope collects its tokens
   and undoes them in strict LIFO order on exit, including on exceptions
-  and early returns; a scope never leaks a token, so the shared matrix,
-  graph and bridge set are bit-exactly restored no matter how the caller
-  unwinds.  Scopes nest freely (nested tokens are younger, hence
-  undone first), which lets searchers amortise a shared edge-removal
-  prefix across many candidate add-sets.
+  and early returns; a scope never leaks a token, so the shared matrix
+  and graph are bit-exactly restored no matter how the caller unwinds.
+  Scopes nest freely (nested tokens are younger, hence undone first),
+  which lets searchers amortise a shared edge-removal prefix across many
+  candidate add-sets.
 * **exactness per move type** — additions update by the outer-min
-  identity (exact, no search), *bridge* removals on any graph by the
-  two-component split read off the engine's incrementally maintained
-  bridge set (exact, no search; forests are the special case where every
-  edge qualifies), remaining removals by the engine's block repair of
-  the changed rows (exact, no search).  Cost
+  identity (exact, no search), removals by the engine's block repair of
+  the changed rows (exact, no search; on a bridge every cross pair of
+  the cut goes to the sentinel).  Cost
   comparisons reduce to ``alpha * d_buy < -d_dist`` — the exact
   ``Fraction``/int comparison of
   :func:`repro.core.costs.cost_strictly_less`, with a pure-integer fast
@@ -48,12 +46,12 @@ Contract (extends the PR-1 engine contract):
   matrix (the engine keeps no value): ``agg_v W[u, v] * f(d(u, v))`` for
   base snapshots, live reads, batch kernels and :class:`Fold` totals
   alike.  Hypothetical rows are mapped at the aggregation boundary, so
-  the add identity and the bridge split are untouched.  The pruning
-  floor is the valuation's ``floors()`` (``n - 1`` in the paper's game,
-  demand mass times ``f(1)``, max-weight times ``f(1)`` for max
-  aggregates), sound because ``f`` is monotone: removals only grow
-  distances, hence only grow values.  The paper's game values rows by
-  plain row sums.
+  the add identity, the block repair and the fold split are untouched.
+  The pruning floor is the valuation's ``floors()`` (``n - 1`` in the
+  paper's game, demand mass times ``f(1)``, max-weight times ``f(1)``
+  for max aggregates), sound because ``f`` is monotone: removals only
+  grow distances, hence only grow values.  The paper's game values rows
+  by plain row sums.
 
 The ``repro_engine_evaluations_total`` spy counts candidate evaluations
 so tests can assert that a refactored searcher inspects exactly the same
@@ -328,12 +326,6 @@ class SpeculativeEvaluator:
 
     # -- delegated speculative queries (engine fast paths) ------------------
 
-    def is_bridge(self, u: int, v: int) -> bool:
-        """Whether edge ``uv`` is a bridge of the current (speculated)
-        graph — O(1) off the engine's maintained bridge set.  Gates the
-        search-free removal paths and :meth:`Fold.split`."""
-        return self.engine.is_bridge(u, v)
-
     def fold(self, nodes: Sequence[int]) -> "Fold":
         """Rows-only view of ``nodes`` for query-evaluated move suffixes.
 
@@ -374,15 +366,16 @@ class Fold:
     nodes in other components, whose rows are correctly left untouched.
     Both side masks are read off the tracked endpoint rows
     (:meth:`split`; the caller is responsible for only splitting edges
-    that are bridges of the *folded* graph — e.g. certified by
-    :meth:`SpeculativeEvaluator.is_bridge` before any fold deltas, or by
-    folding on a forest, where removals preserve and additions break the
-    property).
+    that are bridges of the *folded* graph — the coalition search checks
+    its removable edges against one
+    :func:`~repro.graphs.bridges.component_bridges` sweep of its base
+    graph before any fold deltas, and removals keep a bridge a bridge).
 
     This is the kernel's batch fast path for the BNE and coalition
     searches (their added edges always live inside the tracked set:
     center plus willing partners, or the coalition; removable-edge
-    endpoints join the tracked set on forest instances).
+    endpoints join the tracked set when every removable edge is a
+    bridge).
     """
 
     __slots__ = ("_index", "_rows", "_unreachable", "_valuation")

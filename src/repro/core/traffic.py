@@ -33,13 +33,12 @@ more than ``v`` cares back); all weighted formulas in the stack only
 assume the *distance* matrix is symmetric.
 
 Zero demand changes the game qualitatively: an agent with no demand
-toward a bridge's far side can profitably drop the bridge, so the
-shortcuts "bridges are never improving removals" and "trees are always
-RE" hold only while every off-diagonal demand is positive
-(``Valuation.full_support``; under a max aggregate the graph must be
-connected too) — otherwise the removal scan prices bridge removals
-through the search-free two-component split, weighting each side's
-demand mass, instead of skipping them.
+toward a bridge's far side can profitably drop the bridge, so "bridges
+are never improving removals" and "trees are always RE" hold only while
+every off-diagonal demand is positive (``Valuation.full_support``; under
+a max aggregate the graph must be connected too).  The removal scan
+prices every edge, bridges included, so both cases come out of the same
+pricing; only the tree shortcut reads ``full_support``.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ Cost model: a trajectory performs **one** full APSP build total.  The first
 ``social_cost`` call materialises the start state's distance matrix; every
 ``state.apply(move)`` after that hands the matrix to the successor and
 updates it in place through the incremental engine (``apply_add`` outer
-minimum, ``apply_remove`` bridge split or affected-rows repair — see
-:mod:`repro.graphs.distances`; the maintained bridge set rides along).
+minimum, ``apply_remove`` affected-rows repair — see
+:mod:`repro.graphs.distances`).
 Each round hands the scheduler the concept's priced move pool
 (:func:`~repro.dynamics.movegen.move_pool`): the one-edge scans read the
 cached matrix without mutating it and keep every candidate's exact

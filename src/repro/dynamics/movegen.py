@@ -64,8 +64,9 @@ def _folded_runs(state: GameState):
     add-gain matrix is built at the first swap pricing, so a consumer
     that stops at the first edge's removal never pays for it, and the
     addition run reuses it.  On a tree with every demand positive no
-    removal improves, so the swap scan runs on its own (in closed form
-    in the paper's game).
+    removal improves (each edge is a bridge whose loss carries the
+    sentinel), so the swap scan runs on its own (in closed form in the
+    paper's game).
     """
     if state.valuation.full_support and state.is_tree():
         gains = pairwise_add_gains(state)
@@ -79,10 +80,9 @@ def _folded_runs(state: GameState):
     # a snapshot of the edges: consumers may speculate between yields
     for a, b in list(state.graph.edges):
         removed = dm.matrix_after_remove(a, b)
-        if removals.wanted(a, b):
-            run = removals.price(a, b, removed[[a, b]])
-            if run is not None:
-                yield run
+        run = removals.price(a, b, removed[[a, b]])
+        if run is not None:
+            yield run
         if pricer is None:
             pricer = SwapPricer(state)
         swaps.extend(pricer.runs(a, b, removed))

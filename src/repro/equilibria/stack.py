@@ -2,8 +2,8 @@
 
 The exact-PoA scans (:mod:`repro.analysis.poa`) price every class of an
 enumerated family under one game.  :func:`price_stack` prices a whole
-``(g, n, n)`` adjacency stack at once, with no per-graph engine, bridge
-set or checker:
+``(g, n, n)`` adjacency stack at once, with no per-graph engine or
+checker:
 
 * **distances** — all-pairs BFS of the stack in at most ``n - 1``
   batched frontier steps; unreachable pairs keep the game's sentinel
@@ -15,9 +15,8 @@ set or checker:
   ``G - uv`` come from a two-source frontier whose first step leaves out
   the dropped edge (later steps cannot use it: its ends are already
   reached).  The class is RE-stable iff no endpoint loses less than
-  ``alpha``.  Bridges are priced like any edge: the sentinel makes a
-  disconnection as costly as the removal checker assumes when it skips
-  them (:mod:`repro.equilibria.remove`);
+  ``alpha``.  Bridges are priced like any edge, as in the removal
+  checker (:mod:`repro.equilibria.remove`);
 * **BAE** — ``u``'s gain from edge ``uv`` values the row
   ``min(d(u, .), 1 + d(v, .))`` (the identity of
   :mod:`repro.equilibria.add`), for every ordered pair at once.  An

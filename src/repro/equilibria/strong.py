@@ -33,6 +33,7 @@ from repro.core.moves import CoalitionMove, normalize_edge
 from repro.core.speculative import SpeculativeEvaluator
 from repro.core.state import GameState
 from repro.equilibria.neighborhood import SearchBudgetExceeded
+from repro.graphs import bridges as _bridges
 from repro.obs import metrics as _obs
 
 __all__ = [
@@ -44,9 +45,8 @@ __all__ = [
 
 #: Coalition DFS dispatch spies: how many coalition subspaces ran the
 #: fully query-based fold DFS vs the token-based engine DFS since import.
-#: Tests assert the forest gate is never the reason a fold split is
-#: refused — any coalition whose removable edges are all bridges takes
-#: the fold path, cyclic host graph or not.
+#: Tests assert that any coalition whose removable edges are all bridges
+#: takes the fold path, cyclic host graph or not.
 _FOLD_DFS_RUNS = _obs.counter(
     "repro_strong_fold_dfs_runs_total",
     "coalition subspaces searched by the query-based fold DFS",
@@ -85,8 +85,10 @@ def find_improving_coalition_move(
 
     Candidates are evaluated on the speculative kernel: each removal
     subset is applied once and shared across its addition subsets, then
-    rolled back through LIFO undo tokens.  A size below 1 raises
-    ``ValueError``: it would search nothing and call every state stable.
+    rolled back through LIFO undo tokens.  The base graph's bridges are
+    swept once per call and gate the fold DFS per coalition.  A size
+    below 1 raises ``ValueError``: it would search nothing and call every
+    state stable.
     """
     if max_coalition_size < 1:
         raise ValueError(
@@ -99,6 +101,7 @@ def find_improving_coalition_move(
             for size in range(1, min(max_coalition_size, state.n) + 1)
         )
     spec = SpeculativeEvaluator(state)
+    bridges = _bridges.component_bridges(state.graph._adj, range(state.n))
     budget = max_evaluations
     for coalition in coalitions:
         removable, addable = _coalition_edge_space(state, coalition)
@@ -110,7 +113,9 @@ def find_improving_coalition_move(
                 f"move candidates exceed the evaluation budget"
             )
         members = tuple(coalition)
-        move = _dfs_coalition_space(spec, members, removable, addable)
+        move = _dfs_coalition_space(
+            spec, members, removable, addable, bridges
+        )
         if move is not None:
             return move
     return None
@@ -121,11 +126,15 @@ def _dfs_coalition_space(
     members: tuple[int, ...],
     removable: Sequence[tuple[int, int]],
     addable: Sequence[tuple[int, int]],
+    bridges: set[tuple[int, int]],
 ) -> CoalitionMove | None:
     """DFS over all nonempty (removed, added) subsets on the kernel.
 
-    Removal subsets walk the engine with push/pop tokens — siblings share
-    their common prefix, so each removal node costs one apply + one undo.
+    ``bridges`` holds the ``(min, max)`` bridges of the graph the DFS
+    starts from.  When every removable edge is one, removals split a
+    rows-only fold; otherwise removal subsets walk the engine with
+    push/pop tokens — siblings share their common prefix, so each
+    removal node costs one apply + one undo.
     On top of each removal prefix the whole addition powerset evaluates
     through a rows-only :class:`~repro.core.speculative.Fold` (added
     edges live inside the coalition, so the members' rows close over the
@@ -229,8 +238,9 @@ def _dfs_coalition_space(
         return False
 
     def descend_removes_fold(fold, start: int) -> CoalitionMove | None:
-        """Fully query-based DFS (forest instances): removals split the
-        fold, additions extend it — zero engine mutations."""
+        """Fully query-based DFS (every removable edge a bridge):
+        removals split the fold, additions extend it — zero engine
+        mutations."""
         if addable:
             # addable endpoints are members: drop the extra tracked rows
             found = descend_adds(fold.restrict(members), 0)
@@ -281,15 +291,11 @@ def _dfs_coalition_space(
         return None
 
     # The fold DFS needs every removable edge to be splittable, i.e. a
-    # bridge.  On forests that is automatic; on general graphs it still
-    # holds whenever this coalition's removable edges happen to be
-    # bridges of the host graph (bridges stay bridges under deletion,
+    # bridge of the host graph (bridges stay bridges under deletion,
     # splits touch only removable edges, and additions extend restricted
-    # fold copies without feeding back into the removal fold).  Gate on
-    # the edges themselves, not on the global forest property.
-    if spec.engine.is_forest or all(
-        spec.is_bridge(u, v) for u, v in removable
-    ):
+    # fold copies without feeding back into the removal fold).  On a
+    # forest every edge qualifies.
+    if all(edge in bridges for edge in removable):
         _FOLD_DFS_RUNS.inc()
         return descend_removes_fold(spec.fold(sorted(touched)), 0)
     _ENGINE_DFS_RUNS.inc()

@@ -18,11 +18,10 @@ two exact strategies:
 * **general graphs** — each edge's post-removal matrix comes from the
   cached :class:`~repro.graphs.distances.DistanceMatrix` as a fresh array
   (:meth:`~repro.graphs.distances.DistanceMatrix.matrix_after_remove`:
-  the bridge split, or the changed block repaired by a min-plus product
-  of cached entries), then :class:`SwapPricer` prices the admitted
-  candidates ``w`` by the one-edge-add identity under the state's
-  valuation — no search, no engine mutation and no bridge sweep anywhere
-  in the scan.
+  the changed block repaired by a min-plus product of cached entries),
+  then :class:`SwapPricer` prices the admitted candidates ``w`` by the
+  one-edge-add identity under the state's valuation — no search, no
+  engine mutation and no bridge sweep anywhere in the scan.
 
 **The add-gain bound.**  Let ``G[x, y]`` be ``x``'s gain from adding
 ``xy`` to the current graph (:func:`~repro.equilibria.add.pairwise_add_gains`).
@@ -176,8 +175,8 @@ def swap_runs(
     Nothing in the scan mutates the state, so the generator may be
     abandoned at any point.  Trees of the paper's game take the
     closed-form evaluation; every other state takes the general
-    engine-backed path (on trees every edge is a bridge, so it needs no
-    search there either), priced under the add-gain bound of
+    engine-backed path (search-free there too: a tree edge's block
+    repair has an empty border), priced under the add-gain bound of
     ``add_gains`` (:class:`SwapPricer` builds it when not given).
     """
     if state.valuation.uniform_linear and state.is_tree():

@@ -1,12 +1,7 @@
 """Graph substrate: distances, bridges, trees, generation, enumeration."""
 
-from repro.graphs.bridges import BridgeSet, component_bridges
-from repro.graphs.distances import (
-    DistanceMatrix,
-    UndoToken,
-    apsp_matrix,
-    component_labels,
-)
+from repro.graphs.bridges import component_bridges
+from repro.graphs.distances import DistanceMatrix, UndoToken, apsp_matrix
 from repro.graphs.trees import RootedTree, one_medians
 from repro.graphs.canonical import (
     canonical_cache_clear,
@@ -32,7 +27,6 @@ from repro.graphs.generation import (
 )
 
 __all__ = [
-    "BridgeSet",
     "DistanceMatrix",
     "RootedTree",
     "UndoToken",
@@ -44,7 +38,6 @@ __all__ = [
     "canonical_graph",
     "canonical_key",
     "component_bridges",
-    "component_labels",
     "connected_graph_layer",
     "decode_key",
     "enumerate_connected_graphs",

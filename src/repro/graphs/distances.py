@@ -4,7 +4,7 @@ Graphs are ``networkx.Graph`` objects whose nodes are ``0 .. n-1``.  Distances
 live in dense ``numpy`` ``int64`` matrices; pairs in different components hold
 the game's big constant ``M`` (see :mod:`repro._alpha`), never ``inf``, so all
 arithmetic stays integral and exact.  This is the one module that calls
-scipy: :func:`apsp_matrix` past ``n = 34`` and :func:`component_labels`.
+scipy: :func:`apsp_matrix` past ``n = 34``.
 Float distances coming back from scipy are converted with an **exact
 integer fill** (:func:`exact_int_fill`): finite hop counts (< ``2**53``)
 cast losslessly and the ``inf`` mask is overwritten with the exact Python
@@ -40,47 +40,33 @@ The identities behind the engine:
 
   The in-place repair (``apply_remove``) and the full post-removal matrix
   (``matrix_after_remove``) share this block repair: no search at all.
-  When ``uv`` is a **bridge** — on *any* graph, forests being the special
-  case where every edge qualifies — no such ``t`` exists: ``A_u`` and
-  ``A_v`` are the two sides of the cut, read off the cached matrix
-  (``d(x, u)`` vs ``d(x, v)``), and every cross pair jumps to the
-  sentinel.  Row queries (``rows_after_remove_from``) read that split
-  for a bridge; for any other edge they walk one BFS per requested
-  source in pure Python over the graph's adjacency dicts with ``uv``
-  masked out (the removal checkers ask for the rows of ``u`` and ``v``
-  alone: one or two walks).
-
-**The bridge contract.**  The engine owns an incrementally maintained
-:class:`~repro.graphs.bridges.BridgeSet`: one chain-decomposition build
-at materialisation (spy-counted by the
-``repro_engine_bridge_rebuilds_total`` series), then O(affected) updates
-ride along every ``apply_add`` / ``apply_remove`` / ``undo`` — a
-vectorised side test kills the bridges a new cycle absorbs, a bridge
-removal deletes only itself, and only a *non-bridge* removal pays a
-component-local sweep.  That sweep is now the larger part of such a
-removal: the matrix repair is a handful of vectorised passes.  Only
-applied removals sweep; the speculative queries never touch the bridge
-set.  Non-bridge repairs are spy-counted by
-``repro_engine_remove_bfs_repairs_total`` and their rows by
-``repro_engine_bfs_repair_rows_total`` (names kept
-from the BFS repair they replaced).  ``is_forest`` is derived as
-``|bridges| == |edges|``, so it also recovers when deletions make a
-cyclic graph acyclic again.
+  When ``uv`` is a **bridge** no such ``t`` exists — the border is empty
+  exactly then, since on any other edge a ``u``-``v`` path in ``G - uv``
+  leaves ``A_v`` and enters ``A_u`` through nodes outside both sides — so
+  ``A_u`` and ``A_v`` are the two sides of the cut, every row of the
+  component changes, and every cross pair stays at the sentinel.  Row
+  queries (``rows_after_remove_from``) walk one BFS per requested source
+  in pure Python over the graph's adjacency dicts with ``uv`` masked out
+  (the removal checkers ask for the rows of ``u`` and ``v`` alone: one or
+  two walks).  Removals with a non-empty border are spy-counted by
+  ``repro_engine_remove_bfs_repairs_total`` and their rows by
+  ``repro_engine_bfs_repair_rows_total`` (names kept from the BFS repair
+  they replaced); a bridge removal counts in neither.
 
 :class:`DistanceMatrix` exposes these as in-place ``apply_add`` /
 ``apply_remove`` / ``apply_swap`` mutators.  Each returns an
-:class:`UndoToken`; calling :meth:`DistanceMatrix.undo` restores the matrix,
-the graph and the bridge set bit-exactly.  Tokens are strictly
+:class:`UndoToken`; calling :meth:`DistanceMatrix.undo` restores the matrix
+and the graph bit-exactly.  Tokens are strictly
 LIFO (enforced by a version counter), which is exactly what schedulers need
 to speculatively evaluate a move and roll it back.  ``M`` must satisfy
 ``fits_int64(M)`` so the add-update's ``M + 1 + M`` worst case cannot
 overflow ``int64``.
 
 Updates are **exact** in every case: additions by the outer-min identity,
-bridge removals by the two-component split, other removals by the block
-identity above.  A removal costs ``O(|A_v| * |boundary| * |A_u|)`` for
-the block on top of ``O(|A_u | A_v| * n)`` for its rows — never wrong,
-merely slower when both sides are large.
+removals by the block identity above.  A removal costs
+``O(|A_v| * |boundary| * |A_u|)`` for the block on top of
+``O(|A_u | A_v| * n)`` for its rows — never wrong, merely slower when both
+sides are large.
 
 The engine is **distance-only**: agent values are read off the live
 matrix through the game's :class:`repro.core.costmodel.Valuation`
@@ -96,13 +82,9 @@ from dataclasses import dataclass
 import numpy as np
 import networkx as nx
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import (
-    connected_components,
-    shortest_path,
-)
+from scipy.sparse.csgraph import shortest_path
 
 from repro._alpha import fits_int64
-from repro.graphs.bridges import BridgeSet
 from repro.obs import metrics as obs
 from repro.obs import trace as _trace
 
@@ -111,7 +93,6 @@ __all__ = [
     "UndoToken",
     "adjacency_csr",
     "apsp_matrix",
-    "component_labels",
     "exact_int_fill",
     "single_source_distances",
 ]
@@ -125,10 +106,11 @@ _APSP_BUILDS = obs.counter(
     "repro_engine_apsp_builds_total", "full APSP matrix builds"
 )
 
-#: ``apply_remove`` calls on non-bridges (the block repair) — a spy used
-#: to assert that bridge removals (forests included) take the split path
-#: instead and that speculative scans never mutate the engine.  The name
-#: predates the block repair; ``/metricsz``, perfbench and tests read it.
+#: ``apply_remove`` calls on non-bridges (a block repair with a non-empty
+#: border) — a spy used to assert that bridge removals (forests included)
+#: count in neither repair series and that speculative scans never mutate
+#: the engine.  The name predates the block repair; ``/metricsz``,
+#: perfbench and tests read it.
 _REMOVE_BFS_REPAIRS = obs.counter(
     "repro_engine_remove_bfs_repairs_total",
     "apply_remove calls that repaired a non-bridge removal",
@@ -280,15 +262,6 @@ def single_source_distances(
     return _bfs_row_py(graph._adj, source, n, unreachable)
 
 
-def component_labels(graph: nx.Graph) -> np.ndarray:
-    """Connected component index per node."""
-    _require_canonical(graph)
-    if graph.number_of_edges() == 0:
-        return np.arange(graph.number_of_nodes(), dtype=np.int64)
-    _, labels = connected_components(adjacency_csr(graph), directed=False)
-    return labels.astype(np.int64)
-
-
 @dataclass(frozen=True)
 class _RowPatch:
     """Old values of a set of matrix rows (columns follow by symmetry)."""
@@ -309,7 +282,6 @@ class UndoToken:
     inverse_ops: tuple[tuple[str, int, int], ...]
     version_before: int
     version_after: int
-    bridge_deltas: tuple = ()
 
 
 class DistanceMatrix:
@@ -320,18 +292,16 @@ class DistanceMatrix:
 
     * :meth:`apply_add` updates the whole matrix with a vectorised outer
       minimum (exact, no search);
-    * :meth:`apply_remove` takes the two-component split whenever the
-      edge is a bridge of the current graph — forests being the special
-      case where every edge qualifies — and otherwise rewrites only the
-      changed rows from a min-plus block of cached entries (exact and
-      search-free in both cases);
+    * :meth:`apply_remove` rewrites only the changed rows from a min-plus
+      block of cached entries (exact and search-free; on a bridge the
+      block is all sentinel);
     * :meth:`apply_swap` composes the two;
     * :meth:`undo` rolls any of them back bit-exactly (LIFO order).
 
     Speculative *queries* that never touch the matrix are also provided:
     ``matrix_after_remove`` (from the matrix alone)
-    and ``rows_after_remove_from`` (the bridge split, or one BFS per
-    source with the edge masked out of the traversal).
+    and ``rows_after_remove_from`` (one BFS per source with the edge
+    masked out of the traversal).
     They answer distances only; what a move is worth to an agent is read
     through the game's valuation (:func:`repro.equilibria.add.add_gain`,
     :func:`repro.equilibria.remove.removal_loss`, :mod:`repro.core.batch`).
@@ -354,10 +324,6 @@ class DistanceMatrix:
             )
         self._graph = graph
         self._version = 0
-        # the exact bridge set powers the search-free split removal path on
-        # any graph; built once here (chain decomposition), then maintained
-        # in O(affected) through apply_* / undo — see repro.graphs.bridges
-        self._bridges = BridgeSet(graph._adj, range(self.n))
         self.matrix = apsp_matrix(graph, self.unreachable)
 
     # -- plain queries ------------------------------------------------------
@@ -368,97 +334,56 @@ class DistanceMatrix:
     def row(self, u: int) -> np.ndarray:
         return self.matrix[u]
 
-    def eccentricity(self, u: int) -> int:
-        return int(self.matrix[u].max())
-
-    @property
-    def is_forest(self) -> bool:
-        """Whether the current graph is acyclic (derived from the bridges).
-
-        A graph is a forest iff every edge is a bridge, and the bridge set
-        is maintained exactly through every mutation — so unlike the old
-        one-way acyclicity flag this also recovers when deletions make a
-        cyclic graph acyclic again.  Powers the searchers' fully
-        query-based fold evaluation on forest instances.
-        """
-        return len(self._bridges) == self._graph.number_of_edges()
-
-    def is_bridge(self, u: int, v: int) -> bool:
-        """Whether edge ``uv`` is a bridge (O(1) off the maintained set).
-
-        Bridge removals take the search-free split path in
-        :meth:`apply_remove` and in every speculative removal query; when
-        every demand is positive they can also never be improving moves
-        under a sum, or under a max on a connected graph (disconnection
-        costs at least ``M - n > alpha``), so the removal scan skips them
-        without any BFS.
-        """
-        return self._bridges.is_bridge(u, v)
-
-    def bridges(self) -> frozenset:
-        """The current bridge set as canonical ``(min, max)`` pairs."""
-        return self._bridges.as_frozenset()
-
     def diameter(self) -> int:
         return int(self.matrix.max())
 
     # -- speculative queries (matrix untouched) -----------------------------
 
-    def _bridge_sides(self, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Side masks of bridge ``uv``'s cut, read off the cached matrix.
-
-        ``x`` is on ``u``'s side iff ``d(x, u) < d(x, v)`` (every path
-        between the sides crossed the bridge, so ties occur only for
-        nodes of other components, which end up on neither side).
-        """
-        return self.matrix[u] < self.matrix[v], self.matrix[v] < self.matrix[u]
-
     def _only_via(self, u: int, v: int) -> np.ndarray:
-        """Mask of ``A_u`` for a non-bridge ``uv``: the nodes ``y`` whose
-        every shortest ``u``-``y`` path starts with ``uv``, read off the
-        cached matrix as ``d(v, y) = d(u, y) - 1`` with no other
-        neighbour of ``u`` as close to ``y`` as ``v``.  Exactly the nodes
-        whose distance to ``u`` grows when ``uv`` is removed."""
+        """Mask of ``A_u``: the nodes ``y`` whose every shortest
+        ``u``-``y`` path starts with ``uv``, read off the cached matrix as
+        ``d(v, y) = d(u, y) - 1`` with no other neighbour of ``u`` as
+        close to ``y`` as ``v``.  Exactly the nodes whose distance to
+        ``u`` grows when ``uv`` is removed."""
         matrix = self.matrix
         row = matrix[u]
-        nearest = functools.reduce(
-            np.minimum,
-            (matrix[node] for node in self._graph._adj[u] if node != v),
-        )
-        return (matrix[v] == row - 1) & (nearest >= row)
+        only = matrix[v] == row - 1
+        others = [matrix[node] for node in self._graph._adj[u] if node != v]
+        if others:  # a leaf ``u`` reaches everything through ``v``
+            only &= functools.reduce(np.minimum, others) >= row
+        return only
 
-    def _removal_rows(self, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """The rows that cover every entry the removal of ``uv`` changes,
-        and their values in ``G - uv``: ``(rows, new)``.
+    def _removal_rows(
+        self, u: int, v: int
+    ) -> tuple[np.ndarray, np.ndarray, bool]:
+        """The rows that the removal of ``uv`` changes, their values in
+        ``G - uv``, and whether ``uv`` is a bridge: ``(rows, new, bridge)``.
 
         Written as rows *and* columns (the matrix is symmetric), the
-        patch rewrites every changed entry.  For a bridge, ``rows`` is the
-        smaller side of the cut and its far-side entries become the
-        sentinel.  For any other edge, ``rows`` is ``A_u | A_v``
+        patch rewrites every changed entry.  ``rows`` is ``A_u | A_v``
         (:meth:`_only_via`), exactly the rows that change, and only their
         ``A_v x A_u`` block is new: ``d'(s, y) = min d(s, t) + d(t, y)``
-        over the nodes ``t`` outside both sides adjacent to the smaller
-        one, a min-plus product of cached entries.  It is exact (module
-        docstring) because a changed pair ``(s, y)`` has every shortest
-        path through ``uv``, putting ``s`` in ``A_v`` and ``y`` in
-        ``A_u``; because an edge ``pq != uv`` from ``A_v`` to ``A_u``
-        would give a shortest ``u``-``q`` path avoiding ``v``, so none
-        exists; and because a shortest ``s``-``y`` path in ``G - uv``
-        therefore leaves ``A_v`` (and enters ``A_u``) through such a
-        ``t``, while pairs with an endpoint outside ``A_u | A_v``, or with
-        both endpoints on one side, keep their distance.  The product
-        runs in chunks of at most ``n * n`` cells.  No search; neither the
-        graph nor the matrix is touched.
+        over the border, the nodes ``t`` outside both sides adjacent to
+        the smaller one, a min-plus product of cached entries.  It is
+        exact (module docstring) because a changed pair ``(s, y)`` has
+        every shortest path through ``uv``, putting ``s`` in ``A_v`` and
+        ``y`` in ``A_u``; because an edge ``pq != uv`` from ``A_v`` to
+        ``A_u`` would give a shortest ``u``-``q`` path avoiding ``v``, so
+        none exists; and because a shortest ``s``-``y`` path in
+        ``G - uv`` therefore leaves ``A_v`` (and enters ``A_u``) through
+        such a ``t``, while pairs with an endpoint outside ``A_u | A_v``,
+        or with both endpoints on one side, keep their distance.
+
+        The border is empty exactly when ``uv`` is a bridge: otherwise a
+        ``u``-``v`` path in ``G - uv`` leaves ``A_v`` and enters ``A_u``
+        through border nodes, while a bridge's sides have no neighbour
+        outside them.  Then ``A_u`` and ``A_v`` are the two sides of the
+        cut, ``rows`` is the whole component (every row of it changes)
+        and the block stays at the sentinel.  The product runs in chunks
+        of at most ``n * n`` cells.  No search; neither the graph nor the
+        matrix is touched.
         """
         matrix = self.matrix
-        if self._bridges.is_bridge(u, v):
-            side, far_side = self._bridge_sides(u, v)
-            if np.count_nonzero(side) > np.count_nonzero(far_side):
-                side, far_side = far_side, side
-            rows = np.flatnonzero(side)
-            new = matrix[rows]  # fancy index: a copy
-            new[:, far_side] = self.unreachable
-            return rows, new
         near = np.flatnonzero(self._only_via(v, u))  # A_v, around u
         far = np.flatnonzero(self._only_via(u, v))  # A_u, around v
         rows = np.concatenate((near, far))
@@ -477,35 +402,23 @@ class DistanceMatrix:
         new = matrix[rows]
         new[: near.size, far] = block
         new[near.size :, near] = block.T
-        return rows, new
+        return rows, new, not via.size
 
     def rows_after_remove_from(
         self, u: int, v: int, sources
     ) -> np.ndarray:
         """Distance rows of ``sources`` in ``G - uv`` (no mutation).
 
-        Bridges are search-free: each source keeps its side of the cut
-        and loses the far side to the sentinel, all read off the cached
-        matrix (sources in other components are unaffected).  On any
-        other edge each source's row is one BFS walk (:func:`_bfs_row_py`)
-        with the edge masked out of the traversal.  Neither the matrix
-        nor the graph is touched.
+        Each source's row is one BFS walk (:func:`_bfs_row_py`) with the
+        edge masked out of the traversal, bridges included.  Neither the
+        matrix nor the graph is touched.
         """
         if not self._graph.has_edge(u, v):
             raise ValueError(f"edge {u}-{v} not in graph")
-        sources = [int(source) for source in sources]
-        if self._bridges.is_bridge(u, v):
-            side_u, side_v = self._bridge_sides(u, v)
-            out = self.matrix[sources]  # fancy index: a copy
-            out[
-                np.outer(side_u[sources], side_v)
-                | np.outer(side_v[sources], side_u)
-            ] = self.unreachable
-            return out
         adj = self._graph._adj
         return np.stack(
             [
-                _bfs_row_py(adj, source, self.n, self.unreachable, u, v)
+                _bfs_row_py(adj, int(source), self.n, self.unreachable, u, v)
                 for source in sources
             ]
         )
@@ -518,7 +431,7 @@ class DistanceMatrix:
         engine."""
         if not self._graph.has_edge(u, v):
             raise ValueError(f"edge {u}-{v} not in graph")
-        rows, new = self._removal_rows(u, v)
+        rows, new, _ = self._removal_rows(u, v)
         removed = self.matrix.copy()
         removed[rows] = new
         removed[:, rows] = new.T
@@ -553,9 +466,6 @@ class DistanceMatrix:
         if self._graph.has_edge(u, v):
             raise ValueError(f"edge {u}-{v} already exists")
         matrix = self.matrix
-        # the bridge update needs the pre-add matrix: dying bridges are
-        # found by a side test against the old distances
-        bridge_delta = self._bridges.note_add(u, v, matrix, self.unreachable)
         via = matrix[u][:, None] + (matrix[v][None, :] + 1)
         candidate = np.minimum(via, via.T)
         changed_rows = np.flatnonzero((candidate < matrix).any(axis=1))
@@ -566,23 +476,21 @@ class DistanceMatrix:
             )
             np.minimum(matrix, candidate, out=matrix)
         self._graph.add_edge(u, v)
-        return self._finish(patches, (("remove", u, v),), (bridge_delta,))
+        return self._finish(patches, (("remove", u, v),))
 
     def apply_remove(self, u: int, v: int) -> UndoToken:
         """Remove edge ``uv`` and repair the matrix in place (exact).
 
         Writes the patch of :meth:`_removal_rows` as rows and columns,
-        with no search: for a **bridge** (every forest edge is one) the
-        smaller side of the cut, whose cross pairs become
-        ``unreachable``; for any other edge the rows that change,
-        ``A_u | A_v``, with their repaired ``A_v x A_u`` block
-        (spy-counted by ``repro_engine_remove_bfs_repairs_total``).
-        Returns an undo token.
+        with no search: the rows that change, ``A_u | A_v``, with their
+        repaired ``A_v x A_u`` block (all sentinel on a bridge, every
+        forest edge being one).  A non-bridge removal is spy-counted by
+        ``repro_engine_remove_bfs_repairs_total``.  Returns an undo token.
         """
         if not self._graph.has_edge(u, v):
             raise ValueError(f"edge {u}-{v} not in graph")
-        rows, new = self._removal_rows(u, v)
-        if not self._bridges.is_bridge(u, v):
+        rows, new, bridge = self._removal_rows(u, v)
+        if not bridge:
             _REMOVE_BFS_REPAIRS.inc()
             _BFS_REPAIR_ROWS.inc(int(rows.size))
         matrix = self.matrix
@@ -590,10 +498,7 @@ class DistanceMatrix:
         matrix[rows] = new
         matrix[:, rows] = new.T
         self._graph.remove_edge(u, v)
-        # a non-bridge removal can only promote edges of this component to
-        # bridges; one local sweep re-derives them (post-removal adjacency)
-        bridge_delta = self._bridges.note_remove(u, v, self._graph._adj)
-        return self._finish(patches, (("add", u, v),), (bridge_delta,))
+        return self._finish(patches, (("add", u, v),))
 
     def apply_swap(self, actor: int, old: int, new: int) -> UndoToken:
         """Replace edge ``actor-old`` by ``actor-new`` (one undo token)."""
@@ -608,16 +513,14 @@ class DistanceMatrix:
             inverse_ops=addition.inverse_ops + removal.inverse_ops,
             version_before=removal.version_before,
             version_after=addition.version_after,
-            bridge_deltas=removal.bridge_deltas + addition.bridge_deltas,
         )
 
-    def _finish(self, patches, inverse_ops, bridge_deltas) -> UndoToken:
+    def _finish(self, patches, inverse_ops) -> UndoToken:
         token = UndoToken(
             patches=tuple(patches),
             inverse_ops=tuple(inverse_ops),
             version_before=self._version,
             version_after=self._version + 1,
-            bridge_deltas=tuple(bridge_deltas),
         )
         self._version += 1
         return token
@@ -638,6 +541,4 @@ class DistanceMatrix:
                 self._graph.add_edge(u, v)
             else:
                 self._graph.remove_edge(u, v)
-        for delta in reversed(token.bridge_deltas):
-            self._bridges.revert(delta)
         self._version = token.version_before

@@ -17,12 +17,12 @@ Spies reachable from concurrent serve threads:
 * ``repro_canonical_cache_hits_total`` / ``_misses_total`` — every
   request canonicalises before touching the cache, on the calling
   thread;
-* ``repro_engine_apsp_builds_total``,
-  ``repro_engine_remove_bfs_repairs_total``,
-  ``repro_engine_bridge_rebuilds_total`` and
-  ``repro_engine_bridge_sweeps_total`` — engine builds and speculative
-  evaluations on *different* engines hold different per-entry locks yet
-  share these counters;
+* ``repro_engine_apsp_builds_total`` and
+  ``repro_engine_remove_bfs_repairs_total`` — engine builds and
+  speculative evaluations on *different* engines hold different
+  per-entry locks yet share these counters;
+* ``repro_engine_bridge_sweeps_total`` — ``classify`` requests sweep
+  their graphs' bridges once per coalition search, concurrently;
 * ``repro_engine_evaluations_total`` — ``best_response`` requests on
   distinct engines evaluate concurrently;
 * ``repro_strong_fold_dfs_runs_total`` /

@@ -8,9 +8,9 @@ isomorphism-invariant over the labelled weighted pair) plus the exact
 copies of the same instance share a single cached engine (the
 materialised :class:`~repro.core.state.GameState` with its incremental
 :class:`~repro.graphs.distances.DistanceMatrix`): the expensive APSP
-build and bridge set are paid once per isomorphism class, not once per
-request.  An entry holds the canonical state only; each request brings
-its own labelling onto it (:class:`repro.serve.service.ServeApp` parses
+build is paid once per isomorphism class, not once per request.  An
+entry holds the canonical state only; each request brings its own
+labelling onto it (:class:`repro.serve.service.ServeApp` parses
 it with the digest, from the canonical-form memo of
 :mod:`repro.graphs.canonical`).
 
@@ -59,8 +59,8 @@ def estimate_engine_bytes(state: GameState) -> int:
     """Resident-byte estimate of one warm engine.
 
     Charges three matrix sizes for the distance matrix and what travels
-    with it (the bridge set, the graph's adjacency and the post-removal
-    copies a scan makes), plus the demand matrix; the fixed term covers
+    with it (the graph's adjacency and the post-removal copies a scan
+    makes), plus the demand matrix; the fixed term covers
     bookkeeping.  The factor is kept as it is because the estimates set
     the eviction order, which is part of serve's behaviour.  An estimate
     is enough — the budget bounds growth, it is not an allocator.

@@ -163,6 +163,10 @@ class _Instance:
         # huge n before building anything of its size
         if len(pairs) < n - 1:
             raise ServeError(400, "graph must be connected")
+        if n > MAX_KEY_NODES:  # canonical keys name at most this many nodes
+            raise ServeError(
+                400, f"bad node count n={n}: at most {MAX_KEY_NODES} nodes"
+            )
         self.n = n
         self.graph = nx.empty_graph(n)
         self.graph.add_edges_from(pairs)

@@ -370,13 +370,15 @@ def evaluate_rows_only(spec, move):
     Additions read the one-edge-add identity, removals the engine's
     removal query for the actor's row, and swaps compose a removal with
     the add identity (a ``Fold`` split + extend over ``{actor, old,
-    new}`` when the dropped edge is a bridge, the engine's rows of the
+    new}`` when the dropped edge is a bridge — found by a chain
+    decomposition of the actor's component — the engine's rows of the
     actor and partner otherwise).  Returns ``None`` for compound moves
     and inside an active speculation scope (deltas compare against the
     base snapshot).
     """
-    from repro.core.moves import AddEdge, RemoveEdge, Swap
+    from repro.core.moves import AddEdge, RemoveEdge, Swap, normalize_edge
     from repro.core.speculative import MoveEvaluation
+    from repro.graphs.bridges import component_bridges
 
     if spec.depth:
         return None
@@ -398,7 +400,9 @@ def evaluate_rows_only(spec, move):
         actor, old, new = move.actor, move.old, move.new
         if spec.graph.has_edge(actor, new):
             raise ValueError(f"edge {actor}-{new} already exists")
-        if spec.is_bridge(actor, old):
+        if normalize_edge(actor, old) in component_bridges(
+            spec.graph._adj, (actor,)
+        ):
             fold = spec.fold((actor, old, new)).split(actor, old)
             fold = fold.extend(actor, new)
             dist_actor = fold.dist_total(actor)

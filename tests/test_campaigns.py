@@ -219,12 +219,12 @@ class TestStore:
         assert len(keys) == len(set(keys)) == 2
 
     def test_error_records_not_fatal_and_retryable(self, tmp_path):
-        # graph_poa needs a positive n: n = 0 must error, not crash
-        # (n = 9 no longer errors — the canonical-key enumerator took
-        # over past the atlas ceiling)
+        # an edge-count layer outside 4..10 passes the spec checks but
+        # raises when run: it must record an error, not crash
         spec = tiny_spec(
             grids=(
-                {"kind": "graph_poa", "n": [5, 0], "alpha": 2, "concept": "PS"},
+                {"kind": "exact_poa", "family": "graphs", "n": 5,
+                 "m": [4, 20], "alpha": 2, "concept": "PS"},
             )
         )
         store_dir = tmp_path / "store"
@@ -235,7 +235,7 @@ class TestStore:
         assert len(reopened.completed_keys()) == 1
         assert len(reopened.error_keys()) == 1
         record = reopened.record_for(next(iter(reopened.error_keys())))
-        assert "must be positive" in record["error"]
+        assert "have 4..10 edges, not 20" in record["error"]
         # default resume retries the error; --no-retry-errors skips it
         assert run_campaign(spec, reopened, retry_errors=False).executed == 0
         with CampaignStore(store_dir) as store:
@@ -658,6 +658,22 @@ class TestCli:
         with pytest.raises(ValueError, match=field):
             run_campaign(spec, store)
         assert store.load_spec() is None
+
+    @pytest.mark.parametrize("n", (0, -1))
+    def test_n_below_one_fails_before_any_store(self, tmp_path, n):
+        from repro.campaigns.runners import runnable_trials
+
+        spec = CampaignSpec.from_dict(
+            {"name": "bad", "kind": "tree_poa",
+             "grids": [dict(self.GOOD_GRID, n=n)]}
+        )
+        with pytest.raises(ValueError, match="'n' must be an int >= 1"):
+            runnable_trials(spec)
+        store = CampaignStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="'n'"):
+            run_campaign(spec, store)
+        assert store.load_spec() is None
+        assert not list(store.root.iterdir())
 
     def test_every_committed_spec_loads(self):
         from repro.campaigns.runners import runnable_trials

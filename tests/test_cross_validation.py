@@ -1,7 +1,8 @@
-"""Randomized cross-validation of the incremental engine + bridge set + Fold.
+"""Randomized cross-validation of the incremental engine, the bridge
+finder and Fold.
 
-The lockdown suite for the bridge-aware removal engine: hundreds of seeded
-random add/remove/swap trajectories over mixed graph classes (trees, sparse
+The lockdown suite for the removal engine: hundreds of seeded random
+add/remove/swap trajectories over mixed graph classes (trees, sparse
 and dense G(n, p) — including disconnected starts — and paper
 constructions), asserting **bit-exact agreement at every step** between
 
@@ -15,20 +16,21 @@ constructions), asserting **bit-exact agreement at every step** between
   per-entry recomputation, along trajectories and after undo, plus
   weighted and modeled per-agent costs along ``GameState.apply`` chains
   vs naive recomputation,
-* the incrementally maintained bridge set and a from-scratch naive
-  recompute (edge is a bridge iff deleting it disconnects its endpoints —
-  re-derived by BFS per edge, independent of the chain decomposition),
+* the chain-decomposition bridge finder
+  (:func:`~repro.graphs.bridges.component_bridges`) and a from-scratch
+  naive recompute (edge is a bridge iff deleting it disconnects its
+  endpoints — re-derived by BFS per edge, independent of the chain
+  decomposition),
 * per-agent and social costs along ``GameState.apply`` chains and a naive
   recomputation on a fresh graph copy,
 
-plus spy-counter proofs that the maintenance really is incremental: one
-chain-decomposition build per engine materialisation and zero rebuilds
-along trajectories, bridge removals never entering the non-bridge repair
-path (even on cyclic graphs), and the priced pool reduction and the swap
-scan never mutating the engine.  The block repair of non-bridge removals
+plus spy-counter proofs that bridge removals never count as non-bridge
+repairs (even on cyclic graphs) and that the priced pool reduction and
+the swap scan never mutate the engine.  The block repair of removals
 (bit-exact against a fresh APSP on every edge of families with large or
-lopsided sides, no BFS beyond the requested rows of a removal query),
-the removal walk, both arms of ``apsp_matrix`` and the
+lopsided sides, bridges and leaf endpoints included, its empty border
+flagging exactly the bridges, no BFS beyond the requested rows of a
+removal query), the removal walk, both arms of ``apsp_matrix`` and the
 reservoir-sampling random scheduler are cross-validated here too.
 """
 
@@ -54,6 +56,7 @@ from repro.core.traffic import TrafficMatrix
 from repro.dynamics.movegen import move_pool
 from repro.dynamics.schedulers import random_improvement_scheduler
 from repro.graphs import distances as distances_mod
+from repro.graphs.bridges import component_bridges
 from repro.graphs.distances import DistanceMatrix, apsp_matrix, exact_int_fill
 from repro.graphs.generation import random_connected_gnp, random_tree
 
@@ -89,6 +92,13 @@ def naive_bridges(graph: nx.Graph) -> frozenset:
     return frozenset(found)
 
 
+def sweep_bridges(graph: nx.Graph) -> frozenset:
+    """Bridges by chain decomposition over every component."""
+    return frozenset(
+        component_bridges(graph._adj, range(graph.number_of_nodes()))
+    )
+
+
 def naive_cost(graph: nx.Graph, alpha, agent: int, unreachable: int):
     """``alpha * deg + dist`` recomputed on a fresh APSP of a fresh copy."""
     dist = apsp_matrix(graph, unreachable)
@@ -120,19 +130,6 @@ def start_graph(family: str, rng: random.Random) -> nx.Graph:
     # disconnect/reconnect sequences from the very first move
     n = rng.randint(2, 12)
     return nx.gnp_random_graph(n, rng.random() * 0.4, seed=rng.randrange(10**6))
-
-
-def assert_endpoint_arrays_consistent(dm: DistanceMatrix) -> None:
-    """The incrementally maintained endpoint arrays mirror the bridge set.
-
-    The arrays are in unspecified order, so compare as a set of pairs;
-    entry count must match exactly (no stale tail past the live length).
-    """
-    bridge_set = dm._bridges
-    first, second = bridge_set._endpoint_arrays()
-    assert len(first) == len(second) == len(bridge_set)
-    pairs = {(int(a), int(b)) for a, b in zip(first, second)}
-    assert pairs == {tuple(edge) for edge in bridge_set.as_frozenset()}
 
 
 def random_step(dm: DistanceMatrix, graph: nx.Graph, rng: random.Random):
@@ -171,7 +168,8 @@ def random_step(dm: DistanceMatrix, graph: nx.Graph, rng: random.Random):
 
 class TestTrajectoryCrossValidation:
     """``len(FAMILIES) * SEEDS_PER_FAMILY`` seeded random trajectories,
-    every step cross-checked against fresh scipy APSP and naive bridges."""
+    every step cross-checked against fresh scipy APSP, and the chain
+    decomposition against naive bridges."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_random_trajectories(self, family):
@@ -180,8 +178,7 @@ class TestTrajectoryCrossValidation:
             rng = random.Random(offset + seed)
             graph = start_graph(family, rng)
             dm = DistanceMatrix(graph, UNREACHABLE)
-            rebuilds_at_start = meter("repro_engine_bridge_rebuilds_total")
-            assert dm.bridges() == naive_bridges(graph)
+            assert sweep_bridges(graph) == naive_bridges(graph)
             for _ in range(STEPS):
                 if random_step(dm, graph, rng) is None:
                     continue
@@ -191,13 +188,7 @@ class TestTrajectoryCrossValidation:
                 assert (
                     UNIFORM_LINEAR.rows_value(dm.matrix) == fresh.sum(axis=1)
                 ).all()
-                assert dm.bridges() == naive_bridges(graph)
-                assert dm.is_forest == nx.is_forest(graph)
-                assert_endpoint_arrays_consistent(dm)
-            # incrementality: zero chain-decomposition rebuilds after the
-            # one build at materialisation
-            rebuilds = meter("repro_engine_bridge_rebuilds_total")
-            assert rebuilds == rebuilds_at_start
+                assert sweep_bridges(graph) == naive_bridges(graph)
 
     def test_undo_restores_bridges_and_totals(self):
         for seed in range(25):
@@ -206,8 +197,7 @@ class TestTrajectoryCrossValidation:
             dm = DistanceMatrix(graph, UNREACHABLE)
             matrix_before = dm.matrix.copy()
             totals_before = UNIFORM_LINEAR.rows_value(dm.matrix)
-            bridges_before = dm.bridges()
-            forest_before = dm.is_forest
+            bridges_before = sweep_bridges(graph)
             edges_before = sorted(map(sorted, graph.edges))
             tokens = []
             for _ in range(STEPS):
@@ -219,10 +209,8 @@ class TestTrajectoryCrossValidation:
             assert (dm.matrix == matrix_before).all()
             totals_after = UNIFORM_LINEAR.rows_value(dm.matrix)
             assert (totals_after == totals_before).all()
-            assert dm.bridges() == bridges_before
-            assert dm.is_forest == forest_before
+            assert sweep_bridges(graph) == bridges_before
             assert sorted(map(sorted, graph.edges)) == edges_before
-            assert_endpoint_arrays_consistent(dm)
 
     def test_disconnect_and_reconnect_sequence(self):
         """A scripted split of a cyclic graph into three pieces and back."""
@@ -248,7 +236,7 @@ class TestTrajectoryCrossValidation:
             assert (
                 UNIFORM_LINEAR.rows_value(dm.matrix) == fresh.sum(axis=1)
             ).all()
-            assert dm.bridges() == naive_bridges(graph)
+            assert sweep_bridges(graph) == naive_bridges(graph)
 
 
 # -- GameState cost trajectories --------------------------------------------
@@ -528,39 +516,14 @@ class TestModelTotalsCrossValidation:
                 assert state.social_cost() == expected_social
 
 
-# -- spy counters: the maintenance is genuinely incremental -----------------
+# -- spy counters: bridges count as no repair ------------------------------
 
 
 class TestBridgeSpies:
-    def test_exactly_one_build_at_materialisation(self):
-        graph = random_connected_gnp(9, 0.3, random.Random(5))
-        before = meter("repro_engine_bridge_rebuilds_total")
-        dm = DistanceMatrix(graph, UNREACHABLE)
-        assert meter("repro_engine_bridge_rebuilds_total") == before + 1
-        rng = random.Random(6)
-        for _ in range(20):
-            random_step(dm, graph, rng)
-        dm.bridges()
-        dm.is_forest
-        assert meter("repro_engine_bridge_rebuilds_total") == before + 1
-
-    def test_additions_and_bridge_removals_never_sweep(self):
-        """Only non-bridge removals pay the component-local sweep."""
-        graph = clique(4)
-        graph.add_edges_from([(3, 4), (4, 5)])
-        dm = DistanceMatrix(graph, UNREACHABLE)
-        sweeps = meter("repro_engine_bridge_sweeps_total")
-        dm.apply_remove(4, 5)  # bridge: O(1) delta
-        dm.apply_add(4, 5)  # reconnect: O(1) delta
-        dm.apply_add(2, 4)  # closes a cycle: vectorised side test
-        dm.apply_add(0, 5)  # another cycle
-        assert meter("repro_engine_bridge_sweeps_total") == sweeps
-        dm.apply_remove(0, 1)  # non-bridge: the one sweeping case
-        assert meter("repro_engine_bridge_sweeps_total") == sweeps + 1
-
     def test_bridge_removal_never_enters_bfs_repair(self):
-        """Regression: general-graph bridge removals take the split path."""
-        graph = clique(5)  # cyclic core: is_forest shortcuts cannot apply
+        """General-graph bridge removals (an empty border) count in
+        neither repair series; a non-bridge removal counts once."""
+        graph = clique(5)  # cyclic core with a pendant path
         graph.add_edges_from([(4, 5), (5, 6), (6, 7)])
         dm = DistanceMatrix(graph, UNREACHABLE)
         repairs = meter("repro_engine_remove_bfs_repairs_total")
@@ -572,24 +535,23 @@ class TestBridgeSpies:
         dm.apply_remove(0, 1)  # non-bridge: the counted block repair
         assert meter("repro_engine_remove_bfs_repairs_total") == repairs + 1
 
-    def test_speculative_bridge_queries_run_no_bfs(self, monkeypatch):
-        """Removal queries on a bridge are pure matrix reads."""
+    def test_bridge_removal_rows_match_fresh_apsp(self):
+        """A bridge's removal rows and matrix equal a fresh APSP for
+        sources on both sides and in another component."""
         graph = clique(4)
-        graph.add_edges_from([(3, 4), (4, 5)])
+        graph.add_edges_from([(3, 4), (4, 5), (6, 7)])  # 6-7: elsewhere
         dm = DistanceMatrix(graph, UNREACHABLE)
-        # the reference is built first: small APSP builds run the same
-        # Python BFS the stub below forbids
         reference = graph.copy()
         reference.remove_edge(3, 4)
         fresh = apsp_matrix(reference, UNREACHABLE)
-
-        def boom(*args, **kwargs):  # pragma: no cover - guard only
-            raise AssertionError("BFS invoked for a bridge removal query")
-
-        monkeypatch.setattr(distances_mod, "_bfs_row_py", boom)
-        row_u, row_v = dm.rows_after_remove_from(3, 4, (3, 4))
-        assert (row_u == fresh[3]).all() and (row_v == fresh[4]).all()
+        sources = [3, 4, 0, 5, 6, 7, 4]
+        rows = dm.rows_after_remove_from(3, 4, sources)
+        assert (rows == fresh[sources]).all()
         assert (dm.matrix_after_remove(3, 4) == fresh).all()
+        rows, new, bridge = dm._removal_rows(3, 4)
+        assert bridge
+        assert sorted(rows.tolist()) == list(range(6))  # the component
+        assert (new == fresh[rows]).all()
 
 
 # -- Fold: bridge splits on general graphs ----------------------------------
@@ -603,11 +565,9 @@ class TestFoldBridgeSplits:
             graph = start_graph("construction", rng)
             state = GameState(graph, 2)
             spec = SpeculativeEvaluator(state)
-            bridges = [
-                edge
-                for edge in graph.edges
-                if spec.is_bridge(*edge) and not nx.is_forest(graph)
-            ]
+            if nx.is_forest(graph):
+                continue
+            bridges = sorted(naive_bridges(graph))
             for u, v in bridges:
                 tracked = sorted(
                     {u, v, *rng.sample(range(state.n), min(3, state.n))}
@@ -670,7 +630,7 @@ class TestBatchSweepCrossValidation:
             assert chosen[1].cost_deltas == reference[1].cost_deltas
 
 
-# -- affected-source filter for non-bridge removals ---------------------------
+# -- affected-source filter for removals -------------------------------------
 
 
 @pytest.fixture
@@ -702,11 +662,11 @@ def _filter_graphs():
 
 
 class TestAffectedSourceFilter:
-    """Non-bridge removal queries equal a fresh APSP of ``G - uv`` bit for
-    bit.  ``rows_after_remove_from`` walks exactly the requested sources,
-    in order and repeats included, with the edge masked out;
-    ``matrix_after_remove`` and ``apply_remove`` patch the changed block
-    with no BFS at all."""
+    """Removal queries equal a fresh APSP of ``G - uv`` bit for bit on
+    every edge, bridges included.  ``rows_after_remove_from`` walks
+    exactly the requested sources, in order and repeats included, with
+    the edge masked out; ``matrix_after_remove`` and ``apply_remove``
+    patch the changed block with no BFS at all."""
 
     def test_rows_match_fresh_apsp_and_bfs_only_affected(self, bfs_sources):
         checked = 0
@@ -714,7 +674,7 @@ class TestAffectedSourceFilter:
             n = graph.number_of_nodes()
             dm = DistanceMatrix(graph, UNREACHABLE)
             rng = random.Random(n)
-            edges = [edge for edge in graph.edges if not dm.is_bridge(*edge)]
+            edges = list(graph.edges)
             if n > 100:
                 edges = rng.sample(edges, min(3, len(edges)))
             for u, v in edges:
@@ -753,21 +713,19 @@ class TestAffectedSourceFilter:
     def test_apply_remove_repairs_exactly_the_affected_rows(self, bfs_sources):
         for graph in _filter_graphs():
             dm = DistanceMatrix(graph, UNREACHABLE)
-            edges = [edge for edge in graph.edges if not dm.is_bridge(*edge)]
-            if not edges:
-                continue
-            u, v = edges[0]
-            before = dm.matrix.copy()
-            bfs_sources.clear()
-            token = dm.apply_remove(u, v)
-            assert bfs_sources == []
-            fresh = apsp_matrix(graph, UNREACHABLE)
-            assert (dm.matrix == fresh).all()
-            changed = np.flatnonzero((fresh != before).any(axis=1))
-            (patch,) = token.patches
-            assert sorted(patch.rows.tolist()) == changed.tolist()
-            dm.undo(token)
-            assert (dm.matrix == before).all()
+            edges = list(graph.edges)
+            for u, v in {*edges[:1], *edges[-1:]}:  # first and last edge
+                before = dm.matrix.copy()
+                bfs_sources.clear()
+                token = dm.apply_remove(u, v)
+                assert bfs_sources == []
+                fresh = apsp_matrix(graph, UNREACHABLE)
+                assert (dm.matrix == fresh).all()
+                changed = np.flatnonzero((fresh != before).any(axis=1))
+                (patch,) = token.patches
+                assert sorted(patch.rows.tolist()) == changed.tolist()
+                dm.undo(token)
+                assert (dm.matrix == before).all()
 
 
 # -- block repair of removals: fuzz against a fresh APSP ----------------------
@@ -823,13 +781,15 @@ def _largest_sentinel() -> int:
 class TestBlockRepairFuzz:
     """``_removal_rows``, ``matrix_after_remove``, ``rows_after_remove_from``
     and ``apply_remove`` + ``undo`` agree with a fresh APSP of ``G - uv``
-    bit for bit on every edge, and the sides behave as the block identity
-    needs: ``A_u | A_v`` is the probe-BFS mask and ``uv`` is the only edge
-    between ``A_v`` and ``A_u``."""
+    bit for bit on every edge, bridges and leaf endpoints included;
+    ``_removal_rows`` returns exactly the changed rows and flags an empty
+    border exactly on the bridges; and the sides behave as the block
+    identity needs: ``A_u | A_v`` is the probe-BFS mask and ``uv`` is the
+    only edge between ``A_v`` and ``A_u``."""
 
     @pytest.mark.parametrize("sentinel", (UNREACHABLE, _largest_sentinel()))
     def test_every_edge_matches_fresh_apsp(self, sentinel):
-        checked = 0
+        checked = bridges = leaves = 0
         for graph in _block_graphs():
             n = graph.number_of_nodes()
             rng = random.Random(n * 31 + graph.number_of_edges())
@@ -843,11 +803,13 @@ class TestBlockRepairFuzz:
                 fresh = apsp_matrix(reference, sentinel)
                 before = dm.matrix.copy()
                 changed = np.flatnonzero((fresh != before).any(axis=1))
-                rows, new = dm._removal_rows(u, v)
+                rows, new, bridge = dm._removal_rows(u, v)
                 assert (new == fresh[rows]).all()
-                if not dm.is_bridge(u, v):
-                    assert sorted(rows.tolist()) == changed.tolist()
-                    self._check_sides(dm, graph, u, v, fresh)
+                assert sorted(rows.tolist()) == changed.tolist()
+                self._check_sides(dm, graph, u, v, fresh)
+                assert bridge == (not nx.has_path(reference, u, v))
+                bridges += bridge
+                leaves += min(graph.degree(u), graph.degree(v)) == 1
                 assert (dm.matrix_after_remove(u, v) == fresh).all()
                 sources = rng.choices(range(n), k=rng.randint(1, 2 * n))
                 got = dm.rows_after_remove_from(u, v, sources)
@@ -864,6 +826,7 @@ class TestBlockRepairFuzz:
                 ).all()
                 checked += 1
         assert checked >= 500
+        assert bridges >= 50 and leaves >= 30
 
     @staticmethod
     def _check_sides(dm, graph, u, v, fresh):
@@ -956,7 +919,8 @@ class TestDispatchArmsAgree:
         for step in range(6):
             random_step(dm, graph, random.Random(base_seed + step))
             assert (dm.matrix == scipy_apsp(graph)).all(), f"step {step}"
-        edge = next(e for e in graph.edges if not dm.is_bridge(*e))
+        bridges = component_bridges(graph._adj, range(n))
+        edge = next(e for e in graph.edges if tuple(sorted(e)) not in bridges)
         reference = graph.copy()
         reference.remove_edge(*edge)
         expected = scipy_apsp(reference)
@@ -1062,51 +1026,6 @@ class TestReservoirScheduler:
         chosen = random_improvement_scheduler(None, stream(), random.Random(3))
         assert chosen in range(100)
         assert seen == list(range(100))  # uniformity requires full drain
-
-
-# -- endpoint-array cache (PR 4) ---------------------------------------------
-
-
-class TestEndpointArrayCache:
-    """The versioned incremental endpoint arrays of the bridge set."""
-
-    def test_version_bumps_only_on_array_changes(self):
-        graph = nx.path_graph(6)
-        dm = DistanceMatrix(graph, UNREACHABLE)
-        bridge_set = dm._bridges
-        assert_endpoint_arrays_consistent(dm)  # materialises the arrays
-        version = bridge_set.version
-        dm.apply_add(0, 5)  # closes a cycle: every bridge on it dies
-        assert bridge_set.version > version
-        assert_endpoint_arrays_consistent(dm)
-        version = bridge_set.version
-        dm.apply_add(1, 4)  # second chord: no bridge status changes
-        assert bridge_set.version == version
-        assert_endpoint_arrays_consistent(dm)
-
-    def test_arrays_survive_growth_and_undo(self):
-        """Appends past the initial capacity, then LIFO undo to the start."""
-        graph = nx.complete_graph(5)  # zero bridges: minimum capacity
-        graph.add_nodes_from(range(5, 30))  # isolated, attached below
-        dm = DistanceMatrix(graph, UNREACHABLE)
-        assert_endpoint_arrays_consistent(dm)
-        tokens = []
-        for leaf in range(5, 30):  # 25 connecting adds, all new bridges
-            tokens.append(dm.apply_add(leaf - 1 if leaf > 5 else 0, leaf))
-            assert_endpoint_arrays_consistent(dm)
-        assert len(dm.bridges()) == 25
-        for token in reversed(tokens):
-            dm.undo(token)
-            assert_endpoint_arrays_consistent(dm)
-        assert len(dm.bridges()) == 0
-
-    def test_lazy_materialisation_after_mutations(self):
-        """Deltas before the first array query are absorbed by the build."""
-        graph = nx.path_graph(8)
-        dm = DistanceMatrix(graph, UNREACHABLE)
-        dm.apply_add(0, 7)
-        dm.apply_remove(3, 4)
-        assert_endpoint_arrays_consistent(dm)
 
 
 # -- batch sweep vs the sequential oracle: whole-trajectory fuzz -------------

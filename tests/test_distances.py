@@ -15,7 +15,6 @@ from repro.graphs.distances import (
     DistanceMatrix,
     apsp_matrix,
     canonical_labels,
-    component_labels,
     single_source_distances,
 )
 from repro.graphs.generation import random_connected_gnp
@@ -221,7 +220,6 @@ class TestDistanceMatrixClass:
         dm = DistanceMatrix(nx.path_graph(4), UNREACHABLE)
         assert UNIFORM_LINEAR.rows_value(dm.matrix)[0] == 1 + 2 + 3
         assert dm.diameter() == 3
-        assert dm.eccentricity(1) == 2
 
     def test_remove_loss_on_cycle(self):
         state = GameState(nx.cycle_graph(5), 1)
@@ -232,17 +230,6 @@ class TestDistanceMatrixClass:
         state = GameState(nx.path_graph(5), 1)
         # closing the path into a cycle: dist(0) drops from 10 to 6
         assert add_gain(state, 0, 4) == 4
-
-
-class TestComponents:
-    def test_component_labels(self):
-        graph = nx.empty_graph(4)
-        graph.add_edge(0, 1)
-        graph.add_edge(2, 3)
-        labels = component_labels(graph)
-        assert labels[0] == labels[1]
-        assert labels[2] == labels[3]
-        assert labels[0] != labels[2]
 
 
 class TestCanonicalLabels:

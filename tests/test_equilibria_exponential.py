@@ -232,8 +232,7 @@ class TestKStrongEquilibrium:
 class TestFoldGateOnGeneralGraphs:
     """The fold DFS gate is per-coalition, not global: any coalition whose
     removable edges are all bridges takes the fully query-based fold path
-    even on a cyclic host graph — the forest property is never the reason
-    a fold split is refused (dispatch spy-counted), and both DFS paths
+    even on a cyclic host graph (dispatch spy-counted), and both DFS paths
     return identical moves."""
 
     @staticmethod
@@ -249,17 +248,19 @@ class TestFoldGateOnGeneralGraphs:
 
         state = self._lollipop()
         spec = SpeculativeEvaluator(state)
+        bridges = {tuple(sorted(edge)) for edge in nx.bridges(state.graph)}
+        assert bridges == {(2, 3), (3, 4)}
         fold_seen = engine_seen = 0
         for coalition in itertools.combinations(range(state.n), 2):
             removable, addable = strong._coalition_edge_space(
                 state, coalition
             )
-            all_bridges = all(
-                state.dist.is_bridge(u, v) for u, v in removable
-            )
+            all_bridges = all(edge in bridges for edge in removable)
             fold = meter("repro_strong_fold_dfs_runs_total")
             engine = meter("repro_strong_engine_dfs_runs_total")
-            strong._dfs_coalition_space(spec, coalition, removable, addable)
+            strong._dfs_coalition_space(
+                spec, coalition, removable, addable, bridges
+            )
             fold_delta = meter("repro_strong_fold_dfs_runs_total") - fold
             engine_delta = meter("repro_strong_engine_dfs_runs_total") - engine
             if all_bridges:
@@ -272,15 +273,15 @@ class TestFoldGateOnGeneralGraphs:
         assert fold_seen > 0 and engine_seen > 0  # both regimes exercised
 
     def test_fold_and_engine_paths_agree_on_cyclic_graphs(self, monkeypatch):
-        from repro.core.speculative import SpeculativeEvaluator
+        from repro.graphs import bridges
 
         for alpha in (Fraction(1, 2), 2, 5):
             state = GameState(self._lollipop().graph, alpha)
             gated = find_improving_coalition_move(state, 2)
-            # force the engine path (the pre-gate behaviour on any
-            # non-forest instance) and compare verdicts
+            # force the engine path (no bridge admits a fold split) and
+            # compare verdicts
             monkeypatch.setattr(
-                SpeculativeEvaluator, "is_bridge", lambda self, u, v: False
+                bridges, "component_bridges", lambda adj, roots: set()
             )
             engine = find_improving_coalition_move(state, 2)
             monkeypatch.undo()

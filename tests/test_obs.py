@@ -216,11 +216,12 @@ class TestSpyAliases:
         assert meter("repro_engine_remove_bfs_repairs_total") >= 0
 
     def test_bridge_spies(self):
+        from repro.graphs import bridges
+
         graph = random_connected_gnp(8, 0.4, __import__("random").Random(2))
-        before = meter("repro_engine_bridge_rebuilds_total")
-        DistanceMatrix(graph, 10**7).is_bridge(*next(iter(graph.edges)))
-        assert meter("repro_engine_bridge_rebuilds_total") >= before + 1
-        assert meter("repro_engine_bridge_sweeps_total") >= 0
+        before = meter("repro_engine_bridge_sweeps_total")
+        bridges.component_bridges(graph._adj, range(8))
+        assert meter("repro_engine_bridge_sweeps_total") >= before + 1
 
     def test_canonical_cache_spies(self):
         import networkx as nx

@@ -389,6 +389,23 @@ class TestClassify:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
 
+    @pytest.mark.parametrize("n", (256, 300))
+    def test_n_past_the_key_ceiling_is_a_400(self, n):
+        """Canonical keys name at most ``MAX_KEY_NODES`` nodes: a larger
+        connected instance is a client error naming the limit, not a
+        500 from the keyer."""
+        assert canonical.MAX_KEY_NODES == 255
+        path = [[u, u + 1] for u in range(n - 1)]
+        app = ServeApp()
+        for endpoint, extra in (
+            ("classify", {}), ("best_response", {"agent": 0}),
+        ):
+            status, body = app.handle(
+                endpoint, {"edges": path, "alpha": 2, **extra}
+            )
+            assert status == 400, (endpoint, body)
+            assert f"n={n}" in body["error"] and "255" in body["error"]
+
     @pytest.mark.parametrize(
         "costmodel",
         [
@@ -783,10 +800,11 @@ class TestPoaViews:
             ("weighted_poa",
              {"concept": "PS", "n": 10**6, "traffic": {"model": "uniform"}},
              "n=1000000"),
+            ("exact_poa", {"concept": "PS", "n": 0}, "'n'"),
         ],
         ids=["misspelt-axis", "extra-axis", "unknown-kind", "zero-alpha",
              "unknown-traffic-model", "traffic-for-2-agents",
-             "unknown-cost-model", "n-past-key-ceiling"],
+             "unknown-cost-model", "n-past-key-ceiling", "zero-n"],
     )
     def test_queries_no_runner_reads_are_refused(
         self, layered_views, kind, params, named
